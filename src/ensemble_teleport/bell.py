@@ -5,11 +5,13 @@ from __future__ import annotations
 import numpy as np
 
 from .linalg import (
+    EIGENVALUE_TOL,
     LAYOUT_AB,
     SubsystemLayout,
     as_matrix,
     hermitian_spectrum,
     partial_transpose,
+    require_statistical_operator,
 )
 
 BELL_INDICES = (1, 2, 3, 4)
@@ -79,23 +81,7 @@ def pauli(k: int) -> np.ndarray:
     raise ValueError(f"only pauli(1) and pauli(3) are defined here, got {k}")
 
 
-def _require_statistical_operator(op: np.ndarray) -> None:
-    asymmetry = float(np.max(np.abs(op - op.conj().T)))
-    if asymmetry > 1e-10:
-        raise ValueError(
-            f"not a statistical operator: not Hermitian (asymmetry {asymmetry:.3e})"
-        )
-    tr = complex(np.trace(op))
-    if abs(tr - 1.0) > 1e-9:
-        raise ValueError(f"not a statistical operator: trace {tr.real:.12g} != 1")
-    smallest = float(hermitian_spectrum(op)[-1])
-    if smallest < -1e-10:
-        raise ValueError(
-            f"not a statistical operator: negative eigenvalue {smallest:.3e}"
-        )
-
-
-def ppt_entangled(op, layout: SubsystemLayout = LAYOUT_AB, negativity_tol: float = 1e-10) -> bool:
+def ppt_entangled(op, layout: SubsystemLayout = LAYOUT_AB, negativity_tol: float = EIGENVALUE_TOL) -> bool:
     """True iff a two-qubit statistical operator fails the partial-transpose test.
 
     For a pair of two-level factors the test is conclusive: the state is
@@ -106,6 +92,6 @@ def ppt_entangled(op, layout: SubsystemLayout = LAYOUT_AB, negativity_tol: float
     arr = as_matrix(op)
     if len(layout.factors) != 2 or arr.shape[0] != 4:
         raise ValueError("PPT test expects a 4x4 operator on a two-factor layout")
-    _require_statistical_operator(arr)
+    require_statistical_operator(arr)
     transposed = partial_transpose(arr, layout, layout.factors[1])
     return bool(hermitian_spectrum(transposed)[-1] < -negativity_tol)

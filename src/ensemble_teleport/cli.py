@@ -26,18 +26,18 @@ from .linalg import LAYOUT_AB, hermitian_spectrum, partial_transpose, spectral_n
 from .protocol import (
     ClassicalMessage,
     CoefficientVector,
-    alice_prepare,
     automatic_preparation,
-    effective_transformation,
-    preparation_from_bell,
-    renormalize,
+    receiver_state,
+    resolve_preparation,
     run_session,
     transformation_matrix,
 )
 
 DEFAULT_SEED = 42
 
-_PREP_CHOICES = ("bell1", "bell2", "bell3", "bell4", "paut")
+# --prep flag values and what resolve_preparation receives for each.
+_PREPS = {"bell1": 1, "bell2": 2, "bell3": 3, "bell4": 4, "paut": automatic_preparation()}
+_PREP_CHOICES = tuple(_PREPS)
 _MESSAGE_CHOICES = ("twobits", "onebit", "preagreed")
 
 _TELEPORT_CSV_COLUMNS = (
@@ -100,13 +100,6 @@ def _render(rows, columns, fmt: str) -> str:
     return _render_json(rows, columns)
 
 
-def _resolve_prep_flag(name: str):
-    if name == "paut":
-        return automatic_preparation(), None
-    index = int(name[-1])
-    return preparation_from_bell(index), index
-
-
 def _cmd_bell_audit(args) -> tuple[list[dict], tuple[str, ...], bool]:
     tol = args.tol
     columns = ("kind", "i", "j", "residual", "trace", "min_pt_eigenvalue", "entangled")
@@ -147,7 +140,8 @@ def _cmd_bell_audit(args) -> tuple[list[dict], tuple[str, ...], bool]:
 
 def _cmd_teleport(args) -> tuple[list[dict], tuple[str, ...], bool]:
     c = CoefficientVector.from_components(args.c11, complex(args.c12re, args.c12im))
-    u, bell_index = _resolve_prep_flag(args.prep)
+    resolved = resolve_preparation(_PREPS[args.prep])
+    bell_index = resolved.bell_index
 
     message_name = args.message
     if message_name is None:
@@ -161,10 +155,8 @@ def _cmd_teleport(args) -> tuple[list[dict], tuple[str, ...], bool]:
     else:
         message = ClassicalMessage.pre_agreed()
 
-    record = run_session(c, u, message, bob_acts=args.correct)
-    correction = bell_index if args.correct else None
-    effective = effective_transformation(u, correction)
-    report = fidelity_report(c, effective, record.bob_state)
+    record = run_session(c, resolved.tensor, message, bob_acts=args.correct)
+    report = fidelity_report(c, resolved.session_map(args.correct), record.bob_state)
 
     row = {
         "c11": c.c11,
@@ -201,7 +193,7 @@ def _cmd_sweep(args) -> tuple[list[dict], tuple[str, ...], bool]:
     mag_resolution = args.mag_resolution if args.mag_resolution is not None else args.resolution
     if mag_resolution < 1 or args.phase_resolution < 1:
         raise ValueError("magnitude and phase resolutions must be at least 1")
-    u, _ = _resolve_prep_flag(args.prep)
+    resolved = resolve_preparation(_PREPS[args.prep])
 
     columns = ("c11", "c12_re", "c12_im", "lazy_fidelity", "trace_fidelity")
     rows: list[dict] = []
@@ -223,7 +215,7 @@ def _cmd_sweep(args) -> tuple[list[dict], tuple[str, ...], bool]:
                 raw12 = mag * np.exp(1j * phase)
                 c12 = complex(raw12.real + 0.0, raw12.imag + 0.0)  # drop negative zeros
                 c = CoefficientVector.from_components(float(c11), c12)
-                bob = renormalize(alice_prepare(u, c))
+                bob = receiver_state(resolved, c, False)
                 rows.append(
                     {
                         "c11": c.c11,
@@ -291,7 +283,7 @@ def _cmd_appendix_check(args) -> tuple[list[dict], tuple[str, ...], bool]:
         raise ValueError(f"need at least 1 sample, got {args.samples}")
     tol = args.tol
     rng = np.random.default_rng(args.seed)
-    cases = [(name, *_resolve_prep_flag(name)) for name in _PREP_CHOICES]
+    cases = {name: resolve_preparation(prep) for name, prep in _PREPS.items()}
     columns = (
         "prep",
         "samples",
@@ -302,13 +294,13 @@ def _cmd_appendix_check(args) -> tuple[list[dict], tuple[str, ...], bool]:
     )
     rows: list[dict] = []
     ok = True
-    for name, u, bell_index in cases:
-        expected_ratio = 1.0 if bell_index is not None else 2.0
+    for name, resolved in cases.items():
+        expected_ratio = 1.0 if resolved.bell_index is not None else 2.0
         max_diff = 0.0
         max_ratio_dev = 0.0
         for _ in range(args.samples):
             c = sample_mixed_uniform(rng)
-            result = compare_conventions(u, c)
+            result = compare_conventions(resolved.tensor, c)
             max_diff = max(max_diff, result.max_abs_diff)
             max_ratio_dev = max(max_ratio_dev, abs(result.prenorm_ratio - expected_ratio))
         within = max_diff < tol and max_ratio_dev < max(tol, 1e-12)
@@ -367,7 +359,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--correct", action=argparse.BooleanOptionalAction, default=True,
         help="whether the receiver applies the correction (default: --correct)",
     )
-    p.add_argument("--tol", type=float, default=1e-12, help="unused; kept for flag uniformity")
     p.set_defaults(func=_cmd_teleport)
 
     p = sub.add_parser(
@@ -390,7 +381,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--prep", choices=_PREP_CHOICES, default="bell1",
                    help="preparation for the uncorrected trace fidelity column (default: bell1)")
-    p.add_argument("--tol", type=float, default=1e-12, help="unused; kept for flag uniformity")
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser(

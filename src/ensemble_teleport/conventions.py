@@ -14,9 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import LAYOUT_CAB, embed, partial_trace
+from .linalg import ANNIHILATION_TOL, EQ_TOL, LAYOUT_CAB, embed, partial_trace
 from .protocol import (
-    ANNIHILATION_TOL,
     CoefficientVector,
     PreparationTensor,
     alice_prepare,
@@ -35,7 +34,7 @@ def prepare_sandwich(u: PreparationTensor, c: CoefficientVector) -> np.ndarray:
     """Two-sided preparation: sandwich the total state and divide by the full trace."""
     numerator = sandwich_numerator(u, c)
     denominator = complex(np.trace(numerator))
-    if abs(denominator.imag) > 1e-12 or denominator.real <= ANNIHILATION_TOL:
+    if abs(denominator.imag) > EQ_TOL or denominator.real <= ANNIHILATION_TOL:
         raise ValueError(
             f"two-sided update annihilated the ensemble: total trace {denominator!r}"
         )

@@ -14,40 +14,14 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .linalg import as_matrix
+from .linalg import AGREE_TOL, ANNIHILATION_TOL, EQ_TOL
 from .protocol import (
-    ANNIHILATION_TOL,
     CoefficientVector,
     TransformationMatrix,
-    alice_prepare,
-    bob_correct,
-    renormalize,
+    fidelity_trace,
+    receiver_state,
     resolve_preparation,
 )
-
-_IMAG_TOL = 1e-12
-_AGREE_TOL = 1e-9
-
-
-def fidelity_trace(c: CoefficientVector, bob) -> float:
-    """Overlap Tr(rho_in * rho_bob) with the input transported to the receiver basis.
-
-    ``bob`` must have unit trace. A non-negligible imaginary part in the
-    overlap signals a non-Hermitian pipeline bug and raises.
-    """
-    arr = as_matrix(bob)
-    if arr.shape != (2, 2):
-        raise ValueError(f"fidelity expects a 2x2 receiver state, got shape {arr.shape}")
-    tr = complex(np.trace(arr))
-    if abs(tr - 1.0) > 1e-9:
-        raise ValueError(f"receiver state must have unit trace, got {tr!r}")
-    overlap = complex(np.trace(c.matrix() @ arr))
-    if abs(overlap.imag) > _IMAG_TOL:
-        raise ValueError(
-            f"fidelity has non-negligible imaginary part {overlap.imag:.3e}; "
-            "the pipeline produced a non-Hermitian state"
-        )
-    return float(overlap.real)
 
 
 def fidelity_vector(c: CoefficientVector, t) -> float:
@@ -63,13 +37,13 @@ def fidelity_vector(c: CoefficientVector, t) -> float:
     cv = c.as_vector()
     tc = tm @ cv
     norm = complex(tc[0] + tc[3])
-    if abs(norm.imag) > _IMAG_TOL or norm.real <= ANNIHILATION_TOL:
+    if abs(norm.imag) > EQ_TOL or norm.real <= ANNIHILATION_TOL:
         raise ValueError(
             f"transformation annihilates the input: trace component {norm!r}"
         )
     contamination = (tm / norm.real) @ cv - cv
     value = complex(cv @ cv + cv @ contamination)
-    if abs(value.imag) > _AGREE_TOL:
+    if abs(value.imag) > AGREE_TOL:
         raise ValueError(
             f"vector-form fidelity has imaginary part {value.imag:.3e}"
         )
@@ -197,18 +171,13 @@ def average_fidelity(
     if sampler not in SAMPLERS:
         raise ValueError(f"unknown sampler {sampler!r}; expected one of {sorted(SAMPLERS)}")
     resolved = resolve_preparation(prep)
-    if bob_acts and resolved.bell_index is None and not resolved.automatic:
-        raise ValueError("no correction rule for this preparation; run with bob_acts=False")
     draw = SAMPLERS[sampler]
     rng = np.random.default_rng(seed)
 
     values = np.empty(n, dtype=float)
     for i in range(n):
         c = draw(rng)
-        state = renormalize(alice_prepare(resolved.tensor, c))
-        if bob_acts and resolved.bell_index is not None:
-            state = bob_correct(resolved.bell_index, state)
-        values[i] = fidelity_trace(c, state)
+        values[i] = fidelity_trace(c, receiver_state(resolved, c, bob_acts))
     stderr = float(values.std(ddof=1) / np.sqrt(n))
     return AverageFidelity(mean=float(values.mean()), stderr=stderr)
 
@@ -228,7 +197,7 @@ def fidelity_report(c: CoefficientVector, transformation, bob) -> FidelityReport
     trace_form = fidelity_trace(c, bob)
     vector_form = fidelity_vector(c, transformation)
     diff = abs(trace_form - vector_form)
-    agree = diff < _AGREE_TOL
+    agree = diff < AGREE_TOL
     note = (
         ""
         if agree

@@ -7,6 +7,7 @@ which is exactly how ``numpy.kron`` composes matrices.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -16,10 +17,13 @@ LOCAL_DIM = 2
 SUPPORTED_DIMS = (2, 4, 8)
 SUBSYSTEM_LABELS = ("C", "A", "B")
 
-HERMITICITY_TOL = 1e-10
-EIGENVALUE_TOL = 1e-10
-_JACOBI_OFF_TOL = 1e-13
-_JACOBI_MAX_SWEEPS = 60
+# Tolerance table: every numerical check in the package uses one of these.
+EQ_TOL = 1e-12  # plain equalities: coefficient invariants, classification, imaginary parts
+HERMITICITY_TOL = 1e-10  # largest entry of |M - M^dagger| for a Hermitian operator
+EIGENVALUE_TOL = 1e-10  # how far a positive semidefinite operator's eigenvalue may undershoot 0
+TRACE_TOL = 1e-9  # |Tr M - 1| for a unit-trace operator
+ANNIHILATION_TOL = 1e-9  # a trace at or below this means the ensemble was annihilated
+AGREE_TOL = 1e-9  # largest gap between two formulations of the same quantity
 
 
 class NonHermitianError(ValueError):
@@ -205,49 +209,41 @@ def embed(op, factors, layout: SubsystemLayout = LAYOUT_CAB) -> np.ndarray:
 def hermitian_spectrum(a, hermiticity_tol: float = HERMITICITY_TOL) -> np.ndarray:
     """All eigenvalues of a Hermitian matrix, sorted descending.
 
-    Uses cyclic Jacobi rotations, which are exact enough for the fixed small
-    dimensions handled here (convergence when the off-diagonal Frobenius
-    mass drops below 1e-13). Raises NonHermitianError for inputs whose
-    asymmetry exceeds ``hermiticity_tol``.
+    Uses LAPACK through ``numpy.linalg.eigvalsh`` on the Hermitian part.
+    Raises NonHermitianError for inputs whose asymmetry exceeds
+    ``hermiticity_tol``.
     """
     arr = as_matrix(a)
     asymmetry = float(np.max(np.abs(arr - arr.conj().T)))
     if asymmetry > hermiticity_tol:
         raise NonHermitianError(asymmetry)
-    values = _jacobi_eigenvalues(0.5 * (arr + arr.conj().T))
-    return np.sort(values)[::-1]
+    return np.linalg.eigvalsh(0.5 * (arr + arr.conj().T))[::-1]
 
 
-def _jacobi_eigenvalues(a: np.ndarray) -> np.ndarray:
-    """Cyclic Jacobi sweeps for a Hermitian matrix; returns unsorted eigenvalues."""
-    n = a.shape[0]
-    m = a.copy()
-    for _ in range(_JACOBI_MAX_SWEEPS):
-        off = np.sqrt(np.sum(np.abs(m - np.diag(np.diag(m))) ** 2))
-        if off < _JACOBI_OFF_TOL:
-            return np.real(np.diag(m))
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = m[p, q]
-                if abs(apq) == 0.0:
-                    continue
-                # Unitary plane rotation zeroing m[p, q]: a real Jacobi angle
-                # combined with the phase of the off-diagonal entry.
-                phase = apq / abs(apq)
-                tau = (m[q, q].real - m[p, p].real) / (2.0 * abs(apq))
-                if tau == 0.0:
-                    t = 1.0
-                else:
-                    t = np.sign(tau) / (abs(tau) + np.hypot(1.0, tau))
-                c = 1.0 / np.hypot(1.0, t)
-                s = t * c * phase
-                rot = np.eye(n, dtype=complex)
-                rot[p, p] = c
-                rot[p, q] = s
-                rot[q, p] = -np.conj(s)
-                rot[q, q] = c
-                m = rot.conj().T @ m @ rot
-    raise RuntimeError("Jacobi eigensolver did not converge within the sweep limit")
+def require_statistical_operator(op) -> None:
+    """Raise ValueError naming the first invariant of a statistical operator that fails.
+
+    The invariants are Hermiticity (HERMITICITY_TOL), unit trace (TRACE_TOL)
+    and positivity (smallest eigenvalue at least -EIGENVALUE_TOL). A 2x2
+    operator [[a, b], [b*, d]] uses the closed form
+    (a + d)/2 - sqrt((a - d)^2/4 + |b|^2) for its smallest eigenvalue.
+    """
+    arr = as_matrix(op)
+    asymmetry = float(np.max(np.abs(arr - arr.conj().T)))
+    if asymmetry > HERMITICITY_TOL:
+        raise ValueError(
+            f"not a statistical operator: not Hermitian (asymmetry {asymmetry:.3e})"
+        )
+    tr = complex(np.trace(arr))
+    if abs(tr - 1.0) > TRACE_TOL:
+        raise ValueError(f"not a statistical operator: not unit-trace (trace {tr:.12g})")
+    if arr.shape[0] == 2:
+        a, d = arr[0, 0].real, arr[1, 1].real
+        smallest = 0.5 * (a + d) - math.hypot(0.5 * (a - d), abs(arr[0, 1]))
+    else:
+        smallest = float(hermitian_spectrum(arr)[-1])
+    if smallest < -EIGENVALUE_TOL:
+        raise ValueError(f"not a statistical operator: negative eigenvalue {smallest:.3e}")
 
 
 def spectral_norm(a) -> float:

@@ -10,6 +10,11 @@ keyed by classical communication.
 Basis bookkeeping: the total space is ordered C ⊗ A ⊗ B with the last index
 fastest; a 2x2 operator on B with entries m[i, j] has the coefficient
 4-vector (m11, m12, m21, m22) in the matrix-unit basis.
+
+Sessions run in coefficient space (``receiver_state``): a 4x4 map on that
+vector, then renormalization. The 8x8 path (``total_state``,
+``alice_prepare``, ``bob_correct``) computes the same state and is kept as
+the reference.
 """
 
 from __future__ import annotations
@@ -19,10 +24,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bell import BELL_INDICES, bell_projector, matrix_unit, pauli
-from .linalg import LAYOUT_CAB, as_matrix, embed, matmul, partial_trace, tensor
-
-ANNIHILATION_TOL = 1e-9
-_EQ_TOL = 1e-12
+from .linalg import (
+    ANNIHILATION_TOL,
+    EQ_TOL,
+    LAYOUT_CAB,
+    TRACE_TOL,
+    as_matrix,
+    embed,
+    matmul,
+    partial_trace,
+    require_statistical_operator,
+    tensor,
+)
 
 
 @dataclass(frozen=True)
@@ -48,19 +61,19 @@ class CoefficientVector:
             np.array([self.c11, self.c12, self.c21, self.c22], dtype=complex)
         ).all():
             raise ValueError("coefficients contain NaN or Inf")
-        if abs(self.c11 + self.c22 - 1.0) > _EQ_TOL:
+        if abs(self.c11 + self.c22 - 1.0) > EQ_TOL:
             raise ValueError(
                 f"trace constraint violated: c11 + c22 = {self.c11 + self.c22!r}, expected 1"
             )
-        if self.c11 < -_EQ_TOL or self.c22 < -_EQ_TOL:
+        if self.c11 < -EQ_TOL or self.c22 < -EQ_TOL:
             raise ValueError(
                 f"nonnegativity constraint violated: c11 = {self.c11!r}, c22 = {self.c22!r}"
             )
-        if abs(self.c21 - np.conj(self.c12)) > _EQ_TOL:
+        if abs(self.c21 - np.conj(self.c12)) > EQ_TOL:
             raise ValueError(
                 f"hermiticity constraint violated: c21 = {self.c21!r} is not conj(c12) = {np.conj(self.c12)!r}"
             )
-        if abs(self.c12) ** 2 > self.c11 * self.c22 + _EQ_TOL:
+        if abs(self.c12) ** 2 > self.c11 * self.c22 + EQ_TOL:
             raise ValueError(
                 f"positivity constraint violated: |c12|^2 = {abs(self.c12) ** 2!r} "
                 f"exceeds c11*c22 = {self.c11 * self.c22!r}"
@@ -76,7 +89,7 @@ class CoefficientVector:
     def from_bloch(cls, x: float, y: float, z: float) -> "CoefficientVector":
         """Coefficients of (I + x*sigma1 + y*sigma2 + z*sigma3) / 2 for |r| <= 1."""
         r2 = x * x + y * y + z * z
-        if r2 > 1.0 + 1e-12:
+        if r2 > 1.0 + EQ_TOL:
             raise ValueError(f"Bloch vector length {np.sqrt(r2)} exceeds 1")
         return cls.from_components((1.0 + z) / 2.0, (x - 1j * y) / 2.0)
 
@@ -88,7 +101,7 @@ class CoefficientVector:
         """The 2x2 statistical operator carrying these coefficients."""
         return np.array([[self.c11, self.c12], [self.c21, self.c22]], dtype=complex)
 
-    def is_pure(self, tol: float = 1e-12) -> bool:
+    def is_pure(self, tol: float = EQ_TOL) -> bool:
         return abs(abs(self.c12) ** 2 - self.c11 * self.c22) <= tol
 
 
@@ -115,12 +128,12 @@ class PreparationTensor:
         object.__setattr__(self, "u", arr)
         if self.normalized:
             diag = np.array([arr[k, k, m, m] for k in (0, 1) for m in (0, 1)])
-            if np.max(np.abs(diag.imag)) > _EQ_TOL or np.min(diag.real) < -_EQ_TOL:
+            if np.max(np.abs(diag.imag)) > EQ_TOL or np.min(diag.real) < -EQ_TOL:
                 raise ValueError(
                     "normalized preparation requires real nonnegative diagonal weights u_kkmm"
                 )
             total = float(diag.real.sum())
-            if abs(total - 1.0) > _EQ_TOL:
+            if abs(total - 1.0) > EQ_TOL:
                 raise ValueError(
                     f"normalized preparation requires sum of u_kkmm = 1, got {total!r}"
                 )
@@ -157,6 +170,13 @@ def automatic_preparation() -> PreparationTensor:
     return PreparationTensor(u=u, normalized=False)
 
 
+# The known preparations, built once: the Bell tensors by index, and the
+# weights of all five (Bell 1..4, then automatic) stacked for classification.
+_BELL_TENSORS = {index: preparation_from_bell(index) for index in BELL_INDICES}
+_KNOWN_WEIGHTS = np.stack([t.u for t in _BELL_TENSORS.values()] + [automatic_preparation().u])
+_KNOWN_WEIGHTS.setflags(write=False)
+
+
 @dataclass(frozen=True)
 class ResolvedPreparation:
     """A preparation tensor classified against the known preparation family."""
@@ -164,6 +184,12 @@ class ResolvedPreparation:
     tensor: PreparationTensor
     bell_index: int | None
     automatic: bool
+
+    def session_map(self, bob_acts: bool) -> TransformationMatrix:
+        """Effective coefficient map of a session; the correction applies only when ``bob_acts``."""
+        if bob_acts and self.bell_index is None and not self.automatic:
+            raise ValueError("no correction rule for this preparation; run with bob_acts=False")
+        return effective_transformation(self.tensor, self.bell_index if bob_acts else None)
 
 
 def resolve_preparation(prep) -> ResolvedPreparation:
@@ -174,16 +200,14 @@ def resolve_preparation(prep) -> ResolvedPreparation:
     else is usable only without a correction step.
     """
     if isinstance(prep, PreparationTensor):
-        for index in BELL_INDICES:
-            if np.allclose(prep.u, preparation_from_bell(index).u, atol=_EQ_TOL, rtol=0.0):
-                return ResolvedPreparation(prep, index, False)
-        if np.allclose(prep.u, automatic_preparation().u, atol=_EQ_TOL, rtol=0.0):
-            return ResolvedPreparation(prep, None, True)
-        return ResolvedPreparation(prep, None, False)
+        matches = (np.abs(_KNOWN_WEIGHTS - prep.u) <= EQ_TOL).reshape(5, 16).all(axis=1)
+        if matches[:4].any():
+            return ResolvedPreparation(prep, BELL_INDICES[int(np.argmax(matches))], False)
+        return ResolvedPreparation(prep, None, bool(matches[4]))
     index = int(prep)
     if index not in BELL_INDICES:
         raise ValueError(f"Bell index must be in {BELL_INDICES}, got {prep!r}")
-    return ResolvedPreparation(preparation_from_bell(index), index, False)
+    return ResolvedPreparation(_BELL_TENSORS[index], index, False)
 
 
 def total_state(c: CoefficientVector) -> np.ndarray:
@@ -268,13 +292,34 @@ def renormalize(m) -> np.ndarray:
     """
     arr = as_matrix(m)
     t = complex(np.trace(arr))
-    if abs(t.imag) > _EQ_TOL:
+    if abs(t.imag) > EQ_TOL:
         raise ValueError(f"cannot renormalize: trace has imaginary part {t.imag:.3e}")
     if t.real <= ANNIHILATION_TOL:
         raise ValueError(
             f"preparation annihilated the ensemble: trace {t.real:.3e} <= {ANNIHILATION_TOL}"
         )
     return arr / t.real
+
+
+def fidelity_trace(c: CoefficientVector, bob) -> float:
+    """Overlap Tr(rho_in * rho_bob) with the input transported to the receiver basis.
+
+    ``bob`` must have unit trace. A non-negligible imaginary part in the
+    overlap signals a non-Hermitian pipeline bug and raises.
+    """
+    arr = as_matrix(bob)
+    if arr.shape != (2, 2):
+        raise ValueError(f"fidelity expects a 2x2 receiver state, got shape {arr.shape}")
+    tr = complex(np.trace(arr))
+    if abs(tr - 1.0) > TRACE_TOL:
+        raise ValueError(f"receiver state must have unit trace, got {tr!r}")
+    overlap = complex(np.trace(c.matrix() @ arr))
+    if abs(overlap.imag) > EQ_TOL:
+        raise ValueError(
+            f"fidelity has non-negligible imaginary part {overlap.imag:.3e}; "
+            "the pipeline produced a non-Hermitian state"
+        )
+    return float(overlap.real)
 
 
 @dataclass(frozen=True, eq=False)
@@ -293,6 +338,9 @@ class TransformationMatrix:
         object.__setattr__(self, "matrix", arr)
 
 
+_EPSILON = np.array([[0.0, 1.0], [-1.0, 0.0]])
+
+
 def transformation_matrix(u: PreparationTensor) -> TransformationMatrix:
     """Coefficient map of a preparation.
 
@@ -302,17 +350,12 @@ def transformation_matrix(u: PreparationTensor) -> TransformationMatrix:
         row 1:  +u[q, p, 2, 2]    row 2:  -u[q, p, 1, 2]
         row 3:  -u[q, p, 2, 1]    row 4:  +u[q, p, 1, 1]
 
-    (1-based weight indices) where column (p, q) multiplies c_pq.
+    (1-based weight indices) where column (p, q) multiplies c_pq. As one
+    index expression, T[ab, pq] = sum_mn eps[a, m] eps[b, n] u[q, p, n, m]
+    with eps the antisymmetric symbol on a two-level factor.
     """
-    w = np.asarray(u.u)
-    columns = ((0, 0), (0, 1), (1, 0), (1, 1))  # (p, q) zero-based per c11, c12, c21, c22
-    t = np.zeros((4, 4), dtype=complex)
-    for col, (p, q) in enumerate(columns):
-        t[0, col] = w[q, p, 1, 1]
-        t[1, col] = -w[q, p, 0, 1]
-        t[2, col] = -w[q, p, 1, 0]
-        t[3, col] = w[q, p, 0, 0]
-    return TransformationMatrix(t)
+    t = np.einsum("am,bn,qpnm->abpq", _EPSILON, _EPSILON, u.u)
+    return TransformationMatrix(t.reshape(4, 4))
 
 
 def coefficients_of(m) -> np.ndarray:
@@ -348,19 +391,21 @@ def correction_unitary(index: int) -> np.ndarray:
 def bob_correct(index: int, m) -> np.ndarray:
     """Apply the receiver correction for the indexed Bell preparation.
 
-    Input must be a unit-trace Hermitian 2x2 operator; the correction is a
+    Input must be a 2x2 statistical operator; the correction is a
     Pauli conjugation and exactly inverts the preparation's imprint.
     """
     arr = as_matrix(m)
     if arr.shape != (2, 2):
         raise ValueError(f"correction expects a 2x2 operator, got shape {arr.shape}")
-    if abs(complex(np.trace(arr)) - 1.0) > 1e-9:
-        raise ValueError(f"correction expects a unit-trace operator, trace = {np.trace(arr)!r}")
-    asymmetry = float(np.max(np.abs(arr - arr.conj().T)))
-    if asymmetry > 1e-10:
-        raise ValueError(f"correction expects a Hermitian operator, asymmetry = {asymmetry:.3e}")
+    require_statistical_operator(arr)
     un = correction_unitary(index)
     return un @ arr @ un.conj().T
+
+
+_CORRECTION_MAPS = {
+    index: np.kron(correction_unitary(index), correction_unitary(index).conj())
+    for index in BELL_INDICES
+}
 
 
 def effective_transformation(u: PreparationTensor, correction_index: int | None) -> TransformationMatrix:
@@ -371,9 +416,24 @@ def effective_transformation(u: PreparationTensor, correction_index: int | None)
     """
     t = transformation_matrix(u).matrix
     if correction_index is not None:
-        un = correction_unitary(correction_index)
-        t = np.kron(un, un.conj()) @ t
+        t = _CORRECTION_MAPS[correction_index] @ t
     return TransformationMatrix(t)
+
+
+def receiver_state(resolved: ResolvedPreparation, c: CoefficientVector, bob_acts: bool) -> np.ndarray:
+    """The receiver's state after one session, computed on coefficient 4-vectors.
+
+    Applies the session's effective map to the input coefficients and
+    renormalizes: the same state as renormalize(alice_prepare(...)) followed
+    by bob_correct when ``bob_acts``, without the 8x8 assembly. Raises when
+    the result is not a statistical operator, naming the violated invariant.
+    """
+    t = resolved.session_map(bob_acts)
+    # Half the mapped vector is alice_prepare's raw operator, so renormalize
+    # applies its checks to the same trace as on the reference path.
+    state = renormalize(0.5 * (t.matrix @ c.as_vector()).reshape(2, 2))
+    require_statistical_operator(state)
+    return state
 
 
 _MESSAGE_VARIANTS = ("two_bits", "one_bit_ping", "pre_agreed")
@@ -435,7 +495,7 @@ def run_session(
     message: ClassicalMessage,
     bob_acts: bool,
 ) -> SessionRecord:
-    """Execute one full session: assemble, prepare, renormalize, optionally correct.
+    """Execute one full session: prepare, renormalize, optionally correct.
 
     ``prep`` is a Bell index or a PreparationTensor. A two-bit message must
     carry the index of the Bell preparation actually applied. When
@@ -451,14 +511,7 @@ def run_session(
                 f"two-bit message index {message.index} does not match the preparation "
                 f"(Bell index {resolved.bell_index})"
             )
-    state = renormalize(alice_prepare(resolved.tensor, c))
-    if bob_acts:
-        if resolved.bell_index is not None:
-            state = bob_correct(resolved.bell_index, state)
-        elif not resolved.automatic:
-            raise ValueError("no correction rule for this preparation; run with bob_acts=False")
-    from .fidelity import fidelity_trace  # deferred: fidelity builds on this module
-
+    state = receiver_state(resolved, c, bob_acts)
     return SessionRecord(
         bob_state=state,
         fidelity=fidelity_trace(c, state),

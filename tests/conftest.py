@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
+from hypothesis import strategies as st
 
 from ensemble_teleport import CoefficientVector, sample_mixed_uniform, sample_pure_uniform
 
@@ -36,3 +37,19 @@ def coefficient_samples(rng):
 
 def bloch_coefficients(x, y, z):
     return CoefficientVector.from_bloch(x, y, z)
+
+
+def bloch_coefficient_strategy():
+    """Valid coefficient vectors via Bloch-ball coordinates."""
+    unit = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False)
+    radius = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
+
+    def build(raw):
+        x, y, z, r = raw
+        length = np.sqrt(x * x + y * y + z * z)
+        if length < 1e-9:
+            return CoefficientVector.from_components(0.5)
+        scale = r / length
+        return CoefficientVector.from_bloch(x * scale, y * scale, z * scale)
+
+    return st.tuples(unit, unit, unit, radius).map(build)

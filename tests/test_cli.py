@@ -3,7 +3,16 @@ import io
 import json
 
 import numpy as np
+import pytest
 
+from ensemble_teleport import (
+    CoefficientVector,
+    alice_prepare,
+    automatic_preparation,
+    fidelity_trace,
+    preparation_from_bell,
+    renormalize,
+)
 from ensemble_teleport.cli import main
 
 
@@ -164,6 +173,27 @@ class TestSweep:
         _, first, _ = run_cli(capsys, "sweep", "--resolution", "7", "--format", "csv")
         _, second, _ = run_cli(capsys, "sweep", "--resolution", "7", "--format", "csv")
         assert first == second
+
+    @pytest.mark.parametrize("prep", ["bell1", "bell3", "paut"])
+    def test_rows_match_operator_path_exactly(self, capsys, prep):
+        _, out, _ = run_cli(
+            capsys, "sweep", "--resolution", "6", "--phase-resolution", "3",
+            "--prep", prep, "--format", "csv",
+        )
+        u = automatic_preparation() if prep == "paut" else preparation_from_bell(int(prep[-1]))
+        for row in list(csv.DictReader(io.StringIO(out))):
+            c = CoefficientVector.from_components(
+                float(row["c11"]), complex(float(row["c12_re"]), float(row["c12_im"]))
+            )
+            expected = fidelity_trace(c, renormalize(alice_prepare(u, c)))
+            assert row["trace_fidelity"] == format(expected, ".17g")
+
+    @pytest.mark.parametrize("argv", [["sweep"], ["teleport", "--c11", "0.5", "--prep", "bell1"]])
+    def test_tol_flag_removed(self, capsys, argv):
+        with pytest.raises(SystemExit) as info:
+            main(argv + ["--tol", "1e-9"])
+        assert info.value.code == 2
+        assert "--tol" in capsys.readouterr().err
 
 
 class TestPautAudit:

@@ -18,6 +18,7 @@ from ensemble_teleport import (
     partial_trace,
     partial_transpose,
     pauli,
+    require_statistical_operator,
     spectral_norm,
     tensor,
     trace,
@@ -157,6 +158,46 @@ class TestHermitianSpectrum:
         with pytest.raises(NonHermitianError) as info:
             hermitian_spectrum(bad)
         assert info.value.asymmetry == 1.0
+
+
+class TestRequireStatisticalOperator:
+    @pytest.mark.parametrize("op", [0.5 * I2, matrix_unit(1, 1), 0.25 * I4, bell_projector(2)])
+    def test_accepts_states(self, op):
+        require_statistical_operator(op)
+
+    def test_rejects_non_hermitian_first(self):
+        with pytest.raises(ValueError, match="not Hermitian"):
+            require_statistical_operator(np.array([[1.0, 0.5], [0.0, 3.0]]))
+
+    def test_rejects_wrong_trace(self):
+        with pytest.raises(ValueError, match="unit-trace"):
+            require_statistical_operator(0.25 * I2)
+
+    @pytest.mark.parametrize("dim", [2, 4])
+    def test_rejects_negative_eigenvalue(self, dim):
+        op = np.diag([1.5] + [-0.5] + [0.0] * (dim - 2)).astype(complex)
+        with pytest.raises(ValueError, match="negative eigenvalue -5.000e-01"):
+            require_statistical_operator(op)
+
+    def test_closed_form_matches_eigensolver_on_2x2(self, rng):
+        for _ in range(200):
+            h = random_hermitian(rng, 2)
+            h = h - (np.trace(h).real - 1.0) / 2.0 * I2
+            smallest = np.linalg.eigvalsh(h)[0]
+            if smallest < -1e-10:
+                with pytest.raises(ValueError, match="negative eigenvalue"):
+                    require_statistical_operator(h)
+            else:
+                require_statistical_operator(h)
+
+    def test_closed_form_at_the_threshold(self):
+        for excess, rejected in ((0.9e-10, False), (1.1e-10, True)):
+            op = np.diag([1.0 + excess, -excess]).astype(complex)
+            if rejected:
+                with pytest.raises(ValueError, match="negative eigenvalue"):
+                    require_statistical_operator(op)
+            else:
+                require_statistical_operator(op)
 
 
 class TestSpectralNorm:

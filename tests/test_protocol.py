@@ -28,7 +28,7 @@ from ensemble_teleport import (
     transformation_matrix,
     LAYOUT_CAB,
 )
-from conftest import random_coefficients
+from conftest import bloch_coefficient_strategy, random_coefficients
 
 BELL1_COEFFICIENT_MAP = np.array(
     [
@@ -39,22 +39,6 @@ BELL1_COEFFICIENT_MAP = np.array(
     ],
     dtype=complex,
 )
-
-
-def bloch_coefficient_strategy():
-    """Valid coefficient vectors via Bloch-ball coordinates."""
-    unit = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False)
-    radius = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
-
-    def build(raw):
-        x, y, z, r = raw
-        length = np.sqrt(x * x + y * y + z * z)
-        if length < 1e-9:
-            return CoefficientVector.from_components(0.5)
-        scale = r / length
-        return CoefficientVector.from_bloch(x * scale, y * scale, z * scale)
-
-    return st.tuples(unit, unit, unit, radius).map(build)
 
 
 class TestCoefficientVector:
