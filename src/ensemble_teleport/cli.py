@@ -21,13 +21,14 @@ import numpy as np
 
 from .bell import BELL_INDICES, bell_projector, ppt_entangled
 from .conventions import compare_conventions
-from .fidelity import fidelity_report, fidelity_trace, lazy_fidelity, sample_mixed_uniform
+from .fidelity import fidelity_report, lazy_fidelities, sample_mixed_uniform
 from .linalg import LAYOUT_AB, hermitian_spectrum, partial_transpose, spectral_norm
 from .protocol import (
     ClassicalMessage,
     CoefficientVector,
     automatic_preparation,
-    receiver_state,
+    coefficient_rows,
+    receiver_states,
     resolve_preparation,
     run_session,
     transformation_matrix,
@@ -187,6 +188,29 @@ def _cmd_teleport(args) -> tuple[list[dict], tuple[str, ...], bool]:
     return [row], columns, True
 
 
+def _sweep_grid(args, mag_resolution: int) -> tuple[np.ndarray, np.ndarray]:
+    """c11 and c12 of every sweep row, in c11-major, then |c12|, then arg(c12) order."""
+    if args.slice == "zero":
+        phases = np.zeros(1)
+    else:
+        phases = np.linspace(0.0, 2.0 * np.pi, args.phase_resolution, endpoint=False)
+    rotations = np.exp(1j * phases)
+    c11_blocks, c12_blocks = [], []
+    for c11 in np.linspace(0.0, 1.0, args.resolution):
+        mag_max = float(np.sqrt(max(c11 * (1.0 - c11), 0.0)))
+        if args.slice == "zero":
+            mags = np.zeros(1)
+        elif args.slice == "pure":
+            mags = np.array([mag_max])
+        else:
+            # One linspace per c11: an array of end points rounds differently.
+            mags = np.linspace(0.0, mag_max, mag_resolution)
+        c12 = (mags[:, None] * rotations).ravel() + 0.0  # drop negative zeros
+        c11_blocks.append(np.full(c12.size, c11))
+        c12_blocks.append(c12)
+    return np.concatenate(c11_blocks), np.concatenate(c12_blocks)
+
+
 def _cmd_sweep(args) -> tuple[list[dict], tuple[str, ...], bool]:
     if args.resolution < 2:
         raise ValueError(f"sweep resolution must be at least 2, got {args.resolution}")
@@ -195,36 +219,16 @@ def _cmd_sweep(args) -> tuple[list[dict], tuple[str, ...], bool]:
         raise ValueError("magnitude and phase resolutions must be at least 1")
     resolved = resolve_preparation(_PREPS[args.prep])
 
+    c11, c12 = _sweep_grid(args, mag_resolution)
+    coeffs = coefficient_rows(c11, c12, c12.conj(), 1.0 - c11)
+    _, trace = receiver_states(resolved.session_map(False), coeffs)
+    lazy = lazy_fidelities(coeffs)
+    re, im = c12.real, c12.imag
     columns = ("c11", "c12_re", "c12_im", "lazy_fidelity", "trace_fidelity")
-    rows: list[dict] = []
-    for c11 in np.linspace(0.0, 1.0, args.resolution):
-        mag_max = float(np.sqrt(max(c11 * (1.0 - c11), 0.0)))
-        if args.slice == "zero":
-            mags = [0.0]
-        elif args.slice == "pure":
-            mags = [mag_max]
-        else:
-            mags = list(np.linspace(0.0, mag_max, mag_resolution))
-        phases = (
-            [0.0]
-            if args.slice == "zero"
-            else list(np.linspace(0.0, 2.0 * np.pi, args.phase_resolution, endpoint=False))
-        )
-        for mag in mags:
-            for phase in phases:
-                raw12 = mag * np.exp(1j * phase)
-                c12 = complex(raw12.real + 0.0, raw12.imag + 0.0)  # drop negative zeros
-                c = CoefficientVector.from_components(float(c11), c12)
-                bob = receiver_state(resolved, c, False)
-                rows.append(
-                    {
-                        "c11": c.c11,
-                        "c12_re": c.c12.real,
-                        "c12_im": c.c12.imag,
-                        "lazy_fidelity": lazy_fidelity(c),
-                        "trace_fidelity": fidelity_trace(c, bob),
-                    }
-                )
+    rows = [
+        dict(zip(columns, values))
+        for values in zip(c11.tolist(), re.tolist(), im.tolist(), lazy.tolist(), trace.tolist())
+    ]
     return rows, columns, True
 
 

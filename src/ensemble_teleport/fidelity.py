@@ -18,8 +18,9 @@ from .linalg import AGREE_TOL, ANNIHILATION_TOL, EQ_TOL
 from .protocol import (
     CoefficientVector,
     TransformationMatrix,
+    bloch_coefficient_rows,
     fidelity_trace,
-    receiver_state,
+    receiver_states,
     resolve_preparation,
 )
 
@@ -50,13 +51,25 @@ def fidelity_vector(c: CoefficientVector, t) -> float:
     return float(value.real)
 
 
+def _lazy(c11, c12, c21, c22):
+    # Re(c12 c21) in the operation order of a Python complex product, so that
+    # arrays give the scalars' bits (numpy's complex product may fuse it).
+    return 2.0 * c11 * c22 - 2.0 * (c12.real * c21.real - c12.imag * c21.imag)
+
+
 def lazy_fidelity(c: CoefficientVector) -> float:
     """Closed-form fidelity when the receiver skips the correction.
 
     This is the no-correction outcome of the antisymmetric-pair projection
     (Bell index 1): 2*c11*c22 - 2*c12*c21.
     """
-    return float(2.0 * c.c11 * c.c22 - 2.0 * (c.c12 * c.c21).real)
+    return float(_lazy(c.c11, c.c12, c.c21, c.c22))
+
+
+def lazy_fidelities(coeffs) -> np.ndarray:
+    """``lazy_fidelity`` of each row of an ``(N, 4)`` coefficient array, bit for bit."""
+    c = np.asarray(coeffs, dtype=complex)
+    return _lazy(c[:, 0].real, c[:, 1], c[:, 2], c[:, 3].real)
 
 
 @dataclass(frozen=True)
@@ -123,28 +136,45 @@ def maximize_lazy_fidelity(grid_resolution: int) -> LazyFidelityMaximum:
     return LazyFidelityMaximum(argmax=argmax, value=lazy_fidelity(argmax))
 
 
+def _pure_bloch(rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Bloch vectors (x, y, z) of n pure inputs, uniform on the sphere (Haar measure).
+
+    Each sample takes z, then the azimuth, from the stream: the same doubles
+    in the same order for one draw of n as for n draws of one.
+    """
+    z, phi = rng.uniform([-1.0, 0.0], [1.0, 2.0 * np.pi], size=(n, 2)).T
+    r = np.sqrt(np.maximum(1.0 - z * z, 0.0))
+    return r * np.cos(phi), r * np.sin(phi), z
+
+
+def _mixed_bloch(rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Bloch vectors (x, y, z) of n inputs uniform in the ball.
+
+    Each sample takes z, the azimuth, then the radius draw from the stream.
+    """
+    z, phi, u = rng.uniform([-1.0, 0.0, 0.0], [1.0, 2.0 * np.pi, 1.0], size=(n, 3)).T
+    # float_power calls libm pow like Python's **; np.power rounds some cube roots differently.
+    radius = np.float_power(u, 1.0 / 3.0)
+    r = np.sqrt(np.maximum(1.0 - z * z, 0.0))
+    return radius * r * np.cos(phi), radius * r * np.sin(phi), radius * z
+
+
 def sample_pure_uniform(rng: np.random.Generator) -> CoefficientVector:
     """One pure input drawn uniformly from the Bloch sphere (Haar measure)."""
-    z = rng.uniform(-1.0, 1.0)
-    phi = rng.uniform(0.0, 2.0 * np.pi)
-    r = np.sqrt(max(1.0 - z * z, 0.0))
-    return CoefficientVector.from_bloch(r * np.cos(phi), r * np.sin(phi), z)
+    x, y, z = _pure_bloch(rng, 1)
+    return CoefficientVector.from_bloch(x[0], y[0], z[0])
 
 
 def sample_mixed_uniform(rng: np.random.Generator) -> CoefficientVector:
     """One input drawn uniformly from the interior-and-boundary Bloch ball."""
-    z = rng.uniform(-1.0, 1.0)
-    phi = rng.uniform(0.0, 2.0 * np.pi)
-    radius = rng.uniform(0.0, 1.0) ** (1.0 / 3.0)
-    r = np.sqrt(max(1.0 - z * z, 0.0))
-    return CoefficientVector.from_bloch(
-        radius * r * np.cos(phi), radius * r * np.sin(phi), radius * z
-    )
+    x, y, z = _mixed_bloch(rng, 1)
+    return CoefficientVector.from_bloch(x[0], y[0], z[0])
 
 
-SAMPLERS: dict[str, Callable[[np.random.Generator], CoefficientVector]] = {
-    "pure_uniform": sample_pure_uniform,
-    "mixed_uniform": sample_mixed_uniform,
+# Sampler name -> draw of n Bloch vectors.
+SAMPLERS: dict[str, Callable[[np.random.Generator, int], tuple]] = {
+    "pure_uniform": _pure_bloch,
+    "mixed_uniform": _mixed_bloch,
 }
 
 
@@ -170,14 +200,9 @@ def average_fidelity(
         raise ValueError(f"need at least 100 samples, got {n}")
     if sampler not in SAMPLERS:
         raise ValueError(f"unknown sampler {sampler!r}; expected one of {sorted(SAMPLERS)}")
-    resolved = resolve_preparation(prep)
-    draw = SAMPLERS[sampler]
-    rng = np.random.default_rng(seed)
-
-    values = np.empty(n, dtype=float)
-    for i in range(n):
-        c = draw(rng)
-        values[i] = fidelity_trace(c, receiver_state(resolved, c, bob_acts))
+    session_map = resolve_preparation(prep).session_map(bob_acts)
+    x, y, z = SAMPLERS[sampler](np.random.default_rng(seed), n)
+    _, values = receiver_states(session_map, bloch_coefficient_rows(x, y, z))
     stderr = float(values.std(ddof=1) / np.sqrt(n))
     return AverageFidelity(mean=float(values.mean()), stderr=stderr)
 

@@ -7,7 +7,6 @@ which is exactly how ``numpy.kron`` composes matrices.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -220,6 +219,48 @@ def hermitian_spectrum(a, hermiticity_tol: float = HERMITICITY_TOL) -> np.ndarra
     return np.linalg.eigvalsh(0.5 * (arr + arr.conj().T))[::-1]
 
 
+def raise_first_failure(checks) -> None:
+    """Raise ValueError for the lowest-index row that fails any of ``checks``.
+
+    ``checks`` lists (mask, message) pairs in the order one row is checked:
+    ``mask`` flags the failing rows and ``message(i)`` words row i's failure.
+    The error carries the message of that row's first failing check, which is
+    what checking the rows one at a time would raise first.
+    """
+    failed = np.array([mask for mask, _ in checks])
+    if np.count_nonzero(failed):
+        row = int(np.argmax(failed.any(axis=0)))
+        raise ValueError(checks[int(np.argmax(failed[:, row]))][1](row))
+
+
+_NOT_HERMITIAN = "not a statistical operator: not Hermitian (asymmetry {:.3e})"
+_NOT_UNIT_TRACE = "not a statistical operator: not unit-trace (trace {:.12g})"
+_NEGATIVE_EIGENVALUE = "not a statistical operator: negative eigenvalue {:.3e}"
+
+
+def statistical_operator_checks(ops: np.ndarray) -> list:
+    """The statistical-operator checks on a stack ``(n, 2, 2)``, for ``raise_first_failure``.
+
+    The batch form of ``require_statistical_operator`` for qubit operators,
+    with its messages. In order: finite entries, Hermiticity
+    (HERMITICITY_TOL), unit trace (TRACE_TOL) and positivity (smallest
+    eigenvalue at least -EIGENVALUE_TOL, by the same closed form). Non-finite
+    entries raise floating-point warnings unless the caller silences them.
+    """
+    finite = np.isfinite(ops).all(axis=(1, 2))
+    asymmetry = np.abs(ops - ops.conj().swapaxes(1, 2)).max(axis=(1, 2))
+    first, last = ops[:, 0, 0], ops[:, 1, 1]
+    tr = first + last
+    a, d = first.real, last.real
+    smallest = 0.5 * (a + d) - np.hypot(0.5 * (a - d), np.abs(ops[:, 0, 1]))
+    return [
+        (~finite, lambda i: "matrix contains NaN or Inf entries"),
+        (asymmetry > HERMITICITY_TOL, lambda i: _NOT_HERMITIAN.format(asymmetry[i])),
+        (np.abs(tr - 1.0) > TRACE_TOL, lambda i: _NOT_UNIT_TRACE.format(complex(tr[i]))),
+        (smallest < -EIGENVALUE_TOL, lambda i: _NEGATIVE_EIGENVALUE.format(smallest[i])),
+    ]
+
+
 def require_statistical_operator(op) -> None:
     """Raise ValueError naming the first invariant of a statistical operator that fails.
 
@@ -229,21 +270,19 @@ def require_statistical_operator(op) -> None:
     (a + d)/2 - sqrt((a - d)^2/4 + |b|^2) for its smallest eigenvalue.
     """
     arr = as_matrix(op)
-    asymmetry = float(np.max(np.abs(arr - arr.conj().T)))
+    asymmetry = np.abs(arr - arr.conj().T).max()
     if asymmetry > HERMITICITY_TOL:
-        raise ValueError(
-            f"not a statistical operator: not Hermitian (asymmetry {asymmetry:.3e})"
-        )
-    tr = complex(np.trace(arr))
+        raise ValueError(_NOT_HERMITIAN.format(asymmetry))
+    tr = complex(arr.trace())
     if abs(tr - 1.0) > TRACE_TOL:
-        raise ValueError(f"not a statistical operator: not unit-trace (trace {tr:.12g})")
+        raise ValueError(_NOT_UNIT_TRACE.format(tr))
     if arr.shape[0] == 2:
         a, d = arr[0, 0].real, arr[1, 1].real
-        smallest = 0.5 * (a + d) - math.hypot(0.5 * (a - d), abs(arr[0, 1]))
+        smallest = 0.5 * (a + d) - np.hypot(0.5 * (a - d), np.abs(arr[0, 1]))
     else:
-        smallest = float(hermitian_spectrum(arr)[-1])
+        smallest = np.linalg.eigvalsh(0.5 * (arr + arr.conj().T))[0]
     if smallest < -EIGENVALUE_TOL:
-        raise ValueError(f"not a statistical operator: negative eigenvalue {smallest:.3e}")
+        raise ValueError(_NEGATIVE_EIGENVALUE.format(smallest))
 
 
 def spectral_norm(a) -> float:

@@ -11,10 +11,10 @@ Basis bookkeeping: the total space is ordered C ⊗ A ⊗ B with the last index
 fastest; a 2x2 operator on B with entries m[i, j] has the coefficient
 4-vector (m11, m12, m21, m22) in the matrix-unit basis.
 
-Sessions run in coefficient space (``receiver_state``): a 4x4 map on that
-vector, then renormalization. The 8x8 path (``total_state``,
-``alice_prepare``, ``bob_correct``) computes the same state and is kept as
-the reference.
+Sessions run in coefficient space (``receiver_states``): a 4x4 map on an
+``(N, 4)`` array of such vectors, then renormalization, one row per session.
+The 8x8 path (``total_state``, ``alice_prepare``, ``bob_correct``) computes
+the same state and is kept as the reference.
 """
 
 from __future__ import annotations
@@ -33,8 +33,24 @@ from .linalg import (
     embed,
     matmul,
     partial_trace,
+    raise_first_failure,
     require_statistical_operator,
+    statistical_operator_checks,
     tensor,
+)
+
+
+# Messages shared by the one-value checks and their batch forms.
+_NOT_FINITE_COEFFICIENTS = "coefficients contain NaN or Inf"
+_TRACE_CONSTRAINT = "trace constraint violated: c11 + c22 = {!r}, expected 1"
+_NONNEGATIVITY = "nonnegativity constraint violated: c11 = {!r}, c22 = {!r}"
+_HERMITICITY = "hermiticity constraint violated: c21 = {!r} is not conj(c12) = {!r}"
+_POSITIVITY = "positivity constraint violated: |c12|^2 = {!r} exceeds c11*c22 = {!r}"
+_BLOCH_LENGTH = "Bloch vector length {} exceeds 1"
+_IMAGINARY_TRACE = "cannot renormalize: trace has imaginary part {:.3e}"
+_ANNIHILATED = "preparation annihilated the ensemble: trace {:.3e} <= " + str(ANNIHILATION_TOL)
+_IMAGINARY_OVERLAP = (
+    "fidelity has non-negligible imaginary part {:.3e}; the pipeline produced a non-Hermitian state"
 )
 
 
@@ -60,24 +76,15 @@ class CoefficientVector:
         if not np.isfinite(
             np.array([self.c11, self.c12, self.c21, self.c22], dtype=complex)
         ).all():
-            raise ValueError("coefficients contain NaN or Inf")
+            raise ValueError(_NOT_FINITE_COEFFICIENTS)
         if abs(self.c11 + self.c22 - 1.0) > EQ_TOL:
-            raise ValueError(
-                f"trace constraint violated: c11 + c22 = {self.c11 + self.c22!r}, expected 1"
-            )
+            raise ValueError(_TRACE_CONSTRAINT.format(self.c11 + self.c22))
         if self.c11 < -EQ_TOL or self.c22 < -EQ_TOL:
-            raise ValueError(
-                f"nonnegativity constraint violated: c11 = {self.c11!r}, c22 = {self.c22!r}"
-            )
+            raise ValueError(_NONNEGATIVITY.format(self.c11, self.c22))
         if abs(self.c21 - np.conj(self.c12)) > EQ_TOL:
-            raise ValueError(
-                f"hermiticity constraint violated: c21 = {self.c21!r} is not conj(c12) = {np.conj(self.c12)!r}"
-            )
+            raise ValueError(_HERMITICITY.format(self.c21, np.conj(self.c12)))
         if abs(self.c12) ** 2 > self.c11 * self.c22 + EQ_TOL:
-            raise ValueError(
-                f"positivity constraint violated: |c12|^2 = {abs(self.c12) ** 2!r} "
-                f"exceeds c11*c22 = {self.c11 * self.c22!r}"
-            )
+            raise ValueError(_POSITIVITY.format(abs(self.c12) ** 2, self.c11 * self.c22))
 
     @classmethod
     def from_components(cls, c11: float, c12: complex = 0.0) -> "CoefficientVector":
@@ -90,7 +97,7 @@ class CoefficientVector:
         """Coefficients of (I + x*sigma1 + y*sigma2 + z*sigma3) / 2 for |r| <= 1."""
         r2 = x * x + y * y + z * z
         if r2 > 1.0 + EQ_TOL:
-            raise ValueError(f"Bloch vector length {np.sqrt(r2)} exceeds 1")
+            raise ValueError(_BLOCH_LENGTH.format(np.sqrt(r2)))
         return cls.from_components((1.0 + z) / 2.0, (x - 1j * y) / 2.0)
 
     def as_vector(self) -> np.ndarray:
@@ -103,6 +110,58 @@ class CoefficientVector:
 
     def is_pure(self, tol: float = EQ_TOL) -> bool:
         return abs(abs(self.c12) ** 2 - self.c11 * self.c22) <= tol
+
+
+def _require_equal_1d(names: str, *arrays: np.ndarray) -> None:
+    shapes = [a.shape for a in arrays]
+    if arrays[0].ndim != 1 or len(set(shapes)) != 1:
+        raise ValueError(f"{names} must be 1-d arrays of equal length, got shapes {shapes}")
+
+
+def coefficient_rows(c11, c12, c21, c22) -> np.ndarray:
+    """Four 1-d coefficient arrays of length N as ``(N, 4)`` rows (c11, c12, c21, c22), checked.
+
+    The batch form of the CoefficientVector constructor: every row must meet
+    its invariants, and the lowest failing row raises the constructor's
+    message. The constructor stays the path for one vector, where it is
+    cheaper than these array operations.
+    """
+    c11, c22 = np.asarray(c11, dtype=float), np.asarray(c22, dtype=float)
+    c12, c21 = np.asarray(c12, dtype=complex), np.asarray(c21, dtype=complex)
+    _require_equal_1d("c11, c12, c21, c22", c11, c12, c21, c22)
+    rows = np.stack((c11, c12, c21, c22), axis=-1)
+    with np.errstate(invalid="ignore", over="ignore"):
+        total = c11 + c22
+        # abs(c12) as hypot of its parts, the libm call abs() makes on a Python complex.
+        mag2 = np.hypot(c12.real, c12.imag) ** 2
+        # The values are formatted as the constructor's Python scalars.
+        raise_first_failure([
+            (~np.isfinite(rows).all(axis=-1), lambda i: _NOT_FINITE_COEFFICIENTS),
+            (np.abs(total - 1.0) > EQ_TOL, lambda i: _TRACE_CONSTRAINT.format(float(total[i]))),
+            (
+                (c11 < -EQ_TOL) | (c22 < -EQ_TOL),
+                lambda i: _NONNEGATIVITY.format(float(c11[i]), float(c22[i])),
+            ),
+            (
+                np.abs(c21 - c12.conj()) > EQ_TOL,
+                lambda i: _HERMITICITY.format(complex(c21[i]), np.conj(complex(c12[i]))),
+            ),
+            (
+                mag2 > c11 * c22 + EQ_TOL,
+                lambda i: _POSITIVITY.format(float(mag2[i]), float(c11[i] * c22[i])),
+            ),
+        ])
+    return rows
+
+
+def bloch_coefficient_rows(x, y, z) -> np.ndarray:
+    """``CoefficientVector.from_bloch`` on arrays: its length check, then ``coefficient_rows``."""
+    x, y, z = (np.asarray(v, dtype=float) for v in (x, y, z))
+    _require_equal_1d("x, y, z", x, y, z)
+    r2 = x * x + y * y + z * z
+    raise_first_failure([(r2 > 1.0 + EQ_TOL, lambda i: _BLOCH_LENGTH.format(np.sqrt(r2[i])))])
+    c11, c12 = (1.0 + z) / 2.0, (x - 1j * y) / 2.0
+    return coefficient_rows(c11, c12, c12.conj(), 1.0 - c11)
 
 
 @dataclass(frozen=True, eq=False)
@@ -170,16 +229,21 @@ def automatic_preparation() -> PreparationTensor:
     return PreparationTensor(u=u, normalized=False)
 
 
-# The known preparations, built once: the Bell tensors by index, and the
-# weights of all five (Bell 1..4, then automatic) stacked for classification.
+# The known preparations, built once: the Bell tensors by index, and all five
+# (Bell 1..4, then automatic) with their weights stacked for classification.
 _BELL_TENSORS = {index: preparation_from_bell(index) for index in BELL_INDICES}
-_KNOWN_WEIGHTS = np.stack([t.u for t in _BELL_TENSORS.values()] + [automatic_preparation().u])
+_KNOWN_TENSORS = (*_BELL_TENSORS.values(), automatic_preparation())
+_KNOWN_WEIGHTS = np.stack([t.u for t in _KNOWN_TENSORS])
 _KNOWN_WEIGHTS.setflags(write=False)
 
 
 @dataclass(frozen=True)
 class ResolvedPreparation:
-    """A preparation tensor classified against the known preparation family."""
+    """A preparation tensor classified against the known preparation family.
+
+    ``tensor`` is the module's constant tensor when the input has exactly its
+    weights, so that its session maps come precomputed.
+    """
 
     tensor: PreparationTensor
     bell_index: int | None
@@ -189,7 +253,9 @@ class ResolvedPreparation:
         """Effective coefficient map of a session; the correction applies only when ``bob_acts``."""
         if bob_acts and self.bell_index is None and not self.automatic:
             raise ValueError("no correction rule for this preparation; run with bob_acts=False")
-        return effective_transformation(self.tensor, self.bell_index if bob_acts else None)
+        correction = self.bell_index if bob_acts else None
+        known = _SESSION_MAPS.get((self.tensor, correction))
+        return known if known is not None else effective_transformation(self.tensor, correction)
 
 
 def resolve_preparation(prep) -> ResolvedPreparation:
@@ -201,9 +267,13 @@ def resolve_preparation(prep) -> ResolvedPreparation:
     """
     if isinstance(prep, PreparationTensor):
         matches = (np.abs(_KNOWN_WEIGHTS - prep.u) <= EQ_TOL).reshape(5, 16).all(axis=1)
-        if matches[:4].any():
-            return ResolvedPreparation(prep, BELL_INDICES[int(np.argmax(matches))], False)
-        return ResolvedPreparation(prep, None, bool(matches[4]))
+        if not matches.any():
+            return ResolvedPreparation(prep, None, False)
+        k = int(np.argmax(matches))
+        known = _KNOWN_TENSORS[k]
+        # Equal within EQ_TOL classifies; only equal bits share the constant maps.
+        tensor = known if prep.u.tobytes() == known.u.tobytes() else prep
+        return ResolvedPreparation(tensor, BELL_INDICES[k] if k < 4 else None, k == 4)
     index = int(prep)
     if index not in BELL_INDICES:
         raise ValueError(f"Bell index must be in {BELL_INDICES}, got {prep!r}")
@@ -293,11 +363,9 @@ def renormalize(m) -> np.ndarray:
     arr = as_matrix(m)
     t = complex(np.trace(arr))
     if abs(t.imag) > EQ_TOL:
-        raise ValueError(f"cannot renormalize: trace has imaginary part {t.imag:.3e}")
+        raise ValueError(_IMAGINARY_TRACE.format(t.imag))
     if t.real <= ANNIHILATION_TOL:
-        raise ValueError(
-            f"preparation annihilated the ensemble: trace {t.real:.3e} <= {ANNIHILATION_TOL}"
-        )
+        raise ValueError(_ANNIHILATED.format(t.real))
     return arr / t.real
 
 
@@ -305,7 +373,9 @@ def fidelity_trace(c: CoefficientVector, bob) -> float:
     """Overlap Tr(rho_in * rho_bob) with the input transported to the receiver basis.
 
     ``bob`` must have unit trace. A non-negligible imaginary part in the
-    overlap signals a non-Hermitian pipeline bug and raises.
+    overlap signals a non-Hermitian pipeline bug and raises. After these two
+    checks ``bob`` must pass ``require_statistical_operator``, so no
+    unphysical operator yields a value.
     """
     arr = as_matrix(bob)
     if arr.shape != (2, 2):
@@ -315,10 +385,8 @@ def fidelity_trace(c: CoefficientVector, bob) -> float:
         raise ValueError(f"receiver state must have unit trace, got {tr!r}")
     overlap = complex(np.trace(c.matrix() @ arr))
     if abs(overlap.imag) > EQ_TOL:
-        raise ValueError(
-            f"fidelity has non-negligible imaginary part {overlap.imag:.3e}; "
-            "the pipeline produced a non-Hermitian state"
-        )
+        raise ValueError(_IMAGINARY_OVERLAP.format(overlap.imag))
+    require_statistical_operator(arr)
     return float(overlap.real)
 
 
@@ -414,26 +482,68 @@ def effective_transformation(u: PreparationTensor, correction_index: int | None)
     A Pauli conjugation U . U† acts on row-major coefficient 4-vectors as
     kron(U, conj(U)).
     """
-    t = transformation_matrix(u).matrix
-    if correction_index is not None:
-        t = _CORRECTION_MAPS[correction_index] @ t
-    return TransformationMatrix(t)
+    t = transformation_matrix(u)
+    if correction_index is None:
+        return t
+    return TransformationMatrix(_CORRECTION_MAPS[correction_index] @ t.matrix)
+
+
+# The session maps of the known preparations, keyed by (constant tensor,
+# correction index), built once: Bell 1..4 with and without their correction,
+# and the automatic preparation, which has none.
+_SESSION_MAPS = {
+    (tensor, correction): effective_transformation(tensor, correction)
+    for tensor, correction in [(t, None) for t in _KNOWN_TENSORS]
+    + [(_BELL_TENSORS[i], i) for i in BELL_INDICES]
+}
+
+
+def receiver_states(t: TransformationMatrix, coeffs) -> tuple[np.ndarray, np.ndarray]:
+    """Receiver states and trace fidelities of a batch of sessions sharing one map.
+
+    ``t`` is a session map (``ResolvedPreparation.session_map``); ``coeffs``
+    is an ``(N, 4)`` array of checked input coefficient rows, as
+    ``coefficient_rows`` gives them. Returns the ``(N, 2, 2)`` states, row i
+    equal to renormalize(alice_prepare(...)) for input i followed by the
+    map's correction, and the ``(N,)`` overlaps Tr(rho_in rho_bob). Every row
+    passes renormalize's trace checks, the statistical-operator checks and
+    fidelity_trace's real-overlap check; otherwise ValueError names the
+    lowest failing row's first failing invariant, with the message those
+    one-operator functions give.
+    """
+    c = np.asarray(coeffs, dtype=complex)
+    if c.ndim != 2 or c.shape[1] != 4:
+        raise ValueError(f"expected an (N, 4) array of coefficient rows, got shape {c.shape}")
+    # Half the mapped vector is alice_prepare's raw operator, so the trace
+    # checks see the same numbers as on the reference path. The stacked
+    # matrix-vector products and 2x2 overlaps repeat one session's arithmetic
+    # per row, so each row is bitwise what a batch of one gives. A row that
+    # fails one check may give inf or nan in later ones, which is harmless:
+    # only its first failing check is reported.
+    with np.errstate(all="ignore"):
+        raw = (t.matrix @ c[:, :, None]).reshape(-1, 2, 2)
+        raw *= 0.5
+        trace = raw[:, 0, 0] + raw[:, 1, 1]
+        states = raw / trace.real[:, None, None]
+        product = c.reshape(-1, 2, 2) @ states
+        overlap = product[:, 0, 0] + product[:, 1, 1]
+        del product  # an (N, 2, 2) temporary; free it before the checks allocate theirs
+        checks = [
+            (~np.isfinite(raw).all(axis=(1, 2)), lambda i: "matrix contains NaN or Inf entries"),
+            (np.abs(trace.imag) > EQ_TOL, lambda i: _IMAGINARY_TRACE.format(trace.imag[i])),
+            (trace.real <= ANNIHILATION_TOL, lambda i: _ANNIHILATED.format(trace.real[i])),
+            # These include fidelity_trace's unit-trace test, on the same trace.
+            *statistical_operator_checks(states),
+            (np.abs(overlap.imag) > EQ_TOL, lambda i: _IMAGINARY_OVERLAP.format(overlap.imag[i])),
+        ]
+    raise_first_failure(checks)
+    return states, overlap.real.copy()
 
 
 def receiver_state(resolved: ResolvedPreparation, c: CoefficientVector, bob_acts: bool) -> np.ndarray:
-    """The receiver's state after one session, computed on coefficient 4-vectors.
-
-    Applies the session's effective map to the input coefficients and
-    renormalizes: the same state as renormalize(alice_prepare(...)) followed
-    by bob_correct when ``bob_acts``, without the 8x8 assembly. Raises when
-    the result is not a statistical operator, naming the violated invariant.
-    """
-    t = resolved.session_map(bob_acts)
-    # Half the mapped vector is alice_prepare's raw operator, so renormalize
-    # applies its checks to the same trace as on the reference path.
-    state = renormalize(0.5 * (t.matrix @ c.as_vector()).reshape(2, 2))
-    require_statistical_operator(state)
-    return state
+    """The receiver's state after one session: ``receiver_states`` on one input."""
+    states, _ = receiver_states(resolved.session_map(bob_acts), c.as_vector()[None])
+    return states[0]
 
 
 _MESSAGE_VARIANTS = ("two_bits", "one_bit_ping", "pre_agreed")
@@ -511,9 +621,5 @@ def run_session(
                 f"two-bit message index {message.index} does not match the preparation "
                 f"(Bell index {resolved.bell_index})"
             )
-    state = receiver_state(resolved, c, bob_acts)
-    return SessionRecord(
-        bob_state=state,
-        fidelity=fidelity_trace(c, state),
-        bits_sent=message.bits,
-    )
+    states, fidelities = receiver_states(resolved.session_map(bob_acts), c.as_vector()[None])
+    return SessionRecord(bob_state=states[0], fidelity=float(fidelities[0]), bits_sent=message.bits)

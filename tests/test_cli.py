@@ -10,6 +10,7 @@ from ensemble_teleport import (
     alice_prepare,
     automatic_preparation,
     fidelity_trace,
+    lazy_fidelity,
     preparation_from_bell,
     renormalize,
 )
@@ -154,6 +155,16 @@ class TestSweep:
         rows = json.loads(out)
         assert len(rows) == 21 * 3
         assert max(abs(r["lazy_fidelity"]) for r in rows) < 1e-12
+
+    @pytest.mark.parametrize("slice_", ["grid", "pure", "zero"])
+    def test_lazy_column_is_lazy_fidelity_bit_for_bit(self, capsys, slice_):
+        _, out, _ = run_cli(
+            capsys, "sweep", "--resolution", "9", "--slice", slice_,
+            "--mag-resolution", "4", "--phase-resolution", "5", "--format", "json",
+        )
+        for row in json.loads(out):
+            c = CoefficientVector.from_components(row["c11"], complex(row["c12_re"], row["c12_im"]))
+            assert row["lazy_fidelity"] == lazy_fidelity(c)
 
     def test_grid_cardinality(self, capsys):
         code, out, _ = run_cli(

@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 
 from ensemble_teleport import (
+    AverageFidelity,
     CoefficientVector,
     alice_prepare,
     automatic_preparation,
     average_fidelity,
+    bloch_coefficient_rows,
     fidelity_report,
     fidelity_trace,
     fidelity_vector,
@@ -15,10 +17,13 @@ from ensemble_teleport import (
     pauli,
     preparation_from_bell,
     renormalize,
+    require_statistical_operator,
+    resolve_preparation,
     sample_mixed_uniform,
     sample_pure_uniform,
     transformation_matrix,
 )
+from ensemble_teleport.fidelity import SAMPLERS
 from conftest import random_coefficients
 
 BELL1_COEFFICIENT_MAP = transformation_matrix(preparation_from_bell(1))
@@ -48,6 +53,17 @@ class TestFidelityTrace:
         c = CoefficientVector.from_components(0.5, 0.25j)
         bob = np.array([[0.5, 0.5], [0.0, 0.5]])  # non-Hermitian, unit trace
         with pytest.raises(ValueError, match="imaginary"):
+            fidelity_trace(c, bob)
+
+    def test_rejects_negative_eigenvalue(self):
+        c = CoefficientVector.from_components(1.0)
+        with pytest.raises(ValueError, match="negative eigenvalue"):
+            fidelity_trace(c, [[1.5, 0.0], [0.0, -0.5]])
+
+    def test_rejects_non_hermitian_with_real_overlap(self):
+        c = CoefficientVector.from_components(0.5)
+        bob = np.array([[0.5, 0.5], [0.0, 0.5]])  # unit trace, overlap 0.5
+        with pytest.raises(ValueError, match="not Hermitian"):
             fidelity_trace(c, bob)
 
     def test_symmetric_in_its_arguments(self, rng):
@@ -154,6 +170,62 @@ class TestSamplers:
         a = sample_pure_uniform(np.random.default_rng(5))
         b = sample_pure_uniform(np.random.default_rng(5))
         assert a == b
+
+
+# The per-sample samplers and loop that average_fidelity ran before it drew
+# and evaluated all samples as arrays; kept as the reference for its stream.
+def scalar_pure_uniform(rng):
+    z = rng.uniform(-1.0, 1.0)
+    phi = rng.uniform(0.0, 2.0 * np.pi)
+    r = np.sqrt(max(1.0 - z * z, 0.0))
+    return CoefficientVector.from_bloch(r * np.cos(phi), r * np.sin(phi), z)
+
+
+def scalar_mixed_uniform(rng):
+    z = rng.uniform(-1.0, 1.0)
+    phi = rng.uniform(0.0, 2.0 * np.pi)
+    radius = rng.uniform(0.0, 1.0) ** (1.0 / 3.0)
+    r = np.sqrt(max(1.0 - z * z, 0.0))
+    return CoefficientVector.from_bloch(radius * r * np.cos(phi), radius * r * np.sin(phi), radius * z)
+
+
+SCALAR_SAMPLERS = {"pure_uniform": scalar_pure_uniform, "mixed_uniform": scalar_mixed_uniform}
+PUBLIC_SAMPLERS = {"pure_uniform": sample_pure_uniform, "mixed_uniform": sample_mixed_uniform}
+
+
+def loop_average_fidelity(prep, bob_acts, sampler, n, seed):
+    t = resolve_preparation(prep).session_map(bob_acts)
+    draw = SCALAR_SAMPLERS[sampler]
+    rng = np.random.default_rng(seed)
+    values = np.empty(n, dtype=float)
+    for i in range(n):
+        c = draw(rng)
+        state = renormalize(0.5 * (t.matrix @ c.as_vector()).reshape(2, 2))
+        require_statistical_operator(state)
+        values[i] = fidelity_trace(c, state)
+    return AverageFidelity(mean=float(values.mean()), stderr=float(values.std(ddof=1) / np.sqrt(n)))
+
+
+class TestSeededStream:
+    @pytest.mark.parametrize("n, seed", [(100, 0), (100, 11), (100, 23), (1000, 5)])
+    @pytest.mark.parametrize("sampler", sorted(SCALAR_SAMPLERS))
+    @pytest.mark.parametrize("bob_acts", [True, False])
+    @pytest.mark.parametrize("prep", [1, 2, 3, 4, "automatic"])
+    def test_average_fidelity_equals_the_loop(self, prep, bob_acts, sampler, n, seed):
+        prep = automatic_preparation() if prep == "automatic" else prep
+        expected = loop_average_fidelity(prep, bob_acts, sampler, n, seed)
+        assert average_fidelity(prep, bob_acts, sampler=sampler, n=n, seed=seed) == expected
+
+    @pytest.mark.parametrize("sampler", sorted(SCALAR_SAMPLERS))
+    def test_batched_draw_equals_successive_samples(self, sampler):
+        for seed in (0, 7, 11):
+            batch_rng, loop_rng, public_rng = (np.random.default_rng(seed) for _ in range(3))
+            rows = bloch_coefficient_rows(*SAMPLERS[sampler](batch_rng, 500))
+            loop = np.array([SCALAR_SAMPLERS[sampler](loop_rng).as_vector() for _ in range(500)])
+            public = np.array([PUBLIC_SAMPLERS[sampler](public_rng).as_vector() for _ in range(500)])
+            assert rows.tobytes() == loop.tobytes() == public.tobytes()
+            # The same number of doubles was taken from each stream.
+            assert batch_rng.random() == loop_rng.random() == public_rng.random()
 
 
 class TestAverageFidelity:

@@ -23,6 +23,7 @@ from ensemble_teleport import (
     tensor,
     trace,
 )
+from ensemble_teleport.linalg import raise_first_failure, statistical_operator_checks
 from conftest import random_hermitian
 
 I2 = np.eye(2, dtype=complex)
@@ -189,6 +190,46 @@ class TestRequireStatisticalOperator:
                     require_statistical_operator(h)
             else:
                 require_statistical_operator(h)
+
+    def test_batch_checks_agree_with_one_operator(self, rng):
+        ops = [np.array([[1.0, 0.5], [0.0, 0.0]]), 0.25 * I2, np.full((2, 2), np.nan)]
+        for _ in range(10):
+            h = random_hermitian(rng, 2)
+            traceless = h - np.trace(h).real / 2 * I2
+            for weight in (0.01, 0.05, 0.2, 1.0):  # unit trace; positive for small weights
+                ops.append(I2 / 2 + weight * traceless / np.abs(traceless).max())
+        seen = []
+        for op in ops:
+            verdicts = []
+            for check in (
+                require_statistical_operator,
+                lambda m: raise_first_failure(statistical_operator_checks(np.asarray(m)[None])),
+            ):
+                try:
+                    with np.errstate(invalid="ignore"):
+                        check(op)
+                    verdicts.append(None)
+                except ValueError as exc:
+                    verdicts.append(str(exc))
+            assert verdicts[0] == verdicts[1]
+            seen.append(verdicts[0])
+        assert None in seen and any(v and "negative eigenvalue" in v for v in seen)
+
+    def test_batch_raises_for_its_first_failing_operator(self):
+        state = 0.5 * I2
+        negative = np.diag([1.5, -0.5]).astype(complex)
+        asymmetric = np.array([[1.0, 0.5], [0.0, 0.0]])
+        for stack, message in (
+            ([state, negative, asymmetric], "negative eigenvalue -5.000e-01"),
+            ([state, asymmetric, negative], "not Hermitian"),
+            ([state, state], None),
+        ):
+            checks = statistical_operator_checks(np.stack(stack).astype(complex))
+            if message is None:
+                raise_first_failure(checks)
+            else:
+                with pytest.raises(ValueError, match=message):
+                    raise_first_failure(checks)
 
     def test_closed_form_at_the_threshold(self):
         for excess, rejected in ((0.9e-10, False), (1.1e-10, True)):

@@ -11,7 +11,9 @@ from ensemble_teleport import (
     alice_prepare,
     automatic_preparation,
     bell_projector,
+    bloch_coefficient_rows,
     bob_correct,
+    coefficient_rows,
     coefficients_of,
     correction_unitary,
     decompose_total_state,
@@ -91,6 +93,106 @@ class TestCoefficientVector:
     def test_as_vector_order(self):
         c = CoefficientVector.from_components(0.75, 0.125 + 0.25j)
         assert np.array_equal(c.as_vector(), [0.75, 0.125 + 0.25j, 0.125 - 0.25j, 0.25])
+
+
+def _edge(c11, excess):
+    """(c11, c12, c21, c22) with |c12|^2 = c11*c22 + excess."""
+    c12 = np.sqrt(c11 * (1.0 - c11) + excess) * np.exp(0.7j)
+    return (c11, c12, np.conj(c12), 1.0 - c11)
+
+
+# Each invariant just inside and just outside its EQ_TOL margin, plus plain cases.
+COEFFICIENT_CASES = {
+    "maximally_mixed": (0.5, 0.0, 0.0, 0.5),
+    "c11_one": (1.0, 0.0, 0.0, 0.0),
+    "c11_zero": (0.0, 0.0, 0.0, 1.0),
+    "pure": _edge(0.3, 0.0),
+    "positivity_inside": _edge(0.3, 0.9e-12),
+    "positivity_outside": _edge(0.3, 1.1e-12),
+    "positivity_far": (0.5, 0.6, 0.6, 0.5),
+    "trace_inside": (0.5 + 0.9e-12, 0.0, 0.0, 0.5),
+    "trace_outside": (0.5 + 1.1e-12, 0.0, 0.0, 0.5),
+    "nonnegativity_inside": (-0.9e-12, 0.0, 0.0, 1.0 + 0.9e-12),
+    "nonnegativity_outside": (-1.1e-12, 0.0, 0.0, 1.0 + 1.1e-12),
+    "hermiticity_inside": (0.5, 0.1, 0.1 + 0.9e-12, 0.5),
+    "hermiticity_outside": (0.5, 0.1, 0.1 + 1.1e-12, 0.5),
+    "nan": (np.nan, 0.0, 0.0, 0.5),
+    "inf_coherence": (0.5, complex(np.inf, 0.0), 0.0, 0.5),
+}
+ACCEPTED = {
+    "maximally_mixed", "c11_one", "c11_zero", "pure", "positivity_inside",
+    "trace_inside", "nonnegativity_inside", "hermiticity_inside",
+}
+BLOCH_CASES = {
+    "unit": (0.6, 0.0, 0.8),
+    "long_inside": (0.0, 0.0, 1.0 + 1e-13),
+    "long_outside": (0.0, 0.0, 1.0 + 1e-11),
+    "oblique_outside": (0.6, -0.6, 0.6),
+}
+
+
+def _scalar(make, args):
+    try:
+        return make(*args).as_vector().tobytes()
+    except ValueError as exc:
+        return str(exc)
+
+
+def _batch(make, args):
+    try:
+        return make(*(np.array([a]) for a in args))[0].tobytes()
+    except ValueError as exc:
+        return str(exc)
+
+
+class TestCoefficientRows:
+    """The array check for batches and CoefficientVector for one vector agree."""
+
+    @pytest.mark.parametrize("name", sorted(COEFFICIENT_CASES))
+    def test_same_verdict_as_the_constructor(self, name):
+        args = COEFFICIENT_CASES[name]
+        scalar = _scalar(CoefficientVector, args)
+        assert _batch(coefficient_rows, args) == scalar
+        assert isinstance(scalar, bytes) == (name in ACCEPTED)
+
+    @pytest.mark.parametrize("name", sorted(BLOCH_CASES))
+    def test_same_verdict_as_from_bloch(self, name):
+        args = BLOCH_CASES[name]
+        scalar = _scalar(CoefficientVector.from_bloch, args)
+        assert _batch(bloch_coefficient_rows, args) == scalar
+        assert isinstance(scalar, bytes) == (name in {"unit", "long_inside"})
+
+    def test_batch_raises_for_its_first_invalid_row(self):
+        names = sorted(COEFFICIENT_CASES)
+        columns = [np.array(column) for column in zip(*(COEFFICIENT_CASES[n] for n in names))]
+        first_invalid = next(n for n in names if isinstance(_scalar(CoefficientVector, COEFFICIENT_CASES[n]), str))
+        with pytest.raises(ValueError) as info:
+            coefficient_rows(*columns)
+        assert str(info.value) == _scalar(CoefficientVector, COEFFICIENT_CASES[first_invalid])
+
+    def test_valid_batch_equals_the_constructor_rows(self, rng):
+        inputs = random_coefficients(rng, 50)
+        rows = coefficient_rows(*(np.array([getattr(c, k) for c in inputs]) for k in ("c11", "c12", "c21", "c22")))
+        assert rows.tobytes() == np.array([c.as_vector() for c in inputs]).tobytes()
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            (0.5, 0.0, 0.0, 0.5),  # scalars
+            (2.0, 0.0, 0.0, 0.5),  # an invalid scalar row
+            (0.5, np.zeros(3), 0.0, 0.5),  # scalars with an array
+            (np.full(2, 0.5), np.zeros(3), np.zeros(3), np.full(2, 0.5)),
+            (np.full((2, 2), 0.5), np.zeros((2, 2)), np.zeros((2, 2)), np.full((2, 2), 0.5)),
+        ],
+    )
+    def test_rejects_other_than_equal_1d_arrays(self, args):
+        with pytest.raises(ValueError, match="must be 1-d arrays of equal length"):
+            coefficient_rows(*args)
+
+    @pytest.mark.parametrize("args", [(0.0, 0.0, 1.0), (np.zeros(2), np.zeros(3), np.ones(3))])
+    def test_bloch_rejects_other_than_equal_1d_arrays(self, args):
+        with pytest.raises(ValueError, match="must be 1-d arrays of equal length"):
+            bloch_coefficient_rows(*args)
 
 
 class TestTotalState:

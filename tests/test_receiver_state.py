@@ -2,7 +2,10 @@
 
 The reference is alice_prepare -> renormalize -> bob_correct: the total state
 assembled on C ⊗ A ⊗ B, the preparation embedded, the sender pair traced out.
+The batched kernel is also checked against the per-row loop it replaced.
 """
+
+import itertools
 
 import numpy as np
 import pytest
@@ -17,9 +20,13 @@ from ensemble_teleport import (
     alice_prepare,
     automatic_preparation,
     bob_correct,
+    effective_transformation,
+    fidelity_trace,
     preparation_from_bell,
     receiver_state,
+    receiver_states,
     renormalize,
+    require_statistical_operator,
     resolve_preparation,
     run_session,
     transformation_matrix,
@@ -63,6 +70,41 @@ BOUNDARY_INPUTS = {
     "bloch_long_z": CoefficientVector.from_bloch(0.0, 0.0, 1.0 + 1e-13),
     "bloch_long_oblique": _on_sphere(0.3, -0.5, 0.4, radius=1.0 + 1e-13),
 }
+
+
+def rows_of(inputs):
+    return np.array([c.as_vector() for c in inputs])
+
+
+class _Row:
+    """Stands in for a CoefficientVector in fidelity_trace, for rows that are not valid inputs."""
+
+    def __init__(self, row):
+        self._matrix = np.asarray(row, dtype=complex).reshape(2, 2)
+
+    def matrix(self):
+        return self._matrix
+
+
+def per_row_loop(t, rows):
+    """The per-sample path the batched kernel replaced: one row at a time, raising at the first failure."""
+    states, fidelities = [], []
+    for row in rows:
+        with np.errstate(invalid="ignore"):  # the non-finite test row
+            raw = 0.5 * (t.matrix @ row).reshape(2, 2)
+        state = renormalize(raw)
+        require_statistical_operator(state)
+        states.append(state)
+        fidelities.append(fidelity_trace(_Row(row), state))
+    return np.array(states), np.array(fidelities)
+
+
+def outcome(f, *args):
+    """f's result, or the message of the ValueError it raises."""
+    try:
+        return f(*args)
+    except ValueError as exc:
+        return str(exc)
 
 
 def hermitian_tensor_strategy():
@@ -111,6 +153,98 @@ class TestDifferential:
         run_session(c, automatic_preparation(), ClassicalMessage.pre_agreed(), bob_acts=False)
 
 
+class TestBatchedKernel:
+    @given(
+        batch=st.lists(bloch_coefficient_strategy(), min_size=1, max_size=12),
+        prep=st.sampled_from(PREPARATIONS),
+        bob_acts=st.booleans(),
+    )
+    def test_rows_match_reference_on_generated_batches(self, batch, prep, bob_acts):
+        t = resolve_preparation(prep_input(prep)).session_map(bob_acts)
+        states, fidelities = receiver_states(t, rows_of(batch))
+        assert states.shape == (len(batch), 2, 2) and fidelities.shape == (len(batch),)
+        for c, state, fidelity in zip(batch, states, fidelities):
+            reference = reference_state(prep_input(prep), c, bob_acts)
+            assert np.max(np.abs(state - reference)) < 1e-12
+            assert abs(fidelity - np.trace(c.matrix() @ reference).real) < 1e-12
+
+    @pytest.mark.parametrize("bob_acts", [True, False])
+    @pytest.mark.parametrize("prep", PREPARATIONS)
+    def test_boundary_inputs_as_one_batch(self, prep, bob_acts):
+        names = sorted(BOUNDARY_INPUTS)
+        t = resolve_preparation(prep_input(prep)).session_map(bob_acts)
+        states, fidelities = receiver_states(t, rows_of(BOUNDARY_INPUTS[n] for n in names))
+        for name, state, fidelity in zip(names, states, fidelities):
+            c = BOUNDARY_INPUTS[name]
+            reference = reference_state(prep_input(prep), c, bob_acts)
+            assert np.max(np.abs(state - reference)) < 1e-12
+            assert abs(fidelity - np.trace(c.matrix() @ reference).real) < 1e-12
+
+    @given(u=hermitian_tensor_strategy(), batch=st.lists(bloch_coefficient_strategy(), min_size=1, max_size=8))
+    def test_equals_the_per_row_loop(self, u, batch):
+        # Bitwise on success; on failure, the message the loop raises first.
+        t = resolve_preparation(u).session_map(False)
+        rows = rows_of(batch)
+        expected, got = outcome(per_row_loop, t, rows), outcome(receiver_states, t, rows)
+        if isinstance(expected, str):
+            assert got == expected
+        else:
+            assert got[0].tobytes() == expected[0].tobytes()
+            assert got[1].tobytes() == expected[1].tobytes()
+
+
+# Rows under the identity map (the automatic preparation's), each failing one
+# invariant; the kernel takes any rows, so these need not be valid inputs.
+VALID_ROW = [0.5, 0.1 + 0.2j, 0.1 - 0.2j, 0.5]
+FAILING_ROWS = {
+    "not finite": [np.inf, 0.0, 0.0, 1.0],
+    "imaginary trace": [0.5 + 1e-6j, 0.0, 0.0, 0.5],
+    "annihilated": [0.0, 0.0, 0.0, 0.0],
+    "not Hermitian": [0.5, 0.4, 0.0, 0.5],
+    "negative eigenvalue": [0.5, 0.9, 0.9, 0.5],
+    # Hermitian within HERMITICITY_TOL, but the overlap keeps an imaginary 3e-11.
+    "imaginary overlap": [0.5, 0.3j, -0.3j + 5e-11, 0.5],
+}
+IDENTITY_MAP = resolve_preparation(automatic_preparation()).session_map(False)
+
+
+class TestMixedFailures:
+    def test_each_row_fails_its_own_invariant(self):
+        messages = {kind: outcome(per_row_loop, IDENTITY_MAP, np.array([row])) for kind, row in FAILING_ROWS.items()}
+        assert "NaN or Inf" in messages["not finite"]
+        assert "imaginary part" in messages["imaginary trace"]
+        assert "annihilated" in messages["annihilated"]
+        assert "not Hermitian" in messages["not Hermitian"]
+        assert "negative eigenvalue" in messages["negative eigenvalue"]
+        assert "fidelity has non-negligible imaginary part" in messages["imaginary overlap"]
+        for kind, row in FAILING_ROWS.items():
+            assert outcome(receiver_states, IDENTITY_MAP, np.array([row])) == messages[kind]
+
+    @pytest.mark.parametrize("first, second", list(itertools.permutations(FAILING_ROWS, 2)))
+    def test_raises_what_the_loop_raises_first(self, first, second):
+        rows = np.array([VALID_ROW, FAILING_ROWS[first], VALID_ROW, FAILING_ROWS[second], VALID_ROW])
+        expected = outcome(per_row_loop, IDENTITY_MAP, rows)
+        assert isinstance(expected, str)
+        assert outcome(receiver_states, IDENTITY_MAP, rows) == expected
+        assert expected == outcome(per_row_loop, IDENTITY_MAP, np.array([FAILING_ROWS[first]]))
+
+    def test_shuffled_batches(self, rng):
+        pool = [VALID_ROW] * 6 + list(FAILING_ROWS.values())
+        for _ in range(30):
+            rows = np.array([pool[i] for i in rng.permutation(len(pool))])
+            assert outcome(receiver_states, IDENTITY_MAP, rows) == outcome(per_row_loop, IDENTITY_MAP, rows)
+
+    def test_valid_rows_pass(self):
+        states, fidelities = receiver_states(IDENTITY_MAP, np.array([VALID_ROW] * 3))
+        assert np.array_equal(states, np.array([VALID_ROW] * 3).reshape(3, 2, 2))
+        assert np.array_equal(fidelities, per_row_loop(IDENTITY_MAP, np.array([VALID_ROW] * 3))[1])
+
+    @pytest.mark.parametrize("shape", [(4,), (3, 2), (2, 2, 2)])
+    def test_rejects_a_wrong_shape(self, shape):
+        with pytest.raises(ValueError, match="N, 4"):
+            receiver_states(IDENTITY_MAP, np.zeros(shape))
+
+
 class TestPositivity:
     @given(u=hermitian_tensor_strategy(), c=bloch_coefficient_strategy())
     def test_raises_exactly_when_reference_is_not_positive(self, u, c):
@@ -147,6 +281,29 @@ class TestPositivity:
 
 
 class TestClassification:
+    @pytest.mark.parametrize("prep", PREPARATIONS)
+    def test_exact_weights_share_the_constant_maps(self, prep):
+        fresh = automatic_preparation() if prep == "automatic" else preparation_from_bell(prep)
+        resolved = resolve_preparation(fresh)
+        for bob_acts in (True, False):
+            constant = resolved.session_map(bob_acts)
+            assert constant is resolve_preparation(prep_input(prep)).session_map(bob_acts)
+            assert not constant.matrix.flags.writeable
+            rebuilt = effective_transformation(fresh, resolved.bell_index if bob_acts else None)
+            assert constant.matrix.tobytes() == rebuilt.matrix.tobytes()
+
+    @pytest.mark.parametrize("prep", PREPARATIONS)
+    def test_weights_within_tolerance_build_their_own_map(self, prep):
+        known = automatic_preparation() if prep == "automatic" else preparation_from_bell(prep)
+        w = np.array(known.u)
+        w[0, 1, 0, 1] += 0.5e-12
+        u = PreparationTensor(u=w, normalized=False)
+        resolved = resolve_preparation(u)
+        assert resolved.tensor is u
+        t = resolved.session_map(False)
+        assert t is not resolve_preparation(known).session_map(False)
+        assert t.matrix.tobytes() == effective_transformation(u, None).matrix.tobytes()
+
     def test_integer_path_returns_the_constant_tensor(self):
         for i in BELL_INDICES:
             first, second = resolve_preparation(i), resolve_preparation(i)
