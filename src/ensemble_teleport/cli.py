@@ -3,10 +3,11 @@
 Every command is deterministic given its full flag set (including --seed),
 so repeated runs produce byte-identical output. Numeric fields are
 serialized with 17 significant digits in CSV; JSON carries native floats
-that round-trip exactly.
+that round-trip exactly. Every format is rendered column by column.
 
-Exit status: 0 on success, 1 on an invariant violation or bad
-configuration, 2 when a numerical audit exceeds its tolerance.
+Exit status: 0 on success, 1 on an invariant violation, bad configuration
+or an --out path that cannot be written, 2 when a numerical audit exceeds
+its tolerance.
 """
 
 from __future__ import annotations
@@ -54,6 +55,18 @@ _TELEPORT_CSV_COLUMNS = (
 )
 
 
+# Every command returns its column names, then the values column by column
+# (one sequence per name, all of one length), then its verdict. None marks an
+# absent cell: empty in CSV and table output, left out of the JSON record.
+
+
+def _csv_field(text: str) -> str:
+    """One field as csv.writer writes it in a row of several (quoted when it must be)."""
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerow((text, ""))
+    return out.getvalue()[:-2]
+
+
 def _format_cell(value) -> str:
     if value is None:
         return ""
@@ -64,47 +77,82 @@ def _format_cell(value) -> str:
     return str(value)
 
 
-def _render_table(rows, columns) -> str:
-    header = list(columns)
-    body = [[_format_cell(row.get(col)) for col in columns] for row in rows]
-    widths = [
-        max(len(header[k]), *(len(line[k]) for line in body)) if body else len(header[k])
-        for k in range(len(columns))
-    ]
-    out = io.StringIO()
-    out.write("  ".join(h.ljust(w) for h, w in zip(header, widths)).rstrip() + "\n")
-    out.write("  ".join("-" * w for w in widths) + "\n")
-    for line in body:
-        out.write("  ".join(cell.ljust(w) for cell, w in zip(line, widths)).rstrip() + "\n")
-    return out.getvalue()
+def _csv_cell(value) -> str:
+    text = _format_cell(value)
+    return text if value is None or isinstance(value, (bool, float)) else _csv_field(text)
 
 
-def _render_csv(rows, columns) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(columns)
-    for row in rows:
-        writer.writerow([_format_cell(row.get(col)) for col in columns])
-    return out.getvalue()
+def _json_float(value: float) -> str:
+    # float.__repr__ is what json writes for a finite float.
+    return float.__repr__(value) if value - value == 0.0 else json.dumps(value)
 
 
-def _render_json(rows, columns) -> str:
-    records = [{col: row.get(col) for col in columns if col in row} for row in rows]
-    return json.dumps(records, indent=2) + "\n"
+def _json_cell(value) -> str | None:
+    if value is None:
+        return None
+    return _json_float(value) if isinstance(value, float) else json.dumps(value)
 
 
-def _render(rows, columns, fmt: str) -> str:
+_FLOAT_TEXT = "{:.17g}".format
+
+
+def _column_text(values, cell_text, float_text) -> list:
+    """Text of one column's cells, in one pass."""
+    if set(map(type, values)) == {float}:
+        return list(map(float_text, values))
+    return list(map(cell_text, values))
+
+
+def _render_table(columns, data) -> str:
+    texts = [_column_text(values, _format_cell, _FLOAT_TEXT) for values in data]
+    widths = [max(len(name), max(map(len, text), default=0)) for name, text in zip(columns, texts)]
+    padded = [[cell.ljust(w) for cell in text] for text, w in zip(texts, widths)]
+    header = "  ".join(name.ljust(w) for name, w in zip(columns, widths)).rstrip()
+    rule = "  ".join("-" * w for w in widths)
+    body = ["  ".join(cells).rstrip() for cells in zip(*padded)]
+    return "\n".join([header, rule, *body]) + "\n"
+
+
+# Rows rendered per block of CSV: bounds the cell texts held at one time.
+_CSV_BLOCK_ROWS = 1024
+
+
+def _render_csv(columns, data) -> str:
+    """CSV as csv.writer writes it; cells that are not strings never need quoting."""
+    blocks = [",".join(map(_csv_field, columns))]
+    for start in range(0, len(data[0]), _CSV_BLOCK_ROWS):
+        block = [values[start:start + _CSV_BLOCK_ROWS] for values in data]
+        texts = [_column_text(values, _csv_cell, _FLOAT_TEXT) for values in block]
+        blocks.append("\n".join(map(",".join, zip(*texts))))
+    return "\n".join(blocks) + "\n"
+
+
+def _render_json(columns, data) -> str:
+    """What json.dumps(records, indent=2) writes for one record per row."""
+    keyed = []
+    for name, values in zip(columns, data):
+        key = f"    {json.dumps(name)}: "
+        texts = _column_text(values, _json_cell, _json_float)
+        keyed.append([None if text is None else key + text for text in texts])
+    records = []
+    for row in zip(*keyed):
+        present = [cell for cell in row if cell is not None]
+        records.append("  {\n" + ",\n".join(present) + "\n  }" if present else "  {}")
+    return "[\n" + ",\n".join(records) + "\n]\n" if records else "[]\n"
+
+
+def _render(columns, data, fmt: str) -> str:
     if fmt == "table":
-        return _render_table(rows, columns)
+        return _render_table(columns, data)
     if fmt == "csv":
-        return _render_csv(rows, columns)
-    return _render_json(rows, columns)
+        return _render_csv(columns, data)
+    return _render_json(columns, data)
 
 
-def _cmd_bell_audit(args) -> tuple[list[dict], tuple[str, ...], bool]:
+def _cmd_bell_audit(args) -> tuple[tuple[str, ...], list, bool]:
     tol = args.tol
     columns = ("kind", "i", "j", "residual", "trace", "min_pt_eigenvalue", "entangled")
-    rows: list[dict] = []
+    rows: list[tuple] = []
     ok = True
     projectors = {i: bell_projector(i) for i in BELL_INDICES}
     for i in BELL_INDICES:
@@ -112,34 +160,24 @@ def _cmd_bell_audit(args) -> tuple[list[dict], tuple[str, ...], bool]:
         idem = float(np.max(np.abs(r @ r - r)))
         pt_min = float(hermitian_spectrum(partial_transpose(r, LAYOUT_AB, "B"))[-1])
         entangled = ppt_entangled(r)
-        rows.append(
-            {
-                "kind": "operator",
-                "i": i,
-                "j": i,
-                "residual": idem,
-                "trace": float(np.trace(r).real),
-                "min_pt_eigenvalue": pt_min,
-                "entangled": entangled,
-            }
-        )
+        rows.append(("operator", i, i, idem, float(np.trace(r).real), pt_min, entangled))
         ok = ok and idem < tol and entangled
     for i in BELL_INDICES:
         for j in BELL_INDICES:
             if i == j:
                 continue
             residual = float(np.max(np.abs(projectors[i] @ projectors[j])))
-            rows.append({"kind": "pair", "i": i, "j": j, "residual": residual})
+            rows.append(("pair", i, j, residual, None, None, None))
             ok = ok and residual < tol
     completeness = float(
         np.max(np.abs(sum(projectors.values()) - np.eye(4, dtype=complex)))
     )
-    rows.append({"kind": "completeness", "residual": completeness})
+    rows.append(("completeness", None, None, completeness, None, None, None))
     ok = ok and completeness < tol
-    return rows, columns, ok
+    return columns, list(zip(*rows)), ok
 
 
-def _cmd_teleport(args) -> tuple[list[dict], tuple[str, ...], bool]:
+def _cmd_teleport(args) -> tuple[tuple[str, ...], list, bool]:
     c = CoefficientVector.from_components(args.c11, complex(args.c12re, args.c12im))
     resolved = resolve_preparation(_PREPS[args.prep])
     bell_index = resolved.bell_index
@@ -159,25 +197,17 @@ def _cmd_teleport(args) -> tuple[list[dict], tuple[str, ...], bool]:
     record = run_session(c, resolved.tensor, message, bob_acts=args.correct)
     report = fidelity_report(c, resolved.session_map(args.correct), record.bob_state)
 
-    row = {
-        "c11": c.c11,
-        "c12_re": c.c12.real,
-        "c12_im": c.c12.imag,
-        "prep": args.prep,
-        "bob_acts": bool(args.correct),
-        "bits_sent": record.bits_sent,
-        "fidelity_trace": report.trace_form,
-        "fidelity_vector": report.vector_form,
-        "agree": report.agree,
-    }
-    state = np.asarray(record.bob_state)
-    for r in (1, 2):
-        for col in (1, 2):
-            entry = state[r - 1, col - 1]
-            row[f"b{r}{col}_re"] = float(entry.real)
-            row[f"b{r}{col}_im"] = float(entry.imag)
-    row["note"] = report.note
-
+    row = (
+        c.c11,
+        c.c12.real,
+        c.c12.imag,
+        args.prep,
+        bool(args.correct),
+        record.bits_sent,
+        report.trace_form,
+        report.vector_form,
+        report.agree,
+    )
     if args.format == "csv":
         columns = _TELEPORT_CSV_COLUMNS
     else:
@@ -185,7 +215,9 @@ def _cmd_teleport(args) -> tuple[list[dict], tuple[str, ...], bool]:
             "b11_re", "b11_im", "b12_re", "b12_im",
             "b21_re", "b21_im", "b22_re", "b22_im", "note",
         )
-    return [row], columns, True
+        state = np.asarray(record.bob_state).ravel()  # b11, b12, b21, b22
+        row += (*(float(x) for entry in state for x in (entry.real, entry.imag)), report.note)
+    return columns, list(zip(*[row])), True
 
 
 def _sweep_grid(args, mag_resolution: int) -> tuple[np.ndarray, np.ndarray]:
@@ -211,7 +243,7 @@ def _sweep_grid(args, mag_resolution: int) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate(c11_blocks), np.concatenate(c12_blocks)
 
 
-def _cmd_sweep(args) -> tuple[list[dict], tuple[str, ...], bool]:
+def _cmd_sweep(args) -> tuple[tuple[str, ...], list, bool]:
     if args.resolution < 2:
         raise ValueError(f"sweep resolution must be at least 2, got {args.resolution}")
     mag_resolution = args.mag_resolution if args.mag_resolution is not None else args.resolution
@@ -223,16 +255,12 @@ def _cmd_sweep(args) -> tuple[list[dict], tuple[str, ...], bool]:
     coeffs = coefficient_rows(c11, c12, c12.conj(), 1.0 - c11)
     _, trace = receiver_states(resolved.session_map(False), coeffs)
     lazy = lazy_fidelities(coeffs)
-    re, im = c12.real, c12.imag
     columns = ("c11", "c12_re", "c12_im", "lazy_fidelity", "trace_fidelity")
-    rows = [
-        dict(zip(columns, values))
-        for values in zip(c11.tolist(), re.tolist(), im.tolist(), lazy.tolist(), trace.tolist())
-    ]
-    return rows, columns, True
+    data = [column.tolist() for column in (c11, c12.real, c12.imag, lazy, trace)]
+    return columns, data, True
 
 
-def _cmd_paut_audit(args) -> tuple[list[dict], tuple[str, ...], bool]:
+def _cmd_paut_audit(args) -> tuple[tuple[str, ...], list, bool]:
     tol = args.tol
     u = automatic_preparation()
     p = u.matrix()
@@ -248,18 +276,8 @@ def _cmd_paut_audit(args) -> tuple[list[dict], tuple[str, ...], bool]:
         "and trace 2 then fixes the spectrum to {2, 0, 0, 0}; a +1/-1 eigenvalue pair "
         "would contradict both identities"
     )
-    row = {
-        "trace": float(np.trace(p).real),
-        "idempotence_factor": factor,
-        "spectral_norm": norm,
-        "eig1": float(spectrum[0]),
-        "eig2": float(spectrum[1]),
-        "eig3": float(spectrum[2]),
-        "eig4": float(spectrum[3]),
-        "transformation_residual": t_residual,
-        "spectrum_residual": spectrum_residual,
-        "note": note,
-    }
+    trace = float(np.trace(p).real)
+    row = (trace, factor, norm, *map(float, spectrum), t_residual, spectrum_residual, note)
     columns = (
         "trace",
         "idempotence_factor",
@@ -273,16 +291,16 @@ def _cmd_paut_audit(args) -> tuple[list[dict], tuple[str, ...], bool]:
         "note",
     )
     ok = (
-        abs(row["trace"] - 2.0) < tol
+        abs(trace - 2.0) < tol
         and abs(factor - 2.0) < tol
         and abs(norm - 2.0) < tol
         and spectrum_residual < tol
         and t_residual < tol
     )
-    return [row], columns, ok
+    return columns, list(zip(*[row])), ok
 
 
-def _cmd_appendix_check(args) -> tuple[list[dict], tuple[str, ...], bool]:
+def _cmd_appendix_check(args) -> tuple[tuple[str, ...], list, bool]:
     if args.samples < 1:
         raise ValueError(f"need at least 1 sample, got {args.samples}")
     tol = args.tol
@@ -296,7 +314,7 @@ def _cmd_appendix_check(args) -> tuple[list[dict], tuple[str, ...], bool]:
         "max_ratio_deviation",
         "within_tol",
     )
-    rows: list[dict] = []
+    rows: list[tuple] = []
     ok = True
     for name, resolved in cases.items():
         expected_ratio = 1.0 if resolved.bell_index is not None else 2.0
@@ -308,18 +326,9 @@ def _cmd_appendix_check(args) -> tuple[list[dict], tuple[str, ...], bool]:
             max_diff = max(max_diff, result.max_abs_diff)
             max_ratio_dev = max(max_ratio_dev, abs(result.prenorm_ratio - expected_ratio))
         within = max_diff < tol and max_ratio_dev < max(tol, 1e-12)
-        rows.append(
-            {
-                "prep": name,
-                "samples": args.samples,
-                "max_abs_diff": max_diff,
-                "expected_prenorm_ratio": expected_ratio,
-                "max_ratio_deviation": max_ratio_dev,
-                "within_tol": within,
-            }
-        )
+        rows.append((name, args.samples, max_diff, expected_ratio, max_ratio_dev, within))
         ok = ok and within
-    return rows, columns, ok
+    return columns, list(zip(*rows)), ok
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -409,14 +418,18 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        rows, columns, ok = args.func(args)
+        columns, data, ok = args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    text = _render(rows, columns, args.format)
+    text = _render(columns, data, args.format)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            print(f"error: cannot write {args.out}: {exc.strerror or exc}", file=sys.stderr)
+            return 1
     else:
         sys.stdout.write(text)
     return 0 if ok else 2

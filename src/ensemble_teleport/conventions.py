@@ -30,15 +30,18 @@ def sandwich_numerator(u: PreparationTensor, c: CoefficientVector) -> np.ndarray
     return partial_trace(p8 @ total_state(c) @ p8, LAYOUT_CAB, {"C", "A"})
 
 
-def prepare_sandwich(u: PreparationTensor, c: CoefficientVector) -> np.ndarray:
-    """Two-sided preparation: sandwich the total state and divide by the full trace."""
-    numerator = sandwich_numerator(u, c)
+def _normalized_sandwich(numerator: np.ndarray) -> np.ndarray:
     denominator = complex(np.trace(numerator))
     if abs(denominator.imag) > EQ_TOL or denominator.real <= ANNIHILATION_TOL:
         raise ValueError(
             f"two-sided update annihilated the ensemble: total trace {denominator!r}"
         )
     return numerator / denominator.real
+
+
+def prepare_sandwich(u: PreparationTensor, c: CoefficientVector) -> np.ndarray:
+    """Two-sided preparation: sandwich the total state and divide by the full trace."""
+    return _normalized_sandwich(sandwich_numerator(u, c))
 
 
 @dataclass(frozen=True, eq=False)
@@ -61,7 +64,7 @@ def compare_conventions(u: PreparationTensor, c: CoefficientVector) -> Conventio
     raw = alice_prepare(u, c)
     ansatz = renormalize(raw)
     numerator = sandwich_numerator(u, c)
-    sandwich = prepare_sandwich(u, c)
+    sandwich = _normalized_sandwich(numerator)
     ratio = float(np.trace(numerator).real / np.trace(raw).real)
     diff = float(np.max(np.abs(ansatz - sandwich)))
     return ConventionResult(

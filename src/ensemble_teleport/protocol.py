@@ -20,6 +20,7 @@ the same state and is kept as the reference.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -205,6 +206,11 @@ class PreparationTensor:
         """Sum of u_kkmm: one for projective preparations, two for the automatic one."""
         return float(np.real(sum(self.u[k, k, m, m] for k in (0, 1) for m in (0, 1))))
 
+    @cached_property
+    def coefficient_map(self) -> TransformationMatrix:
+        """``transformation_matrix(self)``, built on first use: the weights are read-only."""
+        return transformation_matrix(self)
+
 
 def preparation_from_bell(index: int) -> PreparationTensor:
     """Weight tensor whose operator form is the indexed Bell projector on the sender pair."""
@@ -242,7 +248,7 @@ class ResolvedPreparation:
     """A preparation tensor classified against the known preparation family.
 
     ``tensor`` is the module's constant tensor when the input has exactly its
-    weights, so that its session maps come precomputed.
+    weights, so that every such input shares the constant's session maps.
     """
 
     tensor: PreparationTensor
@@ -253,9 +259,10 @@ class ResolvedPreparation:
         """Effective coefficient map of a session; the correction applies only when ``bob_acts``."""
         if bob_acts and self.bell_index is None and not self.automatic:
             raise ValueError("no correction rule for this preparation; run with bob_acts=False")
-        correction = self.bell_index if bob_acts else None
-        known = _SESSION_MAPS.get((self.tensor, correction))
-        return known if known is not None else effective_transformation(self.tensor, correction)
+        if not bob_acts or self.bell_index is None:
+            return self.tensor.coefficient_map
+        known = _CORRECTED_MAPS.get(self.tensor)
+        return known if known is not None else effective_transformation(self.tensor, self.bell_index)
 
 
 def resolve_preparation(prep) -> ResolvedPreparation:
@@ -482,20 +489,15 @@ def effective_transformation(u: PreparationTensor, correction_index: int | None)
     A Pauli conjugation U . U† acts on row-major coefficient 4-vectors as
     kron(U, conj(U)).
     """
-    t = transformation_matrix(u)
+    t = u.coefficient_map
     if correction_index is None:
         return t
     return TransformationMatrix(_CORRECTION_MAPS[correction_index] @ t.matrix)
 
 
-# The session maps of the known preparations, keyed by (constant tensor,
-# correction index), built once: Bell 1..4 with and without their correction,
-# and the automatic preparation, which has none.
-_SESSION_MAPS = {
-    (tensor, correction): effective_transformation(tensor, correction)
-    for tensor, correction in [(t, None) for t in _KNOWN_TENSORS]
-    + [(_BELL_TENSORS[i], i) for i in BELL_INDICES]
-}
+# The corrected session maps of the constant Bell tensors, built once; an
+# uncorrected map is the tensor's own memoized coefficient_map.
+_CORRECTED_MAPS = {t: effective_transformation(t, i) for i, t in _BELL_TENSORS.items()}
 
 
 def receiver_states(t: TransformationMatrix, coeffs) -> tuple[np.ndarray, np.ndarray]:

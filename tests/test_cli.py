@@ -1,9 +1,12 @@
 import csv
+import hashlib
 import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ensemble_teleport import (
     CoefficientVector,
@@ -14,6 +17,7 @@ from ensemble_teleport import (
     preparation_from_bell,
     renormalize,
 )
+from ensemble_teleport import cli
 from ensemble_teleport.cli import main
 
 
@@ -266,3 +270,190 @@ class TestOutputPlumbing:
     def test_table_format_default(self, capsys):
         _, out, _ = run_cli(capsys, "paut-audit")
         assert "idempotence_factor" in out.splitlines()[0]
+
+
+# The dict-based renderers the CLI used before it rendered column-wise, kept
+# as the reference: each row is a dict that leaves out its absent cells.
+
+
+def _reference_cell(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return format(value, ".17g")
+    return str(value)
+
+
+def reference_table(rows, columns) -> str:
+    header = list(columns)
+    body = [[_reference_cell(row.get(col)) for col in columns] for row in rows]
+    widths = [
+        max(len(header[k]), *(len(line[k]) for line in body)) if body else len(header[k])
+        for k in range(len(columns))
+    ]
+    out = io.StringIO()
+    out.write("  ".join(h.ljust(w) for h, w in zip(header, widths)).rstrip() + "\n")
+    out.write("  ".join("-" * w for w in widths) + "\n")
+    for line in body:
+        out.write("  ".join(cell.ljust(w) for cell, w in zip(line, widths)).rstrip() + "\n")
+    return out.getvalue()
+
+
+def reference_csv(rows, columns) -> str:
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(columns)
+    for row in rows:
+        writer.writerow([_reference_cell(row.get(col)) for col in columns])
+    return out.getvalue()
+
+
+def reference_json(rows, columns) -> str:
+    records = [{col: row.get(col) for col in columns if col in row} for row in rows]
+    return json.dumps(records, indent=2) + "\n"
+
+
+REFERENCE = {"table": reference_table, "csv": reference_csv, "json": reference_json}
+
+
+def reference_render(columns, data, fmt):
+    rows = [
+        {col: value for col, value in zip(columns, row) if value is not None}
+        for row in zip(*data)
+    ]
+    return REFERENCE[fmt](rows, columns)
+
+
+COMMANDS = {
+    "bell-audit": ["bell-audit"],
+    "teleport": ["teleport", "--c11", "0.3", "--c12re", "0.458", "--prep", "bell2"],
+    "teleport-paut": ["teleport", "--c11", "1", "--prep", "paut", "--no-correct"],
+    "sweep": ["sweep", "--resolution", "5", "--mag-resolution", "3", "--phase-resolution", "2"],
+    "paut-audit": ["paut-audit"],
+    "appendix-check": ["appendix-check", "--samples", "20", "--seed", "7"],
+}
+
+# sha256 of stdout, taken from the dict-based renderers: every format of
+# every subcommand stays byte-identical for a fixed flag set.
+GOLDEN = {
+    "bell-audit --format table": "7769ec4152cdff299a9cfd7702a7e2eb528c37d3e4d686586812cc00d3dc53b1",
+    "bell-audit --format csv": "b9dc4f8300f5b54c61fcace1cf41396788d665ec8a53eb79c8bd497f839c1e52",
+    "bell-audit --format json": "c659f3952adb479cde000f928f22c0083af51b6debbf1df7572e7df11b31aa7e",
+    "teleport --c11 0.3 --c12re 0.458 --prep bell2 --format table":
+        "53c0df3d9d36e1d15663e0f2658028e69d37008d9996e64182f37e3dbca4a829",
+    "teleport --c11 0.3 --c12re 0.458 --prep bell2 --format csv":
+        "db14c76394e69a2de111d40abef3673b695e06d96497bc8c984641417727c0cb",
+    "teleport --c11 0.3 --c12re 0.458 --prep bell2 --format json":
+        "89e1315de9b35cc2f3d5b66a9075b1bcc870cf1e8c4597f4a02ff570b80db39a",
+    "teleport --c11 1 --prep paut --message preagreed --no-correct --format table":
+        "742e4331ecd29774a642953dd7376d071da149d676783ae89ac73951a92740d8",
+    "teleport --c11 0.5 --c12im 0.25 --prep bell3 --message onebit --no-correct --format json":
+        "c0d465a2550c44fb8289dd881ca4c1117cef1d11bce3fb006577fde3a39624b6",
+    "sweep --resolution 5 --mag-resolution 3 --phase-resolution 2 --format table":
+        "69e2036a613046d9d7bed8f4313fa449cb288bcaec8724cdc50399aab547062e",
+    "sweep --resolution 5 --mag-resolution 3 --phase-resolution 2 --format csv":
+        "fdae781a7f531783ee954fcb3ca1846fb4ae3cd29dd14ba57e1ffdb2b8d55a4f",
+    "sweep --resolution 5 --mag-resolution 3 --phase-resolution 2 --format json":
+        "0e1a2cbcc5fa4106d4583e801c720527ca8b0cc587ed59d784d0d9c4927148f5",
+    "sweep --resolution 30 --phase-resolution 4 --prep bell1 --format csv":
+        "03c136455ca7562aaab4dfb6b5dcbac6eb426b2a8e6f92e1600dc580c1b8a2a4",
+    "sweep --resolution 30 --phase-resolution 4 --prep paut --format csv":
+        "295a62f4d460446c622f3570c18b74b471fb50901b3cdaf563d766d6d891234e",
+    "sweep --resolution 101 --slice zero --format csv":
+        "74c68622e3adc50492df921519bea5d69049e51f4fcf89961d44aa13ae8b8f81",
+    "sweep --resolution 21 --slice pure --phase-resolution 3 --format json":
+        "6cda9ddfe308cbb50286ced05dca49927575ede29d0fd021e35a8e9d8e0530e8",
+    "paut-audit --format table": "a72c5dac8b2fbfb20b42d115813fc0ac62dddf9a5e4211e09892b8a3defe8524",
+    "paut-audit --format csv": "4535c6bd736e3103f466fb807ca12296000c8513427b8fdd6b792de14b408e7f",
+    "paut-audit --format json": "8f0f46137a83d28dd311d7f25efae6a24c7b853294be1bf8db4c68cb307e4439",
+    "appendix-check --samples 50 --seed 7 --format table":
+        "4e8ae60bb0949d828bb9a79fdec0d6535d4cfd6c488feac53128dcef3163715b",
+    "appendix-check --samples 50 --seed 7 --format csv":
+        "515475c2d16578e484e00ecef65314dfc8bfe4fec24e43d48e50ac9ca4ea68a1",
+    "appendix-check --samples 50 --seed 7 --format json":
+        "60235da1d544357fc48d5d8b4f1bf5d6b28aa45d0f12373863f2c286f4738d63",
+}
+
+
+class TestGoldenOutput:
+    @pytest.mark.parametrize("command", sorted(GOLDEN))
+    def test_stdout_digest(self, capsys, command):
+        code, out, err = run_cli(capsys, *command.split())
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN[command]
+
+    @pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_renderers_match_the_dict_reference(self, command, fmt):
+        args = cli.build_parser().parse_args(COMMANDS[command] + ["--format", fmt])
+        columns, data, _ = args.func(args)
+        assert all(len(values) == len(data[0]) for values in data)
+        assert cli._render(columns, data, fmt) == reference_render(columns, data, fmt)
+
+
+_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(min_value=-(10**20), max_value=10**20),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.text(alphabet=st.sampled_from('ab ,"\'\n\r\t-é'), max_size=6),
+)
+
+
+@st.composite
+def tables(draw):
+    """Column names and mixed-type column values, two columns or more as every command has."""
+    columns = draw(st.lists(st.text(max_size=5), min_size=2, max_size=5, unique=True))
+    n = draw(st.integers(min_value=0, max_value=4))
+    data = [
+        draw(st.one_of(
+            st.lists(_SCALARS, min_size=n, max_size=n),
+            st.lists(st.floats(), min_size=n, max_size=n),
+        ))
+        for _ in columns
+    ]
+    return tuple(columns), data
+
+
+class TestColumnRenderers:
+    @given(table=tables(), fmt=st.sampled_from(["table", "csv", "json"]))
+    def test_match_the_dict_reference(self, table, fmt):
+        columns, data = table
+        assert cli._render(columns, data, fmt) == reference_render(columns, data, fmt)
+
+    @pytest.mark.parametrize("block_rows", [1, 7, 30, 31])
+    def test_csv_blocks_join_seamlessly(self, monkeypatch, block_rows):
+        monkeypatch.setattr(cli, "_CSV_BLOCK_ROWS", block_rows)
+        args = cli.build_parser().parse_args(COMMANDS["sweep"] + ["--format", "csv"])
+        columns, data, _ = args.func(args)
+        assert len(data[0]) == 30
+        assert cli._render(columns, data, "csv") == reference_render(columns, data, "csv")
+
+    def test_quoted_note_keeps_its_quotes(self, capsys):
+        _, out, _ = run_cli(capsys, "paut-audit", "--format", "csv")
+        _, record, _ = run_cli(capsys, "paut-audit", "--format", "json")
+        note = json.loads(record)[0]["note"]
+        assert "," in note
+        assert out.splitlines()[1].endswith(f',"{note}"')
+        assert list(csv.reader(io.StringIO(out)))[1][-1] == note
+
+    def test_absent_cells(self, capsys):
+        _, out, _ = run_cli(capsys, "bell-audit", "--format", "csv")
+        assert out.splitlines()[-1].startswith("completeness,,,")
+        _, out, _ = run_cli(capsys, "bell-audit", "--format", "json")
+        assert set(json.loads(out)[-1]) == {"kind", "residual"}
+
+
+class TestOutFailure:
+    @pytest.mark.parametrize("where", ["missing-dir", "directory"])
+    def test_unwritable_path_exits_one(self, capsys, tmp_path, where):
+        target = tmp_path / "no" / "such" / "x.csv" if where == "missing-dir" else tmp_path
+        code, out, err = run_cli(
+            capsys, "sweep", "--resolution", "3", "--format", "csv", "--out", str(target),
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: cannot write {target}: ")
+        assert "Traceback" not in err and err.count("\n") == 1

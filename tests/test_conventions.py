@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from ensemble_teleport import (
     BELL_INDICES,
     CoefficientVector,
+    alice_prepare,
     automatic_preparation,
     compare_conventions,
     hermitian_spectrum,
@@ -13,6 +14,7 @@ from ensemble_teleport import (
     pauli,
     prepare_sandwich,
     preparation_from_bell,
+    renormalize,
     sandwich_numerator,
 )
 from conftest import random_coefficients
@@ -32,8 +34,6 @@ class TestSandwichNumerator:
             assert abs(np.trace(numerator).real - 0.25) < 1e-12
 
     def test_automatic_numerator_doubles_one_sided(self, rng):
-        from ensemble_teleport import alice_prepare
-
         u = automatic_preparation()
         for c in random_coefficients(rng, 10):
             two_sided = sandwich_numerator(u, c)
@@ -112,3 +112,21 @@ class TestConventionInvariants:
         assert abs(np.trace(result).real - 1.0) < 1e-12
         assert np.max(np.abs(result - result.conj().T)) < 1e-12
         assert hermitian_spectrum(result)[-1] >= -1e-10
+
+
+FIVE_PREPARATIONS = [preparation_from_bell(i) for i in BELL_INDICES] + [automatic_preparation()]
+
+
+class TestOneSandwich:
+    @given(c=bloch_coefficient_strategy(), k=st.integers(min_value=0, max_value=4))
+    def test_fields_bitwise_equal_the_two_call_form(self, c, k):
+        u = FIVE_PREPARATIONS[k]
+        raw = alice_prepare(u, c)
+        ansatz = renormalize(raw)
+        sandwich = prepare_sandwich(u, c)
+        ratio = float(np.trace(sandwich_numerator(u, c)).real / np.trace(raw).real)
+        result = compare_conventions(u, c)
+        assert result.ansatz.tobytes() == ansatz.tobytes()
+        assert result.sandwich.tobytes() == sandwich.tobytes()
+        assert result.prenorm_ratio == ratio
+        assert result.max_abs_diff == float(np.max(np.abs(ansatz - sandwich)))

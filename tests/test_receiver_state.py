@@ -304,6 +304,18 @@ class TestClassification:
         assert t is not resolve_preparation(known).session_map(False)
         assert t.matrix.tobytes() == effective_transformation(u, None).matrix.tobytes()
 
+    def test_general_tensor_builds_its_map_once(self):
+        w = np.array(automatic_preparation().u)
+        w[0, 1, 0, 1] = 0.25
+        u = PreparationTensor(u=w, normalized=False)
+        first = resolve_preparation(u).session_map(False)
+        assert first is u.coefficient_map
+        assert first is resolve_preparation(u).session_map(False)
+        assert first.matrix.tobytes() == transformation_matrix(u).matrix.tobytes()
+        c = CoefficientVector.from_components(0.5)
+        run_session(c, u, ClassicalMessage.pre_agreed(), bob_acts=False)
+        assert u.coefficient_map is first
+
     def test_integer_path_returns_the_constant_tensor(self):
         for i in BELL_INDICES:
             first, second = resolve_preparation(i), resolve_preparation(i)
