@@ -10,7 +10,6 @@ import numpy as np
 
 from ensemble_teleport import (
     BELL_INDICES,
-    LAYOUT_AB,
     bell_projector,
     bell_vector,
     hermitian_spectrum,
@@ -52,7 +51,7 @@ def main():
     print()
     print("entanglement via the partial transpose")
     for i in BELL_INDICES:
-        pt_min = hermitian_spectrum(partial_transpose(bell_projector(i), LAYOUT_AB, "B"))[-1]
+        pt_min = hermitian_spectrum(partial_transpose(bell_projector(i)))[-1]
         verdict = "entangled" if ppt_entangled(bell_projector(i)) else "separable"
         print(f"projector {i}: min PT eigenvalue {pt_min:+.6f} -> {verdict}")
 

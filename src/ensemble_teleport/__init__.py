@@ -37,21 +37,11 @@ from .fidelity import (
     sample_pure_uniform,
 )
 from .linalg import (
-    LAYOUT_AB,
-    LAYOUT_CA,
-    LAYOUT_CAB,
     NonHermitianError,
-    SubsystemLayout,
-    adjoint,
-    embed,
     hermitian_spectrum,
-    matmul,
-    partial_trace,
     partial_transpose,
     require_statistical_operator,
     spectral_norm,
-    tensor,
-    trace,
 )
 from .protocol import (
     ClassicalMessage,
@@ -84,9 +74,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BELL_INDICES",
-    "LAYOUT_AB",
-    "LAYOUT_CA",
-    "LAYOUT_CAB",
     "AverageFidelity",
     "ClassicalMessage",
     "CoefficientVector",
@@ -96,10 +83,8 @@ __all__ = [
     "NonHermitianError",
     "PreparationTensor",
     "SessionRecord",
-    "SubsystemLayout",
     "TotalStateDecomposition",
     "TransformationMatrix",
-    "adjoint",
     "alice_prepare",
     "automatic_preparation",
     "average_fidelity",
@@ -113,17 +98,14 @@ __all__ = [
     "correction_unitary",
     "decompose_total_state",
     "effective_transformation",
-    "embed",
     "fidelity_report",
     "fidelity_trace",
     "fidelity_vector",
     "hermitian_spectrum",
     "lazy_fidelity",
-    "matmul",
     "matrix_from_coefficients",
     "matrix_unit",
     "maximize_lazy_fidelity",
-    "partial_trace",
     "partial_transpose",
     "pauli",
     "ppt_entangled",
@@ -139,8 +121,6 @@ __all__ = [
     "sample_pure_uniform",
     "sandwich_numerator",
     "spectral_norm",
-    "tensor",
     "total_state",
-    "trace",
     "transformation_matrix",
 ]

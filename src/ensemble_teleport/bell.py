@@ -6,9 +6,6 @@ import numpy as np
 
 from .linalg import (
     EIGENVALUE_TOL,
-    LAYOUT_AB,
-    SubsystemLayout,
-    as_matrix,
     hermitian_spectrum,
     partial_transpose,
     require_statistical_operator,
@@ -18,8 +15,6 @@ BELL_INDICES = (1, 2, 3, 4)
 
 # index -> (parity, sign): 1, 2 are the even pair, 3, 4 the odd pair
 _BELL_LABELS = {1: ("even", "+"), 2: ("even", "-"), 3: ("odd", "+"), 4: ("odd", "-")}
-
-_ALLOWED_PAIRS = (("A", "B"), ("C", "A"))
 
 
 def matrix_unit(row: int, col: int) -> np.ndarray:
@@ -54,18 +49,13 @@ def bell_vector(parity: str, sign: str) -> np.ndarray:
     return _bell_pattern(parity, sign) / np.sqrt(2.0)
 
 
-def bell_projector(index: int, subsystems=("A", "B")) -> np.ndarray:
+def bell_projector(index: int) -> np.ndarray:
     """4x4 projector onto the indexed Bell-type vector.
 
-    ``subsystems`` records which factor pair the operator acts on: the
-    shared pair ("A", "B") or the sender-side pair ("C", "A"). The matrix
-    entries are identical for either placement; only the label differs.
+    The same matrix serves the shared pair (A, B) and the sender pair (C, A).
     """
     if index not in BELL_INDICES:
         raise ValueError(f"Bell index must be in {BELL_INDICES}, got {index}")
-    pair = tuple(subsystems)
-    if pair not in _ALLOWED_PAIRS:
-        raise ValueError(f"unsupported subsystem pair {pair}; expected one of {_ALLOWED_PAIRS}")
     # Outer product of the unnormalized (0, ±1) pattern halved, so the
     # entries are exactly ±1/2 rather than one ulp off through 1/sqrt(2).
     w = _bell_pattern(*_BELL_LABELS[index])
@@ -81,17 +71,15 @@ def pauli(k: int) -> np.ndarray:
     raise ValueError(f"only pauli(1) and pauli(3) are defined here, got {k}")
 
 
-def ppt_entangled(op, layout: SubsystemLayout = LAYOUT_AB, negativity_tol: float = EIGENVALUE_TOL) -> bool:
+def ppt_entangled(op) -> bool:
     """True iff a two-qubit statistical operator fails the partial-transpose test.
 
     For a pair of two-level factors the test is conclusive: the state is
-    entangled exactly when the partial transpose has a negative eigenvalue.
-    The input must be a valid statistical operator (Hermitian, unit trace,
-    positive semidefinite); violations raise with the offending invariant.
+    entangled exactly when the partial transpose on the second qubit has an
+    eigenvalue below -EIGENVALUE_TOL. The input must be a 4x4 statistical
+    operator (Hermitian, unit trace, positive semidefinite); violations raise
+    with the offending invariant.
     """
-    arr = as_matrix(op)
-    if len(layout.factors) != 2 or arr.shape[0] != 4:
-        raise ValueError("PPT test expects a 4x4 operator on a two-factor layout")
-    require_statistical_operator(arr)
-    transposed = partial_transpose(arr, layout, layout.factors[1])
-    return bool(hermitian_spectrum(transposed)[-1] < -negativity_tol)
+    transposed = partial_transpose(op)
+    require_statistical_operator(op)
+    return bool(hermitian_spectrum(transposed)[-1] < -EIGENVALUE_TOL)

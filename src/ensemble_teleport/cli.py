@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -23,7 +24,7 @@ import numpy as np
 from .bell import BELL_INDICES, bell_projector, ppt_entangled
 from .conventions import compare_conventions
 from .fidelity import fidelity_report, lazy_fidelities, sample_mixed_uniform
-from .linalg import LAYOUT_AB, hermitian_spectrum, partial_transpose, spectral_norm
+from .linalg import EQ_TOL, hermitian_spectrum, partial_transpose, spectral_norm
 from .protocol import (
     ClassicalMessage,
     CoefficientVector,
@@ -158,7 +159,7 @@ def _cmd_bell_audit(args) -> tuple[tuple[str, ...], list, bool]:
     for i in BELL_INDICES:
         r = projectors[i]
         idem = float(np.max(np.abs(r @ r - r)))
-        pt_min = float(hermitian_spectrum(partial_transpose(r, LAYOUT_AB, "B"))[-1])
+        pt_min = float(hermitian_spectrum(partial_transpose(r))[-1])
         entangled = ppt_entangled(r)
         rows.append(("operator", i, i, idem, float(np.trace(r).real), pt_min, entangled))
         ok = ok and idem < tol and entangled
@@ -325,13 +326,15 @@ def _cmd_appendix_check(args) -> tuple[tuple[str, ...], list, bool]:
             result = compare_conventions(resolved.tensor, c)
             max_diff = max(max_diff, result.max_abs_diff)
             max_ratio_dev = max(max_ratio_dev, abs(result.prenorm_ratio - expected_ratio))
-        within = max_diff < tol and max_ratio_dev < max(tol, 1e-12)
+        within = max_diff < tol and max_ratio_dev < max(tol, EQ_TOL)
         rows.append((name, args.samples, max_diff, expected_ratio, max_ratio_dev, within))
         ok = ok and within
     return columns, list(zip(*rows)), ok
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and shared by every ``main`` call."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--format", choices=("table", "csv", "json"), default="table",

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import ANNIHILATION_TOL, EQ_TOL, LAYOUT_CAB, embed, partial_trace
+from .linalg import ANNIHILATION_TOL, EQ_TOL, embed_sender_pair, trace_out_sender_pair
 from .protocol import (
     CoefficientVector,
     PreparationTensor,
@@ -26,8 +26,8 @@ from .protocol import (
 
 def sandwich_numerator(u: PreparationTensor, c: CoefficientVector) -> np.ndarray:
     """Receiver-side operator of the two-sided update, before normalization."""
-    p8 = embed(u.matrix(), ("C", "A"), LAYOUT_CAB)
-    return partial_trace(p8 @ total_state(c) @ p8, LAYOUT_CAB, {"C", "A"})
+    p8 = embed_sender_pair(u.matrix())
+    return trace_out_sender_pair(p8 @ total_state(c) @ p8)
 
 
 def _normalized_sandwich(numerator: np.ndarray) -> np.ndarray:

@@ -2,19 +2,16 @@
 
 Everything here is a pure function on numpy arrays. Index convention: a
 composite space is ordered so that the *last* factor's index varies fastest,
-which is exactly how ``numpy.kron`` composes matrices.
+which is exactly how ``numpy.kron`` composes matrices. The one three-party
+space is C ⊗ A ⊗ B (input, sender half, receiver half), and the one pair
+operation besides the trace-out is the partial transpose on the second qubit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable
-
 import numpy as np
 
-LOCAL_DIM = 2
 SUPPORTED_DIMS = (2, 4, 8)
-SUBSYSTEM_LABELS = ("C", "A", "B")
 
 # Tolerance table: every numerical check in the package uses one of these.
 EQ_TOL = 1e-12  # plain equalities: coefficient invariants, classification, imaginary parts
@@ -56,165 +53,46 @@ def as_matrix(m) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
-class SubsystemLayout:
-    """Ordered two-level factors describing how an index space factorizes.
+_I2 = np.eye(2, dtype=complex)
+_I2.setflags(write=False)
 
-    Labels are drawn from {C, A, B} and must be unique. The layout's
-    dimension is 2 ** len(factors).
+
+def embed_sender_pair(op: np.ndarray) -> np.ndarray:
+    """Extend a 4x4 operator on the sender pair (C, A) by the identity on B: kron(op, I2)."""
+    return np.kron(op, _I2)
+
+
+def trace_out_sender_pair(m: np.ndarray) -> np.ndarray:
+    """Receiver marginal of an 8x8 operator on C ⊗ A ⊗ B: trace out C, then A."""
+    # Two pairwise sums in this order fix the rounding of every entry; a
+    # single einsum over (c, a) adds in another order and moves last bits.
+    t = np.trace(m.reshape((2,) * 6), axis1=0, axis2=3)
+    return np.trace(t, axis1=0, axis2=2)
+
+
+def partial_transpose(m) -> np.ndarray:
+    """Transpose of the second factor of a 4x4 operator on a pair of qubits.
+
+    Entry [2i + j, 2k + l] of the result is entry [2i + l, 2k + j] of ``m``.
     """
-
-    factors: tuple[str, ...]
-
-    def __post_init__(self):
-        factors = tuple(self.factors)
-        object.__setattr__(self, "factors", factors)
-        if not factors:
-            raise ValueError("layout needs at least one factor")
-        for label in factors:
-            if label not in SUBSYSTEM_LABELS:
-                raise ValueError(
-                    f"unknown subsystem label {label!r}; expected one of {SUBSYSTEM_LABELS}"
-                )
-        if len(set(factors)) != len(factors):
-            raise ValueError(f"duplicate labels in layout {factors}")
-
-    @property
-    def dim(self) -> int:
-        return LOCAL_DIM ** len(self.factors)
-
-    def axis(self, label: str) -> int:
-        if label not in self.factors:
-            raise ValueError(f"label {label!r} not in layout {self.factors}")
-        return self.factors.index(label)
-
-
-LAYOUT_CAB = SubsystemLayout(("C", "A", "B"))
-LAYOUT_CA = SubsystemLayout(("C", "A"))
-LAYOUT_AB = SubsystemLayout(("A", "B"))
-
-
-def _check_layout(m, layout: SubsystemLayout) -> np.ndarray:
     arr = as_matrix(m)
-    if arr.shape[0] != layout.dim:
+    if arr.shape != (4, 4):
         raise ValueError(
-            f"matrix dimension {arr.shape[0]} does not match layout "
-            f"{layout.factors} of dimension {layout.dim}"
+            f"partial transpose expects a 4x4 operator on a qubit pair, got shape {arr.shape}"
         )
-    return arr
+    return arr.reshape(2, 2, 2, 2).transpose(0, 3, 2, 1).reshape(4, 4)
 
 
-def matmul(a, b) -> np.ndarray:
-    """Matrix product with an explicit dimension check."""
-    a = as_matrix(a)
-    b = as_matrix(b)
-    if a.shape[0] != b.shape[0]:
-        raise ValueError(
-            f"dimension mismatch in matrix product: {a.shape[0]} vs {b.shape[0]}"
-        )
-    return a @ b
-
-
-def tensor(a, b) -> np.ndarray:
-    """Kronecker product; the second factor's index varies fastest."""
-    a = as_matrix(a)
-    b = as_matrix(b)
-    out_dim = a.shape[0] * b.shape[0]
-    if out_dim > max(SUPPORTED_DIMS):
-        raise ValueError(
-            f"tensor product dimension {out_dim} exceeds the supported maximum "
-            f"{max(SUPPORTED_DIMS)}"
-        )
-    return np.kron(a, b)
-
-
-def trace(a) -> complex:
-    """Sum of diagonal entries."""
-    return complex(np.trace(as_matrix(a)))
-
-
-def adjoint(a) -> np.ndarray:
-    """Conjugate transpose."""
-    return as_matrix(a).conj().T.copy()
-
-
-def partial_trace(m, layout: SubsystemLayout, traced_out: Iterable[str]) -> np.ndarray:
-    """Trace out the named factors, keeping the operator on the remaining ones.
-
-    The full trace is preserved: trace(result) == trace(m).
-    """
-    arr = _check_layout(m, layout)
-    traced = set(traced_out)
-    for label in traced:
-        if label not in layout.factors:
-            raise ValueError(
-                f"cannot trace out {label!r}: not in layout {layout.factors}"
-            )
-    if len(traced) >= len(layout.factors):
-        raise ValueError("cannot trace out every factor; use trace() instead")
-
-    n = len(layout.factors)
-    t = arr.reshape((LOCAL_DIM,) * (2 * n))
-    remaining = list(layout.factors)
-    for label in [f for f in layout.factors if f in traced]:
-        k = remaining.index(label)
-        t = np.trace(t, axis1=k, axis2=k + len(remaining))
-        remaining.pop(k)
-    dim = LOCAL_DIM ** len(remaining)
-    return t.reshape(dim, dim)
-
-
-def partial_transpose(m, layout: SubsystemLayout, on: str) -> np.ndarray:
-    """Transpose applied to one factor's indices only."""
-    arr = _check_layout(m, layout)
-    k = layout.axis(on)
-    n = len(layout.factors)
-    t = arr.reshape((LOCAL_DIM,) * (2 * n))
-    axes = list(range(2 * n))
-    axes[k], axes[k + n] = axes[k + n], axes[k]
-    return t.transpose(axes).reshape(layout.dim, layout.dim)
-
-
-def embed(op, factors, layout: SubsystemLayout = LAYOUT_CAB) -> np.ndarray:
-    """Extend an operator on the named factors by the identity on the rest.
-
-    ``factors`` names, in the operator's own index order, the layout factors
-    the operator acts on; the result is index-permuted to the layout's
-    global ordering.
-    """
-    if isinstance(factors, SubsystemLayout):
-        factors = factors.factors
-    factors = tuple(factors)
-    op = as_matrix(op)
-    if op.shape[0] != LOCAL_DIM ** len(factors):
-        raise ValueError(
-            f"operator dimension {op.shape[0]} does not match {len(factors)} factors"
-        )
-    for label in factors:
-        if label not in layout.factors:
-            raise ValueError(f"factor {label!r} not in layout {layout.factors}")
-    rest = [f for f in layout.factors if f not in factors]
-    if not rest:
-        return op.copy()
-
-    big = np.kron(op, np.eye(LOCAL_DIM ** len(rest), dtype=complex))
-    current = list(factors) + rest
-    n = len(layout.factors)
-    perm = [current.index(f) for f in layout.factors]
-    t = big.reshape((LOCAL_DIM,) * (2 * n))
-    return t.transpose(perm + [p + n for p in perm]).reshape(layout.dim, layout.dim)
-
-
-def hermitian_spectrum(a, hermiticity_tol: float = HERMITICITY_TOL) -> np.ndarray:
+def hermitian_spectrum(a) -> np.ndarray:
     """All eigenvalues of a Hermitian matrix, sorted descending.
 
     Uses LAPACK through ``numpy.linalg.eigvalsh`` on the Hermitian part.
     Raises NonHermitianError for inputs whose asymmetry exceeds
-    ``hermiticity_tol``.
+    HERMITICITY_TOL.
     """
     arr = as_matrix(a)
     asymmetry = float(np.max(np.abs(arr - arr.conj().T)))
-    if asymmetry > hermiticity_tol:
+    if asymmetry > HERMITICITY_TOL:
         raise NonHermitianError(asymmetry)
     return np.linalg.eigvalsh(0.5 * (arr + arr.conj().T))[::-1]
 

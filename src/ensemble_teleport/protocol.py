@@ -28,16 +28,13 @@ from .bell import BELL_INDICES, bell_projector, matrix_unit, pauli
 from .linalg import (
     ANNIHILATION_TOL,
     EQ_TOL,
-    LAYOUT_CAB,
     TRACE_TOL,
     as_matrix,
-    embed,
-    matmul,
-    partial_trace,
+    embed_sender_pair,
     raise_first_failure,
     require_statistical_operator,
     statistical_operator_checks,
-    tensor,
+    trace_out_sender_pair,
 )
 
 
@@ -214,7 +211,7 @@ class PreparationTensor:
 
 def preparation_from_bell(index: int) -> PreparationTensor:
     """Weight tensor whose operator form is the indexed Bell projector on the sender pair."""
-    p = bell_projector(index, subsystems=("C", "A"))
+    p = bell_projector(index)
     u = p.reshape(2, 2, 2, 2).transpose(0, 2, 1, 3)
     return PreparationTensor(u=u, normalized=True)
 
@@ -268,9 +265,10 @@ class ResolvedPreparation:
 def resolve_preparation(prep) -> ResolvedPreparation:
     """Accept a Bell index or a PreparationTensor and classify it.
 
-    Classification keys the receiver correction: Bell preparations carry
-    their index, the automatic preparation needs no correction, anything
-    else is usable only without a correction step.
+    A Bell index is a Python or numpy integer, not a bool. Classification
+    keys the receiver correction: Bell preparations carry their index, the
+    automatic preparation needs no correction, anything else is usable only
+    without a correction step.
     """
     if isinstance(prep, PreparationTensor):
         matches = (np.abs(_KNOWN_WEIGHTS - prep.u) <= EQ_TOL).reshape(5, 16).all(axis=1)
@@ -281,6 +279,11 @@ def resolve_preparation(prep) -> ResolvedPreparation:
         # Equal within EQ_TOL classifies; only equal bits share the constant maps.
         tensor = known if prep.u.tobytes() == known.u.tobytes() else prep
         return ResolvedPreparation(tensor, BELL_INDICES[k] if k < 4 else None, k == 4)
+    if not isinstance(prep, (int, np.integer)) or isinstance(prep, bool):
+        raise ValueError(
+            "preparation must be a PreparationTensor or an integer Bell index in "
+            f"{BELL_INDICES}, got {prep!r}"
+        )
     index = int(prep)
     if index not in BELL_INDICES:
         raise ValueError(f"Bell index must be in {BELL_INDICES}, got {prep!r}")
@@ -289,7 +292,7 @@ def resolve_preparation(prep) -> ResolvedPreparation:
 
 def total_state(c: CoefficientVector) -> np.ndarray:
     """Input ensemble joined with the shared pair: 8x8 operator on C ⊗ A ⊗ B."""
-    return tensor(c.matrix(), bell_projector(4))
+    return np.kron(c.matrix(), bell_projector(4))
 
 
 @dataclass(frozen=True, eq=False)
@@ -323,7 +326,7 @@ def decompose_total_state(c: CoefficientVector) -> TotalStateDecomposition:
         rho,
     )
     projector_terms = tuple(
-        np.kron(bell_projector(i, subsystems=("C", "A")), factor)
+        np.kron(bell_projector(i), factor)
         for i, factor in zip(BELL_INDICES, receiver_factors)
     )
 
@@ -356,9 +359,7 @@ def alice_prepare(u: PreparationTensor, c: CoefficientVector) -> np.ndarray:
     state, and traces the sender pair out. The 2x2 result generally has
     trace below one and must be renormalized before use.
     """
-    p8 = embed(u.matrix(), ("C", "A"), LAYOUT_CAB)
-    raw = matmul(p8, total_state(c))
-    return partial_trace(raw, LAYOUT_CAB, {"C", "A"})
+    return trace_out_sender_pair(embed_sender_pair(u.matrix()) @ total_state(c))
 
 
 def renormalize(m) -> np.ndarray:

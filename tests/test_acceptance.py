@@ -33,7 +33,6 @@ from ensemble_teleport import (
     spectral_norm,
     total_state,
     transformation_matrix,
-    LAYOUT_AB,
 )
 
 SEED = 20240817
@@ -71,7 +70,7 @@ def test_criterion_1_bell_operator_algebra():
 
 def test_criterion_2_entanglement_audit():
     minima = [
-        float(hermitian_spectrum(partial_transpose(bell_projector(i), LAYOUT_AB, "B"))[-1])
+        float(hermitian_spectrum(partial_transpose(bell_projector(i)))[-1])
         for i in BELL_INDICES
     ]
     verdicts = [ppt_entangled(bell_projector(i)) for i in BELL_INDICES]

@@ -384,6 +384,18 @@ class TestGoldenOutput:
         assert (code, err) == (0, "")
         assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN[command]
 
+    def test_one_parser_serves_alternating_commands(self, capsys):
+        # the parser is built once per process; no flag value may leak into a later call
+        assert cli.build_parser() is cli.build_parser()
+        for command in (
+            "sweep --resolution 30 --phase-resolution 4 --prep paut --format csv",
+            "teleport --c11 0.3 --c12re 0.458 --prep bell2 --format csv",
+            "sweep --resolution 5 --mag-resolution 3 --phase-resolution 2 --format csv",
+        ):
+            code, out, err = run_cli(capsys, *command.split())
+            assert (code, err) == (0, "")
+            assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN[command]
+
     @pytest.mark.parametrize("fmt", ["table", "csv", "json"])
     @pytest.mark.parametrize("command", sorted(COMMANDS))
     def test_renderers_match_the_dict_reference(self, command, fmt):

@@ -4,26 +4,24 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ensemble_teleport import (
-    LAYOUT_AB,
-    LAYOUT_CAB,
+    BELL_INDICES,
     NonHermitianError,
-    SubsystemLayout,
-    adjoint,
     automatic_preparation,
     bell_projector,
-    embed,
     hermitian_spectrum,
-    matmul,
     matrix_unit,
-    partial_trace,
     partial_transpose,
     pauli,
     require_statistical_operator,
     spectral_norm,
-    tensor,
-    trace,
 )
-from ensemble_teleport.linalg import raise_first_failure, statistical_operator_checks
+from ensemble_teleport.linalg import (
+    as_matrix,
+    embed_sender_pair,
+    raise_first_failure,
+    statistical_operator_checks,
+    trace_out_sender_pair,
+)
 from conftest import random_hermitian
 
 I2 = np.eye(2, dtype=complex)
@@ -38,98 +36,38 @@ def complex_matrix_strategy(dim):
     )
 
 
-class TestMatmul:
-    def test_identity(self):
-        assert np.array_equal(matmul(I2, I2), I2)
+class TestAsMatrix:
+    def test_rejects_nan(self):
+        bad = np.array([[np.nan, 0.0], [0.0, 1.0]])
+        with pytest.raises(ValueError, match="NaN or Inf"):
+            as_matrix(bad)
 
+
+class TestExactEntries:
     def test_pauli_involution(self):
-        assert np.array_equal(matmul(pauli(1), pauli(1)), I2)
+        assert np.array_equal(pauli(1) @ pauli(1), I2)
 
     def test_pauli_word_times_adjoint(self):
         # (s3 s1)(s3 s1)^dagger expanded by hand: s3 s1 s1 s3 = identity
         word = pauli(3) @ pauli(1)
-        assert np.max(np.abs(matmul(word, adjoint(word)) - I2)) == 0.0
+        assert np.max(np.abs(word @ word.conj().T - I2)) == 0.0
 
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="2 vs 4"):
-            matmul(I2, I4)
+    def test_bell_projector_trace(self):
+        assert abs(np.trace(bell_projector(4)) - 1.0) == 0.0
 
-    def test_rejects_nan(self):
-        bad = np.array([[np.nan, 0.0], [0.0, 1.0]])
-        with pytest.raises(ValueError, match="NaN or Inf"):
-            matmul(bad, I2)
-
-
-class TestTensor:
-    def test_identities(self):
-        assert np.array_equal(tensor(I2, I2), I4)
-
-    def test_single_entry_position(self):
-        # C11 ⊗ A22 puts its only 1 at the second product-basis position
-        result = tensor(matrix_unit(1, 1), matrix_unit(2, 2))
-        expected = np.zeros((4, 4), dtype=complex)
-        expected[1, 1] = 1.0
-        assert np.array_equal(result, expected)
-
-    def test_trace_multiplicative(self, rng):
-        a = random_hermitian(rng, 2)
-        a = a / np.trace(a)
-        b = bell_projector(4)
-        assert abs(trace(tensor(a, b)) - 1.0) < 1e-12
-
-    def test_scope_limit(self):
-        with pytest.raises(ValueError, match="exceeds the supported maximum"):
-            tensor(I4, I4)
-
-
-class TestTrace:
-    def test_identity(self):
-        assert trace(I4) == 4.0
-
-    def test_bell_projector(self):
-        assert abs(trace(bell_projector(4)) - 1.0) == 0.0
-
-    def test_automatic_preparation(self):
+    def test_automatic_preparation_trace(self):
         # diagonal of the automatic preparation: 1 at |12>, 1 at |21|
-        assert abs(trace(automatic_preparation().matrix()) - 2.0) == 0.0
+        assert abs(np.trace(automatic_preparation().matrix()) - 2.0) == 0.0
 
-
-class TestPartialTrace:
-    def test_uncorrelated_factor(self, rng):
-        rho_c = random_hermitian(rng, 2)
-        rho_c /= np.trace(rho_c)
-        product = tensor(rho_c, bell_projector(4))
-        reduced = partial_trace(product, LAYOUT_CAB, {"C"})
-        assert np.max(np.abs(reduced - bell_projector(4))) < 1e-12
-
-    def test_identity_decomposition(self):
-        assert np.array_equal(partial_trace(I8, LAYOUT_CAB, {"C", "A"}), 4 * I2)
-
-    def test_trace_preserved(self, rng):
-        m = random_hermitian(rng, 8)
-        for labels in ({"C"}, {"A"}, {"B"}, {"C", "A"}, {"A", "B"}):
-            reduced = partial_trace(m, LAYOUT_CAB, labels)
-            assert abs(np.trace(reduced) - np.trace(m)) < 1e-12
-
-    def test_unknown_label(self):
-        with pytest.raises(ValueError, match="not in layout"):
-            partial_trace(I4, LAYOUT_AB, {"C"})
-
-    def test_full_trace_rejected(self):
-        with pytest.raises(ValueError, match="every factor"):
-            partial_trace(I4, LAYOUT_AB, {"A", "B"})
-
-
-class TestAdjoint:
     def test_hermitian_fixed_point(self):
-        assert np.array_equal(adjoint(pauli(1)), pauli(1))
+        assert np.array_equal(pauli(1).conj().T, pauli(1))
 
     def test_ket_bra_flip(self):
-        assert np.array_equal(adjoint(matrix_unit(1, 2)), matrix_unit(2, 1))
+        assert np.array_equal(matrix_unit(1, 2).conj().T, matrix_unit(2, 1))
 
     def test_automatic_preparation_self_adjoint(self):
         p = automatic_preparation().matrix()
-        assert np.array_equal(adjoint(p), p)
+        assert np.array_equal(p.conj().T, p)
 
 
 class TestHermitianSpectrum:
@@ -254,71 +192,129 @@ class TestSpectralNorm:
 
 class TestPartialTranspose:
     def test_identity(self):
-        assert np.array_equal(partial_transpose(I4, LAYOUT_AB, "A"), I4)
+        assert np.array_equal(partial_transpose(I4), I4)
 
     def test_bell_projector_has_negative_eigenvalue(self):
-        pt = partial_transpose(bell_projector(4), LAYOUT_AB, "B")
+        pt = partial_transpose(bell_projector(4))
         assert hermitian_spectrum(pt)[-1] < -1e-10
 
     def test_separable_diagonal_state_stays_positive(self):
-        sep = 0.5 * tensor(matrix_unit(1, 1), matrix_unit(1, 1)) + 0.5 * tensor(
+        sep = 0.5 * np.kron(matrix_unit(1, 1), matrix_unit(1, 1)) + 0.5 * np.kron(
             matrix_unit(2, 2), matrix_unit(2, 2)
         )
-        pt = partial_transpose(sep, LAYOUT_AB, "B")
+        pt = partial_transpose(sep)
         assert hermitian_spectrum(pt)[-1] >= -1e-12
 
-    def test_unknown_label(self):
-        with pytest.raises(ValueError, match="not in layout"):
-            partial_transpose(I4, LAYOUT_AB, "C")
+    @pytest.mark.parametrize("dim", [2, 8])
+    def test_rejects_non_pair_operators(self, dim):
+        with pytest.raises(ValueError, match="4x4"):
+            partial_transpose(np.eye(dim))
+
+    @pytest.mark.parametrize("i", BELL_INDICES)
+    def test_bell_projector_spectrum(self, i):
+        # the partial transpose of a maximally entangled projector is half a
+        # swap up to local unitaries: eigenvalues 1/2 (three times) and -1/2
+        spectrum = hermitian_spectrum(partial_transpose(bell_projector(i)))
+        assert np.max(np.abs(spectrum - [0.5, 0.5, 0.5, -0.5])) < 1e-12
+
+    def test_product_operator(self, rng):
+        x, y = random_hermitian(rng, 2) + 1j * I2, random_hermitian(rng, 2) + 1j * I2
+        assert np.array_equal(partial_transpose(np.kron(x, y)), np.kron(x, y.T))
+
+    def test_commutes_with_adjoint(self, rng):
+        m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        assert np.array_equal(partial_transpose(m.conj().T), partial_transpose(m).conj().T)
+
+    def test_trace_preserved(self, rng):
+        m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        assert np.trace(partial_transpose(m)) == np.trace(m)
+
+    def test_covariant_under_first_factor_unitary(self, rng):
+        # a unitary on the first qubit passes through the transpose of the second
+        u = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))[0]
+        u4 = np.kron(u, I2)
+        m = random_hermitian(rng, 4)
+        left = partial_transpose(u4 @ m @ u4.conj().T)
+        right = u4 @ partial_transpose(m) @ u4.conj().T
+        assert np.max(np.abs(left - right)) < 1e-12 * np.max(np.abs(m)) * 16
 
 
-class TestEmbed:
+class TestEmbedSenderPair:
     def test_identity(self):
-        assert np.array_equal(embed(I4, ("C", "A"), LAYOUT_CAB), I8)
+        assert np.array_equal(embed_sender_pair(I4), I8)
 
     def test_trace_doubles(self, rng):
         op = random_hermitian(rng, 4)
-        assert abs(np.trace(embed(op, ("C", "A"))) - 2 * np.trace(op)) < 1e-12
-
-    def test_respects_factor_order(self):
-        # an operator acting on (A, B) leaves the leading C factor alone
-        op = tensor(matrix_unit(1, 2), pauli(3))
-        embedded = embed(op, ("A", "B"), LAYOUT_CAB)
-        assert np.array_equal(embedded, np.kron(I2, op))
+        assert abs(np.trace(embed_sender_pair(op)) - 2 * np.trace(op)) < 1e-12
 
     def test_commutes_with_disjoint_factor(self, rng):
-        on_ca = embed(random_hermitian(rng, 4), ("C", "A"), LAYOUT_CAB)
+        on_ca = embed_sender_pair(random_hermitian(rng, 4))
         on_b = np.kron(I4, random_hermitian(rng, 2))
         assert np.max(np.abs(on_ca @ on_b - on_b @ on_ca)) < 1e-12
 
-    def test_factor_mismatch(self):
-        with pytest.raises(ValueError, match="does not match"):
-            embed(I2, ("C", "A"), LAYOUT_CAB)
+    def test_acts_on_sender_pair_only(self, rng):
+        op, x, y = random_hermitian(rng, 4), random_hermitian(rng, 4), random_hermitian(rng, 2)
+        left = embed_sender_pair(op) @ np.kron(x, y)
+        assert np.max(np.abs(left - np.kron(op @ x, y))) < 1e-12 * 64
+
+    def test_multiplicative(self, rng):
+        a, b = random_hermitian(rng, 4), random_hermitian(rng, 4)
+        product = embed_sender_pair(a) @ embed_sender_pair(b)
+        assert np.max(np.abs(product - embed_sender_pair(a @ b))) < 1e-12 * 64
+
+    def test_commutes_with_adjoint(self, rng):
+        op = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        assert np.array_equal(embed_sender_pair(op).conj().T, embed_sender_pair(op.conj().T))
 
 
-class TestLayout:
-    def test_dim(self):
-        assert LAYOUT_CAB.dim == 8
-        assert SubsystemLayout(("A",)).dim == 2
+class TestTraceOutSenderPair:
+    def test_identity_decomposition(self):
+        assert np.array_equal(trace_out_sender_pair(I8), 4 * I2)
 
-    def test_duplicate_labels_rejected(self):
-        with pytest.raises(ValueError, match="duplicate"):
-            SubsystemLayout(("A", "A"))
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+    def test_explicit_sum_over_c_then_a(self, seed):
+        # entry (b, d) is the sum over c, then over a, of m[(c, a, b), (c, a, d)]:
+        # the same additions in the same order, so the match is exact. Normal
+        # draws rather than the simple floats Hypothesis favours, so that a sum
+        # in another order would differ in the last bit.
+        rng = np.random.default_rng(seed)
+        m = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+        expected = np.array([
+            [sum(sum(m[4 * c + 2 * a + b, 4 * c + 2 * a + d] for c in (0, 1)) for a in (0, 1))
+             for d in (0, 1)]
+            for b in (0, 1)
+        ])
+        reduced = trace_out_sender_pair(m)
+        assert reduced.shape == (2, 2)
+        assert np.array_equal(reduced, expected)
+        assert abs(np.trace(reduced) - np.trace(m)) < 1e-12 * 64 * np.max(np.abs(m))
 
-    def test_unknown_label_rejected(self):
-        with pytest.raises(ValueError, match="unknown subsystem label"):
-            SubsystemLayout(("A", "X"))
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+    def test_uncorrelated_factor(self, seed):
+        # Tr_CA (x ⊗ y) = Tr(x) y for x on the sender pair and y on the receiver
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        y = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        reduced = trace_out_sender_pair(np.kron(x, y))
+        scale = max(1.0, np.max(np.abs(x)) * np.max(np.abs(y)))
+        assert np.max(np.abs(reduced - np.trace(x) * y)) < 1e-12 * 16 * scale
+
+    def test_dual_to_receiver_embedding(self, rng):
+        # Tr[Tr_CA(m) y] = Tr[m (I4 ⊗ y)]: the defining property of the partial trace
+        m, y = random_hermitian(rng, 8), random_hermitian(rng, 2)
+        left = np.trace(trace_out_sender_pair(m) @ y)
+        right = np.trace(m @ np.kron(I4, y))
+        assert abs(left - right) < 1e-12 * 64
+
+    def test_maps_states_to_states(self, rng):
+        for _ in range(20):
+            g = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+            rho = g @ g.conj().T
+            rho /= np.trace(rho)
+            require_statistical_operator(trace_out_sender_pair(rho))
 
 
 class TestInvariants:
-    @given(x=complex_matrix_strategy(2), y=complex_matrix_strategy(2))
-    def test_tensor_partial_trace_adjunction(self, x, y):
-        layout = SubsystemLayout(("C", "B"))
-        left = partial_trace(tensor(x, y), layout, {"C"})
-        assert np.max(np.abs(left - np.trace(x) * y)) < 1e-12 * max(
-            1.0, np.max(np.abs(y)) * abs(np.trace(x))
-        )
-
     @given(a=complex_matrix_strategy(4), b=complex_matrix_strategy(4))
     def test_trace_cyclicity(self, a, b):
         scale = max(1.0, np.max(np.abs(a)) * np.max(np.abs(b)))
@@ -329,8 +325,15 @@ class TestInvariants:
         spectrum = hermitian_spectrum(m.conj().T @ m)
         assert spectrum[-1] >= -1e-10 * max(1.0, np.max(np.abs(m)) ** 2)
 
-    @given(m=complex_matrix_strategy(4), label=st.sampled_from(["A", "B"]))
-    def test_partial_transpose_involution_exact(self, m, label):
-        once = partial_transpose(m, LAYOUT_AB, label)
-        twice = partial_transpose(once, LAYOUT_AB, label)
-        assert np.array_equal(twice, m)
+    @given(m=complex_matrix_strategy(4))
+    def test_partial_transpose_involution_exact(self, m):
+        assert np.array_equal(partial_transpose(partial_transpose(m)), m)
+
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+    def test_partial_transpose_entries(self, seed):
+        # distinct normal draws, so that any other permutation of entries differs
+        rng = np.random.default_rng(seed)
+        m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        pt = partial_transpose(m)
+        for i, j, k, l in np.ndindex(2, 2, 2, 2):
+            assert pt[2 * i + j, 2 * k + l] == m[2 * i + l, 2 * k + j]

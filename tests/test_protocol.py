@@ -10,6 +10,7 @@ from ensemble_teleport import (
     PreparationTensor,
     alice_prepare,
     automatic_preparation,
+    average_fidelity,
     bell_projector,
     bloch_coefficient_rows,
     bob_correct,
@@ -20,7 +21,6 @@ from ensemble_teleport import (
     effective_transformation,
     matrix_from_coefficients,
     matrix_unit,
-    partial_trace,
     pauli,
     preparation_from_bell,
     renormalize,
@@ -28,8 +28,8 @@ from ensemble_teleport import (
     run_session,
     total_state,
     transformation_matrix,
-    LAYOUT_CAB,
 )
+from ensemble_teleport.linalg import trace_out_sender_pair
 from conftest import bloch_coefficient_strategy, random_coefficients
 
 BELL1_COEFFICIENT_MAP = np.array(
@@ -219,8 +219,14 @@ class TestTotalState:
 
     def test_marginal_is_shared_pair(self, rng):
         c = random_coefficients(rng, 1)[0]
-        marginal = partial_trace(total_state(c), LAYOUT_CAB, {"C"})
+        marginal = np.trace(total_state(c).reshape(2, 4, 2, 4), axis1=0, axis2=2)
         assert np.max(np.abs(marginal - bell_projector(4))) < 1e-12
+
+    def test_receiver_marginal_is_maximally_mixed(self, coefficient_samples):
+        # before any measurement the receiver's half carries nothing of the input
+        for c in coefficient_samples[:20]:
+            marginal = trace_out_sender_pair(total_state(c))
+            assert np.max(np.abs(marginal - 0.5 * np.eye(2))) < 1e-12
 
 
 class TestDecomposition:
@@ -266,11 +272,11 @@ class TestPreparations:
     @pytest.mark.parametrize("i", BELL_INDICES)
     def test_matrix_round_trip(self, i):
         u = preparation_from_bell(i)
-        assert np.array_equal(u.matrix(), bell_projector(i, ("C", "A")))
+        assert np.array_equal(u.matrix(), bell_projector(i))
 
     def test_automatic_matrix_is_twice_fourth_projector(self):
         p = automatic_preparation().matrix()
-        assert np.array_equal(p, 2 * bell_projector(4, ("C", "A")))
+        assert np.array_equal(p, 2 * bell_projector(4))
 
     def test_automatic_squares_to_twice_itself(self):
         p = automatic_preparation().matrix()
@@ -307,6 +313,21 @@ class TestPreparations:
     def test_resolve_rejects_bad_index(self):
         with pytest.raises(ValueError, match="Bell index"):
             resolve_preparation(7)
+
+    @pytest.mark.parametrize("prep", [2.7, 4.0, True, "3"])
+    def test_resolve_rejects_non_integral_index(self, prep):
+        with pytest.raises(ValueError, match="PreparationTensor or an integer Bell index"):
+            resolve_preparation(prep)
+        c = CoefficientVector.from_components(0.5)
+        with pytest.raises(ValueError, match="integer Bell index"):
+            run_session(c, prep, ClassicalMessage.two_bits(2), True)
+        with pytest.raises(ValueError, match="integer Bell index"):
+            average_fidelity(prep, True, n=100)
+
+    def test_resolve_accepts_numpy_integers(self):
+        resolved = resolve_preparation(np.int64(2))
+        assert resolved.bell_index == 2 and type(resolved.bell_index) is int
+        assert resolved.tensor is resolve_preparation(2).tensor
 
 
 class TestAlicePrepare:
