@@ -17,6 +17,13 @@ BELL_INDICES = (1, 2, 3, 4)
 _BELL_LABELS = {1: ("even", "+"), 2: ("even", "-"), 3: ("odd", "+"), 4: ("odd", "-")}
 
 
+def require_bell_index(index) -> int:
+    """``index`` as a Python int, if it is a Python or numpy integer (not a bool) in 1..4."""
+    if isinstance(index, (int, np.integer)) and not isinstance(index, bool) and index in BELL_INDICES:
+        return int(index)
+    raise ValueError(f"Bell index must be an integer in {BELL_INDICES}, got {index!r}")
+
+
 def matrix_unit(row: int, col: int) -> np.ndarray:
     """|row><col| on one two-level factor, indices in {1, 2}."""
     if row not in (1, 2) or col not in (1, 2):
@@ -54,8 +61,7 @@ def bell_projector(index: int) -> np.ndarray:
 
     The same matrix serves the shared pair (A, B) and the sender pair (C, A).
     """
-    if index not in BELL_INDICES:
-        raise ValueError(f"Bell index must be in {BELL_INDICES}, got {index}")
+    index = require_bell_index(index)
     # Outer product of the unnormalized (0, ±1) pattern halved, so the
     # entries are exactly ±1/2 rather than one ulp off through 1/sqrt(2).
     w = _bell_pattern(*_BELL_LABELS[index])

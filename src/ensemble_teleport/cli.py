@@ -57,8 +57,9 @@ _TELEPORT_CSV_COLUMNS = (
 
 
 # Every command returns its column names, then the values column by column
-# (one sequence per name, all of one length), then its verdict. None marks an
-# absent cell: empty in CSV and table output, left out of the JSON record.
+# (one sequence or 1-d float64 array per name, all of one length), then its
+# verdict. None marks an absent cell: empty in CSV and table output, left out
+# of the JSON record.
 
 
 def _csv_field(text: str) -> str:
@@ -97,15 +98,39 @@ def _json_cell(value) -> str | None:
 _FLOAT_TEXT = "{:.17g}".format
 
 
-def _column_text(values, cell_text, float_text) -> list:
-    """Text of one column's cells, in one pass."""
-    if set(map(type, values)) == {float}:
-        return list(map(float_text, values))
-    return list(map(cell_text, values))
+def _is_float_column(values) -> bool:
+    if isinstance(values, np.ndarray):
+        return values.ndim == 1 and values.dtype == np.float64
+    return len(values) > 0 and all(type(value) is float for value in values)
+
+
+def _column_texts(data, cell_text, float_text):
+    """A function of (start, stop) giving the cell texts of those rows, column by column.
+
+    The all-float columns share one table of distinct doubles, each formatted
+    once by ``float_text``; their cells index into it. Doubles are told apart
+    by their bits, so 0.0 and -0.0, or NaNs with different payloads, never
+    share a text. Every other column formats cell by cell with ``cell_text``.
+    """
+    floats = [k for k, values in enumerate(data) if _is_float_column(values)]
+    index = {}
+    if floats:
+        bits = np.concatenate([np.asarray(data[k], dtype=np.float64) for k in floats]).view(np.uint64)
+        distinct, inverse = np.unique(bits, return_inverse=True)
+        texts = np.array([*map(float_text, distinct.view(np.float64).tolist())], dtype=object)
+        index = dict(zip(floats, inverse.reshape(len(floats), len(data[0]))))
+
+    def rows(start: int, stop: int) -> list:
+        return [
+            texts[index[k][start:stop]].tolist() if k in index else list(map(cell_text, values[start:stop]))
+            for k, values in enumerate(data)
+        ]
+
+    return rows
 
 
 def _render_table(columns, data) -> str:
-    texts = [_column_text(values, _format_cell, _FLOAT_TEXT) for values in data]
+    texts = _column_texts(data, _format_cell, _FLOAT_TEXT)(0, len(data[0]))
     widths = [max(len(name), max(map(len, text), default=0)) for name, text in zip(columns, texts)]
     padded = [[cell.ljust(w) for cell in text] for text, w in zip(texts, widths)]
     header = "  ".join(name.ljust(w) for name, w in zip(columns, widths)).rstrip()
@@ -120,21 +145,20 @@ _CSV_BLOCK_ROWS = 1024
 
 def _render_csv(columns, data) -> str:
     """CSV as csv.writer writes it; cells that are not strings never need quoting."""
+    texts = _column_texts(data, _csv_cell, _FLOAT_TEXT)
     blocks = [",".join(map(_csv_field, columns))]
     for start in range(0, len(data[0]), _CSV_BLOCK_ROWS):
-        block = [values[start:start + _CSV_BLOCK_ROWS] for values in data]
-        texts = [_column_text(values, _csv_cell, _FLOAT_TEXT) for values in block]
-        blocks.append("\n".join(map(",".join, zip(*texts))))
+        blocks.append("\n".join(map(",".join, zip(*texts(start, start + _CSV_BLOCK_ROWS)))))
     return "\n".join(blocks) + "\n"
 
 
 def _render_json(columns, data) -> str:
     """What json.dumps(records, indent=2) writes for one record per row."""
+    texts = _column_texts(data, _json_cell, _json_float)(0, len(data[0]))
     keyed = []
-    for name, values in zip(columns, data):
+    for name, column in zip(columns, texts):
         key = f"    {json.dumps(name)}: "
-        texts = _column_text(values, _json_cell, _json_float)
-        keyed.append([None if text is None else key + text for text in texts])
+        keyed.append([None if text is None else key + text for text in column])
     records = []
     for row in zip(*keyed):
         present = [cell for cell in row if cell is not None]
@@ -257,8 +281,7 @@ def _cmd_sweep(args) -> tuple[tuple[str, ...], list, bool]:
     _, trace = receiver_states(resolved.session_map(False), coeffs)
     lazy = lazy_fidelities(coeffs)
     columns = ("c11", "c12_re", "c12_im", "lazy_fidelity", "trace_fidelity")
-    data = [column.tolist() for column in (c11, c12.real, c12.imag, lazy, trace)]
-    return columns, data, True
+    return columns, [c11, c12.real, c12.imag, lazy, trace], True
 
 
 def _cmd_paut_audit(args) -> tuple[tuple[str, ...], list, bool]:

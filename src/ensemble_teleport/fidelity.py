@@ -116,13 +116,13 @@ def maximize_lazy_fidelity(grid_resolution: int) -> LazyFidelityMaximum:
     best_mag = 0.0
     for c11 in np.linspace(0.0, 1.0, resolution):
         c22 = 1.0 - c11
-        mag_max = np.sqrt(max(c11 * c22, 0.0))
-        for mag in np.linspace(0.0, mag_max, resolution):
-            value = 2.0 * c11 * c22 - 2.0 * mag * mag
-            if value > best_value:
-                best_value = value
-                best_c11 = float(c11)
-                best_mag = float(mag)
+        mags = np.linspace(0.0, np.sqrt(max(c11 * c22, 0.0)), resolution)
+        values = 2.0 * c11 * c22 - 2.0 * mags * mags
+        k = int(np.argmax(values))  # the first maximum, as in scan order
+        if values[k] > best_value:
+            best_value = values[k]
+            best_c11 = float(c11)
+            best_mag = float(mags[k])
 
     spacing = 1.0 / (resolution - 1)
     lo = max(0.0, best_c11 - spacing)

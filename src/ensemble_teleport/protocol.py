@@ -24,7 +24,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .bell import BELL_INDICES, bell_projector, matrix_unit, pauli
+from .bell import BELL_INDICES, bell_projector, matrix_unit, pauli, require_bell_index
 from .linalg import (
     ANNIHILATION_TOL,
     EQ_TOL,
@@ -279,14 +279,10 @@ def resolve_preparation(prep) -> ResolvedPreparation:
         # Equal within EQ_TOL classifies; only equal bits share the constant maps.
         tensor = known if prep.u.tobytes() == known.u.tobytes() else prep
         return ResolvedPreparation(tensor, BELL_INDICES[k] if k < 4 else None, k == 4)
-    if not isinstance(prep, (int, np.integer)) or isinstance(prep, bool):
-        raise ValueError(
-            "preparation must be a PreparationTensor or an integer Bell index in "
-            f"{BELL_INDICES}, got {prep!r}"
-        )
-    index = int(prep)
-    if index not in BELL_INDICES:
-        raise ValueError(f"Bell index must be in {BELL_INDICES}, got {prep!r}")
+    try:
+        index = require_bell_index(prep)
+    except ValueError as exc:
+        raise ValueError(f"preparation must be a PreparationTensor or an integer Bell index: {exc}") from None
     return ResolvedPreparation(_BELL_TENSORS[index], index, False)
 
 
@@ -452,8 +448,7 @@ def matrix_from_coefficients(v) -> np.ndarray:
 
 def correction_unitary(index: int) -> np.ndarray:
     """Pauli word undoing the conjugation imprinted by the indexed Bell preparation."""
-    if index not in BELL_INDICES:
-        raise ValueError(f"Bell index must be in {BELL_INDICES}, got {index}")
+    index = require_bell_index(index)
     s1, s3 = pauli(1), pauli(3)
     if index == 1:
         return s1 @ s3
@@ -493,7 +488,7 @@ def effective_transformation(u: PreparationTensor, correction_index: int | None)
     t = u.coefficient_map
     if correction_index is None:
         return t
-    return TransformationMatrix(_CORRECTION_MAPS[correction_index] @ t.matrix)
+    return TransformationMatrix(_CORRECTION_MAPS[require_bell_index(correction_index)] @ t.matrix)
 
 
 # The corrected session maps of the constant Bell tensors, built once; an
@@ -566,8 +561,7 @@ class ClassicalMessage:
                 f"message variant must be one of {_MESSAGE_VARIANTS}, got {self.variant!r}"
             )
         if self.variant == "two_bits":
-            if self.index not in BELL_INDICES:
-                raise ValueError("a two-bit message must carry a Bell index in 1..4")
+            object.__setattr__(self, "index", require_bell_index(self.index))
         elif self.index is not None:
             raise ValueError(f"a {self.variant} message carries no index")
 

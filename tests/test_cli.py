@@ -2,6 +2,7 @@ import csv
 import hashlib
 import io
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -361,6 +362,10 @@ GOLDEN = {
         "03c136455ca7562aaab4dfb6b5dcbac6eb426b2a8e6f92e1600dc580c1b8a2a4",
     "sweep --resolution 30 --phase-resolution 4 --prep paut --format csv":
         "295a62f4d460446c622f3570c18b74b471fb50901b3cdaf563d766d6d891234e",
+    "sweep --resolution 30 --phase-resolution 4 --prep bell1 --format table":
+        "ca9c2252f9db15e0340df1ae8cb4f6253ed231bad0754e15ce8e741bb392a0b9",
+    "sweep --resolution 30 --phase-resolution 4 --prep paut --format json":
+        "f9d822490ed1251d58bc46583696e5d671a1d5db01d3b6115097a8f071697748",
     "sweep --resolution 101 --slice zero --format csv":
         "74c68622e3adc50492df921519bea5d69049e51f4fcf89961d44aa13ae8b8f81",
     "sweep --resolution 21 --slice pure --phase-resolution 3 --format json":
@@ -429,11 +434,68 @@ def tables(draw):
     return tuple(columns), data
 
 
+# Doubles that a table repeats, or that must keep texts apart although they
+# compare equal (0.0, -0.0) or are unordered (NaNs with different payloads).
+_REPEATED_FLOATS = (
+    0.0,
+    -0.0,
+    float("nan"),
+    struct.unpack("<d", struct.pack("<Q", 0x7FF8_0000_0000_0001))[0],
+    float("inf"),
+    float("-inf"),
+    5e-324,
+    0.1,
+)
+
+
+@st.composite
+def repeating_tables(draw):
+    """Tables whose float columns draw from a small pool, as lists or as float64 arrays."""
+    columns = draw(st.lists(st.text(max_size=5), min_size=2, max_size=5, unique=True))
+    n = draw(st.integers(min_value=0, max_value=20))
+    data = []
+    for _ in columns:
+        values = draw(st.one_of(
+            st.lists(st.sampled_from(_REPEATED_FLOATS), min_size=n, max_size=n),
+            st.lists(_SCALARS, min_size=n, max_size=n),
+        ))
+        as_array = draw(st.booleans()) and all(type(value) is float for value in values)
+        data.append(np.array(values, dtype=np.float64) if as_array else values)
+    return tuple(columns), data
+
+
+def as_lists(data):
+    return [values.tolist() if isinstance(values, np.ndarray) else values for values in data]
+
+
 class TestColumnRenderers:
     @given(table=tables(), fmt=st.sampled_from(["table", "csv", "json"]))
     def test_match_the_dict_reference(self, table, fmt):
         columns, data = table
         assert cli._render(columns, data, fmt) == reference_render(columns, data, fmt)
+
+    @given(
+        table=repeating_tables(),
+        fmt=st.sampled_from(["table", "csv", "json"]),
+        block_rows=st.sampled_from([1, 7, cli._CSV_BLOCK_ROWS]),
+    )
+    def test_repeated_floats_match_the_dict_reference(self, table, fmt, block_rows):
+        columns, data = table
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(cli, "_CSV_BLOCK_ROWS", block_rows)
+            rendered = cli._render(columns, data, fmt)
+        assert rendered == reference_render(columns, as_lists(data), fmt)
+
+    def test_distinct_bits_keep_distinct_texts(self):
+        column = np.array([0.0, -0.0, 0.0, -0.0])
+        assert cli._render(("x", "y"), [column, column.tolist()], "csv") == "x,y\n0,0\n-0,-0\n0,0\n-0,-0\n"
+
+    @pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+    def test_sweep_columns_stay_float_arrays(self, fmt):
+        args = cli.build_parser().parse_args(COMMANDS["sweep"] + ["--format", fmt])
+        columns, data, _ = args.func(args)
+        assert all(isinstance(values, np.ndarray) and values.dtype == np.float64 for values in data)
+        assert cli._render(columns, data, fmt) == cli._render(columns, as_lists(data), fmt)
 
     @pytest.mark.parametrize("block_rows", [1, 7, 30, 31])
     def test_csv_blocks_join_seamlessly(self, monkeypatch, block_rows):

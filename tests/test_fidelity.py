@@ -23,6 +23,7 @@ from ensemble_teleport import (
     sample_pure_uniform,
     transformation_matrix,
 )
+from ensemble_teleport import fidelity
 from ensemble_teleport.fidelity import SAMPLERS
 from conftest import random_coefficients
 
@@ -153,6 +154,31 @@ class TestMaximizeLazyFidelity:
     def test_rejects_small_resolution(self):
         with pytest.raises(ValueError, match="at least 10"):
             maximize_lazy_fidelity(9)
+
+    @pytest.mark.parametrize("resolution", [10, 11, 37, 100, 200])
+    def test_matches_the_scalar_scan_bit_for_bit(self, resolution):
+        result = maximize_lazy_fidelity(resolution)
+        expected = loop_maximize_lazy_fidelity(resolution)
+        assert (result.value, result.argmax.c11, result.argmax.c12) == expected
+
+
+def loop_maximize_lazy_fidelity(resolution):
+    """The scalar double loop the grid scan replaced, then the same refinement: (value, c11, c12)."""
+    best_value, best_c11, best_mag = -np.inf, 0.0, 0.0
+    for c11 in np.linspace(0.0, 1.0, resolution):
+        c22 = 1.0 - c11
+        for mag in np.linspace(0.0, np.sqrt(max(c11 * c22, 0.0)), resolution):
+            value = 2.0 * c11 * c22 - 2.0 * mag * mag
+            if value > best_value:
+                best_value, best_c11, best_mag = value, float(c11), float(mag)
+    spacing = 1.0 / (resolution - 1)
+    refined = fidelity._golden_section_max(
+        lambda c11: 2.0 * c11 * (1.0 - c11) - 2.0 * best_mag * best_mag,
+        max(0.0, best_c11 - spacing),
+        min(1.0, best_c11 + spacing),
+    )
+    argmax = CoefficientVector.from_components(refined, best_mag)
+    return lazy_fidelity(argmax), argmax.c11, argmax.c12
 
 
 class TestSamplers:

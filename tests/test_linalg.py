@@ -29,11 +29,15 @@ I4 = np.eye(4, dtype=complex)
 I8 = np.eye(8, dtype=complex)
 
 
-def complex_matrix_strategy(dim):
-    entries = st.floats(min_value=-5.0, max_value=5.0, allow_nan=False)
-    return st.lists(st.tuples(entries, entries), min_size=dim * dim, max_size=dim * dim).map(
-        lambda pairs: np.array([re + 1j * im for re, im in pairs]).reshape(dim, dim)
-    )
+# Random matrices come from an integer seed, not from Hypothesis floats: a
+# failing seed shrinks in a few steps, while shrinking 16 drawn complex
+# entries did not finish (minutes and gigabytes on one failing property).
+SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
+
+
+def uniform_complex_matrix(rng, dim):
+    """dim x dim complex matrix with real and imaginary parts uniform in [-5, 5]."""
+    return rng.uniform(-5.0, 5.0, size=(dim, dim)) + 1j * rng.uniform(-5.0, 5.0, size=(dim, dim))
 
 
 class TestAsMatrix:
@@ -271,7 +275,7 @@ class TestTraceOutSenderPair:
     def test_identity_decomposition(self):
         assert np.array_equal(trace_out_sender_pair(I8), 4 * I2)
 
-    @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+    @given(seed=SEEDS)
     def test_explicit_sum_over_c_then_a(self, seed):
         # entry (b, d) is the sum over c, then over a, of m[(c, a, b), (c, a, d)]:
         # the same additions in the same order, so the match is exact. Normal
@@ -289,7 +293,7 @@ class TestTraceOutSenderPair:
         assert np.array_equal(reduced, expected)
         assert abs(np.trace(reduced) - np.trace(m)) < 1e-12 * 64 * np.max(np.abs(m))
 
-    @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+    @given(seed=SEEDS)
     def test_uncorrelated_factor(self, seed):
         # Tr_CA (x ⊗ y) = Tr(x) y for x on the sender pair and y on the receiver
         rng = np.random.default_rng(seed)
@@ -315,21 +319,25 @@ class TestTraceOutSenderPair:
 
 
 class TestInvariants:
-    @given(a=complex_matrix_strategy(4), b=complex_matrix_strategy(4))
-    def test_trace_cyclicity(self, a, b):
+    @given(seed=SEEDS)
+    def test_trace_cyclicity(self, seed):
+        rng = np.random.default_rng(seed)
+        a, b = uniform_complex_matrix(rng, 4), uniform_complex_matrix(rng, 4)
         scale = max(1.0, np.max(np.abs(a)) * np.max(np.abs(b)))
         assert abs(np.trace(a @ b) - np.trace(b @ a)) < 1e-12 * 16 * scale
 
-    @given(m=complex_matrix_strategy(4))
-    def test_gram_matrix_spectrum_nonnegative(self, m):
+    @given(seed=SEEDS)
+    def test_gram_matrix_spectrum_nonnegative(self, seed):
+        m = uniform_complex_matrix(np.random.default_rng(seed), 4)
         spectrum = hermitian_spectrum(m.conj().T @ m)
         assert spectrum[-1] >= -1e-10 * max(1.0, np.max(np.abs(m)) ** 2)
 
-    @given(m=complex_matrix_strategy(4))
-    def test_partial_transpose_involution_exact(self, m):
+    @given(seed=SEEDS)
+    def test_partial_transpose_involution_exact(self, seed):
+        m = uniform_complex_matrix(np.random.default_rng(seed), 4)
         assert np.array_equal(partial_transpose(partial_transpose(m)), m)
 
-    @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+    @given(seed=SEEDS)
     def test_partial_transpose_entries(self, seed):
         # distinct normal draws, so that any other permutation of entries differs
         rng = np.random.default_rng(seed)

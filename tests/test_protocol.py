@@ -330,6 +330,42 @@ class TestPreparations:
         assert resolved.tensor is resolve_preparation(2).tensor
 
 
+# Every function that takes a Bell index checks it through bell.require_bell_index.
+BELL_TENSOR_1 = preparation_from_bell(1)
+BELL_INDEX_TAKERS = {
+    "bell_projector": bell_projector,
+    "preparation_from_bell": preparation_from_bell,
+    "correction_unitary": correction_unitary,
+    "ClassicalMessage.two_bits": ClassicalMessage.two_bits,
+    "resolve_preparation": resolve_preparation,
+    "effective_transformation": lambda index: effective_transformation(BELL_TENSOR_1, index),
+}
+
+
+class TestBellIndexCheck:
+    @pytest.mark.parametrize("index", [True, 2.0, "3"])
+    @pytest.mark.parametrize("taker", sorted(BELL_INDEX_TAKERS))
+    def test_rejects_non_integer(self, taker, index):
+        with pytest.raises(ValueError, match=r"Bell index must be an integer in \(1, 2, 3, 4\)"):
+            BELL_INDEX_TAKERS[taker](index)
+
+    @pytest.mark.parametrize("taker", sorted(BELL_INDEX_TAKERS))
+    def test_numpy_integer_equals_python_integer(self, taker):
+        from_numpy = BELL_INDEX_TAKERS[taker](np.int64(2))
+        from_python = BELL_INDEX_TAKERS[taker](2)
+        if isinstance(from_python, np.ndarray):
+            assert np.array_equal(from_numpy, from_python)
+        elif taker == "preparation_from_bell":
+            assert np.array_equal(from_numpy.u, from_python.u)
+        elif taker == "effective_transformation":
+            assert np.array_equal(from_numpy.matrix, from_python.matrix)
+        else:
+            assert from_numpy == from_python
+
+    def test_message_carries_a_python_int(self):
+        assert type(ClassicalMessage.two_bits(np.int64(3)).index) is int
+
+
 class TestAlicePrepare:
     def test_bell_one_gives_conjugated_quarter(self, coefficient_samples):
         s1, s3 = pauli(1), pauli(3)
