@@ -55,11 +55,9 @@ from .protocol import (
     bloch_coefficient_rows,
     bob_correct,
     coefficient_rows,
-    coefficients_of,
     correction_unitary,
     decompose_total_state,
     effective_transformation,
-    matrix_from_coefficients,
     preparation_from_bell,
     receiver_state,
     receiver_states,
@@ -93,7 +91,6 @@ __all__ = [
     "bloch_coefficient_rows",
     "bob_correct",
     "coefficient_rows",
-    "coefficients_of",
     "compare_conventions",
     "correction_unitary",
     "decompose_total_state",
@@ -103,7 +100,6 @@ __all__ = [
     "fidelity_vector",
     "hermitian_spectrum",
     "lazy_fidelity",
-    "matrix_from_coefficients",
     "matrix_unit",
     "maximize_lazy_fidelity",
     "partial_transpose",

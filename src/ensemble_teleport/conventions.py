@@ -6,6 +6,9 @@ copies of the preparation before renormalizing. For idempotent preparations
 both produce the same receiver state; for the automatic preparation the
 sandwich numerator is exactly twice the one-sided one and renormalization
 absorbs the factor.
+
+The comparison runs on stacks of inputs (``_compare_rows``), and
+``compare_conventions`` is its one-input call.
 """
 
 from __future__ import annotations
@@ -14,14 +17,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import ANNIHILATION_TOL, EQ_TOL, embed_sender_pair, trace_out_sender_pair
+from .linalg import (
+    ANNIHILATION_TOL,
+    EQ_TOL,
+    embed_sender_pair,
+    raise_first_failure,
+    trace_out_sender_pair,
+)
 from .protocol import (
     CoefficientVector,
     PreparationTensor,
-    alice_prepare,
-    renormalize,
+    renormalize_checks,
     total_state,
+    total_states,
 )
+
+_TWO_SIDED_ANNIHILATED = "two-sided update annihilated the ensemble: total trace {!r}"
 
 
 def sandwich_numerator(u: PreparationTensor, c: CoefficientVector) -> np.ndarray:
@@ -30,18 +41,13 @@ def sandwich_numerator(u: PreparationTensor, c: CoefficientVector) -> np.ndarray
     return trace_out_sender_pair(p8 @ total_state(c) @ p8)
 
 
-def _normalized_sandwich(numerator: np.ndarray) -> np.ndarray:
-    denominator = complex(np.trace(numerator))
-    if abs(denominator.imag) > EQ_TOL or denominator.real <= ANNIHILATION_TOL:
-        raise ValueError(
-            f"two-sided update annihilated the ensemble: total trace {denominator!r}"
-        )
-    return numerator / denominator.real
-
-
 def prepare_sandwich(u: PreparationTensor, c: CoefficientVector) -> np.ndarray:
     """Two-sided preparation: sandwich the total state and divide by the full trace."""
-    return _normalized_sandwich(sandwich_numerator(u, c))
+    numerator = sandwich_numerator(u, c)
+    denominator = complex(np.trace(numerator))
+    if abs(denominator.imag) > EQ_TOL or denominator.real <= ANNIHILATION_TOL:
+        raise ValueError(_TWO_SIDED_ANNIHILATED.format(denominator))
+    return numerator / denominator.real
 
 
 @dataclass(frozen=True, eq=False)
@@ -59,14 +65,50 @@ class ConventionResult:
     prenorm_ratio: float
 
 
+def _compare_rows(
+    u: PreparationTensor, coeffs
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Both updates of one preparation on each of a batch of inputs.
+
+    ``coeffs`` is an ``(N, 4)`` array of checked input coefficient rows, as
+    ``coefficient_rows`` gives them. Returns the ``ConventionResult`` fields
+    stacked: the ``(N, 2, 2)`` one-sided and two-sided states, and the
+    ``(N,)`` gaps and ratios. Row i is bitwise what one comparison of input
+    i gives: renormalize(alice_prepare(u, c)), prepare_sandwich(u, c) and
+    the traces of alice_prepare and sandwich_numerator. A row that fails
+    renormalize's checks or the two-sided trace check raises ValueError with
+    the message of the lowest failing row's first failing check.
+    """
+    c = np.asarray(coeffs, dtype=complex)
+    if c.ndim != 2 or c.shape[1] != 4:
+        raise ValueError(f"expected an (N, 4) array of coefficient rows, got shape {c.shape}")
+    p8 = embed_sender_pair(u.matrix())
+    # p8 @ total @ p8 evaluates as (p8 @ total) @ p8, so the sandwich reuses
+    # the one-sided product. A failing row may give inf or nan in later
+    # steps, which is harmless: only its first failing check is reported.
+    with np.errstate(all="ignore"):
+        one = p8 @ total_states(c)
+        raw = trace_out_sender_pair(one)
+        numerator = trace_out_sender_pair(one @ p8)
+        del one  # an (N, 8, 8) temporary
+        trace = raw[:, 0, 0] + raw[:, 1, 1]
+        total = numerator[:, 0, 0] + numerator[:, 1, 1]
+        ansatz = raw / trace.real[:, None, None]
+        sandwich = numerator / total.real[:, None, None]
+        checks = [
+            *renormalize_checks(raw, trace),
+            (
+                (np.abs(total.imag) > EQ_TOL) | (total.real <= ANNIHILATION_TOL),
+                lambda i: _TWO_SIDED_ANNIHILATED.format(complex(total[i])),
+            ),
+        ]
+    raise_first_failure(checks)
+    return ansatz, sandwich, np.abs(ansatz - sandwich).max(axis=(1, 2)), total.real / trace.real
+
+
 def compare_conventions(u: PreparationTensor, c: CoefficientVector) -> ConventionResult:
-    """Run both updates on the same input and record their difference."""
-    raw = alice_prepare(u, c)
-    ansatz = renormalize(raw)
-    numerator = sandwich_numerator(u, c)
-    sandwich = _normalized_sandwich(numerator)
-    ratio = float(np.trace(numerator).real / np.trace(raw).real)
-    diff = float(np.max(np.abs(ansatz - sandwich)))
+    """Run both updates on the same input and record their difference: ``_compare_rows`` on one row."""
+    ansatz, sandwich, diff, ratio = _compare_rows(u, c.as_vector()[None])
     return ConventionResult(
-        ansatz=ansatz, sandwich=sandwich, max_abs_diff=diff, prenorm_ratio=ratio
+        ansatz=ansatz[0], sandwich=sandwich[0], max_abs_diff=float(diff[0]), prenorm_ratio=float(ratio[0])
     )

@@ -57,17 +57,27 @@ _I2 = np.eye(2, dtype=complex)
 _I2.setflags(write=False)
 
 
+def stacked_kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """kron(a_i, b) for every matrix a_i of a stack ``(..., m, n)`` and one matrix b.
+
+    Broadcasting forms the same products as ``numpy.kron``, bit for bit,
+    without its general-purpose set-up.
+    """
+    (m, n), (p, q) = a.shape[-2:], b.shape
+    return (a[..., :, None, :, None] * b[:, None, :]).reshape(*a.shape[:-2], m * p, n * q)
+
+
 def embed_sender_pair(op: np.ndarray) -> np.ndarray:
     """Extend a 4x4 operator on the sender pair (C, A) by the identity on B: kron(op, I2)."""
-    return np.kron(op, _I2)
+    return stacked_kron(op, _I2)
 
 
 def trace_out_sender_pair(m: np.ndarray) -> np.ndarray:
-    """Receiver marginal of an 8x8 operator on C ⊗ A ⊗ B: trace out C, then A."""
+    """Receiver marginals of 8x8 operators ``(..., 8, 8)`` on C ⊗ A ⊗ B: trace out C, then A."""
     # Two pairwise sums in this order fix the rounding of every entry; a
     # single einsum over (c, a) adds in another order and moves last bits.
-    t = np.trace(m.reshape((2,) * 6), axis1=0, axis2=3)
-    return np.trace(t, axis1=0, axis2=2)
+    t = np.trace(m.reshape(m.shape[:-2] + (2,) * 6), axis1=-6, axis2=-3)
+    return np.trace(t, axis1=-4, axis2=-2)
 
 
 def partial_transpose(m) -> np.ndarray:

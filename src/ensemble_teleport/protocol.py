@@ -33,6 +33,7 @@ from .linalg import (
     embed_sender_pair,
     raise_first_failure,
     require_statistical_operator,
+    stacked_kron,
     statistical_operator_checks,
     trace_out_sender_pair,
 )
@@ -286,9 +287,19 @@ def resolve_preparation(prep) -> ResolvedPreparation:
     return ResolvedPreparation(_BELL_TENSORS[index], index, False)
 
 
+# The pair (A, B) is shared in the fourth Bell projector.
+_SHARED_PAIR = bell_projector(4)
+_SHARED_PAIR.setflags(write=False)
+
+
+def total_states(coeffs: np.ndarray) -> np.ndarray:
+    """``total_state`` of each ``(N, 4)`` coefficient row: the ``(N, 8, 8)`` stack."""
+    return stacked_kron(coeffs.reshape(-1, 2, 2), _SHARED_PAIR)
+
+
 def total_state(c: CoefficientVector) -> np.ndarray:
     """Input ensemble joined with the shared pair: 8x8 operator on C ⊗ A ⊗ B."""
-    return np.kron(c.matrix(), bell_projector(4))
+    return total_states(c.as_vector())[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -373,6 +384,19 @@ def renormalize(m) -> np.ndarray:
     return arr / t.real
 
 
+def renormalize_checks(raw: np.ndarray, trace: np.ndarray) -> list:
+    """``renormalize``'s checks on a stack ``(N, 2, 2)`` and its traces, for ``raise_first_failure``.
+
+    In order: finite entries, a real trace (EQ_TOL), and a trace above
+    ANNIHILATION_TOL, with renormalize's messages.
+    """
+    return [
+        (~np.isfinite(raw).all(axis=(1, 2)), lambda i: "matrix contains NaN or Inf entries"),
+        (np.abs(trace.imag) > EQ_TOL, lambda i: _IMAGINARY_TRACE.format(trace.imag[i])),
+        (trace.real <= ANNIHILATION_TOL, lambda i: _ANNIHILATED.format(trace.real[i])),
+    ]
+
+
 def fidelity_trace(c: CoefficientVector, bob) -> float:
     """Overlap Tr(rho_in * rho_bob) with the input transported to the receiver basis.
 
@@ -428,22 +452,6 @@ def transformation_matrix(u: PreparationTensor) -> TransformationMatrix:
     """
     t = np.einsum("am,bn,qpnm->abpq", _EPSILON, _EPSILON, u.u)
     return TransformationMatrix(t.reshape(4, 4))
-
-
-def coefficients_of(m) -> np.ndarray:
-    """Row-major coefficient 4-vector (m11, m12, m21, m22) of a 2x2 operator."""
-    arr = as_matrix(m)
-    if arr.shape != (2, 2):
-        raise ValueError(f"expected a 2x2 operator, got shape {arr.shape}")
-    return arr.reshape(4).copy()
-
-
-def matrix_from_coefficients(v) -> np.ndarray:
-    """Inverse of coefficients_of."""
-    arr = np.asarray(v, dtype=complex)
-    if arr.shape != (4,):
-        raise ValueError(f"expected a coefficient 4-vector, got shape {arr.shape}")
-    return arr.reshape(2, 2).copy()
 
 
 def correction_unitary(index: int) -> np.ndarray:
@@ -527,9 +535,7 @@ def receiver_states(t: TransformationMatrix, coeffs) -> tuple[np.ndarray, np.nda
         overlap = product[:, 0, 0] + product[:, 1, 1]
         del product  # an (N, 2, 2) temporary; free it before the checks allocate theirs
         checks = [
-            (~np.isfinite(raw).all(axis=(1, 2)), lambda i: "matrix contains NaN or Inf entries"),
-            (np.abs(trace.imag) > EQ_TOL, lambda i: _IMAGINARY_TRACE.format(trace.imag[i])),
-            (trace.real <= ANNIHILATION_TOL, lambda i: _ANNIHILATED.format(trace.real[i])),
+            *renormalize_checks(raw, trace),
             # These include fidelity_trace's unit-trace test, on the same trace.
             *statistical_operator_checks(states),
             (np.abs(overlap.imag) > EQ_TOL, lambda i: _IMAGINARY_OVERLAP.format(overlap.imag[i])),

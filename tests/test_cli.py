@@ -379,6 +379,8 @@ GOLDEN = {
         "515475c2d16578e484e00ecef65314dfc8bfe4fec24e43d48e50ac9ca4ea68a1",
     "appendix-check --samples 50 --seed 7 --format json":
         "60235da1d544357fc48d5d8b4f1bf5d6b28aa45d0f12373863f2c286f4738d63",
+    "appendix-check --samples 1000 --seed 3 --format json":
+        "d6ee04c38c1fecf9f6b24866e2d85a4f658f76138ec49db83d0b9db8725dc512",
 }
 
 

@@ -19,6 +19,7 @@ from ensemble_teleport.linalg import (
     as_matrix,
     embed_sender_pair,
     raise_first_failure,
+    stacked_kron,
     statistical_operator_checks,
     trace_out_sender_pair,
 )
@@ -243,6 +244,21 @@ class TestPartialTranspose:
         assert np.max(np.abs(left - right)) < 1e-12 * np.max(np.abs(m)) * 16
 
 
+class TestStackedKron:
+    @given(seed=SEEDS)
+    def test_bitwise_numpy_kron_of_each_matrix(self, seed):
+        rng = np.random.default_rng(seed)
+        for a_shape, b_shape in (((5, 2, 2), (4, 4)), ((4, 4), (2, 2)), ((3, 1, 2, 3), (2, 1))):
+            a = rng.normal(size=a_shape) + 1j * rng.normal(size=a_shape)
+            b = rng.normal(size=b_shape) + 1j * rng.normal(size=b_shape)
+            b.flat[0] = -0.0  # signed zeros keep their sign
+            stacked = stacked_kron(a, b)
+            flat = a.reshape(-1, *a_shape[-2:])
+            expected = np.stack([np.kron(m, b) for m in flat]).reshape(stacked.shape)
+            assert stacked.shape == a_shape[:-2] + (a_shape[-2] * b_shape[0], a_shape[-1] * b_shape[1])
+            assert stacked.tobytes() == expected.tobytes()
+
+
 class TestEmbedSenderPair:
     def test_identity(self):
         assert np.array_equal(embed_sender_pair(I4), I8)
@@ -292,6 +308,15 @@ class TestTraceOutSenderPair:
         assert reduced.shape == (2, 2)
         assert np.array_equal(reduced, expected)
         assert abs(np.trace(reduced) - np.trace(m)) < 1e-12 * 64 * np.max(np.abs(m))
+
+    @given(seed=SEEDS)
+    def test_stack_equals_each_matrix(self, seed):
+        rng = np.random.default_rng(seed)
+        m = rng.normal(size=(3, 4, 8, 8)) + 1j * rng.normal(size=(3, 4, 8, 8))
+        reduced = trace_out_sender_pair(m)
+        assert reduced.shape == (3, 4, 2, 2)
+        expected = np.stack([trace_out_sender_pair(one) for one in m.reshape(12, 8, 8)])
+        assert reduced.tobytes() == expected.reshape(3, 4, 2, 2).tobytes()
 
     @given(seed=SEEDS)
     def test_uncorrelated_factor(self, seed):
