@@ -38,7 +38,7 @@ def main():
     print(f"spectral norm        : {spectral_norm(p):.12f}")
     print(f"diagonal weight sum  : {u.diagonal_weight():.1f} (projective preparations give 1)")
     print("coefficient map:")
-    print(np.round(transformation_matrix(u).matrix.real, 3))
+    print(np.round(transformation_matrix(u).real, 3))
 
     print()
     print("sessions with zero transmitted bits")

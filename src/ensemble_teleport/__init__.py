@@ -49,7 +49,6 @@ from .protocol import (
     PreparationTensor,
     SessionRecord,
     TotalStateDecomposition,
-    TransformationMatrix,
     alice_prepare,
     automatic_preparation,
     bloch_coefficient_rows,
@@ -57,9 +56,7 @@ from .protocol import (
     coefficient_rows,
     correction_unitary,
     decompose_total_state,
-    effective_transformation,
     preparation_from_bell,
-    receiver_state,
     receiver_states,
     renormalize,
     resolve_preparation,
@@ -82,7 +79,6 @@ __all__ = [
     "PreparationTensor",
     "SessionRecord",
     "TotalStateDecomposition",
-    "TransformationMatrix",
     "alice_prepare",
     "automatic_preparation",
     "average_fidelity",
@@ -94,7 +90,6 @@ __all__ = [
     "compare_conventions",
     "correction_unitary",
     "decompose_total_state",
-    "effective_transformation",
     "fidelity_report",
     "fidelity_trace",
     "fidelity_vector",
@@ -107,7 +102,6 @@ __all__ = [
     "ppt_entangled",
     "prepare_sandwich",
     "preparation_from_bell",
-    "receiver_state",
     "receiver_states",
     "renormalize",
     "require_statistical_operator",

@@ -34,13 +34,12 @@ from .protocol import (
     receiver_states,
     resolve_preparation,
     run_session,
-    transformation_matrix,
 )
 
 DEFAULT_SEED = 42
 
-# --prep flag values and what resolve_preparation receives for each.
-_PREPS = {"bell1": 1, "bell2": 2, "bell3": 3, "bell4": 4, "paut": automatic_preparation()}
+# --prep flag values and their preparation tensors.
+_PREPS = {**{f"bell{i}": resolve_preparation(i) for i in BELL_INDICES}, "paut": automatic_preparation()}
 _PREP_CHOICES = tuple(_PREPS)
 _MESSAGE_CHOICES = ("twobits", "onebit", "preagreed")
 
@@ -205,8 +204,8 @@ def _cmd_bell_audit(args) -> tuple[tuple[str, ...], list, bool]:
 
 def _cmd_teleport(args) -> tuple[tuple[str, ...], list, bool]:
     c = CoefficientVector.from_components(args.c11, complex(args.c12re, args.c12im))
-    resolved = resolve_preparation(_PREPS[args.prep])
-    bell_index = resolved.bell_index
+    u = _PREPS[args.prep]
+    bell_index = u.bell_index
 
     message_name = args.message
     if message_name is None:
@@ -220,8 +219,8 @@ def _cmd_teleport(args) -> tuple[tuple[str, ...], list, bool]:
     else:
         message = ClassicalMessage.pre_agreed()
 
-    record = run_session(c, resolved.tensor, message, bob_acts=args.correct)
-    report = fidelity_report(c, resolved.session_map(args.correct), record.bob_state)
+    record = run_session(c, u, message, bob_acts=args.correct)
+    report = fidelity_report(c, u.session_map(args.correct), record.bob_state)
 
     row = (
         c.c11,
@@ -275,11 +274,10 @@ def _cmd_sweep(args) -> tuple[tuple[str, ...], list, bool]:
     mag_resolution = args.mag_resolution if args.mag_resolution is not None else args.resolution
     if mag_resolution < 1 or args.phase_resolution < 1:
         raise ValueError("magnitude and phase resolutions must be at least 1")
-    resolved = resolve_preparation(_PREPS[args.prep])
 
     c11, c12 = _sweep_grid(args, mag_resolution)
     coeffs = coefficient_rows(c11, c12, c12.conj(), 1.0 - c11)
-    _, trace = receiver_states(resolved.session_map(False), coeffs)
+    _, trace = receiver_states(_PREPS[args.prep].session_map(False), coeffs)
     lazy = lazy_fidelities(coeffs)
     columns = ("c11", "c12_re", "c12_im", "lazy_fidelity", "trace_fidelity")
     return columns, [c11, c12.real, c12.imag, lazy, trace], True
@@ -287,13 +285,13 @@ def _cmd_sweep(args) -> tuple[tuple[str, ...], list, bool]:
 
 def _cmd_paut_audit(args) -> tuple[tuple[str, ...], list, bool]:
     tol = args.tol
-    u = automatic_preparation()
+    u = _PREPS["paut"]
     p = u.matrix()
     spectrum = hermitian_spectrum(p)
     norm = spectral_norm(p)
     p2 = p @ p
     factor = float((np.trace(p.conj().T @ p2) / np.trace(p.conj().T @ p)).real)
-    tmat = transformation_matrix(u).matrix
+    tmat = u.coefficient_map
     t_residual = float(np.max(np.abs(tmat - np.eye(4, dtype=complex))))
     spectrum_residual = float(np.max(np.abs(spectrum - np.array([2.0, 0.0, 0.0, 0.0]))))
     note = (
@@ -330,7 +328,6 @@ def _cmd_appendix_check(args) -> tuple[tuple[str, ...], list, bool]:
         raise ValueError(f"need at least 1 sample, got {args.samples}")
     tol = args.tol
     rng = np.random.default_rng(args.seed)
-    cases = {name: resolve_preparation(prep) for name, prep in _PREPS.items()}
     columns = (
         "prep",
         "samples",
@@ -341,12 +338,12 @@ def _cmd_appendix_check(args) -> tuple[tuple[str, ...], list, bool]:
     )
     rows: list[tuple] = []
     ok = True
-    for name, resolved in cases.items():
-        expected_ratio = 1.0 if resolved.bell_index is not None else 2.0
+    for name, u in _PREPS.items():
+        expected_ratio = 1.0 if u.bell_index is not None else 2.0
         # One block per preparation takes the draws in the order that one
         # sample at a time would.
         coeffs = bloch_coefficient_rows(*SAMPLERS["mixed_uniform"](rng, args.samples))
-        _, _, diff, ratio = _compare_rows(resolved.tensor, coeffs)
+        _, _, diff, ratio = _compare_rows(u, coeffs)
         max_diff = float(diff.max())
         max_ratio_dev = float(np.abs(ratio - expected_ratio).max())
         within = max_diff < tol and max_ratio_dev < max(tol, EQ_TOL)

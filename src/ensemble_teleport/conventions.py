@@ -82,7 +82,7 @@ def _compare_rows(
     c = np.asarray(coeffs, dtype=complex)
     if c.ndim != 2 or c.shape[1] != 4:
         raise ValueError(f"expected an (N, 4) array of coefficient rows, got shape {c.shape}")
-    p8 = embed_sender_pair(u.matrix())
+    p8 = u.sender_operator
     # p8 @ total @ p8 evaluates as (p8 @ total) @ p8, so the sandwich reuses
     # the one-sided product. A failing row may give inf or nan in later
     # steps, which is harmless: only its first failing check is reported.

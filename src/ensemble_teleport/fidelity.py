@@ -17,7 +17,6 @@ import numpy as np
 from .linalg import AGREE_TOL, ANNIHILATION_TOL, EQ_TOL
 from .protocol import (
     CoefficientVector,
-    TransformationMatrix,
     bloch_coefficient_rows,
     fidelity_trace,
     receiver_states,
@@ -32,7 +31,7 @@ def fidelity_vector(c: CoefficientVector, t) -> float:
     first and fourth components. Raises when the transformed vector has no
     positive trace component (the transformation annihilates the input).
     """
-    tm = t.matrix if isinstance(t, TransformationMatrix) else np.asarray(t, dtype=complex)
+    tm = np.asarray(t, dtype=complex)
     if tm.shape != (4, 4):
         raise ValueError(f"expected a 4x4 transformation, got shape {tm.shape}")
     cv = c.as_vector()

@@ -171,6 +171,10 @@ class PreparationTensor:
     probability-like set (real, nonnegative, summing to one), which holds
     for every projective preparation. The automatic preparation violates it
     (the sum is two) and must be constructed with the flag explicitly False.
+
+    The tensor is the one place that knows what a session with it does: its
+    classification against the known preparations and its session maps. The
+    weights are read-only, so each derived value is computed on first use and kept.
     """
 
     u: np.ndarray
@@ -205,9 +209,52 @@ class PreparationTensor:
         return float(np.real(sum(self.u[k, k, m, m] for k in (0, 1) for m in (0, 1))))
 
     @cached_property
-    def coefficient_map(self) -> TransformationMatrix:
-        """``transformation_matrix(self)``, built on first use: the weights are read-only."""
+    def coefficient_map(self) -> np.ndarray:
+        """``transformation_matrix(self)``."""
         return transformation_matrix(self)
+
+    @cached_property
+    def sender_operator(self) -> np.ndarray:
+        """The preparation embedded on C ⊗ A ⊗ B: ``embed_sender_pair(self.matrix())``, read-only."""
+        p8 = embed_sender_pair(self.matrix())
+        p8.setflags(write=False)
+        return p8
+
+    @cached_property
+    def _known_index(self) -> int | None:
+        # Position in _KNOWN_WEIGHTS of the weights within EQ_TOL of these, or None.
+        matches = (np.abs(_KNOWN_WEIGHTS - self.u) <= EQ_TOL).reshape(5, 16).all(axis=1)
+        return int(np.argmax(matches)) if matches.any() else None
+
+    @cached_property
+    def bell_index(self) -> int | None:
+        """Index of the Bell preparation these weights match within EQ_TOL, else None."""
+        k = self._known_index
+        return BELL_INDICES[k] if k is not None and k < 4 else None
+
+    @cached_property
+    def automatic(self) -> bool:
+        """Whether these weights match the automatic preparation's within EQ_TOL."""
+        return self._known_index == 4
+
+    @cached_property
+    def _corrected_map(self) -> np.ndarray:
+        # A Pauli conjugation U . U† acts on row-major coefficient 4-vectors as kron(U, conj(U)).
+        t = _CORRECTION_MAPS[self.bell_index] @ self.coefficient_map
+        t.setflags(write=False)
+        return t
+
+    def session_map(self, bob_acts: bool) -> np.ndarray:
+        """Read-only 4x4 coefficient map of a session; the correction applies only when ``bob_acts``.
+
+        Bell preparations are corrected by their index and the automatic one
+        needs no correction; any other tensor runs only without one.
+        """
+        if not bob_acts or self.automatic:
+            return self.coefficient_map
+        if self.bell_index is None:
+            raise ValueError("no correction rule for this preparation; run with bob_acts=False")
+        return self._corrected_map
 
 
 def preparation_from_bell(index: int) -> PreparationTensor:
@@ -233,58 +280,26 @@ def automatic_preparation() -> PreparationTensor:
     return PreparationTensor(u=u, normalized=False)
 
 
-# The known preparations, built once: the Bell tensors by index, and all five
-# (Bell 1..4, then automatic) with their weights stacked for classification.
+# The known preparations, built once: the Bell tensors by index, and the
+# weights of all five (Bell 1..4, then automatic) stacked for classification.
 _BELL_TENSORS = {index: preparation_from_bell(index) for index in BELL_INDICES}
-_KNOWN_TENSORS = (*_BELL_TENSORS.values(), automatic_preparation())
-_KNOWN_WEIGHTS = np.stack([t.u for t in _KNOWN_TENSORS])
+_KNOWN_WEIGHTS = np.stack([t.u for t in (*_BELL_TENSORS.values(), automatic_preparation())])
 _KNOWN_WEIGHTS.setflags(write=False)
 
 
-@dataclass(frozen=True)
-class ResolvedPreparation:
-    """A preparation tensor classified against the known preparation family.
+def resolve_preparation(prep) -> PreparationTensor:
+    """A Bell index as the constant Bell tensor; a PreparationTensor as itself.
 
-    ``tensor`` is the module's constant tensor when the input has exactly its
-    weights, so that every such input shares the constant's session maps.
-    """
-
-    tensor: PreparationTensor
-    bell_index: int | None
-    automatic: bool
-
-    def session_map(self, bob_acts: bool) -> TransformationMatrix:
-        """Effective coefficient map of a session; the correction applies only when ``bob_acts``."""
-        if bob_acts and self.bell_index is None and not self.automatic:
-            raise ValueError("no correction rule for this preparation; run with bob_acts=False")
-        if not bob_acts or self.bell_index is None:
-            return self.tensor.coefficient_map
-        known = _CORRECTED_MAPS.get(self.tensor)
-        return known if known is not None else effective_transformation(self.tensor, self.bell_index)
-
-
-def resolve_preparation(prep) -> ResolvedPreparation:
-    """Accept a Bell index or a PreparationTensor and classify it.
-
-    A Bell index is a Python or numpy integer, not a bool. Classification
-    keys the receiver correction: Bell preparations carry their index, the
-    automatic preparation needs no correction, anything else is usable only
-    without a correction step.
+    A Bell index is a Python or numpy integer, not a bool. The tensor
+    classifies itself (``bell_index``, ``automatic``) on first use.
     """
     if isinstance(prep, PreparationTensor):
-        matches = (np.abs(_KNOWN_WEIGHTS - prep.u) <= EQ_TOL).reshape(5, 16).all(axis=1)
-        if not matches.any():
-            return ResolvedPreparation(prep, None, False)
-        k = int(np.argmax(matches))
-        known = _KNOWN_TENSORS[k]
-        # Equal within EQ_TOL classifies; only equal bits share the constant maps.
-        tensor = known if prep.u.tobytes() == known.u.tobytes() else prep
-        return ResolvedPreparation(tensor, BELL_INDICES[k] if k < 4 else None, k == 4)
+        return prep
     try:
         index = require_bell_index(prep)
     except ValueError as exc:
         raise ValueError(f"preparation must be a PreparationTensor or an integer Bell index: {exc}") from None
-    return ResolvedPreparation(_BELL_TENSORS[index], index, False)
+    return _BELL_TENSORS[index]
 
 
 # The pair (A, B) is shared in the fourth Bell projector.
@@ -418,27 +433,11 @@ def fidelity_trace(c: CoefficientVector, bob) -> float:
     return float(overlap.real)
 
 
-@dataclass(frozen=True, eq=False)
-class TransformationMatrix:
-    """4x4 map from input coefficients (c11, c12, c21, c22) to receiver coefficients."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        arr = np.array(self.matrix, dtype=complex)
-        if arr.shape != (4, 4):
-            raise ValueError(f"transformation matrix must be 4x4, got {arr.shape}")
-        if not np.isfinite(arr).all():
-            raise ValueError("transformation matrix contains NaN or Inf")
-        arr.setflags(write=False)
-        object.__setattr__(self, "matrix", arr)
-
-
 _EPSILON = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
 
-def transformation_matrix(u: PreparationTensor) -> TransformationMatrix:
-    """Coefficient map of a preparation.
+def transformation_matrix(u: PreparationTensor) -> np.ndarray:
+    """Coefficient map of a preparation, as a read-only 4x4 array.
 
     Column order follows the input vector (c11, c12, c21, c22); row r gives
     the receiver coefficient of the r-th matrix unit. The entry pattern is
@@ -450,8 +449,9 @@ def transformation_matrix(u: PreparationTensor) -> TransformationMatrix:
     index expression, T[ab, pq] = sum_mn eps[a, m] eps[b, n] u[q, p, n, m]
     with eps the antisymmetric symbol on a two-level factor.
     """
-    t = np.einsum("am,bn,qpnm->abpq", _EPSILON, _EPSILON, u.u)
-    return TransformationMatrix(t.reshape(4, 4))
+    t = np.einsum("am,bn,qpnm->abpq", _EPSILON, _EPSILON, u.u).reshape(4, 4)
+    t.setflags(write=False)
+    return t
 
 
 def correction_unitary(index: int) -> np.ndarray:
@@ -487,27 +487,10 @@ _CORRECTION_MAPS = {
 }
 
 
-def effective_transformation(u: PreparationTensor, correction_index: int | None) -> TransformationMatrix:
-    """Coefficient map of the whole session: preparation, then optional correction.
-
-    A Pauli conjugation U . U† acts on row-major coefficient 4-vectors as
-    kron(U, conj(U)).
-    """
-    t = u.coefficient_map
-    if correction_index is None:
-        return t
-    return TransformationMatrix(_CORRECTION_MAPS[require_bell_index(correction_index)] @ t.matrix)
-
-
-# The corrected session maps of the constant Bell tensors, built once; an
-# uncorrected map is the tensor's own memoized coefficient_map.
-_CORRECTED_MAPS = {t: effective_transformation(t, i) for i, t in _BELL_TENSORS.items()}
-
-
-def receiver_states(t: TransformationMatrix, coeffs) -> tuple[np.ndarray, np.ndarray]:
+def receiver_states(t, coeffs) -> tuple[np.ndarray, np.ndarray]:
     """Receiver states and trace fidelities of a batch of sessions sharing one map.
 
-    ``t`` is a session map (``ResolvedPreparation.session_map``); ``coeffs``
+    ``t`` is a 4x4 session map (``PreparationTensor.session_map``); ``coeffs``
     is an ``(N, 4)`` array of checked input coefficient rows, as
     ``coefficient_rows`` gives them. Returns the ``(N, 2, 2)`` states, row i
     equal to renormalize(alice_prepare(...)) for input i followed by the
@@ -517,6 +500,9 @@ def receiver_states(t: TransformationMatrix, coeffs) -> tuple[np.ndarray, np.nda
     lowest failing row's first failing invariant, with the message those
     one-operator functions give.
     """
+    t = np.asarray(t)
+    if t.shape != (4, 4):
+        raise ValueError(f"expected a 4x4 session map, got shape {t.shape}")
     c = np.asarray(coeffs, dtype=complex)
     if c.ndim != 2 or c.shape[1] != 4:
         raise ValueError(f"expected an (N, 4) array of coefficient rows, got shape {c.shape}")
@@ -527,7 +513,7 @@ def receiver_states(t: TransformationMatrix, coeffs) -> tuple[np.ndarray, np.nda
     # fails one check may give inf or nan in later ones, which is harmless:
     # only its first failing check is reported.
     with np.errstate(all="ignore"):
-        raw = (t.matrix @ c[:, :, None]).reshape(-1, 2, 2)
+        raw = (t @ c[:, :, None]).reshape(-1, 2, 2)
         raw *= 0.5
         trace = raw[:, 0, 0] + raw[:, 1, 1]
         states = raw / trace.real[:, None, None]
@@ -542,12 +528,6 @@ def receiver_states(t: TransformationMatrix, coeffs) -> tuple[np.ndarray, np.nda
         ]
     raise_first_failure(checks)
     return states, overlap.real.copy()
-
-
-def receiver_state(resolved: ResolvedPreparation, c: CoefficientVector, bob_acts: bool) -> np.ndarray:
-    """The receiver's state after one session: ``receiver_states`` on one input."""
-    states, _ = receiver_states(resolved.session_map(bob_acts), c.as_vector()[None])
-    return states[0]
 
 
 _MESSAGE_VARIANTS = ("two_bits", "one_bit_ping", "pre_agreed")
@@ -617,12 +597,12 @@ def run_session(
     corrections exist only for the Bell family, while the automatic
     preparation needs none.
     """
-    resolved = resolve_preparation(prep)
+    u = resolve_preparation(prep)
     if message.variant == "two_bits":
-        if resolved.bell_index is None or message.index != resolved.bell_index:
+        if u.bell_index is None or message.index != u.bell_index:
             raise ValueError(
                 f"two-bit message index {message.index} does not match the preparation "
-                f"(Bell index {resolved.bell_index})"
+                f"(Bell index {u.bell_index})"
             )
-    states, fidelities = receiver_states(resolved.session_map(bob_acts), c.as_vector()[None])
+    states, fidelities = receiver_states(u.session_map(bob_acts), c.as_vector()[None])
     return SessionRecord(bob_state=states[0], fidelity=float(fidelities[0]), bits_sent=message.bits)

@@ -120,7 +120,7 @@ def test_criterion_5_transformation_matrix_and_norm():
     expected = np.array(
         [[0, 0, 0, 0.5], [0, 0, -0.5, 0], [0, -0.5, 0, 0], [0.5, 0, 0, 0]], dtype=complex
     )
-    t = transformation_matrix(preparation_from_bell(1)).matrix
+    t = transformation_matrix(preparation_from_bell(1))
     exact = bool(np.array_equal(t, expected))
     worst_norm = 0.0
     for c in _random_inputs(100):

@@ -13,6 +13,7 @@ from ensemble_teleport import (
     CoefficientVector,
     alice_prepare,
     automatic_preparation,
+    bloch_coefficient_rows,
     fidelity_trace,
     lazy_fidelity,
     preparation_from_bell,
@@ -20,6 +21,7 @@ from ensemble_teleport import (
 )
 from ensemble_teleport import cli
 from ensemble_teleport.cli import main
+from ensemble_teleport.fidelity import SAMPLERS
 
 
 def run_cli(capsys, *argv):
@@ -250,6 +252,27 @@ class TestAppendixCheck:
         _, first, _ = run_cli(capsys, "appendix-check", "--samples", "10", "--seed", "7")
         _, second, _ = run_cli(capsys, "appendix-check", "--samples", "10", "--seed", "7")
         assert first == second
+
+    def test_reads_one_stream_of_draws_in_prep_order(self, capsys, monkeypatch):
+        # The printed gaps are exact zeros for any valid inputs, so only the
+        # blocks handed to the kernel show which draws the command reads.
+        seen = []
+
+        def recording(u, coeffs):
+            seen.append((u, coeffs))
+            return compare_rows(u, coeffs)
+
+        compare_rows = cli._compare_rows
+        monkeypatch.setattr(cli, "_compare_rows", recording)
+        code, _, _ = run_cli(capsys, "appendix-check", "--samples", "40", "--seed", "9")
+        assert code == 0
+        rng = np.random.default_rng(9)
+        names = ["bell1", "bell2", "bell3", "bell4", "paut"]
+        assert list(cli._PREPS) == names
+        assert [u for u, _ in seen] == [cli._PREPS[name] for name in names]
+        for _, coeffs in seen:
+            expected = bloch_coefficient_rows(*SAMPLERS["mixed_uniform"](rng, 40))
+            assert coeffs.tobytes() == expected.tobytes()
 
     def test_rejects_zero_samples(self, capsys):
         code, _, err = run_cli(capsys, "appendix-check", "--samples", "0")

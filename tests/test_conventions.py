@@ -21,8 +21,10 @@ from ensemble_teleport import (
     sandwich_numerator,
     transformation_matrix,
 )
+from ensemble_teleport import conventions, protocol
 from ensemble_teleport.conventions import _compare_rows
 from ensemble_teleport.fidelity import SAMPLERS
+from ensemble_teleport.linalg import embed_sender_pair
 from conftest import random_coefficients
 from test_protocol import bloch_coefficient_strategy
 
@@ -197,6 +199,20 @@ class TestBatchKernel:
             assert_same_bits(row, expected)
             assert_same_bits(compare_conventions(u, c), expected)
 
+    def test_embeds_each_preparation_once(self, monkeypatch):
+        u = preparation_from_bell(2)
+        p8 = u.sender_operator
+        assert not p8.flags.writeable
+        assert p8.tobytes() == embed_sender_pair(u.matrix()).tobytes()
+
+        def refuse(*_):
+            raise AssertionError("sender operator rebuilt")
+
+        monkeypatch.setattr(conventions, "embed_sender_pair", refuse)
+        monkeypatch.setattr(protocol, "embed_sender_pair", refuse)
+        compare_conventions(u, CoefficientVector.from_components(0.5))
+        assert u.sender_operator is p8
+
     def test_result_shapes(self):
         ansatz, sandwich, diff, ratio = _compare_rows(automatic_preparation(), np.zeros((0, 4)))
         assert (ansatz.shape, sandwich.shape, diff.shape, ratio.shape) == ((0, 2, 2), (0, 2, 2), (0,), (0,))
@@ -305,7 +321,7 @@ class TestSandwichCoefficientOracle:
     @given(c=bloch_coefficient_strategy(), k=st.integers(min_value=0, max_value=4))
     def test_numerator_is_half_the_square_map(self, c, k):
         p = FIVE_PREPARATIONS[k].matrix()
-        square_map = transformation_matrix(sender_pair_tensor(p @ p)).matrix
+        square_map = transformation_matrix(sender_pair_tensor(p @ p))
         expected = 0.5 * square_map @ c.as_vector()
         assert np.max(np.abs(sandwich_numerator(FIVE_PREPARATIONS[k], c).reshape(4) - expected)) < 1e-12
 
@@ -314,6 +330,6 @@ class TestSandwichCoefficientOracle:
         # Bell projectors are idempotent; the automatic preparation squares to twice itself
         u = FIVE_PREPARATIONS[k]
         p = u.matrix()
-        square_map = transformation_matrix(sender_pair_tensor(p @ p)).matrix
+        square_map = transformation_matrix(sender_pair_tensor(p @ p))
         factor = 2.0 if k == 4 else 1.0
-        assert np.array_equal(square_map, factor * transformation_matrix(u).matrix)
+        assert np.array_equal(square_map, factor * transformation_matrix(u))

@@ -226,7 +226,7 @@ def loop_average_fidelity(prep, bob_acts, sampler, n, seed):
     values = np.empty(n, dtype=float)
     for i in range(n):
         c = draw(rng)
-        state = renormalize(0.5 * (t.matrix @ c.as_vector()).reshape(2, 2))
+        state = renormalize(0.5 * (t @ c.as_vector()).reshape(2, 2))
         require_statistical_operator(state)
         values[i] = fidelity_trace(c, state)
     return AverageFidelity(mean=float(values.mean()), stderr=float(values.std(ddof=1) / np.sqrt(n)))

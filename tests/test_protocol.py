@@ -17,7 +17,6 @@ from ensemble_teleport import (
     coefficient_rows,
     correction_unitary,
     decompose_total_state,
-    effective_transformation,
     matrix_unit,
     pauli,
     preparation_from_bell,
@@ -325,18 +324,16 @@ class TestPreparations:
     def test_resolve_accepts_numpy_integers(self):
         resolved = resolve_preparation(np.int64(2))
         assert resolved.bell_index == 2 and type(resolved.bell_index) is int
-        assert resolved.tensor is resolve_preparation(2).tensor
+        assert resolved is resolve_preparation(2)
 
 
 # Every function that takes a Bell index checks it through bell.require_bell_index.
-BELL_TENSOR_1 = preparation_from_bell(1)
 BELL_INDEX_TAKERS = {
     "bell_projector": bell_projector,
     "preparation_from_bell": preparation_from_bell,
     "correction_unitary": correction_unitary,
     "ClassicalMessage.two_bits": ClassicalMessage.two_bits,
     "resolve_preparation": resolve_preparation,
-    "effective_transformation": lambda index: effective_transformation(BELL_TENSOR_1, index),
 }
 
 
@@ -355,8 +352,6 @@ class TestBellIndexCheck:
             assert np.array_equal(from_numpy, from_python)
         elif taker == "preparation_from_bell":
             assert np.array_equal(from_numpy.u, from_python.u)
-        elif taker == "effective_transformation":
-            assert np.array_equal(from_numpy.matrix, from_python.matrix)
         else:
             assert from_numpy == from_python
 
@@ -410,24 +405,24 @@ class TestRenormalize:
 
 class TestTransformationMatrix:
     def test_bell_one_equals_antidiagonal_half(self):
-        t = transformation_matrix(preparation_from_bell(1)).matrix
+        t = transformation_matrix(preparation_from_bell(1))
         assert np.array_equal(t, BELL1_COEFFICIENT_MAP)
 
     def test_automatic_is_identity(self):
-        t = transformation_matrix(automatic_preparation()).matrix
+        t = transformation_matrix(automatic_preparation())
         assert np.array_equal(t, np.eye(4, dtype=complex))
 
     @pytest.mark.parametrize("prep", [1, 2, 3, 4, "aut"])
     def test_operator_path_matches_vector_path(self, prep, rng):
         u = automatic_preparation() if prep == "aut" else preparation_from_bell(prep)
-        t = transformation_matrix(u).matrix
+        t = transformation_matrix(u)
         for c in random_coefficients(rng, 20):
             via_operator = alice_prepare(u, c).reshape(4)
             via_vector = 0.5 * t @ c.as_vector()
             assert np.max(np.abs(via_operator - via_vector)) < 1e-12
 
     def test_trace_norm_of_transformed_vector_is_half(self, coefficient_samples):
-        t = transformation_matrix(preparation_from_bell(1)).matrix
+        t = transformation_matrix(preparation_from_bell(1))
         for c in coefficient_samples:
             tc = t @ c.as_vector()
             assert abs((tc[0] + tc[3]).real - 0.5) < 1e-12
@@ -476,17 +471,15 @@ class TestBobCorrect:
             assert np.max(np.abs(un @ un.conj().T - np.eye(2))) < 1e-15
 
 
-class TestEffectiveTransformation:
+class TestSessionMap:
     @pytest.mark.parametrize("i", BELL_INDICES)
     def test_corrected_map_is_half_identity(self, i):
-        t = effective_transformation(preparation_from_bell(i), i).matrix
+        t = preparation_from_bell(i).session_map(True)
         assert np.max(np.abs(t - 0.5 * np.eye(4))) < 1e-12
 
     def test_no_correction_returns_preparation_map(self):
         u = preparation_from_bell(1)
-        assert np.array_equal(
-            effective_transformation(u, None).matrix, transformation_matrix(u).matrix
-        )
+        assert np.array_equal(u.session_map(False), transformation_matrix(u))
 
 
 class TestClassicalMessage:
@@ -586,5 +579,5 @@ class TestPipelineInvariants:
     def test_operator_and_vector_paths_agree(self, c, i):
         u = preparation_from_bell(i)
         lhs = alice_prepare(u, c).reshape(4)
-        rhs = 0.5 * transformation_matrix(u).matrix @ c.as_vector()
+        rhs = 0.5 * transformation_matrix(u) @ c.as_vector()
         assert np.max(np.abs(lhs - rhs)) < 1e-12

@@ -6,6 +6,7 @@ The batched kernel is also checked against the per-row loop it replaced.
 """
 
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -20,10 +21,8 @@ from ensemble_teleport import (
     alice_prepare,
     automatic_preparation,
     bob_correct,
-    effective_transformation,
     fidelity_trace,
     preparation_from_bell,
-    receiver_state,
     receiver_states,
     renormalize,
     require_statistical_operator,
@@ -41,11 +40,17 @@ def prep_input(name):
 
 
 def reference_state(prep, c, bob_acts):
-    resolved = resolve_preparation(prep)
-    state = renormalize(alice_prepare(resolved.tensor, c))
-    if bob_acts and resolved.bell_index is not None:
-        state = bob_correct(resolved.bell_index, state)
+    u = resolve_preparation(prep)
+    state = renormalize(alice_prepare(u, c))
+    if bob_acts and u.bell_index is not None:
+        state = bob_correct(u.bell_index, state)
     return state
+
+
+def kernel_state(prep, c, bob_acts):
+    """The receiver's state after one session: ``receiver_states`` on one input."""
+    states, _ = receiver_states(resolve_preparation(prep).session_map(bob_acts), c.as_vector()[None])
+    return states[0]
 
 
 def _on_sphere(x, y, z, radius=1.0):
@@ -91,7 +96,7 @@ def per_row_loop(t, rows):
     states, fidelities = [], []
     for row in rows:
         with np.errstate(invalid="ignore"):  # the non-finite test row
-            raw = 0.5 * (t.matrix @ row).reshape(2, 2)
+            raw = 0.5 * (t @ row).reshape(2, 2)
         state = renormalize(raw)
         require_statistical_operator(state)
         states.append(state)
@@ -125,20 +130,19 @@ class TestDifferential:
     @pytest.mark.parametrize("name", sorted(BOUNDARY_INPUTS))
     def test_boundary_inputs(self, name, prep, bob_acts):
         c = BOUNDARY_INPUTS[name]
-        resolved = resolve_preparation(prep_input(prep))
-        state = receiver_state(resolved, c, bob_acts)
+        state = kernel_state(prep_input(prep), c, bob_acts)
         assert np.max(np.abs(state - reference_state(prep_input(prep), c, bob_acts))) < 1e-12
 
     @given(c=bloch_coefficient_strategy(), prep=st.sampled_from(PREPARATIONS), bob_acts=st.booleans())
     def test_generated_inputs(self, c, prep, bob_acts):
-        state = receiver_state(resolve_preparation(prep_input(prep)), c, bob_acts)
+        state = kernel_state(prep_input(prep), c, bob_acts)
         assert np.max(np.abs(state - reference_state(prep_input(prep), c, bob_acts))) < 1e-12
 
     def test_map_matches_operator_path_on_complex_tensors(self, rng):
         for c in random_coefficients(rng, 200):
             w = rng.standard_normal((2, 2, 2, 2)) + 1j * rng.standard_normal((2, 2, 2, 2))
             u = PreparationTensor(u=w, normalized=False)
-            mapped = 0.5 * transformation_matrix(u).matrix @ c.as_vector()
+            mapped = 0.5 * transformation_matrix(u) @ c.as_vector()
             assert np.max(np.abs(mapped.reshape(2, 2) - alice_prepare(u, c))) < 1e-12
 
     def test_session_path_uses_no_eigensolver(self, monkeypatch):
@@ -244,6 +248,18 @@ class TestMixedFailures:
         with pytest.raises(ValueError, match="N, 4"):
             receiver_states(IDENTITY_MAP, np.zeros(shape))
 
+    @pytest.mark.parametrize("shape", [(4,), (2, 2), (4, 2), (1, 4, 4)])
+    def test_rejects_a_map_that_is_not_4x4(self, shape):
+        with pytest.raises(ValueError, match=re.escape(f"expected a 4x4 session map, got shape {shape}")):
+            receiver_states(np.zeros(shape, dtype=complex), np.array([VALID_ROW]))
+
+    @pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf])
+    def test_rejects_a_non_finite_map(self, entry):
+        t = np.array(IDENTITY_MAP)
+        t[1, 2] = entry
+        with pytest.raises(ValueError, match="matrix contains NaN or Inf entries"):
+            receiver_states(t, np.array([VALID_ROW] * 2))
+
 
 class TestPositivity:
     @given(u=hermitian_tensor_strategy(), c=bloch_coefficient_strategy())
@@ -282,15 +298,15 @@ class TestPositivity:
 
 class TestClassification:
     @pytest.mark.parametrize("prep", PREPARATIONS)
-    def test_exact_weights_share_the_constant_maps(self, prep):
+    def test_exact_weights_give_the_constant_maps(self, prep):
         fresh = automatic_preparation() if prep == "automatic" else preparation_from_bell(prep)
-        resolved = resolve_preparation(fresh)
+        constant = resolve_preparation(prep_input(prep))
+        assert resolve_preparation(fresh) is fresh
+        assert (fresh.bell_index, fresh.automatic) == (constant.bell_index, constant.automatic)
         for bob_acts in (True, False):
-            constant = resolved.session_map(bob_acts)
-            assert constant is resolve_preparation(prep_input(prep)).session_map(bob_acts)
-            assert not constant.matrix.flags.writeable
-            rebuilt = effective_transformation(fresh, resolved.bell_index if bob_acts else None)
-            assert constant.matrix.tobytes() == rebuilt.matrix.tobytes()
+            t = fresh.session_map(bob_acts)
+            assert not t.flags.writeable
+            assert t.tobytes() == constant.session_map(bob_acts).tobytes()
 
     @pytest.mark.parametrize("prep", PREPARATIONS)
     def test_weights_within_tolerance_build_their_own_map(self, prep):
@@ -298,30 +314,34 @@ class TestClassification:
         w = np.array(known.u)
         w[0, 1, 0, 1] += 0.5e-12
         u = PreparationTensor(u=w, normalized=False)
-        resolved = resolve_preparation(u)
-        assert resolved.tensor is u
-        t = resolved.session_map(False)
-        assert t is not resolve_preparation(known).session_map(False)
-        assert t.matrix.tobytes() == effective_transformation(u, None).matrix.tobytes()
+        assert resolve_preparation(u) is u
+        t = u.session_map(False)
+        assert t.tobytes() != known.session_map(False).tobytes()
+        assert t.tobytes() == transformation_matrix(u).tobytes()
 
     def test_general_tensor_builds_its_map_once(self):
         w = np.array(automatic_preparation().u)
         w[0, 1, 0, 1] = 0.25
         u = PreparationTensor(u=w, normalized=False)
-        first = resolve_preparation(u).session_map(False)
+        assert resolve_preparation(u) is u
+        first = u.session_map(False)
         assert first is u.coefficient_map
-        assert first is resolve_preparation(u).session_map(False)
-        assert first.matrix.tobytes() == transformation_matrix(u).matrix.tobytes()
+        assert first is u.session_map(False)
+        assert first.tobytes() == transformation_matrix(u).tobytes()
         c = CoefficientVector.from_components(0.5)
         run_session(c, u, ClassicalMessage.pre_agreed(), bob_acts=False)
         assert u.coefficient_map is first
+        bell = preparation_from_bell(2)
+        corrected = bell.session_map(True)
+        run_session(c, bell, ClassicalMessage.two_bits(2), bob_acts=True)
+        assert bell.session_map(True) is corrected
 
     def test_integer_path_returns_the_constant_tensor(self):
         for i in BELL_INDICES:
             first, second = resolve_preparation(i), resolve_preparation(i)
-            assert first.tensor is second.tensor
-            assert not first.tensor.u.flags.writeable
-            assert np.array_equal(first.tensor.u, preparation_from_bell(i).u)
+            assert first is second
+            assert not first.u.flags.writeable
+            assert np.array_equal(first.u, preparation_from_bell(i).u)
 
     @pytest.mark.parametrize("prep", PREPARATIONS)
     def test_classification_tolerance(self, prep):
@@ -331,10 +351,9 @@ class TestClassification:
             w = base.copy()
             w[0, 1, 0, 1] += shift
             u = PreparationTensor(u=w, normalized=False)
-            resolved = resolve_preparation(u)
-            assert resolved.tensor is u
+            assert resolve_preparation(u) is u
             if prep == "automatic":
-                assert resolved.automatic is known and resolved.bell_index is None
+                assert u.automatic is known and u.bell_index is None
             else:
-                assert resolved.bell_index == (prep if known else None)
-                assert not resolved.automatic
+                assert u.bell_index == (prep if known else None)
+                assert not u.automatic
