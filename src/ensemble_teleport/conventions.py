@@ -22,12 +22,14 @@ from .linalg import (
     EQ_TOL,
     embed_sender_pair,
     raise_first_failure,
+    require_finite,
     trace_out_sender_pair,
 )
 from .protocol import (
     CoefficientVector,
     PreparationTensor,
     renormalize_checks,
+    require_renormalizable,
     total_state,
     total_states,
 )
@@ -45,9 +47,13 @@ def prepare_sandwich(u: PreparationTensor, c: CoefficientVector) -> np.ndarray:
     """Two-sided preparation: sandwich the total state and divide by the full trace."""
     numerator = sandwich_numerator(u, c)
     denominator = complex(np.trace(numerator))
-    if abs(denominator.imag) > EQ_TOL or denominator.real <= ANNIHILATION_TOL:
-        raise ValueError(_TWO_SIDED_ANNIHILATED.format(denominator))
+    _require_two_sided_trace(denominator)
     return numerator / denominator.real
+
+
+def _require_two_sided_trace(total: complex) -> None:
+    if abs(total.imag) > EQ_TOL or total.real <= ANNIHILATION_TOL:
+        raise ValueError(_TWO_SIDED_ANNIHILATED.format(total))
 
 
 @dataclass(frozen=True, eq=False)
@@ -77,7 +83,8 @@ def _compare_rows(
     i gives: renormalize(alice_prepare(u, c)), prepare_sandwich(u, c) and
     the traces of alice_prepare and sandwich_numerator. A row that fails
     renormalize's checks or the two-sided trace check raises ValueError with
-    the message of the lowest failing row's first failing check.
+    the message of the lowest failing row's first failing check. A batch of
+    one row is checked by the scalar forms of these checks.
     """
     c = np.asarray(coeffs, dtype=complex)
     if c.ndim != 2 or c.shape[1] != 4:
@@ -95,14 +102,18 @@ def _compare_rows(
         total = numerator[:, 0, 0] + numerator[:, 1, 1]
         ansatz = raw / trace.real[:, None, None]
         sandwich = numerator / total.real[:, None, None]
-        checks = [
-            *renormalize_checks(raw, trace),
-            (
-                (np.abs(total.imag) > EQ_TOL) | (total.real <= ANNIHILATION_TOL),
-                lambda i: _TWO_SIDED_ANNIHILATED.format(complex(total[i])),
-            ),
-        ]
-    raise_first_failure(checks)
+        if len(c) == 1:
+            require_finite(raw.ravel().tolist())
+            require_renormalizable(complex(trace[0]))
+            _require_two_sided_trace(complex(total[0]))
+        else:
+            raise_first_failure([
+                *renormalize_checks(raw, trace),
+                (
+                    (np.abs(total.imag) > EQ_TOL) | (total.real <= ANNIHILATION_TOL),
+                    lambda i: _TWO_SIDED_ANNIHILATED.format(complex(total[i])),
+                ),
+            ])
     return ansatz, sandwich, np.abs(ansatz - sandwich).max(axis=(1, 2)), total.real / trace.real
 
 

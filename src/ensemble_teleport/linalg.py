@@ -9,6 +9,8 @@ operation besides the trace-out is the partial transpose on the second qubit.
 
 from __future__ import annotations
 
+import cmath
+
 import numpy as np
 
 SUPPORTED_DIMS = (2, 4, 8)
@@ -20,6 +22,8 @@ EIGENVALUE_TOL = 1e-10  # how far a positive semidefinite operator's eigenvalue 
 TRACE_TOL = 1e-9  # |Tr M - 1| for a unit-trace operator
 ANNIHILATION_TOL = 1e-9  # a trace at or below this means the ensemble was annihilated
 AGREE_TOL = 1e-9  # largest gap between two formulations of the same quantity
+
+_NOT_FINITE = "matrix contains NaN or Inf entries"
 
 
 class NonHermitianError(ValueError):
@@ -49,7 +53,7 @@ def as_matrix(m) -> np.ndarray:
             f"matrix dimension {arr.shape[0]} unsupported; must be one of {SUPPORTED_DIMS}"
         )
     if not np.isfinite(arr).all():
-        raise ValueError("matrix contains NaN or Inf entries")
+        raise ValueError(_NOT_FINITE)
     return arr
 
 
@@ -125,26 +129,67 @@ _NOT_HERMITIAN = "not a statistical operator: not Hermitian (asymmetry {:.3e})"
 _NOT_UNIT_TRACE = "not a statistical operator: not unit-trace (trace {:.12g})"
 _NEGATIVE_EIGENVALUE = "not a statistical operator: negative eigenvalue {:.3e}"
 
+# Each statistical-operator check has a scalar form, on Python numbers, and a
+# batch form, on stacks. Both take every complex modulus as libm hypot of the
+# parts (abs() of a Python complex, np.hypot on arrays), so they agree to the
+# last bit; np.abs of a complex array differs from it in the last bit.
+
+
+def modulus(z: complex) -> float:
+    """|z| as libm hypot of its parts, the value np.hypot gives; inf where it overflows."""
+    try:
+        return abs(z)
+    except OverflowError:  # a finite z whose modulus exceeds the largest double
+        return float("inf")
+
+
+def require_finite(entries) -> None:
+    """Raise ValueError unless every one of ``entries`` (Python numbers) is finite."""
+    if not all(map(cmath.isfinite, entries)):
+        raise ValueError(_NOT_FINITE)
+
+
+def require_qubit_operator(entries) -> None:
+    """The statistical-operator checks on one 2x2 operator given as its four entries.
+
+    ``entries`` are Python complex numbers in row-major order. The scalar
+    form of ``statistical_operator_checks``: same order, same values, same
+    messages.
+    """
+    require_finite(entries)
+    a, b, c, d = entries
+    # The largest entry of |M - M^dagger|: 2|Im| on the diagonal, |b - c*| off it.
+    asymmetry = max(2 * abs(a.imag), 2 * abs(d.imag), modulus(b - c.conjugate()))
+    if asymmetry > HERMITICITY_TOL:
+        raise ValueError(_NOT_HERMITIAN.format(asymmetry))
+    tr = a + d
+    if modulus(tr - 1.0) > TRACE_TOL:
+        raise ValueError(_NOT_UNIT_TRACE.format(tr))
+    smallest = 0.5 * (a.real + d.real) - modulus(complex(0.5 * (a.real - d.real), modulus(b)))
+    if smallest < -EIGENVALUE_TOL:
+        raise ValueError(_NEGATIVE_EIGENVALUE.format(smallest))
+
 
 def statistical_operator_checks(ops: np.ndarray) -> list:
     """The statistical-operator checks on a stack ``(n, 2, 2)``, for ``raise_first_failure``.
 
-    The batch form of ``require_statistical_operator`` for qubit operators,
-    with its messages. In order: finite entries, Hermiticity
-    (HERMITICITY_TOL), unit trace (TRACE_TOL) and positivity (smallest
-    eigenvalue at least -EIGENVALUE_TOL, by the same closed form). Non-finite
-    entries raise floating-point warnings unless the caller silences them.
+    The batch form of ``require_qubit_operator``, with its messages. In
+    order: finite entries, Hermiticity (HERMITICITY_TOL), unit trace
+    (TRACE_TOL) and positivity (smallest eigenvalue at least
+    -EIGENVALUE_TOL, by the same closed form). Non-finite entries raise
+    floating-point warnings unless the caller silences them.
     """
     finite = np.isfinite(ops).all(axis=(1, 2))
-    asymmetry = np.abs(ops - ops.conj().swapaxes(1, 2)).max(axis=(1, 2))
-    first, last = ops[:, 0, 0], ops[:, 1, 1]
-    tr = first + last
-    a, d = first.real, last.real
-    smallest = 0.5 * (a + d) - np.hypot(0.5 * (a - d), np.abs(ops[:, 0, 1]))
+    a, b, c, d = ops[:, 0, 0], ops[:, 0, 1], ops[:, 1, 0], ops[:, 1, 1]
+    asymmetry = np.maximum(
+        np.maximum(2 * np.abs(a.imag), 2 * np.abs(d.imag)), np.hypot(b.real - c.real, b.imag + c.imag)
+    )
+    tr = a + d
+    smallest = 0.5 * (a.real + d.real) - np.hypot(0.5 * (a.real - d.real), np.hypot(b.real, b.imag))
     return [
-        (~finite, lambda i: "matrix contains NaN or Inf entries"),
+        (~finite, lambda i: _NOT_FINITE),
         (asymmetry > HERMITICITY_TOL, lambda i: _NOT_HERMITIAN.format(asymmetry[i])),
-        (np.abs(tr - 1.0) > TRACE_TOL, lambda i: _NOT_UNIT_TRACE.format(complex(tr[i]))),
+        (np.hypot(tr.real - 1.0, tr.imag) > TRACE_TOL, lambda i: _NOT_UNIT_TRACE.format(complex(tr[i]))),
         (smallest < -EIGENVALUE_TOL, lambda i: _NEGATIVE_EIGENVALUE.format(smallest[i])),
     ]
 
@@ -154,21 +199,22 @@ def require_statistical_operator(op) -> None:
 
     The invariants are Hermiticity (HERMITICITY_TOL), unit trace (TRACE_TOL)
     and positivity (smallest eigenvalue at least -EIGENVALUE_TOL). A 2x2
-    operator [[a, b], [b*, d]] uses the closed form
-    (a + d)/2 - sqrt((a - d)^2/4 + |b|^2) for its smallest eigenvalue.
+    operator [[a, b], [b*, d]] goes to ``require_qubit_operator``, which
+    uses the closed form (a + d)/2 - sqrt((a - d)^2/4 + |b|^2) for its
+    smallest eigenvalue; larger ones use the eigensolver.
     """
     arr = as_matrix(op)
-    asymmetry = np.abs(arr - arr.conj().T).max()
+    if arr.shape[0] == 2:
+        require_qubit_operator(arr.ravel().tolist())
+        return
+    gap = arr - arr.conj().T
+    asymmetry = np.hypot(gap.real, gap.imag).max()
     if asymmetry > HERMITICITY_TOL:
         raise ValueError(_NOT_HERMITIAN.format(asymmetry))
     tr = complex(arr.trace())
     if abs(tr - 1.0) > TRACE_TOL:
         raise ValueError(_NOT_UNIT_TRACE.format(tr))
-    if arr.shape[0] == 2:
-        a, d = arr[0, 0].real, arr[1, 1].real
-        smallest = 0.5 * (a + d) - np.hypot(0.5 * (a - d), np.abs(arr[0, 1]))
-    else:
-        smallest = np.linalg.eigvalsh(0.5 * (arr + arr.conj().T))[0]
+    smallest = np.linalg.eigvalsh(0.5 * (arr + arr.conj().T))[0]
     if smallest < -EIGENVALUE_TOL:
         raise ValueError(_NEGATIVE_EIGENVALUE.format(smallest))
 

@@ -31,7 +31,10 @@ from .linalg import (
     TRACE_TOL,
     as_matrix,
     embed_sender_pair,
+    modulus,
     raise_first_failure,
+    require_finite,
+    require_qubit_operator,
     require_statistical_operator,
     stacked_kron,
     statistical_operator_checks,
@@ -392,18 +395,23 @@ def renormalize(m) -> np.ndarray:
     """
     arr = as_matrix(m)
     t = complex(np.trace(arr))
+    require_renormalizable(t)
+    return arr / t.real
+
+
+def require_renormalizable(t: complex) -> None:
+    """renormalize's checks on one trace: real (EQ_TOL) and above ANNIHILATION_TOL."""
     if abs(t.imag) > EQ_TOL:
         raise ValueError(_IMAGINARY_TRACE.format(t.imag))
     if t.real <= ANNIHILATION_TOL:
         raise ValueError(_ANNIHILATED.format(t.real))
-    return arr / t.real
 
 
 def renormalize_checks(raw: np.ndarray, trace: np.ndarray) -> list:
     """``renormalize``'s checks on a stack ``(N, 2, 2)`` and its traces, for ``raise_first_failure``.
 
-    In order: finite entries, a real trace (EQ_TOL), and a trace above
-    ANNIHILATION_TOL, with renormalize's messages.
+    In order: finite entries, then the batch form of
+    ``require_renormalizable``, with renormalize's messages.
     """
     return [
         (~np.isfinite(raw).all(axis=(1, 2)), lambda i: "matrix contains NaN or Inf entries"),
@@ -424,13 +432,17 @@ def fidelity_trace(c: CoefficientVector, bob) -> float:
     if arr.shape != (2, 2):
         raise ValueError(f"fidelity expects a 2x2 receiver state, got shape {arr.shape}")
     tr = complex(np.trace(arr))
-    if abs(tr - 1.0) > TRACE_TOL:
+    if modulus(tr - 1.0) > TRACE_TOL:
         raise ValueError(f"receiver state must have unit trace, got {tr!r}")
     overlap = complex(np.trace(c.matrix() @ arr))
-    if abs(overlap.imag) > EQ_TOL:
-        raise ValueError(_IMAGINARY_OVERLAP.format(overlap.imag))
+    _require_real_overlap(overlap)
     require_statistical_operator(arr)
     return float(overlap.real)
+
+
+def _require_real_overlap(overlap: complex) -> None:
+    if abs(overlap.imag) > EQ_TOL:
+        raise ValueError(_IMAGINARY_OVERLAP.format(overlap.imag))
 
 
 _EPSILON = np.array([[0.0, 1.0], [-1.0, 0.0]])
@@ -498,7 +510,9 @@ def receiver_states(t, coeffs) -> tuple[np.ndarray, np.ndarray]:
     passes renormalize's trace checks, the statistical-operator checks and
     fidelity_trace's real-overlap check; otherwise ValueError names the
     lowest failing row's first failing invariant, with the message those
-    one-operator functions give.
+    one-operator functions give. A batch of one row is checked by their
+    scalar forms on its Python numbers, which cost less than the batch
+    forms on 1-element arrays; the arithmetic is the same for every N.
     """
     t = np.asarray(t)
     if t.shape != (4, 4):
@@ -520,13 +534,18 @@ def receiver_states(t, coeffs) -> tuple[np.ndarray, np.ndarray]:
         product = c.reshape(-1, 2, 2) @ states
         overlap = product[:, 0, 0] + product[:, 1, 1]
         del product  # an (N, 2, 2) temporary; free it before the checks allocate theirs
-        checks = [
-            *renormalize_checks(raw, trace),
-            # These include fidelity_trace's unit-trace test, on the same trace.
-            *statistical_operator_checks(states),
-            (np.abs(overlap.imag) > EQ_TOL, lambda i: _IMAGINARY_OVERLAP.format(overlap.imag[i])),
-        ]
-    raise_first_failure(checks)
+        if len(c) == 1:
+            require_finite(raw.ravel().tolist())
+            require_renormalizable(complex(trace[0]))
+            require_qubit_operator(states.ravel().tolist())
+            _require_real_overlap(complex(overlap[0]))
+        else:
+            raise_first_failure([
+                *renormalize_checks(raw, trace),
+                # These include fidelity_trace's unit-trace test, on the same trace.
+                *statistical_operator_checks(states),
+                (np.abs(overlap.imag) > EQ_TOL, lambda i: _IMAGINARY_OVERLAP.format(overlap.imag[i])),
+            ])
     return states, overlap.real.copy()
 
 

@@ -309,6 +309,23 @@ class TestFirstFailure:
             _compare_rows(u, np.stack([c.as_vector() for c in cs]))
         assert str(batch.value) == message
 
+    @pytest.mark.parametrize("case", sorted(FIRST_FAILURES))
+    def test_one_row_as_two(self, case):
+        # a one-row call takes the scalar checks, the row stacked twice the batch checks
+        p, cs, row, _ = FIRST_FAILURES[case]
+        u = sender_pair_tensor(p)
+        for c in cs[:row]:  # bitwise, nan included (an overflowing two-sided product)
+            one = compare_conventions(u, c)
+            two = _compare_rows(u, np.stack([c.as_vector()] * 2))
+            fields = (one.ansatz, one.sandwich, one.max_abs_diff, one.prenorm_ratio)
+            for value, column in zip(fields, two):
+                assert np.asarray(value).tobytes() == column[0].tobytes()
+        with pytest.raises(ValueError) as two:
+            _compare_rows(u, np.stack([cs[row].as_vector()] * 2))
+        with pytest.raises(ValueError) as one:
+            compare_conventions(u, cs[row])
+        assert str(one.value) == str(two.value)
+
 
 class TestSandwichCoefficientOracle:
     """The two-sided numerator is the coefficient map of P @ P applied to the input.

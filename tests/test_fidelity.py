@@ -50,6 +50,12 @@ class TestFidelityTrace:
         with pytest.raises(ValueError, match="unit trace"):
             fidelity_trace(c, 0.25 * np.eye(2))
 
+    def test_rejects_a_trace_whose_gap_overflows(self):
+        # the trace is finite, but |trace - 1| exceeds the largest double
+        c = CoefficientVector.from_components(0.5)
+        with pytest.raises(ValueError, match="unit trace"):
+            fidelity_trace(c, 0.75e308 * (1 + 1j) * np.eye(2))
+
     def test_rejects_imaginary_overlap(self):
         c = CoefficientVector.from_components(0.5, 0.25j)
         bob = np.array([[0.5, 0.5], [0.0, 0.5]])  # non-Hermitian, unit trace

@@ -30,6 +30,8 @@ from ensemble_teleport import (
     run_session,
     transformation_matrix,
 )
+from ensemble_teleport import conventions, protocol
+from ensemble_teleport.conventions import compare_conventions
 from conftest import bloch_coefficient_strategy, random_coefficients
 
 PREPARATIONS = [1, 2, 3, 4, "automatic"]
@@ -156,6 +158,40 @@ class TestDifferential:
             run_session(c, i, ClassicalMessage.two_bits(i), bob_acts=True)
         run_session(c, automatic_preparation(), ClassicalMessage.pre_agreed(), bob_acts=False)
 
+    def test_session_path_skips_the_batch_checks(self, monkeypatch):
+        def refuse(*_):
+            raise AssertionError("batch checks called on a one-row batch")
+
+        for module in (protocol, conventions):
+            for name in ("raise_first_failure", "statistical_operator_checks", "renormalize_checks"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, refuse)
+        c = CoefficientVector.from_bloch(0.3, -0.5, 0.4)
+        run_session(c, 2, ClassicalMessage.two_bits(2), bob_acts=True)
+        run_session(c, automatic_preparation(), ClassicalMessage.pre_agreed(), bob_acts=False)
+        rng = np.random.default_rng(0)
+        g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        psd = g @ g.conj().T + np.eye(4)  # a positive definite preparation: every session is valid
+        general = PreparationTensor(u=psd.reshape(2, 2, 2, 2).transpose(0, 2, 1, 3), normalized=False)
+        run_session(c, general, ClassicalMessage.pre_agreed(), bob_acts=False)
+        with pytest.raises(ValueError, match="not a statistical operator: negative eigenvalue -1"):
+            run_session(
+                CoefficientVector.from_bloch(1.0, 0.0, 0.0),
+                stretched_coherences(),
+                ClassicalMessage.pre_agreed(),
+                bob_acts=False,
+            )
+        compare_conventions(preparation_from_bell(1), c)
+        with pytest.raises(AssertionError, match="batch checks"):
+            receiver_states(IDENTITY_MAP, np.array([VALID_ROW] * 2))
+
+
+def stretched_coherences():
+    """Three times the automatic preparation's off-diagonal weights: the map diag(1, 3, 3, 1)."""
+    w = np.array(automatic_preparation().u)
+    w[1, 0, 0, 1] = w[0, 1, 1, 0] = -3.0
+    return PreparationTensor(u=w, normalized=False)
+
 
 class TestBatchedKernel:
     @given(
@@ -208,8 +244,44 @@ FAILING_ROWS = {
     "negative eigenvalue": [0.5, 0.9, 0.9, 0.5],
     # Hermitian within HERMITICITY_TOL, but the overlap keeps an imaginary 3e-11.
     "imaginary overlap": [0.5, 0.3j, -0.3j + 5e-11, 0.5],
+    # finite entries whose asymmetry |1.5e308 (1 + i)| overflows
+    "overflowing asymmetry": [0.5, 1.5e308 + 1.5e308j, 0.0, 0.5],
+    # not Hermitian, and the overlap is complex too: Hermiticity is checked first
+    "not Hermitian, complex overlap": [0.5, 0.4, 0.1j, 0.5],
 }
 IDENTITY_MAP = resolve_preparation(automatic_preparation()).session_map(False)
+
+
+def assert_one_row_as_two(t, row):
+    """A one-row batch (scalar checks) gives what the row stacked twice (batch checks) gives."""
+    row = np.asarray(row, dtype=complex)
+    one, two = outcome(receiver_states, t, row[None]), outcome(receiver_states, t, np.array([row, row]))
+    if isinstance(two, str):
+        assert one == two
+    else:
+        assert not isinstance(one, str), one
+        assert one[0].tobytes() == two[0][:1].tobytes()
+        assert one[1].tobytes() == two[1][:1].tobytes()
+
+
+class TestOneRowBranch:
+    @pytest.mark.parametrize("kind", ["valid", *FAILING_ROWS])
+    def test_one_row_as_two(self, kind):
+        assert_one_row_as_two(IDENTITY_MAP, VALID_ROW if kind == "valid" else FAILING_ROWS[kind])
+
+    def test_non_finite_raw_operator_before_its_trace(self):
+        # the map overflows the coherences of a row whose trace is zero
+        t = np.diag([1.0, 4.0, 4.0, 1.0]).astype(complex)
+        row = [0.0, 1e308, 1e308, 0.0]
+        with np.errstate(over="ignore"):
+            expected = outcome(per_row_loop, t, np.array([row]))
+        assert expected == "matrix contains NaN or Inf entries"
+        assert outcome(receiver_states, t, np.array([row])) == expected
+        assert_one_row_as_two(t, row)
+
+    @given(u=hermitian_tensor_strategy(), c=bloch_coefficient_strategy())
+    def test_generated_one_row_as_two(self, u, c):
+        assert_one_row_as_two(resolve_preparation(u).session_map(False), c.as_vector())
 
 
 class TestMixedFailures:
