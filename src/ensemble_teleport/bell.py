@@ -4,12 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import (
-    EIGENVALUE_TOL,
-    hermitian_spectrum,
-    partial_transpose,
-    require_statistical_operator,
-)
+from .linalg import EIGENVALUE_TOL, _pair_spectra
 
 BELL_INDICES = (1, 2, 3, 4)
 
@@ -84,8 +79,7 @@ def ppt_entangled(op) -> bool:
     entangled exactly when the partial transpose on the second qubit has an
     eigenvalue below -EIGENVALUE_TOL. The input must be a 4x4 statistical
     operator (Hermitian, unit trace, positive semidefinite); violations raise
-    with the offending invariant.
+    with the offending invariant. The checks and the transpose's spectrum
+    share one eigensolve (``linalg._pair_spectra``).
     """
-    transposed = partial_transpose(op)
-    require_statistical_operator(op)
-    return bool(hermitian_spectrum(transposed)[-1] < -EIGENVALUE_TOL)
+    return bool(_pair_spectra(op)[1, 0] < -EIGENVALUE_TOL)

@@ -21,10 +21,10 @@ import sys
 
 import numpy as np
 
-from .bell import BELL_INDICES, bell_projector, ppt_entangled
+from .bell import BELL_INDICES, bell_projector
 from .conventions import _compare_rows
 from .fidelity import SAMPLERS, fidelity_report, lazy_fidelities
-from .linalg import EQ_TOL, hermitian_spectrum, partial_transpose, spectral_norm
+from .linalg import EIGENVALUE_TOL, EQ_TOL, _pair_spectra, hermitian_spectrum
 from .protocol import (
     ClassicalMessage,
     CoefficientVector,
@@ -183,8 +183,8 @@ def _cmd_bell_audit(args) -> tuple[tuple[str, ...], list, bool]:
     for i in BELL_INDICES:
         r = projectors[i]
         idem = float(np.max(np.abs(r @ r - r)))
-        pt_min = float(hermitian_spectrum(partial_transpose(r))[-1])
-        entangled = ppt_entangled(r)
+        pt_min = float(_pair_spectra(r)[1, 0])  # ppt_entangled's solve, keeping the eigenvalue
+        entangled = pt_min < -EIGENVALUE_TOL
         rows.append(("operator", i, i, idem, float(np.trace(r).real), pt_min, entangled))
         ok = ok and idem < tol and entangled
     for i in BELL_INDICES:
@@ -288,7 +288,7 @@ def _cmd_paut_audit(args) -> tuple[tuple[str, ...], list, bool]:
     u = _PREPS["paut"]
     p = u.matrix()
     spectrum = hermitian_spectrum(p)
-    norm = spectral_norm(p)
+    norm = float(np.max(np.abs(spectrum)))
     p2 = p @ p
     factor = float((np.trace(p.conj().T @ p2) / np.trace(p.conj().T @ p)).real)
     tmat = u.coefficient_map

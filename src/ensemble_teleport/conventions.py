@@ -91,17 +91,19 @@ def _compare_rows(
         raise ValueError(f"expected an (N, 4) array of coefficient rows, got shape {c.shape}")
     p8 = u.sender_operator
     # p8 @ total @ p8 evaluates as (p8 @ total) @ p8, so the sandwich reuses
-    # the one-sided product. A failing row may give inf or nan in later
-    # steps, which is harmless: only its first failing check is reported.
+    # the one-sided product. Both products share one (2, N, 8, 8) buffer, so
+    # the trace-out, the traces and the division run once on the stack. A
+    # failing row may give inf or nan in later steps, which is harmless:
+    # only its first failing check is reported.
     with np.errstate(all="ignore"):
-        one = p8 @ total_states(c)
-        raw = trace_out_sender_pair(one)
-        numerator = trace_out_sender_pair(one @ p8)
-        del one  # an (N, 8, 8) temporary
-        trace = raw[:, 0, 0] + raw[:, 1, 1]
-        total = numerator[:, 0, 0] + numerator[:, 1, 1]
-        ansatz = raw / trace.real[:, None, None]
-        sandwich = numerator / total.real[:, None, None]
+        products = np.empty((2, len(c), 8, 8), dtype=complex)
+        np.matmul(p8, total_states(c), out=products[0])
+        np.matmul(products[0], p8, out=products[1])
+        marginals = trace_out_sender_pair(products)
+        del products  # a (2, N, 8, 8) temporary
+        traces = marginals[..., 0, 0] + marginals[..., 1, 1]
+        ansatz, sandwich = marginals / traces.real[..., None, None]
+        raw, (trace, total) = marginals[0], traces
         if len(c) == 1:
             require_finite(raw.ravel().tolist())
             require_renormalizable(complex(trace[0]))

@@ -84,17 +84,29 @@ def trace_out_sender_pair(m: np.ndarray) -> np.ndarray:
     return np.trace(t, axis1=-4, axis2=-2)
 
 
-def partial_transpose(m) -> np.ndarray:
-    """Transpose of the second factor of a 4x4 operator on a pair of qubits.
-
-    Entry [2i + j, 2k + l] of the result is entry [2i + l, 2k + j] of ``m``.
-    """
+def _pair_operator(m) -> np.ndarray:
+    """``as_matrix(m)``, which must be a 4x4 operator on a pair of qubits."""
     arr = as_matrix(m)
     if arr.shape != (4, 4):
         raise ValueError(
             f"partial transpose expects a 4x4 operator on a qubit pair, got shape {arr.shape}"
         )
-    return arr.reshape(2, 2, 2, 2).transpose(0, 3, 2, 1).reshape(4, 4)
+    return arr
+
+
+def partial_transpose(m) -> np.ndarray:
+    """Transpose of the second factor of a 4x4 operator on a pair of qubits.
+
+    Entry [2i + j, 2k + l] of the result is entry [2i + l, 2k + j] of ``m``.
+    """
+    return _pair_operator(m).reshape(2, 2, 2, 2).transpose(0, 3, 2, 1).reshape(4, 4)
+
+
+# h.ravel()[_WITH_PARTIAL_TRANSPOSE] is the stack [h, partial_transpose(h)] of a 4x4 h.
+_WITH_PARTIAL_TRANSPOSE = np.concatenate(
+    [np.arange(16), np.arange(16).reshape(2, 2, 2, 2).transpose(0, 3, 2, 1).ravel()]
+).reshape(2, 4, 4)
+_WITH_PARTIAL_TRANSPOSE.setflags(write=False)
 
 
 def hermitian_spectrum(a) -> np.ndarray:
@@ -207,6 +219,18 @@ def require_statistical_operator(op) -> None:
     if arr.shape[0] == 2:
         require_qubit_operator(arr.ravel().tolist())
         return
+    hermitian, _ = _unit_trace_hermitian_part(arr)
+    smallest = np.linalg.eigvalsh(hermitian)[0]
+    if smallest < -EIGENVALUE_TOL:
+        raise ValueError(_NEGATIVE_EIGENVALUE.format(smallest))
+
+
+def _unit_trace_hermitian_part(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The Hermitian part of a checked ``as_matrix`` operator, and its gap ``arr - arr^dagger``.
+
+    Runs the Hermiticity and unit-trace checks of ``require_statistical_operator``,
+    in its order and with its messages; positivity is left to the caller's eigensolve.
+    """
     gap = arr - arr.conj().T
     asymmetry = np.hypot(gap.real, gap.imag).max()
     if asymmetry > HERMITICITY_TOL:
@@ -214,9 +238,29 @@ def require_statistical_operator(op) -> None:
     tr = complex(arr.trace())
     if abs(tr - 1.0) > TRACE_TOL:
         raise ValueError(_NOT_UNIT_TRACE.format(tr))
-    smallest = np.linalg.eigvalsh(0.5 * (arr + arr.conj().T))[0]
-    if smallest < -EIGENVALUE_TOL:
-        raise ValueError(_NEGATIVE_EIGENVALUE.format(smallest))
+    return 0.5 * (arr + arr.conj().T), gap
+
+
+def _pair_spectra(op) -> np.ndarray:
+    """Ascending spectra of a two-qubit statistical operator and of its partial transpose.
+
+    Rows 0 and 1 of one ``eigvalsh`` call on the stacked Hermitian parts;
+    they are bitwise ``eigvalsh`` of the Hermitian part of ``op`` and
+    ``hermitian_spectrum(partial_transpose(op))[::-1]``, because the
+    Hermitian part of the transpose is a permutation of that of ``op``.
+    Raises as ``partial_transpose(op)``, then ``require_statistical_operator(op)``,
+    then ``hermitian_spectrum`` of the transpose would, in that order.
+    """
+    arr = _pair_operator(op)
+    hermitian, gap = _unit_trace_hermitian_part(arr)
+    spectra = np.linalg.eigvalsh(hermitian.ravel()[_WITH_PARTIAL_TRANSPOSE])
+    if spectra[0, 0] < -EIGENVALUE_TOL:
+        raise ValueError(_NEGATIVE_EIGENVALUE.format(spectra[0, 0]))
+    # The transpose's gap is a permutation of op's; np.abs, not hypot, as hermitian_spectrum.
+    asymmetry = float(np.max(np.abs(gap)))
+    if asymmetry > HERMITICITY_TOL:
+        raise NonHermitianError(asymmetry)
+    return spectra
 
 
 def spectral_norm(a) -> float:

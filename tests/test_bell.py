@@ -7,9 +7,12 @@ from ensemble_teleport import (
     bell_vector,
     hermitian_spectrum,
     matrix_unit,
+    partial_transpose,
     pauli,
     ppt_entangled,
+    require_statistical_operator,
 )
+from ensemble_teleport.linalg import EIGENVALUE_TOL, _pair_spectra
 
 I4 = np.eye(4, dtype=complex)
 
@@ -175,3 +178,119 @@ class TestMatrixUnit:
     def test_rejects_bad_indices(self):
         with pytest.raises(ValueError, match="indices"):
             matrix_unit(0, 1)
+
+
+def reference_ppt_entangled(op) -> bool:
+    """The PPT test composed from the public pieces, with two eigensolves."""
+    transposed = partial_transpose(op)
+    require_statistical_operator(op)
+    return bool(hermitian_spectrum(transposed)[-1] < -EIGENVALUE_TOL)
+
+
+def haar_qubit_unitary(rng):
+    q, r = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def random_qubit_state(rng):
+    g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    rho = g @ g.conj().T
+    return rho / np.trace(rho).real
+
+
+def seeded_states(seed: int) -> list:
+    """Two-qubit statistical operators on both sides of the PPT verdict, drawn from ``seed``."""
+    rng = np.random.default_rng(seed)
+    states = []
+    for rank in (1, 2, 4, 4, 4):  # random density matrices
+        g = rng.normal(size=(4, rank)) + 1j * rng.normal(size=(4, rank))
+        rho = g @ g.conj().T
+        states.append(rho / np.trace(rho).real)
+    for i in BELL_INDICES:  # rotated Werner states just either side of 1/3
+        for w in (1.0 / 3.0 - 1e-6, 1.0 / 3.0 + 1e-6):
+            u = np.kron(haar_qubit_unitary(rng), haar_qubit_unitary(rng))
+            states.append(u @ (w * bell_projector(i) + (1.0 - w) * I4 / 4.0) @ u.conj().T)
+    states.extend(bell_projector(i) for i in BELL_INDICES)
+    for _ in range(3):  # product states
+        a, b = (random_qubit_state(rng) for _ in range(2))
+        states.append(np.kron(a, b))
+    return states
+
+
+def raised(f, op):
+    try:
+        f(op)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    raise AssertionError("no ValueError raised")
+
+
+def invalid_inputs() -> dict:
+    non_hermitian = bell_projector(1).copy()
+    non_hermitian[0, 3] += 0.1
+    nan = bell_projector(2).copy()
+    nan[1, 1] = np.nan
+    both = 2.0 * bell_projector(3)
+    both[1, 2] += 1e-3j
+    return {
+        "nan": nan,
+        "2x2 state": np.eye(2) / 2,
+        "2x2 non-state": np.array([[1.0, 5.0], [0.0, 3.0]]),
+        "8x8 state": np.eye(8) / 8,
+        "3x3": np.eye(3) / 3,
+        "non-square": np.ones((4, 3)) / 4,
+        "non-Hermitian": non_hermitian,
+        "wrong trace": 2.0 * bell_projector(1),
+        "negative eigenvalue": np.diag([1.5, 0.0, 0.0, -0.5]),
+        "non-Hermitian and wrong trace": both,
+    }
+
+
+INVALID_INPUTS = invalid_inputs()
+
+
+class TestPptOneEigensolve:
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_verdict_matches_two_solve_reference(self, seed):
+        verdicts = []
+        for op in seeded_states(seed):
+            verdict = ppt_entangled(op)
+            assert verdict is reference_ppt_entangled(op)
+            verdicts.append(verdict)
+        # The seeded set sits on both sides of the threshold.
+        assert True in verdicts and False in verdicts
+
+    def test_werner_bracket_verdicts(self):
+        werner = seeded_states(5)[5:13]  # the eight Werner states follow the five random ones
+        verdicts = [ppt_entangled(op) for op in werner]
+        assert verdicts == [False, True] * 4
+
+    @pytest.mark.parametrize("name", list(INVALID_INPUTS))
+    def test_invalid_input_raises_as_reference(self, name):
+        op = INVALID_INPUTS[name]
+        assert raised(ppt_entangled, op) == raised(reference_ppt_entangled, op)
+
+    def test_hermiticity_is_checked_before_trace(self):
+        with pytest.raises(ValueError, match="not Hermitian"):
+            ppt_entangled(INVALID_INPUTS["non-Hermitian and wrong trace"])
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_stacked_rows_equal_the_two_solves(self, seed):
+        for op in seeded_states(seed):
+            spectra = _pair_spectra(op)
+            hermitian = 0.5 * (op + op.conj().T)
+            assert spectra.shape == (2, 4)
+            assert spectra[0].tobytes() == np.linalg.eigvalsh(hermitian).tobytes()
+            assert spectra[1].tobytes() == hermitian_spectrum(partial_transpose(op))[::-1].tobytes()
+
+    def test_one_eigensolve_per_test(self, monkeypatch):
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counting(a, *args, **kwargs):
+            calls.append(np.shape(a))
+            return eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        assert ppt_entangled(bell_projector(1)) is True
+        assert calls == [(2, 4, 4)]
