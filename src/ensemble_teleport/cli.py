@@ -174,8 +174,14 @@ def _render(columns, data, fmt: str) -> str:
     return _render_json(columns, data)
 
 
+def _tolerance(args) -> float:
+    if not args.tol > 0:  # also false for nan
+        raise ValueError(f"--tol must be a positive number, got {args.tol!r}")
+    return args.tol
+
+
 def _cmd_bell_audit(args) -> tuple[tuple[str, ...], list, bool]:
-    tol = args.tol
+    tol = _tolerance(args)
     columns = ("kind", "i", "j", "residual", "trace", "min_pt_eigenvalue", "entangled")
     rows: list[tuple] = []
     ok = True
@@ -284,7 +290,7 @@ def _cmd_sweep(args) -> tuple[tuple[str, ...], list, bool]:
 
 
 def _cmd_paut_audit(args) -> tuple[tuple[str, ...], list, bool]:
-    tol = args.tol
+    tol = _tolerance(args)
     u = _PREPS["paut"]
     p = u.matrix()
     spectrum = hermitian_spectrum(p)
@@ -326,7 +332,9 @@ def _cmd_paut_audit(args) -> tuple[tuple[str, ...], list, bool]:
 def _cmd_appendix_check(args) -> tuple[tuple[str, ...], list, bool]:
     if args.samples < 1:
         raise ValueError(f"need at least 1 sample, got {args.samples}")
-    tol = args.tol
+    if args.seed < 0:
+        raise ValueError(f"--seed must be a non-negative integer, got {args.seed}")
+    tol = _tolerance(args)
     rng = np.random.default_rng(args.seed)
     columns = (
         "prep",

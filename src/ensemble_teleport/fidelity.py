@@ -135,13 +135,18 @@ def maximize_lazy_fidelity(grid_resolution: int) -> LazyFidelityMaximum:
     return LazyFidelityMaximum(argmax=argmax, value=lazy_fidelity(argmax))
 
 
+# Each sample's uniform coordinates as low + width * rng.random(): rng.uniform's doubles, bit for bit.
+_PURE_LOW, _PURE_WIDTH = np.array([-1.0, 0.0]), np.array([2.0, 2.0 * np.pi])
+_MIXED_LOW, _MIXED_WIDTH = np.array([-1.0, 0.0, 0.0]), np.array([2.0, 2.0 * np.pi, 1.0])
+
+
 def _pure_bloch(rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Bloch vectors (x, y, z) of n pure inputs, uniform on the sphere (Haar measure).
 
     Each sample takes z, then the azimuth, from the stream: the same doubles
     in the same order for one draw of n as for n draws of one.
     """
-    z, phi = rng.uniform([-1.0, 0.0], [1.0, 2.0 * np.pi], size=(n, 2)).T
+    z, phi = (_PURE_LOW + _PURE_WIDTH * rng.random((n, 2))).T
     r = np.sqrt(np.maximum(1.0 - z * z, 0.0))
     return r * np.cos(phi), r * np.sin(phi), z
 
@@ -151,7 +156,7 @@ def _mixed_bloch(rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarr
 
     Each sample takes z, the azimuth, then the radius draw from the stream.
     """
-    z, phi, u = rng.uniform([-1.0, 0.0, 0.0], [1.0, 2.0 * np.pi, 1.0], size=(n, 3)).T
+    z, phi, u = (_MIXED_LOW + _MIXED_WIDTH * rng.random((n, 3))).T
     # float_power calls libm pow like Python's **; np.power rounds some cube roots differently.
     radius = np.float_power(u, 1.0 / 3.0)
     r = np.sqrt(np.maximum(1.0 - z * z, 0.0))

@@ -161,6 +161,12 @@ def require_finite(entries) -> None:
         raise ValueError(_NOT_FINITE)
 
 
+def finite_rows(stack: np.ndarray) -> np.ndarray:
+    """``np.isfinite(stack).all`` over each row of ``(N, 4)`` or ``(N, 2, 2)``, as ``&`` of four columns."""
+    finite = np.isfinite(stack).reshape(-1, 4)
+    return finite[:, 0] & finite[:, 1] & finite[:, 2] & finite[:, 3]
+
+
 def require_qubit_operator(entries) -> None:
     """The statistical-operator checks on one 2x2 operator given as its four entries.
 
@@ -191,7 +197,7 @@ def statistical_operator_checks(ops: np.ndarray) -> list:
     -EIGENVALUE_TOL, by the same closed form). Non-finite entries raise
     floating-point warnings unless the caller silences them.
     """
-    finite = np.isfinite(ops).all(axis=(1, 2))
+    finite = finite_rows(ops)
     a, b, c, d = ops[:, 0, 0], ops[:, 0, 1], ops[:, 1, 0], ops[:, 1, 1]
     asymmetry = np.maximum(
         np.maximum(2 * np.abs(a.imag), 2 * np.abs(d.imag)), np.hypot(b.real - c.real, b.imag + c.imag)

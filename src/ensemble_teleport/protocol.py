@@ -31,6 +31,7 @@ from .linalg import (
     TRACE_TOL,
     as_matrix,
     embed_sender_pair,
+    finite_rows,
     modulus,
     raise_first_failure,
     require_finite,
@@ -85,8 +86,12 @@ class CoefficientVector:
             raise ValueError(_NONNEGATIVITY.format(self.c11, self.c22))
         if abs(self.c21 - np.conj(self.c12)) > EQ_TOL:
             raise ValueError(_HERMITICITY.format(self.c21, np.conj(self.c12)))
-        if abs(self.c12) ** 2 > self.c11 * self.c22 + EQ_TOL:
-            raise ValueError(_POSITIVITY.format(abs(self.c12) ** 2, self.c11 * self.c22))
+        try:
+            mag2 = abs(self.c12) ** 2
+        except OverflowError:  # inf, as coefficient_rows takes it
+            mag2 = float("inf")
+        if mag2 > self.c11 * self.c22 + EQ_TOL:
+            raise ValueError(_POSITIVITY.format(mag2, self.c11 * self.c22))
 
     @classmethod
     def from_components(cls, c11: float, c12: complex = 0.0) -> "CoefficientVector":
@@ -131,14 +136,15 @@ def coefficient_rows(c11, c12, c21, c22) -> np.ndarray:
     c11, c22 = np.asarray(c11, dtype=float), np.asarray(c22, dtype=float)
     c12, c21 = np.asarray(c12, dtype=complex), np.asarray(c21, dtype=complex)
     _require_equal_1d("c11, c12, c21, c22", c11, c12, c21, c22)
-    rows = np.stack((c11, c12, c21, c22), axis=-1)
+    rows = np.empty((len(c11), 4), dtype=complex)
+    rows[:, 0], rows[:, 1], rows[:, 2], rows[:, 3] = c11, c12, c21, c22
     with np.errstate(invalid="ignore", over="ignore"):
         total = c11 + c22
         # abs(c12) as hypot of its parts, the libm call abs() makes on a Python complex.
         mag2 = np.hypot(c12.real, c12.imag) ** 2
         # The values are formatted as the constructor's Python scalars.
         raise_first_failure([
-            (~np.isfinite(rows).all(axis=-1), lambda i: _NOT_FINITE_COEFFICIENTS),
+            (~finite_rows(rows), lambda i: _NOT_FINITE_COEFFICIENTS),
             (np.abs(total - 1.0) > EQ_TOL, lambda i: _TRACE_CONSTRAINT.format(float(total[i]))),
             (
                 (c11 < -EQ_TOL) | (c22 < -EQ_TOL),
@@ -414,7 +420,7 @@ def renormalize_checks(raw: np.ndarray, trace: np.ndarray) -> list:
     ``require_renormalizable``, with renormalize's messages.
     """
     return [
-        (~np.isfinite(raw).all(axis=(1, 2)), lambda i: "matrix contains NaN or Inf entries"),
+        (~finite_rows(raw), lambda i: "matrix contains NaN or Inf entries"),
         (np.abs(trace.imag) > EQ_TOL, lambda i: _IMAGINARY_TRACE.format(trace.imag[i])),
         (trace.real <= ANNIHILATION_TOL, lambda i: _ANNIHILATED.format(trace.real[i])),
     ]

@@ -545,6 +545,34 @@ class TestColumnRenderers:
         assert set(json.loads(out)[-1]) == {"kind", "residual"}
 
 
+class TestBadConfiguration:
+    """Invalid flag values exit 1 with one error line naming the problem, never a traceback."""
+
+    CASES = {
+        "teleport --c11 0.5 --c12re 1e300 --prep bell1": "error: positivity constraint violated: |c12|^2 = inf",
+        "appendix-check --seed -1": "error: --seed must be a non-negative integer",
+        **{
+            f"{command} --tol {tol}": "error: --tol must be a positive number"
+            for command in ("bell-audit", "paut-audit", "appendix-check")
+            for tol in ("nan", "-1", "0")
+        },
+    }
+
+    @pytest.mark.parametrize("command", sorted(CASES))
+    def test_exits_one_with_one_error_line(self, capsys, command):
+        code, out, err = run_cli(capsys, *command.split())
+        start = self.CASES[command]
+        assert code == 1
+        assert out == ""
+        assert err.startswith(start)
+        assert "Traceback" not in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["bell-audit", "paut-audit", "appendix-check"])
+    def test_infinite_tolerance_passes(self, capsys, command):
+        code, _, _ = run_cli(capsys, command, "--tol", "inf")
+        assert code == 0
+
+
 class TestOutFailure:
     @pytest.mark.parametrize("where", ["missing-dir", "directory"])
     def test_unwritable_path_exits_one(self, capsys, tmp_path, where):

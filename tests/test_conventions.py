@@ -282,6 +282,16 @@ FIRST_FAILURES = {
         2,
         "matrix contains NaN or Inf entries",
     ),
+    # The raw operator's off-diagonal entry overflows (4.25e307+inf j) while
+    # its trace is 0: the finite check must come before the trace checks.
+    "non-finite raw operator with zero trace": (
+        _HUGE * (
+            _unit(0, 1, -1 - 1j) + _unit(0, 3, -1 + 1j) + _unit(1, 0, -1) + _unit(2, 1, 1 + 1j) + _unit(2, 3, -1j)
+        ),
+        [CoefficientVector.from_bloch(-_H, _H, 0)],
+        0,
+        "matrix contains NaN or Inf entries",
+    ),
     # the lower row fails a later check than the higher row
     "annihilation before a non-finite row": (
         _OVERFLOWING,

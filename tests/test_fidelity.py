@@ -16,6 +16,7 @@ from ensemble_teleport import (
     maximize_lazy_fidelity,
     pauli,
     preparation_from_bell,
+    receiver_states,
     renormalize,
     require_statistical_operator,
     resolve_preparation,
@@ -258,6 +259,44 @@ class TestSeededStream:
             assert rows.tobytes() == loop.tobytes() == public.tobytes()
             # The same number of doubles was taken from each stream.
             assert batch_rng.random() == loop_rng.random() == public_rng.random()
+
+
+# Uncorrected Bell k maps input Bloch vector r to R_k r, so its fidelity is (1 + r.R_k r)/2.
+BELL_ROTATIONS = {1: (-1, 1, -1), 2: (1, -1, -1), 3: (-1, -1, 1), 4: (1, 1, 1)}
+
+
+class TestBlochForm:
+    """Session fidelities against the closed Bloch form, an oracle that does not use the 8x8 path.
+
+    Corrected Bell sessions and the automatic preparation return the input,
+    with fidelity (1 + |r|^2)/2.
+    """
+
+    @staticmethod
+    def inputs(sampler):
+        x, y, z = SAMPLERS[sampler](np.random.default_rng(sorted(SAMPLERS).index(sampler)), 1000)
+        points = np.array([(0, 0, 0), (1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)], dtype=float)
+        return np.concatenate([np.stack([x, y, z], axis=1), points])
+
+    @pytest.mark.parametrize("sampler", sorted(SAMPLERS))
+    @pytest.mark.parametrize(
+        "prep, bob_acts",
+        [(k, False) for k in BELL_ROTATIONS] + [(k, True) for k in BELL_ROTATIONS]
+        + [("automatic", False), ("automatic", True)],
+    )
+    def test_fidelity_is_the_closed_form(self, prep, bob_acts, sampler):
+        r = self.inputs(sampler)
+        if prep == "automatic" or bob_acts:
+            expected = (1 + (r * r).sum(axis=1)) / 2
+        else:
+            expected = (1 + (r * np.array(BELL_ROTATIONS[prep]) * r).sum(axis=1)) / 2
+        u = automatic_preparation() if prep == "automatic" else resolve_preparation(prep)
+        t = u.session_map(bob_acts)
+        _, batch = receiver_states(t, bloch_coefficient_rows(*r.T))
+        assert np.max(np.abs(batch - expected)) <= 1e-12
+        for point, wanted in zip(r, expected):
+            _, one = receiver_states(t, bloch_coefficient_rows(*point[:, None]))
+            assert abs(one[0] - wanted) <= 1e-12
 
 
 class TestAverageFidelity:

@@ -18,6 +18,7 @@ from ensemble_teleport import (
 from ensemble_teleport.linalg import (
     as_matrix,
     embed_sender_pair,
+    finite_rows,
     raise_first_failure,
     stacked_kron,
     statistical_operator_checks,
@@ -370,3 +371,38 @@ class TestInvariants:
         pt = partial_transpose(m)
         for i, j, k, l in np.ndindex(2, 2, 2, 2):
             assert pt[2 * i + j, 2 * k + l] == m[2 * i + l, 2 * k + j]
+
+
+class TestFiniteRows:
+    """The row mask equals the reduction it replaces, for every placement of one non-finite part."""
+
+    @staticmethod
+    def reference(a):
+        return np.isfinite(a).all(axis=tuple(range(1, a.ndim)))
+
+    @staticmethod
+    def stack(shape, n):
+        rng = np.random.default_rng([n, len(shape)])
+        return rng.normal(size=(n, *shape)) + 1j * rng.normal(size=(n, *shape))
+
+    @pytest.mark.parametrize("shape", [(4,), (2, 2)])
+    @pytest.mark.parametrize("n", [0, 1, 1000])
+    def test_finite_stack(self, shape, n):
+        a = self.stack(shape, n)
+        assert finite_rows(a).shape == (n,)
+        assert finite_rows(a).tobytes() == self.reference(a).tobytes()
+
+    @pytest.mark.parametrize("shape", [(4,), (2, 2)])
+    @pytest.mark.parametrize("n", [1, 1000])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("imag", [False, True])
+    def test_one_non_finite_part(self, shape, n, bad, imag):
+        a = self.stack(shape, n)
+        for entry in range(4):
+            b = a.copy()
+            row = (7 * entry) % n
+            z = b.reshape(n, 4)[row, entry]
+            b.reshape(n, 4)[row, entry] = complex(z.real, bad) if imag else complex(bad, z.imag)
+            mask = finite_rows(b)
+            assert mask.tobytes() == self.reference(b).tobytes()
+            assert np.flatnonzero(~mask).tolist() == [row]

@@ -115,6 +115,10 @@ COEFFICIENT_CASES = {
     "hermiticity_outside": (0.5, 0.1, 0.1 + 1.1e-12, 0.5),
     "nan": (np.nan, 0.0, 0.0, 0.5),
     "inf_coherence": (0.5, complex(np.inf, 0.0), 0.0, 0.5),
+    # finite, but |c12|^2 overflows (abs(c12) ** 2 on a Python float raises OverflowError)
+    "positivity_square_overflows": (0.5, 1e300, 1e300, 0.5),
+    # finite, but already |c12| overflows
+    "positivity_modulus_overflows": (0.5, complex(1.7e308, 1.7e308), complex(1.7e308, -1.7e308), 0.5),
 }
 ACCEPTED = {
     "maximally_mixed", "c11_one", "c11_zero", "pure", "positivity_inside",
