@@ -18,23 +18,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (
-    ANNIHILATION_TOL,
-    EQ_TOL,
     embed_sender_pair,
-    raise_first_failure,
-    require_finite,
+    renormalization_table,
+    require,
+    require_rows,
     trace_out_sender_pair,
+    two_sided_trace_table,
 )
-from .protocol import (
-    CoefficientVector,
-    PreparationTensor,
-    renormalize_checks,
-    require_renormalizable,
-    total_state,
-    total_states,
-)
-
-_TWO_SIDED_ANNIHILATED = "two-sided update annihilated the ensemble: total trace {!r}"
+from .protocol import CoefficientVector, PreparationTensor, total_state, total_states
 
 
 def sandwich_numerator(u: PreparationTensor, c: CoefficientVector) -> np.ndarray:
@@ -47,13 +38,8 @@ def prepare_sandwich(u: PreparationTensor, c: CoefficientVector) -> np.ndarray:
     """Two-sided preparation: sandwich the total state and divide by the full trace."""
     numerator = sandwich_numerator(u, c)
     denominator = complex(np.trace(numerator))
-    _require_two_sided_trace(denominator)
+    require((two_sided_trace_table, (denominator,)))
     return numerator / denominator.real
-
-
-def _require_two_sided_trace(total: complex) -> None:
-    if abs(total.imag) > EQ_TOL or total.real <= ANNIHILATION_TOL:
-        raise ValueError(_TWO_SIDED_ANNIHILATED.format(total))
 
 
 @dataclass(frozen=True, eq=False)
@@ -83,8 +69,7 @@ def _compare_rows(
     i gives: renormalize(alice_prepare(u, c)), prepare_sandwich(u, c) and
     the traces of alice_prepare and sandwich_numerator. A row that fails
     renormalize's checks or the two-sided trace check raises ValueError with
-    the message of the lowest failing row's first failing check. A batch of
-    one row is checked by the scalar forms of these checks.
+    the message of the lowest failing row's first failing check (``require_rows``).
     """
     c = np.asarray(coeffs, dtype=complex)
     if c.ndim != 2 or c.shape[1] != 4:
@@ -104,18 +89,7 @@ def _compare_rows(
         traces = marginals[..., 0, 0] + marginals[..., 1, 1]
         ansatz, sandwich = marginals / traces.real[..., None, None]
         raw, (trace, total) = marginals[0], traces
-        if len(c) == 1:
-            require_finite(raw.ravel().tolist())
-            require_renormalizable(complex(trace[0]))
-            _require_two_sided_trace(complex(total[0]))
-        else:
-            raise_first_failure([
-                *renormalize_checks(raw, trace),
-                (
-                    (np.abs(total.imag) > EQ_TOL) | (total.real <= ANNIHILATION_TOL),
-                    lambda i: _TWO_SIDED_ANNIHILATED.format(complex(total[i])),
-                ),
-            ])
+    require_rows((renormalization_table, raw), (two_sided_trace_table, total))
     return ansatz, sandwich, np.abs(ansatz - sandwich).max(axis=(1, 2)), total.real / trace.real
 
 

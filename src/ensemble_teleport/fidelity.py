@@ -14,7 +14,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .linalg import AGREE_TOL, ANNIHILATION_TOL, EQ_TOL
+from .linalg import AGREE_TOL, as_matrix, positive_real_invariants, positive_real_table, require
 from .protocol import (
     CoefficientVector,
     bloch_coefficient_rows,
@@ -24,29 +24,36 @@ from .protocol import (
 )
 
 
+_ANNIHILATES = "transformation annihilates the input: trace component {!r}".format
+_TRACE_COMPONENT = positive_real_table(*positive_real_invariants(_ANNIHILATES, _ANNIHILATES))
+_REAL_VALUE = (AGREE_TOL, "vector-form fidelity has imaginary part {:.3e}".format)
+
+
+def _vector_form_table(x, parts) -> tuple:
+    """The vector-form fidelity's check that it is real within AGREE_TOL (so never NaN)."""
+    value, = parts
+    return ((abs(value.imag), _REAL_VALUE, (value.imag,)),)
+
+
 def fidelity_vector(c: CoefficientVector, t) -> float:
     """Vector-form fidelity c.c + c.(T/||Tc|| - 1).c with bilinear products.
 
     ||.|| is the trace reading of a coefficient 4-vector: the sum of its
-    first and fourth components. Raises when the transformed vector has no
-    positive trace component (the transformation annihilates the input).
+    first and fourth components. Raises when the map has a NaN or Inf entry,
+    and when the transformed vector has no positive real trace component
+    (the transformation annihilates the input), as the two-sided update does.
     """
     tm = np.asarray(t, dtype=complex)
     if tm.shape != (4, 4):
         raise ValueError(f"expected a 4x4 transformation, got shape {tm.shape}")
+    tm = as_matrix(tm)
     cv = c.as_vector()
     tc = tm @ cv
     norm = complex(tc[0] + tc[3])
-    if abs(norm.imag) > EQ_TOL or norm.real <= ANNIHILATION_TOL:
-        raise ValueError(
-            f"transformation annihilates the input: trace component {norm!r}"
-        )
+    require((_TRACE_COMPONENT, (norm,)))
     contamination = (tm / norm.real) @ cv - cv
     value = complex(cv @ cv + cv @ contamination)
-    if abs(value.imag) > AGREE_TOL:
-        raise ValueError(
-            f"vector-form fidelity has imaginary part {value.imag:.3e}"
-        )
+    require((_vector_form_table, (value,)))
     return float(value.real)
 
 

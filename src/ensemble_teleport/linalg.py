@@ -9,7 +9,8 @@ operation besides the trace-out is the partial transpose on the second qubit.
 
 from __future__ import annotations
 
-import cmath
+import math
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -123,30 +124,6 @@ def hermitian_spectrum(a) -> np.ndarray:
     return np.linalg.eigvalsh(0.5 * (arr + arr.conj().T))[::-1]
 
 
-def raise_first_failure(checks) -> None:
-    """Raise ValueError for the lowest-index row that fails any of ``checks``.
-
-    ``checks`` lists (mask, message) pairs in the order one row is checked:
-    ``mask`` flags the failing rows and ``message(i)`` words row i's failure.
-    The error carries the message of that row's first failing check, which is
-    what checking the rows one at a time would raise first.
-    """
-    failed = np.array([mask for mask, _ in checks])
-    if np.count_nonzero(failed):
-        row = int(np.argmax(failed.any(axis=0)))
-        raise ValueError(checks[int(np.argmax(failed[:, row]))][1](row))
-
-
-_NOT_HERMITIAN = "not a statistical operator: not Hermitian (asymmetry {:.3e})"
-_NOT_UNIT_TRACE = "not a statistical operator: not unit-trace (trace {:.12g})"
-_NEGATIVE_EIGENVALUE = "not a statistical operator: negative eigenvalue {:.3e}"
-
-# Each statistical-operator check has a scalar form, on Python numbers, and a
-# batch form, on stacks. Both take every complex modulus as libm hypot of the
-# parts (abs() of a Python complex, np.hypot on arrays), so they agree to the
-# last bit; np.abs of a complex array differs from it in the last bit.
-
-
 def modulus(z: complex) -> float:
     """|z| as libm hypot of its parts, the value np.hypot gives; inf where it overflows."""
     try:
@@ -155,61 +132,203 @@ def modulus(z: complex) -> float:
         return float("inf")
 
 
-def require_finite(entries) -> None:
-    """Raise ValueError unless every one of ``entries`` (Python numbers) is finite."""
-    if not all(map(cmath.isfinite, entries)):
-        raise ValueError(_NOT_FINITE)
+def _nan_unless_finite(a, b, c, d):
+    """0.0 when all four parts are finite, else NaN: z - z is 0 for a finite z and NaN otherwise."""
+    gap = (a - a) + (b - b) + (c - c) + (d - d)
+    return gap.real + gap.imag
 
 
-def finite_rows(stack: np.ndarray) -> np.ndarray:
-    """``np.isfinite(stack).all`` over each row of ``(N, 4)`` or ``(N, 2, 2)``, as ``&`` of four columns."""
-    finite = np.isfinite(stack).reshape(-1, 4)
-    return finite[:, 0] & finite[:, 1] & finite[:, 2] & finite[:, 3]
+# Check tables: each invariant is written once and runs on one row's Python
+# numbers or on columns of many rows.
+#
+# An invariant is (bound, message): a quantity meets it when
+# ``quantity <= bound``, so a NaN quantity fails, and otherwise
+# ``message(*values)`` names it. A failing comparison ``q > bound`` is kept
+# as it is; ``Re t <= ANNIHILATION_TOL`` becomes ``-Re t`` against minus the
+# next double above ANNIHILATION_TOL, which fails for the same doubles.
+#
+# A table ``table(x, parts)`` returns its entries (quantity, invariant,
+# values) in checking order; each quantity is one expression over the parts,
+# with squares as ``m * m``. The arithmetic ``x`` supplies what differs
+# between Python numbers and columns: moduli, as abs() of a Python complex
+# or np.hypot of the parts, both libm hypot, so they agree to the last bit
+# (np.abs of a complex array and math.hypot do not); the maximum of three
+# values; and 0.0 or NaN for four parts that are all finite or not.
+ON_NUMBERS = SimpleNamespace(modulus=modulus, maximum=max, nan_unless_finite=_nan_unless_finite)
+ON_COLUMNS = SimpleNamespace(
+    modulus=lambda z: np.hypot(z.real, z.imag),
+    maximum=lambda p, q, r: np.maximum(np.maximum(p, q), r),
+    nan_unless_finite=lambda a, b, c, d: np.where(
+        np.isfinite(a) & np.isfinite(b) & np.isfinite(c) & np.isfinite(d), 0.0, np.nan
+    ),
+)
+
+FINITE = (0.0, _NOT_FINITE.format)
+HERMITIAN = (HERMITICITY_TOL, "not a statistical operator: not Hermitian (asymmetry {:.3e})".format)
+UNIT_TRACE = (TRACE_TOL, "not a statistical operator: not unit-trace (trace {:.12g})".format)
+POSITIVE = (EIGENVALUE_TOL, "not a statistical operator: negative eigenvalue {:.3e}".format)
+_REAL_OVERLAP = (
+    EQ_TOL,
+    "fidelity has non-negligible imaginary part {:.3e}; the pipeline produced a non-Hermitian state".format,
+)
+_FINITE_COEFFICIENTS = (0.0, "coefficients contain NaN or Inf".format)
+_COEFFICIENT_TRACE = (EQ_TOL, "trace constraint violated: c11 + c22 = {!r}, expected 1".format)
+_NONNEGATIVE = (EQ_TOL, "nonnegativity constraint violated: c11 = {!r}, c22 = {!r}".format)
+_COEFFICIENT_HERMITIAN = (
+    EQ_TOL, "hermiticity constraint violated: c21 = {!r} is not conj(c12) = {!r}".format
+)
+# |c12|^2 - (c11*c22 + EQ_TOL) <= 0 exactly when |c12|^2 <= c11*c22 + EQ_TOL:
+# the difference of two doubles is 0 only when they are equal.
+_COEFFICIENT_POSITIVE = (0.0, "positivity constraint violated: |c12|^2 = {!r} exceeds c11*c22 = {!r}".format)
+_BLOCH_LENGTH = (1.0 + EQ_TOL, lambda r2: f"Bloch vector length {np.sqrt(r2)} exceeds 1")
 
 
-def require_qubit_operator(entries) -> None:
-    """The statistical-operator checks on one 2x2 operator given as its four entries.
+def qubit_operator_table(x, entries) -> tuple:
+    """The statistical-operator checks on a 2x2 operator [[a, b], [c, d]]: finite, then the invariants.
 
-    ``entries`` are Python complex numbers in row-major order. The scalar
-    form of ``statistical_operator_checks``: same order, same values, same
-    messages.
+    The asymmetry is 2|Im| on the diagonal and |b - c*| off it, and the
+    smallest eigenvalue has the closed form (a + d)/2 - |(a - d)/2 + i|b||.
     """
-    require_finite(entries)
     a, b, c, d = entries
-    # The largest entry of |M - M^dagger|: 2|Im| on the diagonal, |b - c*| off it.
-    asymmetry = max(2 * abs(a.imag), 2 * abs(d.imag), modulus(b - c.conjugate()))
-    if asymmetry > HERMITICITY_TOL:
-        raise ValueError(_NOT_HERMITIAN.format(asymmetry))
-    tr = a + d
-    if modulus(tr - 1.0) > TRACE_TOL:
-        raise ValueError(_NOT_UNIT_TRACE.format(tr))
-    smallest = 0.5 * (a.real + d.real) - modulus(complex(0.5 * (a.real - d.real), modulus(b)))
-    if smallest < -EIGENVALUE_TOL:
-        raise ValueError(_NEGATIVE_EIGENVALUE.format(smallest))
-
-
-def statistical_operator_checks(ops: np.ndarray) -> list:
-    """The statistical-operator checks on a stack ``(n, 2, 2)``, for ``raise_first_failure``.
-
-    The batch form of ``require_qubit_operator``, with its messages. In
-    order: finite entries, Hermiticity (HERMITICITY_TOL), unit trace
-    (TRACE_TOL) and positivity (smallest eigenvalue at least
-    -EIGENVALUE_TOL, by the same closed form). Non-finite entries raise
-    floating-point warnings unless the caller silences them.
-    """
-    finite = finite_rows(ops)
-    a, b, c, d = ops[:, 0, 0], ops[:, 0, 1], ops[:, 1, 0], ops[:, 1, 1]
-    asymmetry = np.maximum(
-        np.maximum(2 * np.abs(a.imag), 2 * np.abs(d.imag)), np.hypot(b.real - c.real, b.imag + c.imag)
+    asymmetry = x.maximum(2 * abs(a.imag), 2 * abs(d.imag), x.modulus(b - c.conjugate()))
+    trace = a + d
+    smallest = 0.5 * (a.real + d.real) - x.modulus(0.5 * (a.real - d.real) + 1j * x.modulus(b))
+    return (
+        (x.nan_unless_finite(a, b, c, d), FINITE, ()),
+        (asymmetry, HERMITIAN, (asymmetry,)),
+        (x.modulus(trace - 1.0), UNIT_TRACE, (trace,)),
+        (-smallest, POSITIVE, (smallest,)),
     )
-    tr = a + d
-    smallest = 0.5 * (a.real + d.real) - np.hypot(0.5 * (a.real - d.real), np.hypot(b.real, b.imag))
-    return [
-        (~finite, lambda i: _NOT_FINITE),
-        (asymmetry > HERMITICITY_TOL, lambda i: _NOT_HERMITIAN.format(asymmetry[i])),
-        (np.hypot(tr.real - 1.0, tr.imag) > TRACE_TOL, lambda i: _NOT_UNIT_TRACE.format(complex(tr[i]))),
-        (smallest < -EIGENVALUE_TOL, lambda i: _NEGATIVE_EIGENVALUE.format(smallest[i])),
-    ]
+
+
+def coefficient_table(x, parts) -> tuple:
+    """The CoefficientVector invariants on (c11, c12, c21, c22).
+
+    c11 and c22 may come as complex numbers with zero imaginary part, as in coefficient rows.
+    """
+    c11, c12, c21, c22 = parts
+    c11, c22 = c11.real, c22.real
+    total, conj12, product = c11 + c22, c12.conjugate(), c11 * c22
+    mag = x.modulus(c12)
+    mag2 = mag * mag
+    return (
+        (x.nan_unless_finite(c11, c12, c21, c22), _FINITE_COEFFICIENTS, ()),
+        (abs(total - 1.0), _COEFFICIENT_TRACE, (total,)),
+        (-c11, _NONNEGATIVE, (c11, c22)),
+        (-c22, _NONNEGATIVE, (c11, c22)),
+        (x.modulus(c21 - conj12), _COEFFICIENT_HERMITIAN, (c21, conj12)),
+        (mag2 - (product + EQ_TOL), _COEFFICIENT_POSITIVE, (mag2, product)),
+    )
+
+
+def bloch_table(x, parts) -> tuple:
+    """``CoefficientVector.from_bloch``'s check on a Bloch vector (x, y, z)."""
+    bx, by, bz = parts
+    r2 = bx * bx + by * by + bz * bz
+    return ((r2, _BLOCH_LENGTH, (r2,)),)
+
+
+def positive_real_invariants(imaginary, vanishing) -> tuple:
+    """The invariants of a trace t that must be real and positive, on |Im t| and on -Re t.
+
+    t passes only when |Im t| <= EQ_TOL and Re t > ANNIHILATION_TOL;
+    ``imaginary(t)`` and ``vanishing(t)`` word the two failures.
+    """
+    return (EQ_TOL, imaginary), (-math.nextafter(ANNIHILATION_TOL, math.inf), vanishing)
+
+
+def positive_real_table(real, positive):
+    """A table on one trace t with the two ``positive_real_invariants``."""
+
+    def table(x, parts):
+        t, = values = parts
+        return (abs(t.imag), real, values), (-t.real, positive, values)
+
+    return table
+
+
+_REAL_TRACE, _UNANNIHILATED = positive_real_invariants(
+    lambda t: f"cannot renormalize: trace has imaginary part {t.imag:.3e}",
+    lambda t: f"preparation annihilated the ensemble: trace {t.real:.3e} <= {ANNIHILATION_TOL}",
+)
+renormalizable_trace_table = positive_real_table(_REAL_TRACE, _UNANNIHILATED)
+
+
+def renormalization_table(x, entries) -> tuple:
+    """``renormalize``'s checks on a 2x2 operator [[a, b], [c, d]]: finite entries, then its trace a + d."""
+    a, b, c, d = entries
+    t = a + d
+    values = (t,)
+    return (
+        (x.nan_unless_finite(a, b, c, d), FINITE, ()),
+        (abs(t.imag), _REAL_TRACE, values),
+        (-t.real, _UNANNIHILATED, values),
+    )
+
+
+_TWO_SIDED_ANNIHILATED = "two-sided update annihilated the ensemble: total trace {!r}".format
+two_sided_trace_table = positive_real_table(
+    *positive_real_invariants(_TWO_SIDED_ANNIHILATED, _TWO_SIDED_ANNIHILATED)
+)
+
+
+def real_overlap_table(x, parts) -> tuple:
+    """``fidelity_trace``'s check that the overlap Tr(rho_in rho_bob) is real."""
+    overlap, = parts
+    return ((abs(overlap.imag), _REAL_OVERLAP, (overlap.imag,)),)
+
+
+def require(*checks) -> None:
+    """The runner on one row: ValueError with the message of its first failing entry.
+
+    Each check is a (table, parts) pair, ``parts`` the row's Python numbers,
+    or a one-row array or a tuple of one-element columns of them, which are
+    read as Python numbers; the tables run in order.
+    """
+    for table, parts in checks:
+        if isinstance(parts, np.ndarray):
+            parts = parts.ravel().tolist()
+        elif isinstance(parts[0], np.ndarray):
+            parts = [part.item() for part in parts]
+        for quantity, (bound, message), values in table(ON_NUMBERS, parts):
+            if not quantity <= bound:
+                raise ValueError(message(*values))
+
+
+def require_columns(*checks) -> None:
+    """The runner on N >= 1 rows: ValueError for the lowest failing row, with its first failing message.
+
+    Each check is a (table, rows) pair, ``rows`` an (N, ...) array whose
+    other axes hold the table's parts or a tuple of the parts' N-long
+    columns; the message is the one ``require`` on that row raises.
+    """
+    # A row that fails one entry may give inf or nan in later ones, which is
+    # harmless: only its first failing entry is reported.
+    with np.errstate(all="ignore"):
+        entries = [
+            entry
+            for table, rows in checks
+            for entry in table(ON_COLUMNS, rows if isinstance(rows, tuple) else rows.reshape(len(rows), -1).T)
+        ]
+        failed = ~np.array([quantity <= bound for quantity, (bound, _), _ in entries])
+    if failed.any():
+        row = int(np.argmax(failed.any(axis=0)))
+        _, (_, message), values = entries[int(np.argmax(failed[:, row]))]
+        raise ValueError(message(*(value[row].item() for value in values)))
+
+
+def require_rows(*checks) -> None:
+    """``require`` on a single row, else ``require_columns``: the choice depends on the row count alone.
+
+    One row costs less as Python numbers than as columns of one, and both
+    runners evaluate the same expressions to the same bits.
+    """
+    rows = checks[0][1]
+    n = len(rows[0] if isinstance(rows, tuple) else rows)
+    if n == 1:
+        require(*checks)
+    elif n:
+        require_columns(*checks)
 
 
 def require_statistical_operator(op) -> None:
@@ -217,33 +336,36 @@ def require_statistical_operator(op) -> None:
 
     The invariants are Hermiticity (HERMITICITY_TOL), unit trace (TRACE_TOL)
     and positivity (smallest eigenvalue at least -EIGENVALUE_TOL). A 2x2
-    operator [[a, b], [b*, d]] goes to ``require_qubit_operator``, which
-    uses the closed form (a + d)/2 - sqrt((a - d)^2/4 + |b|^2) for its
-    smallest eigenvalue; larger ones use the eigensolver.
+    operator is checked by ``qubit_operator_table``, which uses the closed
+    form for its smallest eigenvalue; larger ones use the eigensolver.
     """
     arr = as_matrix(op)
     if arr.shape[0] == 2:
-        require_qubit_operator(arr.ravel().tolist())
+        require((qubit_operator_table, arr.ravel().tolist()))
         return
     hermitian, _ = _unit_trace_hermitian_part(arr)
-    smallest = np.linalg.eigvalsh(hermitian)[0]
-    if smallest < -EIGENVALUE_TOL:
-        raise ValueError(_NEGATIVE_EIGENVALUE.format(smallest))
+    require((_positive_table, (np.linalg.eigvalsh(hermitian)[0],)))
+
+
+def _hermitian_unit_trace_table(x, parts) -> tuple:
+    """HERMITIAN and UNIT_TRACE on an operator's largest entry of |M - M^dagger| and its trace."""
+    asymmetry, trace = parts
+    return (asymmetry, HERMITIAN, (asymmetry,)), (x.modulus(trace - 1.0), UNIT_TRACE, (trace,))
+
+
+def _positive_table(x, parts) -> tuple:
+    """POSITIVE on an operator's smallest eigenvalue."""
+    smallest, = parts
+    return ((-smallest, POSITIVE, (smallest,)),)
 
 
 def _unit_trace_hermitian_part(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The Hermitian part of a checked ``as_matrix`` operator, and its gap ``arr - arr^dagger``.
 
-    Runs the Hermiticity and unit-trace checks of ``require_statistical_operator``,
-    in its order and with its messages; positivity is left to the caller's eigensolve.
+    Runs ``_hermitian_unit_trace_table`` first; ``_positive_table`` is left to the caller's eigensolve.
     """
     gap = arr - arr.conj().T
-    asymmetry = np.hypot(gap.real, gap.imag).max()
-    if asymmetry > HERMITICITY_TOL:
-        raise ValueError(_NOT_HERMITIAN.format(asymmetry))
-    tr = complex(arr.trace())
-    if abs(tr - 1.0) > TRACE_TOL:
-        raise ValueError(_NOT_UNIT_TRACE.format(tr))
+    require((_hermitian_unit_trace_table, (np.hypot(gap.real, gap.imag).max(), complex(arr.trace()))))
     return 0.5 * (arr + arr.conj().T), gap
 
 
@@ -260,8 +382,7 @@ def _pair_spectra(op) -> np.ndarray:
     arr = _pair_operator(op)
     hermitian, gap = _unit_trace_hermitian_part(arr)
     spectra = np.linalg.eigvalsh(hermitian.ravel()[_WITH_PARTIAL_TRANSPOSE])
-    if spectra[0, 0] < -EIGENVALUE_TOL:
-        raise ValueError(_NEGATIVE_EIGENVALUE.format(spectra[0, 0]))
+    require((_positive_table, (spectra[0, 0],)))
     # The transpose's gap is a permutation of op's; np.abs, not hypot, as hermitian_spectrum.
     asymmetry = float(np.max(np.abs(gap)))
     if asymmetry > HERMITICITY_TOL:

@@ -26,34 +26,22 @@ import numpy as np
 
 from .bell import BELL_INDICES, bell_projector, matrix_unit, pauli, require_bell_index
 from .linalg import (
-    ANNIHILATION_TOL,
     EQ_TOL,
-    TRACE_TOL,
+    ON_NUMBERS,
+    UNIT_TRACE,
     as_matrix,
+    bloch_table,
+    coefficient_table,
     embed_sender_pair,
-    finite_rows,
-    modulus,
-    raise_first_failure,
-    require_finite,
-    require_qubit_operator,
+    qubit_operator_table,
+    real_overlap_table,
+    renormalizable_trace_table,
+    renormalization_table,
+    require,
+    require_rows,
     require_statistical_operator,
     stacked_kron,
-    statistical_operator_checks,
     trace_out_sender_pair,
-)
-
-
-# Messages shared by the one-value checks and their batch forms.
-_NOT_FINITE_COEFFICIENTS = "coefficients contain NaN or Inf"
-_TRACE_CONSTRAINT = "trace constraint violated: c11 + c22 = {!r}, expected 1"
-_NONNEGATIVITY = "nonnegativity constraint violated: c11 = {!r}, c22 = {!r}"
-_HERMITICITY = "hermiticity constraint violated: c21 = {!r} is not conj(c12) = {!r}"
-_POSITIVITY = "positivity constraint violated: |c12|^2 = {!r} exceeds c11*c22 = {!r}"
-_BLOCH_LENGTH = "Bloch vector length {} exceeds 1"
-_IMAGINARY_TRACE = "cannot renormalize: trace has imaginary part {:.3e}"
-_ANNIHILATED = "preparation annihilated the ensemble: trace {:.3e} <= " + str(ANNIHILATION_TOL)
-_IMAGINARY_OVERLAP = (
-    "fidelity has non-negligible imaginary part {:.3e}; the pipeline produced a non-Hermitian state"
 )
 
 
@@ -76,22 +64,7 @@ class CoefficientVector:
         object.__setattr__(self, "c12", complex(self.c12))
         object.__setattr__(self, "c21", complex(self.c21))
         object.__setattr__(self, "c22", float(self.c22))
-        if not np.isfinite(
-            np.array([self.c11, self.c12, self.c21, self.c22], dtype=complex)
-        ).all():
-            raise ValueError(_NOT_FINITE_COEFFICIENTS)
-        if abs(self.c11 + self.c22 - 1.0) > EQ_TOL:
-            raise ValueError(_TRACE_CONSTRAINT.format(self.c11 + self.c22))
-        if self.c11 < -EQ_TOL or self.c22 < -EQ_TOL:
-            raise ValueError(_NONNEGATIVITY.format(self.c11, self.c22))
-        if abs(self.c21 - np.conj(self.c12)) > EQ_TOL:
-            raise ValueError(_HERMITICITY.format(self.c21, np.conj(self.c12)))
-        try:
-            mag2 = abs(self.c12) ** 2
-        except OverflowError:  # inf, as coefficient_rows takes it
-            mag2 = float("inf")
-        if mag2 > self.c11 * self.c22 + EQ_TOL:
-            raise ValueError(_POSITIVITY.format(mag2, self.c11 * self.c22))
+        require((coefficient_table, (self.c11, self.c12, self.c21, self.c22)))
 
     @classmethod
     def from_components(cls, c11: float, c12: complex = 0.0) -> "CoefficientVector":
@@ -102,9 +75,7 @@ class CoefficientVector:
     @classmethod
     def from_bloch(cls, x: float, y: float, z: float) -> "CoefficientVector":
         """Coefficients of (I + x*sigma1 + y*sigma2 + z*sigma3) / 2 for |r| <= 1."""
-        r2 = x * x + y * y + z * z
-        if r2 > 1.0 + EQ_TOL:
-            raise ValueError(_BLOCH_LENGTH.format(np.sqrt(r2)))
+        require((bloch_table, (x, y, z)))
         return cls.from_components((1.0 + z) / 2.0, (x - 1j * y) / 2.0)
 
     def as_vector(self) -> np.ndarray:
@@ -116,7 +87,9 @@ class CoefficientVector:
         return np.array([[self.c11, self.c12], [self.c21, self.c22]], dtype=complex)
 
     def is_pure(self, tol: float = EQ_TOL) -> bool:
-        return abs(abs(self.c12) ** 2 - self.c11 * self.c22) <= tol
+        # |c12|^2 and c11*c22 as the positivity entry computes them
+        mag2, product = coefficient_table(ON_NUMBERS, (self.c11, self.c12, self.c21, self.c22))[-1][-1]
+        return abs(mag2 - product) <= tol
 
 
 def _require_equal_1d(names: str, *arrays: np.ndarray) -> None:
@@ -128,37 +101,15 @@ def _require_equal_1d(names: str, *arrays: np.ndarray) -> None:
 def coefficient_rows(c11, c12, c21, c22) -> np.ndarray:
     """Four 1-d coefficient arrays of length N as ``(N, 4)`` rows (c11, c12, c21, c22), checked.
 
-    The batch form of the CoefficientVector constructor: every row must meet
-    its invariants, and the lowest failing row raises the constructor's
-    message. The constructor stays the path for one vector, where it is
-    cheaper than these array operations.
+    ``coefficient_table`` on every row, as the CoefficientVector constructor
+    runs it on one: the lowest failing row raises the constructor's message.
     """
     c11, c22 = np.asarray(c11, dtype=float), np.asarray(c22, dtype=float)
     c12, c21 = np.asarray(c12, dtype=complex), np.asarray(c21, dtype=complex)
     _require_equal_1d("c11, c12, c21, c22", c11, c12, c21, c22)
     rows = np.empty((len(c11), 4), dtype=complex)
     rows[:, 0], rows[:, 1], rows[:, 2], rows[:, 3] = c11, c12, c21, c22
-    with np.errstate(invalid="ignore", over="ignore"):
-        total = c11 + c22
-        # abs(c12) as hypot of its parts, the libm call abs() makes on a Python complex.
-        mag2 = np.hypot(c12.real, c12.imag) ** 2
-        # The values are formatted as the constructor's Python scalars.
-        raise_first_failure([
-            (~finite_rows(rows), lambda i: _NOT_FINITE_COEFFICIENTS),
-            (np.abs(total - 1.0) > EQ_TOL, lambda i: _TRACE_CONSTRAINT.format(float(total[i]))),
-            (
-                (c11 < -EQ_TOL) | (c22 < -EQ_TOL),
-                lambda i: _NONNEGATIVITY.format(float(c11[i]), float(c22[i])),
-            ),
-            (
-                np.abs(c21 - c12.conj()) > EQ_TOL,
-                lambda i: _HERMITICITY.format(complex(c21[i]), np.conj(complex(c12[i]))),
-            ),
-            (
-                mag2 > c11 * c22 + EQ_TOL,
-                lambda i: _POSITIVITY.format(float(mag2[i]), float(c11[i] * c22[i])),
-            ),
-        ])
+    require_rows((coefficient_table, (c11, c12, c21, c22)))
     return rows
 
 
@@ -166,8 +117,7 @@ def bloch_coefficient_rows(x, y, z) -> np.ndarray:
     """``CoefficientVector.from_bloch`` on arrays: its length check, then ``coefficient_rows``."""
     x, y, z = (np.asarray(v, dtype=float) for v in (x, y, z))
     _require_equal_1d("x, y, z", x, y, z)
-    r2 = x * x + y * y + z * z
-    raise_first_failure([(r2 > 1.0 + EQ_TOL, lambda i: _BLOCH_LENGTH.format(np.sqrt(r2[i])))])
+    require_rows((bloch_table, (x, y, z)))
     c11, c12 = (1.0 + z) / 2.0, (x - 1j * y) / 2.0
     return coefficient_rows(c11, c12, c12.conj(), 1.0 - c11)
 
@@ -401,29 +351,18 @@ def renormalize(m) -> np.ndarray:
     """
     arr = as_matrix(m)
     t = complex(np.trace(arr))
-    require_renormalizable(t)
+    require((renormalizable_trace_table, (t,)))
     return arr / t.real
 
 
-def require_renormalizable(t: complex) -> None:
-    """renormalize's checks on one trace: real (EQ_TOL) and above ANNIHILATION_TOL."""
-    if abs(t.imag) > EQ_TOL:
-        raise ValueError(_IMAGINARY_TRACE.format(t.imag))
-    if t.real <= ANNIHILATION_TOL:
-        raise ValueError(_ANNIHILATED.format(t.real))
+# UNIT_TRACE's bound, with fidelity_trace's own message
+_RECEIVER_UNIT_TRACE = (UNIT_TRACE[0], "receiver state must have unit trace, got {!r}".format)
 
 
-def renormalize_checks(raw: np.ndarray, trace: np.ndarray) -> list:
-    """``renormalize``'s checks on a stack ``(N, 2, 2)`` and its traces, for ``raise_first_failure``.
-
-    In order: finite entries, then the batch form of
-    ``require_renormalizable``, with renormalize's messages.
-    """
-    return [
-        (~finite_rows(raw), lambda i: "matrix contains NaN or Inf entries"),
-        (np.abs(trace.imag) > EQ_TOL, lambda i: _IMAGINARY_TRACE.format(trace.imag[i])),
-        (trace.real <= ANNIHILATION_TOL, lambda i: _ANNIHILATED.format(trace.real[i])),
-    ]
+def _receiver_trace_table(x, parts) -> tuple:
+    """``fidelity_trace``'s own unit-trace check, with its message."""
+    trace, = parts
+    return ((x.modulus(trace - 1.0), _RECEIVER_UNIT_TRACE, (trace,)),)
 
 
 def fidelity_trace(c: CoefficientVector, bob) -> float:
@@ -437,18 +376,10 @@ def fidelity_trace(c: CoefficientVector, bob) -> float:
     arr = as_matrix(bob)
     if arr.shape != (2, 2):
         raise ValueError(f"fidelity expects a 2x2 receiver state, got shape {arr.shape}")
-    tr = complex(np.trace(arr))
-    if modulus(tr - 1.0) > TRACE_TOL:
-        raise ValueError(f"receiver state must have unit trace, got {tr!r}")
-    overlap = complex(np.trace(c.matrix() @ arr))
-    _require_real_overlap(overlap)
+    trace, overlap = complex(np.trace(arr)), complex(np.trace(c.matrix() @ arr))
+    require((_receiver_trace_table, (trace,)), (real_overlap_table, (overlap,)))
     require_statistical_operator(arr)
     return float(overlap.real)
-
-
-def _require_real_overlap(overlap: complex) -> None:
-    if abs(overlap.imag) > EQ_TOL:
-        raise ValueError(_IMAGINARY_OVERLAP.format(overlap.imag))
 
 
 _EPSILON = np.array([[0.0, 1.0], [-1.0, 0.0]])
@@ -516,9 +447,8 @@ def receiver_states(t, coeffs) -> tuple[np.ndarray, np.ndarray]:
     passes renormalize's trace checks, the statistical-operator checks and
     fidelity_trace's real-overlap check; otherwise ValueError names the
     lowest failing row's first failing invariant, with the message those
-    one-operator functions give. A batch of one row is checked by their
-    scalar forms on its Python numbers, which cost less than the batch
-    forms on 1-element arrays; the arithmetic is the same for every N.
+    one-operator functions give (``require_rows``). The arithmetic is the
+    same for every N.
     """
     t = np.asarray(t)
     if t.shape != (4, 4):
@@ -540,18 +470,12 @@ def receiver_states(t, coeffs) -> tuple[np.ndarray, np.ndarray]:
         product = c.reshape(-1, 2, 2) @ states
         overlap = product[:, 0, 0] + product[:, 1, 1]
         del product  # an (N, 2, 2) temporary; free it before the checks allocate theirs
-        if len(c) == 1:
-            require_finite(raw.ravel().tolist())
-            require_renormalizable(complex(trace[0]))
-            require_qubit_operator(states.ravel().tolist())
-            _require_real_overlap(complex(overlap[0]))
-        else:
-            raise_first_failure([
-                *renormalize_checks(raw, trace),
-                # These include fidelity_trace's unit-trace test, on the same trace.
-                *statistical_operator_checks(states),
-                (np.abs(overlap.imag) > EQ_TOL, lambda i: _IMAGINARY_OVERLAP.format(overlap.imag[i])),
-            ])
+    require_rows(
+        (renormalization_table, raw),
+        # These include fidelity_trace's unit-trace test, on the same trace.
+        (qubit_operator_table, states),
+        (real_overlap_table, overlap),
+    )
     return states, overlap.real.copy()
 
 

@@ -237,7 +237,8 @@ def _unit(row, col, scale=1.0):
 _HUGE = 1.7e308
 # Nonzero on |01> and |11> only, with complex off-diagonal weights of modulus
 # sqrt(2) * _HUGE: the one-sided trace of the equatorial input at 45 degrees
-# overflows, and the opposite input's is negative.
+# overflows, and the opposite input's is negative. The two-sided product of
+# every input overflows, and the poles' two-sided totals are nan.
 _OVERFLOWING = _unit(1, 1, _HUGE) + _unit(3, 3, _HUGE) + _unit(1, 3, _HUGE * (1 - 1j)) + _unit(3, 1, _HUGE * (1 + 1j))
 _H = np.sqrt(0.5)
 
@@ -278,9 +279,17 @@ FIRST_FAILURES = {
     ),
     "non-finite raw operator": (
         _OVERFLOWING,
-        [CoefficientVector.from_bloch(*p) for p in ((0, 0, 1), (0, 0, -1), (_H, _H, 0), (-_H, -_H, 0))],
-        2,
+        [CoefficientVector.from_bloch(*p) for p in ((_H, _H, 0), (-_H, -_H, 0))],
+        0,
         "matrix contains NaN or Inf entries",
+    ),
+    # A nan total is an annihilation, not a result; the pole's row fails the
+    # last check and the equator's the first, and the lower row is reported.
+    "nan two-sided total": (
+        _OVERFLOWING,
+        [CoefficientVector.from_bloch(*p) for p in ((0, 0, 1), (0, 0, -1), (_H, _H, 0))],
+        0,
+        "two-sided update annihilated the ensemble: total trace (nan+nanj)",
     ),
     # The raw operator's off-diagonal entry overflows (4.25e307+inf j) while
     # its trace is 0: the finite check must come before the trace checks.
@@ -295,8 +304,8 @@ FIRST_FAILURES = {
     # the lower row fails a later check than the higher row
     "annihilation before a non-finite row": (
         _OVERFLOWING,
-        [CoefficientVector.from_bloch(*p) for p in ((0, 0, 1), (-_H, -_H, 0), (_H, _H, 0))],
-        1,
+        [CoefficientVector.from_bloch(*p) for p in ((-_H, -_H, 0), (_H, _H, 0))],
+        0,
         "preparation annihilated the ensemble: trace -3.521e+307 <= 1e-09",
     ),
 }
@@ -307,7 +316,7 @@ class TestFirstFailure:
     def test_lowest_failing_row_raises_its_message(self, case):
         p, cs, row, message = FIRST_FAILURES[case]
         u = sender_pair_tensor(p)
-        # the rows before it pass (an overflowing two-sided product gives nan, unchecked)
+        # the rows before it pass (the overflowing products of the reference path warn)
         with np.errstate(all="ignore"):
             for c in cs[:row]:
                 reference_compare(u, c)
@@ -324,7 +333,7 @@ class TestFirstFailure:
         # a one-row call takes the scalar checks, the row stacked twice the batch checks
         p, cs, row, _ = FIRST_FAILURES[case]
         u = sender_pair_tensor(p)
-        for c in cs[:row]:  # bitwise, nan included (an overflowing two-sided product)
+        for c in cs[:row]:  # bitwise
             one = compare_conventions(u, c)
             two = _compare_rows(u, np.stack([c.as_vector()] * 2))
             fields = (one.ansatz, one.sandwich, one.max_abs_diff, one.prenorm_ratio)

@@ -110,6 +110,32 @@ class TestFidelityVector:
         with pytest.raises(ValueError, match="annihilates"):
             fidelity_vector(c, np.zeros((4, 4)))
 
+    @pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+    @pytest.mark.parametrize("where", [(1, 2), (0, 0), (3, 1)])
+    def test_rejects_a_non_finite_map(self, entry, where):
+        # a nan off the trace rows used to give a nan fidelity and no error
+        t = np.eye(4, dtype=complex)
+        t[where] = entry
+        with pytest.raises(ValueError) as info:
+            fidelity_vector(CoefficientVector.from_components(0.5, 0.25), t)
+        assert str(info.value) == "matrix contains NaN or Inf entries"
+
+    def test_rejects_a_nan_trace_component(self):
+        # finite weights whose trace component overflows to inf - inf: the two-sided trace's form rejects nan
+        t = np.zeros((4, 4), dtype=complex)
+        t[0, :3], t[3, :3] = 1.7e308, -1.7e308
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError) as info:
+            fidelity_vector(CoefficientVector.from_components(0.5, 0.5), t)
+        assert str(info.value) == "transformation annihilates the input: trace component (nan+nanj)"
+
+    def test_rejects_a_nan_value(self):
+        # finite weights off the trace rows whose contamination overflows: the value used to come back nan
+        t = np.eye(4, dtype=complex)
+        t[1, :3] = 1.7e308
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError) as info:
+            fidelity_vector(CoefficientVector.from_components(0.5, 0.5), t)
+        assert str(info.value) == "vector-form fidelity has imaginary part nan"
+
 
 class TestLazyFidelity:
     def test_maximally_mixed(self):

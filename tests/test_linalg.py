@@ -16,12 +16,13 @@ from ensemble_teleport import (
     spectral_norm,
 )
 from ensemble_teleport.linalg import (
+    ON_COLUMNS,
     as_matrix,
     embed_sender_pair,
-    finite_rows,
-    raise_first_failure,
+    qubit_operator_table,
+    renormalization_table,
+    require_columns,
     stacked_kron,
-    statistical_operator_checks,
     trace_out_sender_pair,
 )
 from conftest import random_hermitian
@@ -147,11 +148,10 @@ class TestRequireStatisticalOperator:
             verdicts = []
             for check in (
                 require_statistical_operator,
-                lambda m: raise_first_failure(statistical_operator_checks(np.asarray(m)[None])),
+                lambda m: require_columns((qubit_operator_table, np.asarray(m, dtype=complex)[None])),
             ):
                 try:
-                    with np.errstate(invalid="ignore"):
-                        check(op)
+                    check(op)
                     verdicts.append(None)
                 except ValueError as exc:
                     verdicts.append(str(exc))
@@ -168,12 +168,12 @@ class TestRequireStatisticalOperator:
             ([state, asymmetric, negative], "not Hermitian"),
             ([state, state], None),
         ):
-            checks = statistical_operator_checks(np.stack(stack).astype(complex))
+            check = (qubit_operator_table, np.stack(stack).astype(complex))
             if message is None:
-                raise_first_failure(checks)
+                require_columns(check)
             else:
                 with pytest.raises(ValueError, match=message):
-                    raise_first_failure(checks)
+                    require_columns(check)
 
     def test_closed_form_at_the_threshold(self):
         for excess, rejected in ((0.9e-10, False), (1.1e-10, True)):
@@ -373,8 +373,18 @@ class TestInvariants:
             assert pt[2 * i + j, 2 * k + l] == m[2 * i + l, 2 * k + j]
 
 
+def finite_rows(stack):
+    """The rows of an ``(N, 4)`` or ``(N, 2, 2)`` stack that meet the finite entry on columns.
+
+    That is the first entry of ``renormalization_table``, as the kernels check their raw operators.
+    """
+    with np.errstate(invalid="ignore"):
+        quantity, (bound, _), _ = renormalization_table(ON_COLUMNS, stack.reshape(len(stack), 4).T)[0]
+        return quantity <= bound
+
+
 class TestFiniteRows:
-    """The row mask equals the reduction it replaces, for every placement of one non-finite part."""
+    """The finite entry on columns equals the reduction, for every placement of one non-finite part."""
 
     @staticmethod
     def reference(a):

@@ -53,6 +53,16 @@ class TestCoefficientVector:
         with pytest.raises(ValueError, match="hermiticity"):
             CoefficientVector(0.5, 0.2j, 0.2j, 0.5)
 
+    def test_hermiticity_message_prints_python_complex(self):
+        message = "hermiticity constraint violated: c21 = (0.100001-0.2j) is not conj(c12) = (0.1-0.2j)"
+        with pytest.raises(ValueError) as one:
+            CoefficientVector(0.5, 0.1 + 0.2j, 0.100001 - 0.2j, 0.5)
+        assert str(one.value) == message
+        c12, c21 = np.array([0.1 + 0.2j] * 3), np.array([0.1 - 0.2j, 0.100001 - 0.2j, 0.1 - 0.2j])
+        with pytest.raises(ValueError) as rows:
+            coefficient_rows(np.full(3, 0.5), c12, c21, np.full(3, 0.5))
+        assert str(rows.value) == message
+
     def test_positivity_violation(self):
         with pytest.raises(ValueError, match="positivity"):
             CoefficientVector.from_components(0.5, 0.6)
@@ -139,28 +149,33 @@ def _scalar(make, args):
         return str(exc)
 
 
-def _batch(make, args):
+def _batch(make, args, valid):
+    """``make`` on three rows with ``args`` in the middle: the row's bytes, or the message."""
     try:
-        return make(*(np.array([a]) for a in args))[0].tobytes()
+        return make(*(np.array([v, a, v]) for a, v in zip(args, valid)))[1].tobytes()
     except ValueError as exc:
         return str(exc)
 
 
+VALID_COEFFICIENTS = (0.5, 0.1 + 0.2j, 0.1 - 0.2j, 0.5)
+VALID_BLOCH = (0.1, -0.2, 0.3)
+
+
 class TestCoefficientRows:
-    """The array check for batches and CoefficientVector for one vector agree."""
+    """The column runner on a row among valid rows and CoefficientVector for one vector agree."""
 
     @pytest.mark.parametrize("name", sorted(COEFFICIENT_CASES))
     def test_same_verdict_as_the_constructor(self, name):
         args = COEFFICIENT_CASES[name]
         scalar = _scalar(CoefficientVector, args)
-        assert _batch(coefficient_rows, args) == scalar
+        assert _batch(coefficient_rows, args, VALID_COEFFICIENTS) == scalar
         assert isinstance(scalar, bytes) == (name in ACCEPTED)
 
     @pytest.mark.parametrize("name", sorted(BLOCH_CASES))
     def test_same_verdict_as_from_bloch(self, name):
         args = BLOCH_CASES[name]
         scalar = _scalar(CoefficientVector.from_bloch, args)
-        assert _batch(bloch_coefficient_rows, args) == scalar
+        assert _batch(bloch_coefficient_rows, args, VALID_BLOCH) == scalar
         assert isinstance(scalar, bytes) == (name in {"unit", "long_inside"})
 
     def test_batch_raises_for_its_first_invalid_row(self):

@@ -30,7 +30,7 @@ from ensemble_teleport import (
     run_session,
     transformation_matrix,
 )
-from ensemble_teleport import conventions, protocol
+from ensemble_teleport import linalg
 from ensemble_teleport.conventions import compare_conventions
 from conftest import bloch_coefficient_strategy, random_coefficients
 
@@ -162,10 +162,7 @@ class TestDifferential:
         def refuse(*_):
             raise AssertionError("batch checks called on a one-row batch")
 
-        for module in (protocol, conventions):
-            for name in ("raise_first_failure", "statistical_operator_checks", "renormalize_checks"):
-                if hasattr(module, name):
-                    monkeypatch.setattr(module, name, refuse)
+        monkeypatch.setattr(linalg, "require_columns", refuse)
         c = CoefficientVector.from_bloch(0.3, -0.5, 0.4)
         run_session(c, 2, ClassicalMessage.two_bits(2), bob_acts=True)
         run_session(c, automatic_preparation(), ClassicalMessage.pre_agreed(), bob_acts=False)
