@@ -1,6 +1,6 @@
 """Command-line harness: operator audits, single sessions, sweeps, convention checks.
 
-Every command is deterministic given its full flag set (including --seed),
+Every command is deterministic given its full flag set (appendix-check's includes --seed),
 so repeated runs produce byte-identical output. Numeric fields are
 serialized with 17 significant digits in CSV; JSON carries native floats
 that round-trip exactly. Every format is rendered column by column.
@@ -369,10 +369,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="output format (default: table)",
     )
     common.add_argument("--out", default=None, help="write output to this path instead of stdout")
-    common.add_argument(
-        "--seed", type=int, default=DEFAULT_SEED,
-        help=f"random seed for sampled commands (default: {DEFAULT_SEED})",
-    )
 
     parser = argparse.ArgumentParser(
         prog="ensemble-teleport",
@@ -439,6 +435,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="compare one-sided and two-sided update conventions on random inputs",
     )
     p.add_argument("--samples", type=int, default=100, help="random inputs per preparation (default: 100)")
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED, help=f"random seed (default: {DEFAULT_SEED})")
     p.add_argument("--tol", type=float, default=1e-12, help="agreement tolerance (default: 1e-12)")
     p.set_defaults(func=_cmd_appendix_check)
 

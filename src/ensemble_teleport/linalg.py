@@ -110,18 +110,35 @@ _WITH_PARTIAL_TRANSPOSE = np.concatenate(
 _WITH_PARTIAL_TRANSPOSE.setflags(write=False)
 
 
+def _hermitian_part(arr: np.ndarray) -> tuple[np.ndarray, float]:
+    """An operator's Hermitian part, finite for every finite operator, and its asymmetry max |arr - arr^dagger|.
+
+    The asymmetry is the largest np.hypot of the gap's parts, as the tables take moduli; inf if the gap overflows.
+    """
+    adjoint = arr.conj().T
+    with np.errstate(over="ignore", invalid="ignore"):
+        gap = arr - adjoint
+        asymmetry = float(np.hypot(gap.real, gap.imag).max())
+        hermitian = 0.5 * (arr + adjoint)
+    if not np.isfinite(hermitian).all():  # halve before adding only here: halving rounds subnormals
+        hermitian = 0.5 * arr + 0.5 * adjoint
+    return hermitian, asymmetry
+
+
 def hermitian_spectrum(a) -> np.ndarray:
     """All eigenvalues of a Hermitian matrix, sorted descending.
 
     Uses LAPACK through ``numpy.linalg.eigvalsh`` on the Hermitian part.
     Raises NonHermitianError for inputs whose asymmetry exceeds
-    HERMITICITY_TOL.
+    HERMITICITY_TOL, and ValueError when an eigenvalue overflows.
     """
-    arr = as_matrix(a)
-    asymmetry = float(np.max(np.abs(arr - arr.conj().T)))
+    hermitian, asymmetry = _hermitian_part(as_matrix(a))
     if asymmetry > HERMITICITY_TOL:
         raise NonHermitianError(asymmetry)
-    return np.linalg.eigvalsh(0.5 * (arr + arr.conj().T))[::-1]
+    spectrum = np.linalg.eigvalsh(hermitian)
+    if not np.isfinite(spectrum).all():
+        raise ValueError("spectrum overflows: the eigensolver returned NaN or Inf")
+    return spectrum[::-1]
 
 
 def modulus(z: complex) -> float:
@@ -343,30 +360,18 @@ def require_statistical_operator(op) -> None:
     if arr.shape[0] == 2:
         require((qubit_operator_table, arr.ravel().tolist()))
         return
-    hermitian, _ = _unit_trace_hermitian_part(arr)
-    require((_positive_table, (np.linalg.eigvalsh(hermitian)[0],)))
+    hermitian, asymmetry = _hermitian_part(arr)
+    require((_operator_table, (asymmetry, complex(arr.trace()), np.linalg.eigvalsh(hermitian)[0])))
 
 
-def _hermitian_unit_trace_table(x, parts) -> tuple:
-    """HERMITIAN and UNIT_TRACE on an operator's largest entry of |M - M^dagger| and its trace."""
-    asymmetry, trace = parts
-    return (asymmetry, HERMITIAN, (asymmetry,)), (x.modulus(trace - 1.0), UNIT_TRACE, (trace,))
-
-
-def _positive_table(x, parts) -> tuple:
-    """POSITIVE on an operator's smallest eigenvalue."""
-    smallest, = parts
-    return ((-smallest, POSITIVE, (smallest,)),)
-
-
-def _unit_trace_hermitian_part(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The Hermitian part of a checked ``as_matrix`` operator, and its gap ``arr - arr^dagger``.
-
-    Runs ``_hermitian_unit_trace_table`` first; ``_positive_table`` is left to the caller's eigensolve.
-    """
-    gap = arr - arr.conj().T
-    require((_hermitian_unit_trace_table, (np.hypot(gap.real, gap.imag).max(), complex(arr.trace()))))
-    return 0.5 * (arr + arr.conj().T), gap
+def _operator_table(x, parts) -> tuple:
+    """HERMITIAN, UNIT_TRACE and POSITIVE on an operator's asymmetry, trace and smallest eigenvalue."""
+    asymmetry, trace, smallest = parts
+    return (
+        (asymmetry, HERMITIAN, (asymmetry,)),
+        (x.modulus(trace - 1.0), UNIT_TRACE, (trace,)),
+        (-smallest, POSITIVE, (smallest,)),
+    )
 
 
 def _pair_spectra(op) -> np.ndarray:
@@ -376,17 +381,13 @@ def _pair_spectra(op) -> np.ndarray:
     they are bitwise ``eigvalsh`` of the Hermitian part of ``op`` and
     ``hermitian_spectrum(partial_transpose(op))[::-1]``, because the
     Hermitian part of the transpose is a permutation of that of ``op``.
-    Raises as ``partial_transpose(op)``, then ``require_statistical_operator(op)``,
-    then ``hermitian_spectrum`` of the transpose would, in that order.
+    Raises as ``partial_transpose(op)``, then ``require_statistical_operator(op)``
+    would; then ``hermitian_spectrum`` of the transpose cannot raise.
     """
     arr = _pair_operator(op)
-    hermitian, gap = _unit_trace_hermitian_part(arr)
+    hermitian, asymmetry = _hermitian_part(arr)
     spectra = np.linalg.eigvalsh(hermitian.ravel()[_WITH_PARTIAL_TRANSPOSE])
-    require((_positive_table, (spectra[0, 0],)))
-    # The transpose's gap is a permutation of op's; np.abs, not hypot, as hermitian_spectrum.
-    asymmetry = float(np.max(np.abs(gap)))
-    if asymmetry > HERMITICITY_TOL:
-        raise NonHermitianError(asymmetry)
+    require((_operator_table, (asymmetry, complex(arr.trace()), spectra[0, 0])))
     return spectra
 
 

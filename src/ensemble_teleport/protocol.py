@@ -28,7 +28,6 @@ from .bell import BELL_INDICES, bell_projector, matrix_unit, pauli, require_bell
 from .linalg import (
     EQ_TOL,
     ON_NUMBERS,
-    UNIT_TRACE,
     as_matrix,
     bloch_table,
     coefficient_table,
@@ -355,30 +354,19 @@ def renormalize(m) -> np.ndarray:
     return arr / t.real
 
 
-# UNIT_TRACE's bound, with fidelity_trace's own message
-_RECEIVER_UNIT_TRACE = (UNIT_TRACE[0], "receiver state must have unit trace, got {!r}".format)
-
-
-def _receiver_trace_table(x, parts) -> tuple:
-    """``fidelity_trace``'s own unit-trace check, with its message."""
-    trace, = parts
-    return ((x.modulus(trace - 1.0), _RECEIVER_UNIT_TRACE, (trace,)),)
-
-
 def fidelity_trace(c: CoefficientVector, bob) -> float:
     """Overlap Tr(rho_in * rho_bob) with the input transported to the receiver basis.
 
-    ``bob`` must have unit trace. A non-negligible imaginary part in the
-    overlap signals a non-Hermitian pipeline bug and raises. After these two
-    checks ``bob`` must pass ``require_statistical_operator``, so no
-    unphysical operator yields a value.
+    ``bob`` must be a 2x2 statistical operator, so no unphysical operator
+    yields a value, and the overlap must be real: a non-negligible imaginary
+    part signals a non-Hermitian pipeline bug. The checks are
+    ``receiver_states``' own, in its order, so both raise the same message.
     """
     arr = as_matrix(bob)
     if arr.shape != (2, 2):
         raise ValueError(f"fidelity expects a 2x2 receiver state, got shape {arr.shape}")
-    trace, overlap = complex(np.trace(arr)), complex(np.trace(c.matrix() @ arr))
-    require((_receiver_trace_table, (trace,)), (real_overlap_table, (overlap,)))
-    require_statistical_operator(arr)
+    overlap = complex(np.trace(c.matrix() @ arr))
+    require((qubit_operator_table, arr.ravel().tolist()), (real_overlap_table, (overlap,)))
     return float(overlap.real)
 
 
@@ -444,8 +432,8 @@ def receiver_states(t, coeffs) -> tuple[np.ndarray, np.ndarray]:
     ``coefficient_rows`` gives them. Returns the ``(N, 2, 2)`` states, row i
     equal to renormalize(alice_prepare(...)) for input i followed by the
     map's correction, and the ``(N,)`` overlaps Tr(rho_in rho_bob). Every row
-    passes renormalize's trace checks, the statistical-operator checks and
-    fidelity_trace's real-overlap check; otherwise ValueError names the
+    passes renormalize's trace checks, then fidelity_trace's checks (a
+    statistical operator, a real overlap); otherwise ValueError names the
     lowest failing row's first failing invariant, with the message those
     one-operator functions give (``require_rows``). The arithmetic is the
     same for every N.
@@ -472,7 +460,6 @@ def receiver_states(t, coeffs) -> tuple[np.ndarray, np.ndarray]:
         del product  # an (N, 2, 2) temporary; free it before the checks allocate theirs
     require_rows(
         (renormalization_table, raw),
-        # These include fidelity_trace's unit-trace test, on the same trace.
         (qubit_operator_table, states),
         (real_overlap_table, overlap),
     )

@@ -25,12 +25,6 @@ from ensemble_teleport.linalg import (
     require,
     require_columns,
 )
-from ensemble_teleport.protocol import _receiver_trace_table
-
-
-def _real_parts(table):
-    """A table on complex columns for one whose parts are real: it takes their real parts, exactly."""
-    return lambda x, parts: table(x, [part.real for part in parts])
 
 
 # name -> (table, kind of each part: "r" real, "c" complex, a row that passes)
@@ -44,11 +38,12 @@ TABLES = {
     "two-sided trace": (linalg.two_sided_trace_table, "c", (0.25 + 0j,)),
     "trace component": (_TRACE_COMPONENT, "c", (0.5 + 0j,)),
     "vector-form value": (_vector_form_table, "c", (0.5 + 0j,)),
-    "receiver trace": (_receiver_trace_table, "c", (1.0 + 0j,)),
-    "hermitian, unit trace": (
-        lambda x, parts: linalg._hermitian_unit_trace_table(x, (parts[0].real, parts[1])), "rc", (0.0, 1.0 + 0j)
+    # asymmetry, trace and smallest eigenvalue of an n x n operator
+    "operator": (
+        lambda x, parts: linalg._operator_table(x, (parts[0].real, parts[1], parts[2].real)),
+        "rcr",
+        (0.0, 1.0 + 0j, 0.25),
     ),
-    "positive": (_real_parts(linalg._positive_table), "r", (0.25,)),
 }
 
 
@@ -152,8 +147,9 @@ BOUND_CASES = {
         (complex(0.5, math.nextafter(EQ_TOL, 1.0)),), "cannot renormalize: trace has imaginary part 1.000e-12",
     ),
     "eigenvalue bound": (
-        "positive", (-EIGENVALUE_TOL,), None,
-        (math.nextafter(-EIGENVALUE_TOL, -1.0),), "not a statistical operator: negative eigenvalue -1.000e-10",
+        "operator", (0.0, 1.0 + 0j, -EIGENVALUE_TOL), None,
+        (0.0, 1.0 + 0j, math.nextafter(-EIGENVALUE_TOL, -1.0)),
+        "not a statistical operator: negative eigenvalue -1.000e-10",
     ),
     "qubit asymmetry bound": (
         "qubit operator", (complex(0.5, HERMITICITY_TOL / 2), 0j, 0j, complex(0.5, -HERMITICITY_TOL / 2)), None,

@@ -567,6 +567,18 @@ class TestBadConfiguration:
         assert err.startswith(start)
         assert "Traceback" not in err and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "command",
+        ["bell-audit --seed 1", "teleport --c11 0.5 --prep bell1 --seed 1", "sweep --seed 1", "sweep --seed -1",
+         "paut-audit --seed 1"],
+    )
+    def test_seed_outside_appendix_check_is_a_usage_error(self, capsys, command):
+        # only appendix-check draws inputs, so only it has --seed; elsewhere it is an unknown flag
+        with pytest.raises(SystemExit) as info:
+            main(command.split())
+        assert info.value.code == 2
+        assert f"unrecognized arguments: {command[command.index('--seed'):]}" in capsys.readouterr().err
+
     @pytest.mark.parametrize("command", ["bell-audit", "paut-audit", "appendix-check"])
     def test_infinite_tolerance_passes(self, capsys, command):
         code, _, _ = run_cli(capsys, command, "--tol", "inf")

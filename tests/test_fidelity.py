@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -46,21 +48,30 @@ class TestFidelityTrace:
         bob = s3 @ s1 @ c.matrix() @ s1 @ s3
         assert abs(fidelity_trace(c, bob) - 0.5) < 1e-12
 
+    # fidelity_trace checks what receiver_states checks, in its order: a
+    # statistical operator (Hermitian, unit trace, positive), then a real overlap.
     def test_rejects_non_unit_trace(self):
         c = CoefficientVector.from_components(0.5)
-        with pytest.raises(ValueError, match="unit trace"):
+        with pytest.raises(ValueError, match=re.escape("not a statistical operator: not unit-trace (trace 0.5+0j)")):
             fidelity_trace(c, 0.25 * np.eye(2))
 
-    def test_rejects_a_trace_whose_gap_overflows(self):
-        # the trace is finite, but |trace - 1| exceeds the largest double
+    def test_overflowing_trace_gap_fails_hermiticity_first(self):
+        # |trace - 1| exceeds the largest double, but the imaginary diagonal is checked first
         c = CoefficientVector.from_components(0.5)
-        with pytest.raises(ValueError, match="unit trace"):
+        with pytest.raises(ValueError, match=re.escape("not Hermitian (asymmetry 1.500e+308)")):
             fidelity_trace(c, 0.75e308 * (1 + 1j) * np.eye(2))
 
-    def test_rejects_imaginary_overlap(self):
+    def test_non_hermitian_fails_before_its_imaginary_overlap(self):
         c = CoefficientVector.from_components(0.5, 0.25j)
-        bob = np.array([[0.5, 0.5], [0.0, 0.5]])  # non-Hermitian, unit trace
-        with pytest.raises(ValueError, match="imaginary"):
+        bob = np.array([[0.5, 0.5], [0.0, 0.5]])  # non-Hermitian, unit trace, overlap 0.5 - 0.125j
+        with pytest.raises(ValueError, match=re.escape("not Hermitian (asymmetry 5.000e-01)")):
+            fidelity_trace(c, bob)
+
+    def test_rejects_imaginary_overlap(self):
+        # Hermitian within HERMITICITY_TOL, but the overlap keeps an imaginary 1.5e-11
+        c = CoefficientVector.from_components(0.5, 0.3j)
+        bob = np.array([[0.5, 0.3j], [-0.3j + 5e-11, 0.5]])
+        with pytest.raises(ValueError, match="fidelity has non-negligible imaginary part 1.500e-11"):
             fidelity_trace(c, bob)
 
     def test_rejects_negative_eigenvalue(self):

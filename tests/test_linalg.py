@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -12,6 +14,7 @@ from ensemble_teleport import (
     matrix_unit,
     partial_transpose,
     pauli,
+    ppt_entangled,
     require_statistical_operator,
     spectral_norm,
 )
@@ -104,6 +107,83 @@ class TestHermitianSpectrum:
         with pytest.raises(NonHermitianError) as info:
             hermitian_spectrum(bad)
         assert info.value.asymmetry == 1.0
+
+    @pytest.mark.parametrize("dim", [2, 4, 8])
+    def test_asymmetry_is_the_hypot_maximum_of_the_gap(self, dim):
+        # libm hypot of the parts, as the check tables take moduli; np.abs differs in the last bit
+        rng = np.random.default_rng(1300 + dim)
+        for _ in range(300):
+            m = uniform_complex_matrix(rng, dim)
+            gap = m - m.conj().T
+            with pytest.raises(NonHermitianError) as info:
+                hermitian_spectrum(m)
+            assert info.value.asymmetry == np.hypot(gap.real, gap.imag).max()
+
+    def test_subnormal_entries_keep_their_bits(self):
+        # halving before adding would round 5e-324 to 0
+        assert hermitian_spectrum(np.array([[5e-324, 0.0], [0.0, 0.0]])).tolist() == [5e-324, 0.0]
+        rng = np.random.default_rng(7)
+        for dim in (2, 4, 8):
+            h = random_hermitian(rng, dim) * 5e-324
+            assert hermitian_spectrum(h).tobytes() == np.linalg.eigvalsh(0.5 * (h + h.conj().T))[::-1].tobytes()
+
+
+DBL_MAX = np.finfo(float).max
+HUGE_ENTRIES = [0.0, 1e300, -1e300, 1e-300, 5e-324, 9e307, 1.7e308, -1.7e308, DBL_MAX, -DBL_MAX]
+
+
+def huge_hermitian_operators(seed: int, n: int):
+    """Hermitian 4x4 operators with diagonal 0.25 and off-diagonal parts drawn from HUGE_ENTRIES.
+
+    Even draws have real off-diagonal entries; odd ones complex.
+    """
+    rng = np.random.default_rng(seed)
+    upper = np.triu_indices(4, 1)
+    for k in range(n):
+        op = np.diag([0.25] * 4).astype(complex)
+        op.real[upper] = rng.choice(HUGE_ENTRIES, 6)
+        if k % 2:
+            op.imag[upper] = rng.choice(HUGE_ENTRIES, 6)
+        yield op + np.triu(op, 1).conj().T
+
+
+class TestOverflowingHermitianPart:
+    """Finite operators whose Hermitian part 0.5 * (M + M^dagger) would overflow."""
+
+    def test_names_the_invariant(self):
+        op = np.diag([0.25] * 4).astype(complex)
+        op[0, 1] = op[1, 0] = 1.7e308
+        for check in (require_statistical_operator, ppt_entangled):
+            with pytest.raises(ValueError, match=re.escape("not a statistical operator: negative eigenvalue -1.700e+308")):
+                check(op)
+        assert np.allclose(hermitian_spectrum(op), [1.7e308, 0.25, 0.25, -1.7e308])
+
+    def test_overflowing_spectrum_raises(self):
+        op = np.full((4, 4), DBL_MAX, dtype=complex)
+        np.fill_diagonal(op, 0.25)  # an eigenvalue near 3 * DBL_MAX
+        with pytest.raises(ValueError, match="spectrum overflows") as info:
+            hermitian_spectrum(op)
+        assert type(info.value) is ValueError
+
+    def test_seeded_draws_neither_fail_in_the_solver_nor_return_non_finite_values(self):
+        verdicts = set()
+        for op in huge_hermitian_operators(2026, 2000):
+            for check, message in (
+                (require_statistical_operator, "not a statistical operator: "),
+                (ppt_entangled, "not a statistical operator: "),
+                (hermitian_spectrum, "spectrum overflows"),
+            ):
+                try:
+                    result = check(op)
+                except ValueError as exc:
+                    assert not isinstance(exc, np.linalg.LinAlgError), (op, exc)
+                    assert str(exc).startswith(message), (op, exc)
+                    verdicts.add((check.__name__, "raised"))
+                    continue
+                if check is hermitian_spectrum:
+                    assert np.isfinite(result).all(), op
+                verdicts.add((check.__name__, "returned"))
+        assert {("hermitian_spectrum", "raised"), ("hermitian_spectrum", "returned")} <= verdicts
 
 
 class TestRequireStatisticalOperator:

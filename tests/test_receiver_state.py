@@ -301,6 +301,20 @@ class TestMixedFailures:
         assert outcome(receiver_states, IDENTITY_MAP, rows) == expected
         assert expected == outcome(per_row_loop, IDENTITY_MAP, np.array([FAILING_ROWS[first]]))
 
+    @pytest.mark.parametrize("kind", sorted(FAILING_ROWS))
+    def test_fidelity_trace_raises_the_kernel_message(self, kind):
+        # renormalize, then fidelity_trace: the one-operator functions whose checks the kernel runs
+        row = np.array(FAILING_ROWS[kind], dtype=complex)
+
+        def renormalized_overlap():
+            with np.errstate(invalid="ignore"):  # the non-finite row
+                raw = 0.5 * (IDENTITY_MAP @ row).reshape(2, 2)
+            return fidelity_trace(_Row(row), renormalize(raw))
+
+        expected = outcome(receiver_states, IDENTITY_MAP, row[None])
+        assert isinstance(expected, str)
+        assert outcome(renormalized_overlap) == expected
+
     def test_shuffled_batches(self, rng):
         pool = [VALID_ROW] * 6 + list(FAILING_ROWS.values())
         for _ in range(30):

@@ -1,0 +1,84 @@
+"""Each tolerance is compared in one place, so a second copy of an invariant fails here.
+
+HERMITICITY_TOL, TRACE_TOL and ANNIHILATION_TOL are bounds of the check
+tables' invariants (``linalg``), which the runners compare; the one
+comparison written out is ``linalg.hermitian_spectrum``'s, whose typed
+NonHermitianError is its contract. EIGENVALUE_TOL, POSITIVE's bound, is
+compared only by the two PPT verdicts. The invariants themselves are never
+compared outside the runners.
+"""
+
+import ast
+from pathlib import Path
+
+import ensemble_teleport
+
+SOURCES = sorted(Path(ensemble_teleport.__file__).parent.glob("*.py"))
+
+# tolerance or invariant -> the functions that may compare against it
+HOMES = {
+    "HERMITICITY_TOL": {"linalg.hermitian_spectrum"},
+    "TRACE_TOL": set(),
+    "ANNIHILATION_TOL": set(),
+    "EIGENVALUE_TOL": {"bell.ppt_entangled", "cli._cmd_bell_audit"},
+    "HERMITIAN": set(),
+    "UNIT_TRACE": set(),
+    "POSITIVE": set(),
+}
+
+
+class _Comparisons(ast.NodeVisitor):
+    """(name, where) for each comparison that reads a name of HOMES, ``where`` the enclosing scope."""
+
+    def __init__(self, module: str):
+        self.scope = [module]
+        self.aliases = {name: name for name in HOMES}
+        self.found = set()
+
+    def visit_ImportFrom(self, node):
+        for alias in node.names:
+            if alias.name in HOMES:
+                self.aliases[alias.asname or alias.name] = alias.name
+
+    def visit_FunctionDef(self, node):
+        self.scope.append(node.name)
+        self.generic_visit(node)
+        self.scope.pop()
+
+    visit_AsyncFunctionDef = visit_ClassDef = visit_FunctionDef
+
+    def visit_Compare(self, node):
+        for sub in ast.walk(node):
+            name = sub.id if isinstance(sub, ast.Name) else getattr(sub, "attr", None)
+            if name in self.aliases:
+                self.found.add((self.aliases[name], ".".join(self.scope)))
+
+
+def comparisons(source: str, module: str) -> set:
+    visitor = _Comparisons(module)
+    visitor.visit(ast.parse(source))
+    return visitor.found
+
+
+def package_comparisons() -> set:
+    return {found for path in SOURCES for found in comparisons(path.read_text(encoding="utf-8"), path.stem)}
+
+
+def test_each_tolerance_is_compared_only_in_its_home():
+    strays = sorted((name, where) for name, where in package_comparisons() if where not in HOMES[name])
+    assert strays == []
+
+
+def test_every_home_is_seen():
+    assert package_comparisons() == {(name, where) for name, homes in HOMES.items() for where in homes}
+
+
+def test_a_copied_invariant_is_caught():
+    source = (
+        "from . import linalg\n"
+        "from .linalg import TRACE_TOL as T\n"
+        "class C:\n"
+        "    def check(self, t):\n"
+        "        return abs(t - 1) > T or t < linalg.ANNIHILATION_TOL\n"
+    )
+    assert comparisons(source, "m") == {("TRACE_TOL", "m.C.check"), ("ANNIHILATION_TOL", "m.C.check")}
