@@ -19,7 +19,10 @@ from ensemble_teleport import (
     spectral_norm,
 )
 from ensemble_teleport.linalg import (
+    EIGENVALUE_TOL,
+    HERMITIAN,
     ON_COLUMNS,
+    POSITIVE,
     as_matrix,
     embed_sender_pair,
     qubit_operator_table,
@@ -29,6 +32,7 @@ from ensemble_teleport.linalg import (
     trace_out_sender_pair,
 )
 from conftest import random_hermitian
+from test_check_tables import SPECIAL
 
 I2 = np.eye(2, dtype=complex)
 I4 = np.eye(4, dtype=complex)
@@ -184,6 +188,52 @@ class TestOverflowingHermitianPart:
                     assert np.isfinite(result).all(), op
                 verdicts.add((check.__name__, "returned"))
         assert {("hermitian_spectrum", "raised"), ("hermitian_spectrum", "returned")} <= verdicts
+
+
+def verdict(check, op):
+    """None if ``check(op)`` returns, else the message of the ValueError it raises."""
+    try:
+        check(op)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+class TestOperatorEntryPoints:
+    """The n x n checks take the Hermitian part and asymmetry from one place and share one table.
+
+    So require_statistical_operator and ppt_entangled raise the same message,
+    and hermitian_spectrum reports the same asymmetry and smallest eigenvalue,
+    for each special value of the check-table tests in one entry or in a
+    Hermitian pair of entries of an entangled state. Its partial transpose
+    has another spectrum, so a verdict taken from the wrong one shows.
+    """
+
+    ENTANGLED = np.array([[0.4, 0, 0, 0.3], [0, 0.1, 0, 0], [0, 0, 0.1, 0], [0.3, 0, 0, 0.4]], dtype=complex)
+    PLACES = [((0, 0),), ((0, 1),), ((0, 1), (1, 0)), ((1, 2), (2, 1))]
+
+    @pytest.mark.parametrize("value", SPECIAL)
+    def test_agree_on_each_special_value(self, value):
+        for v in (value, complex(0.0, value), complex(value, value)):
+            for place in self.PLACES:
+                op = self.ENTANGLED.copy()
+                op[place[0]] = v
+                if len(place) == 2:
+                    op[place[1]] = v.conjugate()
+                message = verdict(require_statistical_operator, op)
+                assert verdict(ppt_entangled, op) == message, (place, v)
+                try:
+                    smallest = hermitian_spectrum(op)[-1]
+                except NonHermitianError as exc:
+                    assert message == HERMITIAN[1](exc.asymmetry), (place, v)
+                    continue
+                except ValueError as exc:
+                    assert str(exc) == message or "spectrum overflows" in str(exc), (place, v, message)
+                    continue
+                if message is None:
+                    assert smallest >= -EIGENVALUE_TOL, (place, v)
+                elif "negative eigenvalue" in message:
+                    assert message == POSITIVE[1](smallest), (place, v)
 
 
 class TestRequireStatisticalOperator:

@@ -33,6 +33,7 @@ from ensemble_teleport import (
 from ensemble_teleport import linalg
 from ensemble_teleport.conventions import compare_conventions
 from conftest import bloch_coefficient_strategy, random_coefficients
+from test_check_tables import SPECIAL
 
 PREPARATIONS = [1, 2, 3, 4, "automatic"]
 
@@ -104,6 +105,13 @@ def per_row_loop(t, rows):
         states.append(state)
         fidelities.append(fidelity_trace(_Row(row), state))
     return np.array(states), np.array(fidelities)
+
+
+def renormalized_overlap(row):
+    """renormalize, then fidelity_trace: the one-operator functions whose checks the kernel runs on a row."""
+    with np.errstate(invalid="ignore"):  # the non-finite test row
+        raw = 0.5 * (IDENTITY_MAP @ row).reshape(2, 2)
+    return fidelity_trace(_Row(row), renormalize(raw))
 
 
 def outcome(f, *args):
@@ -303,17 +311,25 @@ class TestMixedFailures:
 
     @pytest.mark.parametrize("kind", sorted(FAILING_ROWS))
     def test_fidelity_trace_raises_the_kernel_message(self, kind):
-        # renormalize, then fidelity_trace: the one-operator functions whose checks the kernel runs
         row = np.array(FAILING_ROWS[kind], dtype=complex)
-
-        def renormalized_overlap():
-            with np.errstate(invalid="ignore"):  # the non-finite row
-                raw = 0.5 * (IDENTITY_MAP @ row).reshape(2, 2)
-            return fidelity_trace(_Row(row), renormalize(raw))
-
         expected = outcome(receiver_states, IDENTITY_MAP, row[None])
         assert isinstance(expected, str)
-        assert outcome(renormalized_overlap) == expected
+        assert outcome(renormalized_overlap, row) == expected
+
+    @pytest.mark.parametrize("value", SPECIAL)
+    def test_fidelity_trace_agrees_with_the_kernel_on_each_special_value(self, value):
+        # each special value of the check-table tests, as v, iv and v + iv, in each entry of a valid row
+        for i in range(4):
+            for v in (value, complex(0.0, value), complex(value, value)):
+                row = np.array(VALID_ROW, dtype=complex)
+                row[i] = v
+                with np.errstate(all="ignore"):  # rows whose entries overflow under the map
+                    expected = outcome(receiver_states, IDENTITY_MAP, row[None])
+                    got = outcome(renormalized_overlap, row)
+                if isinstance(expected, str):
+                    assert got == expected, (i, v)
+                else:
+                    assert np.float64(got).tobytes() == expected[1].tobytes(), (i, v)
 
     def test_shuffled_batches(self, rng):
         pool = [VALID_ROW] * 6 + list(FAILING_ROWS.values())
