@@ -25,7 +25,8 @@ from .protocol import (
 
 
 _ANNIHILATES = "transformation annihilates the input: trace component {!r}".format
-_TRACE_COMPONENT = positive_real_table(*positive_real_invariants(_ANNIHILATES, _ANNIHILATES))
+_REAL_COMPONENT, _UNANNIHILATED_COMPONENT = positive_real_invariants(_ANNIHILATES, _ANNIHILATES)
+_TRACE_COMPONENT = positive_real_table(_REAL_COMPONENT, _UNANNIHILATED_COMPONENT)
 _REAL_VALUE = (AGREE_TOL, "vector-form fidelity has imaginary part {:.3e}".format)
 
 

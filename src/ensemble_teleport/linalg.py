@@ -10,6 +10,7 @@ operation besides the trace-out is the partial transpose on the second qubit.
 from __future__ import annotations
 
 import math
+from cmath import isfinite
 from types import SimpleNamespace
 
 import numpy as np
@@ -110,16 +111,16 @@ _WITH_PARTIAL_TRANSPOSE = np.concatenate(
 _WITH_PARTIAL_TRANSPOSE.setflags(write=False)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # as a decorator, errstate costs about half what a with block does
 def _hermitian_part(arr: np.ndarray) -> tuple[np.ndarray, float]:
     """An operator's Hermitian part, finite for every finite operator, and its asymmetry max |arr - arr^dagger|.
 
     The asymmetry is the largest np.hypot of the gap's parts, as the tables take moduli; inf if the gap overflows.
     """
     adjoint = arr.conj().T
-    with np.errstate(over="ignore", invalid="ignore"):
-        gap = arr - adjoint
-        asymmetry = float(np.hypot(gap.real, gap.imag).max())
-        hermitian = 0.5 * (arr + adjoint)
+    gap = arr - adjoint
+    asymmetry = float(np.hypot(gap.real, gap.imag).max())
+    hermitian = 0.5 * (arr + adjoint)
     if not np.isfinite(hermitian).all():  # halve before adding only here: halving rounds subnormals
         hermitian = 0.5 * arr + 0.5 * adjoint
     return hermitian, asymmetry
@@ -150,9 +151,8 @@ def modulus(z: complex) -> float:
 
 
 def _nan_unless_finite(a, b, c, d):
-    """0.0 when all four parts are finite, else NaN: z - z is 0 for a finite z and NaN otherwise."""
-    gap = (a - a) + (b - b) + (c - c) + (d - d)
-    return gap.real + gap.imag
+    """0.0 when all four parts, real or complex Python numbers, are finite, else NaN."""
+    return 0.0 if isfinite(a) and isfinite(b) and isfinite(c) and isfinite(d) else math.nan
 
 
 # Check tables: each invariant is written once and runs on one row's Python
@@ -284,9 +284,10 @@ def renormalization_table(x, entries) -> tuple:
 
 
 _TWO_SIDED_ANNIHILATED = "two-sided update annihilated the ensemble: total trace {!r}".format
-two_sided_trace_table = positive_real_table(
-    *positive_real_invariants(_TWO_SIDED_ANNIHILATED, _TWO_SIDED_ANNIHILATED)
+_TWO_SIDED_REAL, _TWO_SIDED_UNANNIHILATED = positive_real_invariants(
+    _TWO_SIDED_ANNIHILATED, _TWO_SIDED_ANNIHILATED
 )
+two_sided_trace_table = positive_real_table(_TWO_SIDED_REAL, _TWO_SIDED_UNANNIHILATED)
 
 
 def real_overlap_table(x, parts) -> tuple:
@@ -361,7 +362,24 @@ def require_statistical_operator(op) -> None:
         require((qubit_operator_table, arr.ravel().tolist()))
         return
     hermitian, asymmetry = _hermitian_part(arr)
-    require((_operator_table, (asymmetry, complex(arr.trace()), np.linalg.eigvalsh(hermitian)[0])))
+    _, smallest = _eigenvalues(hermitian)
+    require((_operator_table, (asymmetry, complex(arr.trace()), smallest)))
+
+
+def _eigenvalues(hermitian: np.ndarray) -> tuple[np.ndarray, float]:
+    """Ascending ``eigvalsh`` of a Hermitian part or of a stack of them, and its first eigenvalue as a Python float.
+
+    LAPACK returns NaN when the modulus of an entry exceeds the largest
+    double; then the halved stack is solved and its eigenvalues doubled,
+    which overflow to +-inf where they exceed it.
+    """
+    spectra = np.linalg.eigvalsh(hermitian)
+    smallest = spectra.item(0)
+    if smallest != smallest:  # NaN, tested on a Python float: a valid operator pays no numpy call for it
+        with np.errstate(over="ignore"):
+            spectra = 2.0 * np.linalg.eigvalsh(0.5 * hermitian)
+        smallest = spectra.item(0)
+    return spectra, smallest
 
 
 def _operator_table(x, parts) -> tuple:
@@ -380,14 +398,15 @@ def _pair_spectra(op) -> np.ndarray:
     Rows 0 and 1 of one ``eigvalsh`` call on the stacked Hermitian parts;
     they are bitwise ``eigvalsh`` of the Hermitian part of ``op`` and
     ``hermitian_spectrum(partial_transpose(op))[::-1]``, because the
-    Hermitian part of the transpose is a permutation of that of ``op``.
+    Hermitian part of the transpose is a permutation of that of ``op``;
+    where ``eigvalsh`` returns NaN, ``_eigenvalues`` solves both again, halved.
     Raises as ``partial_transpose(op)``, then ``require_statistical_operator(op)``
     would; then ``hermitian_spectrum`` of the transpose cannot raise.
     """
     arr = _pair_operator(op)
     hermitian, asymmetry = _hermitian_part(arr)
-    spectra = np.linalg.eigvalsh(hermitian.ravel()[_WITH_PARTIAL_TRANSPOSE])
-    require((_operator_table, (asymmetry, complex(arr.trace()), spectra[0, 0])))
+    spectra, smallest = _eigenvalues(hermitian.ravel()[_WITH_PARTIAL_TRANSPOSE])
+    require((_operator_table, (asymmetry, complex(arr.trace()), smallest)))
     return spectra
 
 

@@ -78,8 +78,16 @@ class CoefficientVector:
         return cls.from_components((1.0 + z) / 2.0, (x - 1j * y) / 2.0)
 
     def as_vector(self) -> np.ndarray:
-        """The coefficient 4-vector (c11, c12, c21, c22)."""
+        """The coefficient 4-vector (c11, c12, c21, c22), as a new array."""
         return np.array([self.c11, self.c12, self.c21, self.c22], dtype=complex)
+
+    @cached_property
+    def row(self) -> np.ndarray:
+        """``as_vector()[None]``, the ``(1, 4)`` row the kernels take: read-only, built on first use and kept."""
+        # one array, not a view of as_vector(): the row lives as long as the vector
+        row = np.array([[self.c11, self.c12, self.c21, self.c22]], dtype=complex)
+        row.setflags(write=False)
+        return row
 
     def matrix(self) -> np.ndarray:
         """The 2x2 statistical operator carrying these coefficients."""
@@ -272,7 +280,7 @@ def total_states(coeffs: np.ndarray) -> np.ndarray:
 
 def total_state(c: CoefficientVector) -> np.ndarray:
     """Input ensemble joined with the shared pair: 8x8 operator on C ⊗ A ⊗ B."""
-    return total_states(c.as_vector())[0]
+    return total_states(c.row)[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -424,12 +432,31 @@ _CORRECTION_MAPS = {
 }
 
 
+@np.errstate(all="ignore")  # as a decorator, errstate costs about half what a with block does
+def _mapped_states(t: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``receiver_states``' arithmetic, unchecked: the raw operators, the states and the overlaps.
+
+    Half the mapped vector is alice_prepare's raw operator, so the trace
+    checks see the same numbers as on the reference path. The stacked
+    matrix-vector products and 2x2 overlaps repeat one session's arithmetic
+    per row, so each row is bitwise what a batch of one gives. A row that
+    fails one check may give inf or nan in later ones, which is harmless:
+    only its first failing check is reported.
+    """
+    raw = (t @ c[:, :, None]).reshape(-1, 2, 2)
+    raw *= 0.5
+    trace = raw[:, 0, 0] + raw[:, 1, 1]
+    states = raw / trace.real[:, None, None]
+    product = c.reshape(-1, 2, 2) @ states
+    return raw, states, product[:, 0, 0] + product[:, 1, 1]
+
+
 def receiver_states(t, coeffs) -> tuple[np.ndarray, np.ndarray]:
     """Receiver states and trace fidelities of a batch of sessions sharing one map.
 
     ``t`` is a 4x4 session map (``PreparationTensor.session_map``); ``coeffs``
     is an ``(N, 4)`` array of checked input coefficient rows, as
-    ``coefficient_rows`` gives them. Returns the ``(N, 2, 2)`` states, row i
+    ``coefficient_rows`` gives them. Returns the new ``(N, 2, 2)`` states, row i
     equal to renormalize(alice_prepare(...)) for input i followed by the
     map's correction, and the ``(N,)`` overlaps Tr(rho_in rho_bob). Every row
     passes renormalize's trace checks, then fidelity_trace's checks (a
@@ -444,20 +471,7 @@ def receiver_states(t, coeffs) -> tuple[np.ndarray, np.ndarray]:
     c = np.asarray(coeffs, dtype=complex)
     if c.ndim != 2 or c.shape[1] != 4:
         raise ValueError(f"expected an (N, 4) array of coefficient rows, got shape {c.shape}")
-    # Half the mapped vector is alice_prepare's raw operator, so the trace
-    # checks see the same numbers as on the reference path. The stacked
-    # matrix-vector products and 2x2 overlaps repeat one session's arithmetic
-    # per row, so each row is bitwise what a batch of one gives. A row that
-    # fails one check may give inf or nan in later ones, which is harmless:
-    # only its first failing check is reported.
-    with np.errstate(all="ignore"):
-        raw = (t @ c[:, :, None]).reshape(-1, 2, 2)
-        raw *= 0.5
-        trace = raw[:, 0, 0] + raw[:, 1, 1]
-        states = raw / trace.real[:, None, None]
-        product = c.reshape(-1, 2, 2) @ states
-        overlap = product[:, 0, 0] + product[:, 1, 1]
-        del product  # an (N, 2, 2) temporary; free it before the checks allocate theirs
+    raw, states, overlap = _mapped_states(t, c)
     require_rows(
         (renormalization_table, raw),
         (qubit_operator_table, states),
@@ -506,7 +520,7 @@ class ClassicalMessage:
 
 @dataclass(frozen=True, eq=False)
 class SessionRecord:
-    """Outcome of one protocol session."""
+    """Outcome of one protocol session; ``bob_state`` is a read-only copy of the state passed in."""
 
     bob_state: np.ndarray
     fidelity: float
@@ -516,6 +530,17 @@ class SessionRecord:
         arr = np.array(self.bob_state, dtype=complex)
         arr.setflags(write=False)
         object.__setattr__(self, "bob_state", arr)
+
+    @classmethod
+    def _owning(cls, states: np.ndarray, fidelity: float, bits_sent: int) -> "SessionRecord":
+        """The record of ``states``, a new ``(1, 2, 2)`` kernel array that no one else holds, taken without a copy.
+
+        The array is made read-only, and ``bob_state`` is a view of it.
+        """
+        states.setflags(write=False)
+        record = object.__new__(cls)
+        record.__dict__.update(bob_state=states[0], fidelity=fidelity, bits_sent=bits_sent)
+        return record
 
 
 def run_session(
@@ -540,5 +565,5 @@ def run_session(
                 f"two-bit message index {message.index} does not match the preparation "
                 f"(Bell index {u.bell_index})"
             )
-    states, fidelities = receiver_states(u.session_map(bob_acts), c.as_vector()[None])
-    return SessionRecord(bob_state=states[0], fidelity=float(fidelities[0]), bits_sent=message.bits)
+    states, fidelities = receiver_states(u.session_map(bob_acts), c.row)
+    return SessionRecord._owning(states, float(fidelities[0]), message.bits)

@@ -168,6 +168,15 @@ class TestPptEntangled:
         with pytest.raises(ValueError, match="4x4"):
             ppt_entangled(np.eye(8) / 8)
 
+    def test_entry_beyond_the_largest_double(self):
+        # eigvalsh of the Hermitian part is all NaN; the halved part's smallest eigenvalue doubles to -inf
+        op = np.diag([0.25] * 4).astype(complex)
+        op[0, 1] = np.finfo(float).max * (1 + 1j)
+        op[1, 0] = op[0, 1].conjugate()
+        with pytest.raises(ValueError) as info:
+            ppt_entangled(op)
+        assert str(info.value) == "not a statistical operator: negative eigenvalue -inf"
+
 
 class TestMatrixUnit:
     def test_product_rule(self):

@@ -190,6 +190,34 @@ class TestOverflowingHermitianPart:
         assert {("hermitian_spectrum", "raised"), ("hermitian_spectrum", "returned")} <= verdicts
 
 
+class TestNaNSpectrum:
+    """A complex entry whose modulus exceeds the largest double makes eigvalsh return NaN; the halved part does not."""
+
+    @staticmethod
+    def beyond_the_largest_double():
+        op = np.diag([0.25] * 4).astype(complex)
+        op[0, 1] = DBL_MAX * (1 + 1j)
+        op[1, 0] = op[0, 1].conjugate()
+        return op
+
+    def test_eigvalsh_returns_nan_here(self):
+        op = self.beyond_the_largest_double()  # Hermitian, so it is its own Hermitian part
+        assert np.isnan(np.linalg.eigvalsh(op)).all()
+        assert np.isfinite(np.linalg.eigvalsh(0.5 * op)).all()
+
+    def test_require_statistical_operator_reports_the_doubled_eigenvalue(self):
+        # the halved spectrum is +-1.27e308, which doubles to +-inf
+        with pytest.raises(ValueError) as info:
+            require_statistical_operator(self.beyond_the_largest_double())
+        assert str(info.value) == "not a statistical operator: negative eigenvalue -inf"
+
+    def test_seeded_complex_draws_never_report_nan(self):
+        for op in huge_hermitian_operators(2027, 2000):
+            for check in (require_statistical_operator, ppt_entangled):
+                message = verdict(check, op)
+                assert message is None or "nan" not in message, (op, message)
+
+
 def verdict(check, op):
     """None if ``check(op)`` returns, else the message of the ValueError it raises."""
     try:

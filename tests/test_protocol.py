@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -8,6 +10,7 @@ from ensemble_teleport import (
     ClassicalMessage,
     CoefficientVector,
     PreparationTensor,
+    SessionRecord,
     alice_prepare,
     automatic_preparation,
     average_fidelity,
@@ -100,6 +103,41 @@ class TestCoefficientVector:
     def test_as_vector_order(self):
         c = CoefficientVector.from_components(0.75, 0.125 + 0.25j)
         assert np.array_equal(c.as_vector(), [0.75, 0.125 + 0.25j, 0.125 - 0.25j, 0.25])
+
+
+class TestCoefficientRow:
+    """The cached (1, 4) row that the kernels read, next to the fresh ``as_vector()``."""
+
+    C = (0.75, 0.125 + 0.25j)
+
+    def test_row_is_read_only_and_bitwise_as_vector(self):
+        c = CoefficientVector.from_components(*self.C)
+        assert c.row.shape == (1, 4) and c.row.dtype == complex
+        assert c.row.tobytes() == c.as_vector()[None].tobytes()
+        assert c.row is c.row
+        assert not c.row.flags.writeable
+        with pytest.raises(ValueError):
+            c.row[0, 0] = 9.0
+
+    def test_as_vector_is_fresh_and_writable(self):
+        c = CoefficientVector.from_components(*self.C)
+        before = run_session(c, automatic_preparation(), ClassicalMessage.pre_agreed(), bob_acts=False)
+        vector = c.as_vector()
+        assert vector is not c.as_vector() and not np.shares_memory(vector, c.row)
+        vector[:] = [2.0, 3.0, 4.0, 5.0]  # writing to it changes no later session
+        after = run_session(c, automatic_preparation(), ClassicalMessage.pre_agreed(), bob_acts=False)
+        assert after.bob_state.tobytes() == before.bob_state.tobytes()
+        assert after.fidelity == before.fidelity
+        assert c.as_vector().tobytes() == c.row.tobytes()
+
+    def test_fields_equality_hash_and_repr_ignore_the_row(self):
+        a, b = CoefficientVector.from_components(*self.C), CoefficientVector.from_components(*self.C)
+        text, key = repr(a), hash(a)
+        a.row  # cache the row on one of two equal vectors
+        assert [f.name for f in dataclasses.fields(CoefficientVector)] == ["c11", "c12", "c21", "c22"]
+        assert a == b and hash(a) == hash(b) == key
+        assert repr(a) == repr(b) == text == "CoefficientVector(c11=0.75, c12=(0.125+0.25j), c21=(0.125-0.25j), c22=0.25)"
+        assert dataclasses.astuple(a) == (0.75, 0.125 + 0.25j, 0.125 - 0.25j, 0.25)
 
 
 def _edge(c11, excess):
@@ -581,6 +619,47 @@ class TestRunSession:
         record = run_session(c, 4, ClassicalMessage.two_bits(4), bob_acts=True)
         with pytest.raises(ValueError):
             record.bob_state[0, 0] = 9.0
+
+    def test_record_state_cannot_be_written_through_its_base(self):
+        c = CoefficientVector.from_components(0.4, 0.2j)
+        record = run_session(c, 2, ClassicalMessage.two_bits(2), bob_acts=True)
+        state = record.bob_state
+        chain = []
+        while state is not None:
+            chain.append(state)
+            state = state.base
+        assert len(chain) == 2  # the state is a view of the kernel's own (1, 2, 2) array, not a copy
+        for array in chain:
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[...] = 0.0
+
+
+class TestSessionRecord:
+    """A record built directly copies its state and freezes the copy, whatever it is given."""
+
+    STATE = [[0.5, 0.25j], [-0.25j, 0.5]]
+
+    @pytest.mark.parametrize("kind", ["writable array", "read-only view of a writable array", "nested list"])
+    def test_copies_and_freezes(self, kind):
+        source = np.array(self.STATE, dtype=complex)
+        given_state = {
+            "writable array": source,
+            "read-only view of a writable array": source[:],
+            "nested list": [list(row) for row in self.STATE],
+        }[kind]
+        if kind.startswith("read-only"):
+            given_state.setflags(write=False)
+        record = SessionRecord(bob_state=given_state, fidelity=0.5, bits_sent=0)
+        assert record.bob_state.tobytes() == source.tobytes()
+        assert record.bob_state.base is None and not record.bob_state.flags.writeable
+        assert not np.shares_memory(record.bob_state, source)
+        source[0, 0] = 9.0
+        if kind == "nested list":
+            given_state[0][0] = 9.0
+        assert record.bob_state[0, 0] == 0.5
+        with pytest.raises(ValueError):
+            record.bob_state[0, 0] = 1.0
 
 
 class TestPipelineInvariants:

@@ -6,12 +6,19 @@ comparison written out is ``linalg.hermitian_spectrum``'s, whose typed
 NonHermitianError is its contract. EIGENVALUE_TOL, POSITIVE's bound, is
 compared only by the two PPT verdicts. The invariants themselves are never
 compared outside the runners.
+
+Every ``(bound, message)`` invariant of ``linalg`` and ``fidelity`` has a
+HOMES entry (``test_every_invariant_has_a_home``), so an inline copy of any
+of them fails. EQ_TOL and AGREE_TOL are also bounds of invariants; besides
+those, only preparation classification, the appendix-check verdict and the
+fidelity report's agreement flag compare them.
 """
 
 import ast
 from pathlib import Path
 
 import ensemble_teleport
+from ensemble_teleport import fidelity, linalg
 
 SOURCES = sorted(Path(ensemble_teleport.__file__).parent.glob("*.py"))
 
@@ -24,6 +31,27 @@ HOMES = {
     "HERMITIAN": set(),
     "UNIT_TRACE": set(),
     "POSITIVE": set(),
+    "EQ_TOL": {
+        "protocol.PreparationTensor.__post_init__",
+        "protocol.PreparationTensor._known_index",
+        "cli._cmd_appendix_check",
+    },
+    "AGREE_TOL": {"fidelity.fidelity_report"},
+    "FINITE": set(),
+    "_REAL_TRACE": set(),
+    "_UNANNIHILATED": set(),
+    "_REAL_OVERLAP": set(),
+    "_FINITE_COEFFICIENTS": set(),
+    "_COEFFICIENT_TRACE": set(),
+    "_NONNEGATIVE": set(),
+    "_COEFFICIENT_HERMITIAN": set(),
+    "_COEFFICIENT_POSITIVE": set(),
+    "_BLOCH_LENGTH": set(),
+    "_TWO_SIDED_REAL": set(),
+    "_TWO_SIDED_UNANNIHILATED": set(),
+    "_REAL_COMPONENT": set(),
+    "_UNANNIHILATED_COMPONENT": set(),
+    "_REAL_VALUE": set(),
 }
 
 
@@ -82,3 +110,27 @@ def test_a_copied_invariant_is_caught():
         "        return abs(t - 1) > T or t < linalg.ANNIHILATION_TOL\n"
     )
     assert comparisons(source, "m") == {("TRACE_TOL", "m.C.check"), ("ANNIHILATION_TOL", "m.C.check")}
+
+
+def invariants(module) -> set:
+    """The names of a module's ``(bound, message)`` invariants: a float bound and a callable message."""
+    return {
+        name
+        for name, value in vars(module).items()
+        if isinstance(value, tuple) and len(value) == 2 and isinstance(value[0], float) and callable(value[1])
+    }
+
+
+def test_every_invariant_has_a_home():
+    found = invariants(linalg) | invariants(fidelity)
+    assert "HERMITIAN" in found and "_REAL_VALUE" in found
+    assert found == {name for name in HOMES if not name.endswith("_TOL")}
+
+
+def test_a_copied_coefficient_invariant_is_caught():
+    source = (
+        "from .linalg import _COEFFICIENT_TRACE\n"
+        "def check(c11, c22):\n"
+        "    return abs(c11 + c22 - 1.0) <= _COEFFICIENT_TRACE[0]\n"
+    )
+    assert comparisons(source, "m") == {("_COEFFICIENT_TRACE", "m.check")}
