@@ -16,6 +16,7 @@ import argparse
 import csv
 import functools
 import io
+import itertools
 import json
 import sys
 
@@ -95,7 +96,13 @@ def _json_cell(value) -> str | None:
     return _json_float(value) if isinstance(value, float) else json.dumps(value)
 
 
-_FLOAT_TEXT = "{:.17g}".format
+def _float_texts(values: list) -> list:
+    """17 significant digits of each double, as ``_format_cell`` writes one."""
+    return list(map(float.__format__, values, itertools.repeat(".17g")))
+
+
+def _json_floats(values: list) -> list:
+    return list(map(_json_float, values))
 
 
 def _is_float_column(values) -> bool:
@@ -104,20 +111,21 @@ def _is_float_column(values) -> bool:
     return len(values) > 0 and all(type(value) is float for value in values)
 
 
-def _column_texts(data, cell_text, float_text):
+def _column_texts(data, cell_text, float_texts):
     """A function of (start, stop) giving the cell texts of those rows, column by column.
 
     The all-float columns share one table of distinct doubles, each formatted
-    once by ``float_text``; their cells index into it. Doubles are told apart
-    by their bits, so 0.0 and -0.0, or NaNs with different payloads, never
-    share a text. Every other column formats cell by cell with ``cell_text``.
+    once by ``float_texts`` (a list of doubles to a list of texts); their
+    cells index into it. Doubles are told apart by their bits, so 0.0 and
+    -0.0, or NaNs with different payloads, never share a text. Every other
+    column formats cell by cell with ``cell_text``.
     """
     floats = [k for k, values in enumerate(data) if _is_float_column(values)]
     index = {}
     if floats:
         bits = np.concatenate([np.asarray(data[k], dtype=np.float64) for k in floats]).view(np.uint64)
         distinct, inverse = np.unique(bits, return_inverse=True)
-        texts = np.array([*map(float_text, distinct.view(np.float64).tolist())], dtype=object)
+        texts = np.array(float_texts(distinct.view(np.float64).tolist()), dtype=object)
         index = dict(zip(floats, inverse.reshape(len(floats), len(data[0]))))
 
     def rows(start: int, stop: int) -> list:
@@ -130,7 +138,7 @@ def _column_texts(data, cell_text, float_text):
 
 
 def _render_table(columns, data) -> str:
-    texts = _column_texts(data, _format_cell, _FLOAT_TEXT)(0, len(data[0]))
+    texts = _column_texts(data, _format_cell, _float_texts)(0, len(data[0]))
     widths = [max(len(name), max(map(len, text), default=0)) for name, text in zip(columns, texts)]
     padded = [[cell.ljust(w) for cell in text] for text, w in zip(texts, widths)]
     header = "  ".join(name.ljust(w) for name, w in zip(columns, widths)).rstrip()
@@ -145,7 +153,7 @@ _CSV_BLOCK_ROWS = 1024
 
 def _render_csv(columns, data) -> str:
     """CSV as csv.writer writes it; cells that are not strings never need quoting."""
-    texts = _column_texts(data, _csv_cell, _FLOAT_TEXT)
+    texts = _column_texts(data, _csv_cell, _float_texts)
     blocks = [",".join(map(_csv_field, columns))]
     for start in range(0, len(data[0]), _CSV_BLOCK_ROWS):
         blocks.append("\n".join(map(",".join, zip(*texts(start, start + _CSV_BLOCK_ROWS)))))
@@ -154,7 +162,7 @@ def _render_csv(columns, data) -> str:
 
 def _render_json(columns, data) -> str:
     """What json.dumps(records, indent=2) writes for one record per row."""
-    texts = _column_texts(data, _json_cell, _json_float)(0, len(data[0]))
+    texts = _column_texts(data, _json_cell, _json_floats)(0, len(data[0]))
     keyed = []
     for name, column in zip(columns, texts):
         key = f"    {json.dumps(name)}: "
@@ -258,20 +266,22 @@ def _sweep_grid(args, mag_resolution: int) -> tuple[np.ndarray, np.ndarray]:
     else:
         phases = np.linspace(0.0, 2.0 * np.pi, args.phase_resolution, endpoint=False)
     rotations = np.exp(1j * phases)
-    c11_blocks, c12_blocks = [], []
-    for c11 in np.linspace(0.0, 1.0, args.resolution):
-        mag_max = float(np.sqrt(max(c11 * (1.0 - c11), 0.0)))
-        if args.slice == "zero":
-            mags = np.zeros(1)
-        elif args.slice == "pure":
-            mags = np.array([mag_max])
-        else:
-            # One linspace per c11: an array of end points rounds differently.
-            mags = np.linspace(0.0, mag_max, mag_resolution)
-        c12 = (mags[:, None] * rotations).ravel() + 0.0  # drop negative zeros
-        c11_blocks.append(np.full(c12.size, c11))
-        c12_blocks.append(c12)
-    return np.concatenate(c11_blocks), np.concatenate(c12_blocks)
+    c11 = np.linspace(0.0, 1.0, args.resolution)
+    mag_max = np.sqrt(np.maximum(c11 * (1.0 - c11), 0.0))
+    if args.slice == "zero":
+        mags = np.zeros((c11.size, 1))
+    elif args.slice == "pure":
+        mags = mag_max[:, None]
+    else:
+        # One linspace over the rows whose end point is positive gives each
+        # row the bits of its own linspace; a zero end point among them would
+        # send every row down linspace's zero-step branch, which rounds
+        # differently. A row with end point 0 is all 0.0 either way.
+        mags = np.zeros((c11.size, mag_resolution))
+        positive = mag_max > 0.0
+        mags[positive] = np.linspace(0.0, mag_max[positive], mag_resolution, axis=1)
+    c12 = (mags[:, :, None] * rotations).ravel() + 0.0  # drop negative zeros
+    return np.repeat(c11, mags.shape[1] * rotations.size), c12
 
 
 def _cmd_sweep(args) -> tuple[tuple[str, ...], list, bool]:

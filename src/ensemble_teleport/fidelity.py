@@ -14,7 +14,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .linalg import AGREE_TOL, as_matrix, positive_real_invariants, positive_real_table, require
+from .linalg import AGREE_TOL, as_matrix, frozen, positive_real_invariants, positive_real_table, require
 from .protocol import (
     CoefficientVector,
     bloch_coefficient_rows,
@@ -144,8 +144,8 @@ def maximize_lazy_fidelity(grid_resolution: int) -> LazyFidelityMaximum:
 
 
 # Each sample's uniform coordinates as low + width * rng.random(): rng.uniform's doubles, bit for bit.
-_PURE_LOW, _PURE_WIDTH = np.array([-1.0, 0.0]), np.array([2.0, 2.0 * np.pi])
-_MIXED_LOW, _MIXED_WIDTH = np.array([-1.0, 0.0, 0.0]), np.array([2.0, 2.0 * np.pi, 1.0])
+_PURE_LOW, _PURE_WIDTH = frozen([-1.0, 0.0]), frozen([2.0, 2.0 * np.pi])
+_MIXED_LOW, _MIXED_WIDTH = frozen([-1.0, 0.0, 0.0]), frozen([2.0, 2.0 * np.pi, 1.0])
 
 
 def _pure_bloch(rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -59,8 +59,19 @@ def as_matrix(m) -> np.ndarray:
     return arr
 
 
-_I2 = np.eye(2, dtype=complex)
-_I2.setflags(write=False)
+def frozen(a, dtype=None) -> np.ndarray:
+    """A read-only view of a new array holding ``a``, for arrays that calls share: no view of it can be made writable.
+
+    ``setflags(write=True)`` undoes the read-only flag of an array that owns
+    its memory, and of a view of a writable array, but not of a view of a
+    read-only owner.
+    """
+    owner = np.array(a, dtype=dtype)
+    owner.setflags(write=False)
+    return owner[...]
+
+
+_I2 = frozen(np.eye(2, dtype=complex))
 
 
 def stacked_kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -105,10 +116,9 @@ def partial_transpose(m) -> np.ndarray:
 
 
 # h.ravel()[_WITH_PARTIAL_TRANSPOSE] is the stack [h, partial_transpose(h)] of a 4x4 h.
-_WITH_PARTIAL_TRANSPOSE = np.concatenate(
-    [np.arange(16), np.arange(16).reshape(2, 2, 2, 2).transpose(0, 3, 2, 1).ravel()]
-).reshape(2, 4, 4)
-_WITH_PARTIAL_TRANSPOSE.setflags(write=False)
+_WITH_PARTIAL_TRANSPOSE = frozen(
+    np.concatenate([np.arange(16), np.arange(16).reshape(2, 2, 2, 2).transpose(0, 3, 2, 1).ravel()]).reshape(2, 4, 4)
+)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # as a decorator, errstate costs about half what a with block does

@@ -32,6 +32,7 @@ from .linalg import (
     bloch_table,
     coefficient_table,
     embed_sender_pair,
+    frozen,
     qubit_operator_table,
     real_overlap_table,
     renormalizable_trace_table,
@@ -84,10 +85,8 @@ class CoefficientVector:
     @cached_property
     def row(self) -> np.ndarray:
         """``as_vector()[None]``, the ``(1, 4)`` row the kernels take: read-only, built on first use and kept."""
-        # one array, not a view of as_vector(): the row lives as long as the vector
-        row = np.array([[self.c11, self.c12, self.c21, self.c22]], dtype=complex)
-        row.setflags(write=False)
-        return row
+        # its own array, not a view of as_vector(): the row lives as long as the vector
+        return frozen([[self.c11, self.c12, self.c21, self.c22]], dtype=complex)
 
     def matrix(self) -> np.ndarray:
         """The 2x2 statistical operator carrying these coefficients."""
@@ -147,12 +146,11 @@ class PreparationTensor:
     normalized: bool = True
 
     def __post_init__(self):
-        arr = np.array(self.u, dtype=complex)
+        arr = frozen(self.u, dtype=complex)
         if arr.shape != (2, 2, 2, 2):
             raise ValueError(f"preparation tensor must have shape (2, 2, 2, 2), got {arr.shape}")
         if not np.isfinite(arr).all():
             raise ValueError("preparation tensor contains NaN or Inf")
-        arr.setflags(write=False)
         object.__setattr__(self, "u", arr)
         if self.normalized:
             diag = np.array([arr[k, k, m, m] for k in (0, 1) for m in (0, 1)])
@@ -182,9 +180,7 @@ class PreparationTensor:
     @cached_property
     def sender_operator(self) -> np.ndarray:
         """The preparation embedded on C ⊗ A ⊗ B: ``embed_sender_pair(self.matrix())``, read-only."""
-        p8 = embed_sender_pair(self.matrix())
-        p8.setflags(write=False)
-        return p8
+        return frozen(embed_sender_pair(self.matrix()))
 
     @cached_property
     def _known_index(self) -> int | None:
@@ -206,9 +202,7 @@ class PreparationTensor:
     @cached_property
     def _corrected_map(self) -> np.ndarray:
         # A Pauli conjugation U . U† acts on row-major coefficient 4-vectors as kron(U, conj(U)).
-        t = _CORRECTION_MAPS[self.bell_index] @ self.coefficient_map
-        t.setflags(write=False)
-        return t
+        return frozen(_CORRECTION_MAPS[self.bell_index] @ self.coefficient_map)
 
     def session_map(self, bob_acts: bool) -> np.ndarray:
         """Read-only 4x4 coefficient map of a session; the correction applies only when ``bob_acts``.
@@ -249,8 +243,7 @@ def automatic_preparation() -> PreparationTensor:
 # The known preparations, built once: the Bell tensors by index, and the
 # weights of all five (Bell 1..4, then automatic) stacked for classification.
 _BELL_TENSORS = {index: preparation_from_bell(index) for index in BELL_INDICES}
-_KNOWN_WEIGHTS = np.stack([t.u for t in (*_BELL_TENSORS.values(), automatic_preparation())])
-_KNOWN_WEIGHTS.setflags(write=False)
+_KNOWN_WEIGHTS = frozen(np.stack([t.u for t in (*_BELL_TENSORS.values(), automatic_preparation())]))
 
 
 def resolve_preparation(prep) -> PreparationTensor:
@@ -269,8 +262,7 @@ def resolve_preparation(prep) -> PreparationTensor:
 
 
 # The pair (A, B) is shared in the fourth Bell projector.
-_SHARED_PAIR = bell_projector(4)
-_SHARED_PAIR.setflags(write=False)
+_SHARED_PAIR = frozen(bell_projector(4))
 
 
 def total_states(coeffs: np.ndarray) -> np.ndarray:
@@ -378,7 +370,7 @@ def fidelity_trace(c: CoefficientVector, bob) -> float:
     return float(overlap.real)
 
 
-_EPSILON = np.array([[0.0, 1.0], [-1.0, 0.0]])
+_EPSILON = frozen([[0.0, 1.0], [-1.0, 0.0]])
 
 
 def transformation_matrix(u: PreparationTensor) -> np.ndarray:
@@ -394,9 +386,7 @@ def transformation_matrix(u: PreparationTensor) -> np.ndarray:
     index expression, T[ab, pq] = sum_mn eps[a, m] eps[b, n] u[q, p, n, m]
     with eps the antisymmetric symbol on a two-level factor.
     """
-    t = np.einsum("am,bn,qpnm->abpq", _EPSILON, _EPSILON, u.u).reshape(4, 4)
-    t.setflags(write=False)
-    return t
+    return frozen(np.einsum("am,bn,qpnm->abpq", _EPSILON, _EPSILON, u.u).reshape(4, 4))
 
 
 def correction_unitary(index: int) -> np.ndarray:
@@ -427,7 +417,7 @@ def bob_correct(index: int, m) -> np.ndarray:
 
 
 _CORRECTION_MAPS = {
-    index: np.kron(correction_unitary(index), correction_unitary(index).conj())
+    index: frozen(np.kron(correction_unitary(index), correction_unitary(index).conj()))
     for index in BELL_INDICES
 }
 

@@ -141,6 +141,41 @@ class TestTeleport:
         assert record["c11"] == 0.3
 
 
+def reference_sweep_grid(args, mag_resolution: int) -> tuple[np.ndarray, np.ndarray]:
+    """The sweep grid as one np.linspace per c11 builds it: the oracle for ``cli._sweep_grid``."""
+    if args.slice == "zero":
+        phases = np.zeros(1)
+    else:
+        phases = np.linspace(0.0, 2.0 * np.pi, args.phase_resolution, endpoint=False)
+    rotations = np.exp(1j * phases)
+    c11_blocks, c12_blocks = [], []
+    for c11 in np.linspace(0.0, 1.0, args.resolution):
+        mag_max = float(np.sqrt(max(c11 * (1.0 - c11), 0.0)))
+        if args.slice == "zero":
+            mags = np.zeros(1)
+        elif args.slice == "pure":
+            mags = np.array([mag_max])
+        else:
+            # One linspace per c11: an array of end points rounds differently.
+            mags = np.linspace(0.0, mag_max, mag_resolution)
+        c12 = (mags[:, None] * rotations).ravel() + 0.0  # drop negative zeros
+        c11_blocks.append(np.full(c12.size, c11))
+        c12_blocks.append(c12)
+    return np.concatenate(c11_blocks), np.concatenate(c12_blocks)
+
+
+def assert_grid_matches_reference(resolution, mag_resolution, phase_resolution, slice_):
+    args = cli.build_parser().parse_args([
+        "sweep", "--resolution", str(resolution), "--mag-resolution", str(mag_resolution),
+        "--phase-resolution", str(phase_resolution), "--slice", slice_,
+    ])
+    got = cli._sweep_grid(args, mag_resolution)
+    expected = reference_sweep_grid(args, mag_resolution)
+    for column, reference in zip(got, expected):
+        assert (column.dtype, column.shape) == (reference.dtype, reference.shape)
+        assert column.tobytes() == reference.tobytes()
+
+
 class TestSweep:
     def test_zero_slice_row_count_and_maximum(self, capsys):
         code, out, _ = run_cli(
@@ -205,6 +240,30 @@ class TestSweep:
             )
             expected = fidelity_trace(c, renormalize(alice_prepare(u, c)))
             assert row["trace_fidelity"] == format(expected, ".17g")
+
+    @given(
+        resolution=st.integers(min_value=2, max_value=80),
+        mag_resolution=st.integers(min_value=1, max_value=60),
+        phase_resolution=st.integers(min_value=1, max_value=16),
+        slice_=st.sampled_from(["grid", "zero", "pure"]),
+    )
+    def test_grid_matches_the_per_c11_loop_bit_for_bit(self, resolution, mag_resolution, phase_resolution, slice_):
+        assert_grid_matches_reference(resolution, mag_resolution, phase_resolution, slice_)
+
+    @pytest.mark.parametrize("slice_", ["grid", "zero", "pure"])
+    @pytest.mark.parametrize(
+        "resolution, mag_resolution",
+        [
+            (2, 2),  # every end point is 0
+            (2, 1),
+            (7, 1),  # one point per row: linspace's div == 0 branch
+            (51, 1),
+            (3, 60),
+        ],
+    )
+    def test_grid_edge_cases_match_the_per_c11_loop(self, resolution, mag_resolution, slice_):
+        for phase_resolution in (1, 3):
+            assert_grid_matches_reference(resolution, mag_resolution, phase_resolution, slice_)
 
     @pytest.mark.parametrize("argv", [["sweep"], ["teleport", "--c11", "0.5", "--prep", "bell1"]])
     def test_tol_flag_removed(self, capsys, argv):
@@ -393,6 +452,12 @@ GOLDEN = {
         "74c68622e3adc50492df921519bea5d69049e51f4fcf89961d44aa13ae8b8f81",
     "sweep --resolution 21 --slice pure --phase-resolution 3 --format json":
         "6cda9ddfe308cbb50286ced05dca49927575ede29d0fd021e35a8e9d8e0530e8",
+    "sweep --resolution 2 --mag-resolution 2 --format csv":
+        "7378dc6f90d117d6a2addcfe36dd9e71d3f83f258512f56934f219536a4f4cfc",
+    "sweep --resolution 7 --mag-resolution 1 --phase-resolution 3 --format csv":
+        "2ddf04784954ea5275500c7d334acf7f66a970d9011c4b569933e904dcba8959",
+    "sweep --resolution 12 --mag-resolution 5 --phase-resolution 3 --format table":
+        "2a77f564ad6bdf0fb0e9d9cbdd47d66f8c90fca8f450426a938e5a2ef24ba779",
     "paut-audit --format table": "a72c5dac8b2fbfb20b42d115813fc0ac62dddf9a5e4211e09892b8a3defe8524",
     "paut-audit --format csv": "4535c6bd736e3103f466fb807ca12296000c8513427b8fdd6b792de14b408e7f",
     "paut-audit --format json": "8f0f46137a83d28dd311d7f25efae6a24c7b853294be1bf8db4c68cb307e4439",
