@@ -14,7 +14,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .linalg import AGREE_TOL, as_matrix, frozen, positive_real_invariants, positive_real_table, require
+from .linalg import AGREE_TOL, as_matrix, frozen, positive_real_invariants, require, scalar_table
 from .protocol import (
     CoefficientVector,
     bloch_coefficient_rows,
@@ -26,14 +26,10 @@ from .protocol import (
 
 _ANNIHILATES = "transformation annihilates the input: trace component {!r}".format
 _REAL_COMPONENT, _UNANNIHILATED_COMPONENT = positive_real_invariants(_ANNIHILATES, _ANNIHILATES)
-_TRACE_COMPONENT = positive_real_table(_REAL_COMPONENT, _UNANNIHILATED_COMPONENT)
-_REAL_VALUE = (AGREE_TOL, "vector-form fidelity has imaginary part {:.3e}".format)
-
-
-def _vector_form_table(x, parts) -> tuple:
-    """The vector-form fidelity's check that it is real within AGREE_TOL (so never NaN)."""
-    value, = parts
-    return ((abs(value.imag), _REAL_VALUE, (value.imag,)),)
+_TRACE_COMPONENT = scalar_table(_REAL_COMPONENT, _UNANNIHILATED_COMPONENT)
+_REAL_VALUE = (AGREE_TOL, lambda value: f"vector-form fidelity has imaginary part {value.imag:.3e}")
+# the vector-form fidelity's check that it is real within AGREE_TOL (so never NaN)
+_vector_form_table = scalar_table(_REAL_VALUE)
 
 
 def fidelity_vector(c: CoefficientVector, t) -> float:
@@ -44,10 +40,7 @@ def fidelity_vector(c: CoefficientVector, t) -> float:
     and when the transformed vector has no positive real trace component
     (the transformation annihilates the input), as the two-sided update does.
     """
-    tm = np.asarray(t, dtype=complex)
-    if tm.shape != (4, 4):
-        raise ValueError(f"expected a 4x4 transformation, got shape {tm.shape}")
-    tm = as_matrix(tm)
+    tm = as_matrix(t, 4)
     cv = c.as_vector()
     tc = tm @ cv
     norm = complex(tc[0] + tc[3])

@@ -41,13 +41,15 @@ class NonHermitianError(ValueError):
         )
 
 
-def as_matrix(m) -> np.ndarray:
+def as_matrix(m, n: int | None = None) -> np.ndarray:
     """Coerce input to a square complex array of supported dimension.
 
-    Rejects non-square shapes, dimensions outside {2, 4, 8}, and any
-    NaN/Inf entry.
+    Rejects a shape other than (n, n) when the size ``n`` is given, then
+    non-square shapes, dimensions outside {2, 4, 8}, and any NaN/Inf entry.
     """
     arr = np.asarray(m, dtype=complex)
+    if n is not None and arr.shape != (n, n):
+        raise ValueError(f"expected a {n}x{n} operator, got shape {arr.shape}")
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {arr.shape}")
     if arr.shape[0] not in SUPPORTED_DIMS:
@@ -60,15 +62,14 @@ def as_matrix(m) -> np.ndarray:
 
 
 def frozen(a, dtype=None) -> np.ndarray:
-    """A read-only view of a new array holding ``a``, for arrays that calls share: no view of it can be made writable.
+    """A new array holding ``a`` over an immutable bytes buffer, for arrays that calls share: no view of it can be made writable.
 
     ``setflags(write=True)`` undoes the read-only flag of an array that owns
-    its memory, and of a view of a writable array, but not of a view of a
-    read-only owner.
+    its memory, and of a view of a writable array, but not of an array, nor
+    of any view along its ``.base`` chain, over a buffer that is read-only.
     """
     owner = np.array(a, dtype=dtype)
-    owner.setflags(write=False)
-    return owner[...]
+    return np.frombuffer(owner.tobytes(), owner.dtype).reshape(owner.shape)
 
 
 _I2 = frozen(np.eye(2, dtype=complex))
@@ -97,22 +98,12 @@ def trace_out_sender_pair(m: np.ndarray) -> np.ndarray:
     return np.trace(t, axis1=-4, axis2=-2)
 
 
-def _pair_operator(m) -> np.ndarray:
-    """``as_matrix(m)``, which must be a 4x4 operator on a pair of qubits."""
-    arr = as_matrix(m)
-    if arr.shape != (4, 4):
-        raise ValueError(
-            f"partial transpose expects a 4x4 operator on a qubit pair, got shape {arr.shape}"
-        )
-    return arr
-
-
 def partial_transpose(m) -> np.ndarray:
     """Transpose of the second factor of a 4x4 operator on a pair of qubits.
 
     Entry [2i + j, 2k + l] of the result is entry [2i + l, 2k + j] of ``m``.
     """
-    return _pair_operator(m).reshape(2, 2, 2, 2).transpose(0, 3, 2, 1).reshape(4, 4)
+    return as_matrix(m, 4).reshape(2, 2, 2, 2).transpose(0, 3, 2, 1).reshape(4, 4)
 
 
 # h.ravel()[_WITH_PARTIAL_TRANSPOSE] is the stack [h, partial_transpose(h)] of a 4x4 h.
@@ -139,14 +130,15 @@ def _hermitian_part(arr: np.ndarray) -> tuple[np.ndarray, float]:
 def hermitian_spectrum(a) -> np.ndarray:
     """All eigenvalues of a Hermitian matrix, sorted descending.
 
-    Uses LAPACK through ``numpy.linalg.eigvalsh`` on the Hermitian part.
-    Raises NonHermitianError for inputs whose asymmetry exceeds
-    HERMITICITY_TOL, and ValueError when an eigenvalue overflows.
+    Solves the Hermitian part through ``_eigenvalues``. Raises
+    NonHermitianError for inputs whose asymmetry exceeds HERMITICITY_TOL,
+    and ValueError when an eigenvalue overflows, as one does wherever the
+    modulus of an entry, at most the spectral norm, exceeds the largest double.
     """
     hermitian, asymmetry = _hermitian_part(as_matrix(a))
     if asymmetry > HERMITICITY_TOL:
         raise NonHermitianError(asymmetry)
-    spectrum = np.linalg.eigvalsh(hermitian)
+    spectrum, _ = _eigenvalues(hermitian)
     if not np.isfinite(spectrum).all():
         raise ValueError("spectrum overflows: the eigensolver returned NaN or Inf")
     return spectrum[::-1]
@@ -196,7 +188,7 @@ UNIT_TRACE = (TRACE_TOL, "not a statistical operator: not unit-trace (trace {:.1
 POSITIVE = (EIGENVALUE_TOL, "not a statistical operator: negative eigenvalue {:.3e}".format)
 _REAL_OVERLAP = (
     EQ_TOL,
-    "fidelity has non-negligible imaginary part {:.3e}; the pipeline produced a non-Hermitian state".format,
+    lambda t: f"fidelity has non-negligible imaginary part {t.imag:.3e}; the pipeline produced a non-Hermitian state",
 )
 _FINITE_COEFFICIENTS = (0.0, "coefficients contain NaN or Inf".format)
 _COEFFICIENT_TRACE = (EQ_TOL, "trace constraint violated: c11 + c22 = {!r}, expected 1".format)
@@ -264,11 +256,13 @@ def positive_real_invariants(imaginary, vanishing) -> tuple:
     return (EQ_TOL, imaginary), (-math.nextafter(ANNIHILATION_TOL, math.inf), vanishing)
 
 
-def positive_real_table(real, positive):
-    """A table on one trace t with the two ``positive_real_invariants``."""
+def scalar_table(real, positive=None):
+    """A table on one complex number t, which each message takes: |Im t| against ``real``, then -Re t against ``positive`` if given."""
 
     def table(x, parts):
         t, = values = parts
+        if positive is None:
+            return ((abs(t.imag), real, values),)
         return (abs(t.imag), real, values), (-t.real, positive, values)
 
     return table
@@ -278,32 +272,22 @@ _REAL_TRACE, _UNANNIHILATED = positive_real_invariants(
     lambda t: f"cannot renormalize: trace has imaginary part {t.imag:.3e}",
     lambda t: f"preparation annihilated the ensemble: trace {t.real:.3e} <= {ANNIHILATION_TOL}",
 )
-renormalizable_trace_table = positive_real_table(_REAL_TRACE, _UNANNIHILATED)
+renormalizable_trace_table = scalar_table(_REAL_TRACE, _UNANNIHILATED)
 
 
 def renormalization_table(x, entries) -> tuple:
     """``renormalize``'s checks on a 2x2 operator [[a, b], [c, d]]: finite entries, then its trace a + d."""
     a, b, c, d = entries
-    t = a + d
-    values = (t,)
-    return (
-        (x.nan_unless_finite(a, b, c, d), FINITE, ()),
-        (abs(t.imag), _REAL_TRACE, values),
-        (-t.real, _UNANNIHILATED, values),
-    )
+    return ((x.nan_unless_finite(a, b, c, d), FINITE, ()),) + renormalizable_trace_table(x, (a + d,))
 
 
 _TWO_SIDED_ANNIHILATED = "two-sided update annihilated the ensemble: total trace {!r}".format
 _TWO_SIDED_REAL, _TWO_SIDED_UNANNIHILATED = positive_real_invariants(
     _TWO_SIDED_ANNIHILATED, _TWO_SIDED_ANNIHILATED
 )
-two_sided_trace_table = positive_real_table(_TWO_SIDED_REAL, _TWO_SIDED_UNANNIHILATED)
-
-
-def real_overlap_table(x, parts) -> tuple:
-    """``fidelity_trace``'s check that the overlap Tr(rho_in rho_bob) is real."""
-    overlap, = parts
-    return ((abs(overlap.imag), _REAL_OVERLAP, (overlap.imag,)),)
+two_sided_trace_table = scalar_table(_TWO_SIDED_REAL, _TWO_SIDED_UNANNIHILATED)
+# fidelity_trace's check that the overlap Tr(rho_in rho_bob) is real
+real_overlap_table = scalar_table(_REAL_OVERLAP)
 
 
 def require(*checks) -> None:
@@ -413,7 +397,7 @@ def _pair_spectra(op) -> np.ndarray:
     Raises as ``partial_transpose(op)``, then ``require_statistical_operator(op)``
     would; then ``hermitian_spectrum`` of the transpose cannot raise.
     """
-    arr = _pair_operator(op)
+    arr = as_matrix(op, 4)
     hermitian, asymmetry = _hermitian_part(arr)
     spectra, smallest = _eigenvalues(hermitian.ravel()[_WITH_PARTIAL_TRANSPOSE])
     require((_operator_table, (asymmetry, complex(arr.trace()), smallest)))

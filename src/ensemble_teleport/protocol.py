@@ -362,9 +362,7 @@ def fidelity_trace(c: CoefficientVector, bob) -> float:
     part signals a non-Hermitian pipeline bug. The checks are
     ``receiver_states``' own, in its order, so both raise the same message.
     """
-    arr = as_matrix(bob)
-    if arr.shape != (2, 2):
-        raise ValueError(f"fidelity expects a 2x2 receiver state, got shape {arr.shape}")
+    arr = as_matrix(bob, 2)
     overlap = complex(np.trace(c.matrix() @ arr))
     require((qubit_operator_table, arr.ravel().tolist()), (real_overlap_table, (overlap,)))
     return float(overlap.real)
@@ -408,9 +406,7 @@ def bob_correct(index: int, m) -> np.ndarray:
     Input must be a 2x2 statistical operator; the correction is a
     Pauli conjugation and exactly inverts the preparation's imprint.
     """
-    arr = as_matrix(m)
-    if arr.shape != (2, 2):
-        raise ValueError(f"correction expects a 2x2 operator, got shape {arr.shape}")
+    arr = as_matrix(m, 2)
     require_statistical_operator(arr)
     un = correction_unitary(index)
     return un @ arr @ un.conj().T
@@ -467,7 +463,7 @@ def receiver_states(t, coeffs) -> tuple[np.ndarray, np.ndarray]:
         (qubit_operator_table, states),
         (real_overlap_table, overlap),
     )
-    return states, overlap.real.copy()
+    return states, overlap.real
 
 
 _MESSAGE_VARIANTS = ("two_bits", "one_bit_ping", "pre_agreed")

@@ -64,13 +64,25 @@ def package_arrays() -> list:
     ]
 
 
+def base_chain(array: np.ndarray) -> list:
+    """``array`` and every ndarray along its ``.base``."""
+    chain = []
+    while isinstance(array, np.ndarray):
+        chain.append(array)
+        array = array.base
+    return chain
+
+
 def can_be_made_writable(array: np.ndarray) -> bool:
-    try:
-        array.setflags(write=True)
-    except ValueError:
-        return False
-    array.setflags(write=False)
-    return True
+    """Whether ``array`` or any ndarray along its ``.base`` takes ``setflags(write=True)``."""
+    for link in base_chain(array):
+        try:
+            link.setflags(write=True)
+        except ValueError:
+            continue
+        link.setflags(write=False)
+        return True
+    return False
 
 
 def use_every_shared_tensor():
@@ -161,4 +173,21 @@ def test_named_array_cannot_be_made_writable(name):
         array.setflags(write=True)
     with pytest.raises(ValueError):
         array[...] = 0
+    assert bell2_session_bits() == before
+
+
+@pytest.mark.parametrize("name", sorted(named_arrays()))
+def test_no_base_of_a_named_array_can_be_made_writable(name):
+    assert not can_be_made_writable(named_arrays()[name])
+
+
+def test_bell2_corrected_map_cannot_be_thawed_through_its_base():
+    # A writable base of the shared corrected map, once zeroed, would make
+    # every later Bell-2 corrected session raise "preparation annihilated the ensemble".
+    before = bell2_session_bits()
+    for link in base_chain(protocol.resolve_preparation(2).session_map(True)):
+        with pytest.raises(ValueError):
+            link.setflags(write=True)
+        with pytest.raises(ValueError):
+            link[...] = 0
     assert bell2_session_bits() == before
