@@ -200,6 +200,22 @@ class PreparationTensor:
         return self._known_index == 4
 
     @cached_property
+    def _convention_maps(self) -> np.ndarray | None:
+        # The (2, 4, 4) one-sided and two-sided maps onto the raw receiver
+        # coefficients, read off the 8x8 products of the four matrix units, for
+        # weights byte-equal to a known preparation's; else None. Each row of
+        # these maps has one nonzero entry, a power of two, so their products
+        # round nothing and equal the 8x8 ones bit for bit. Weights that only
+        # match within EQ_TOL would round differently.
+        k = self._known_index
+        if k is None or self.u.tobytes() != _KNOWN_WEIGHTS[k].tobytes():
+            return None
+        one_sided = self.sender_operator @ total_states(np.eye(4, dtype=complex))
+        marginals = trace_out_sender_pair(np.stack([one_sided, one_sided @ self.sender_operator]))
+        # marginals[s, j] is the image of the j-th matrix unit: column j of map s
+        return frozen(marginals.reshape(2, 4, 4).transpose(0, 2, 1))
+
+    @cached_property
     def _corrected_map(self) -> np.ndarray:
         # A Pauli conjugation U . U† acts on row-major coefficient 4-vectors as kron(U, conj(U)).
         return frozen(_CORRECTION_MAPS[self.bell_index] @ self.coefficient_map)

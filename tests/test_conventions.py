@@ -11,6 +11,7 @@ from ensemble_teleport import (
     alice_prepare,
     automatic_preparation,
     bloch_coefficient_rows,
+    coefficient_rows,
     compare_conventions,
     hermitian_spectrum,
     matrix_unit,
@@ -22,7 +23,7 @@ from ensemble_teleport import (
     transformation_matrix,
 )
 from ensemble_teleport import conventions, protocol
-from ensemble_teleport.conventions import _compare_rows
+from ensemble_teleport.conventions import _both_updates, _compare_rows, _mapped_updates
 from ensemble_teleport.fidelity import SAMPLERS
 from ensemble_teleport.linalg import embed_sender_pair
 from conftest import random_coefficients
@@ -154,6 +155,10 @@ def kernel_results(u, cs):
     ]
 
 
+# the maximally mixed input (r = 0) and pure inputs on each axis (|r| = 1)
+BOUNDARY_POINTS = [(0, 0, 0), (1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1), (np.sqrt(0.5), 0, np.sqrt(0.5))]
+
+
 class TestOneSandwich:
     @given(c=bloch_coefficient_strategy(), k=st.integers(min_value=0, max_value=4))
     def test_fields_bitwise_equal_the_two_call_form(self, c, k):
@@ -189,11 +194,8 @@ class TestBatchKernel:
 
     @pytest.mark.parametrize("k", range(5))
     def test_boundary_inputs(self, k):
-        # the maximally mixed input (r = 0) and pure inputs on each axis (|r| = 1)
         u = FIVE_PREPARATIONS[k]
-        h = np.sqrt(0.5)
-        points = [(0, 0, 0), (1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1), (h, 0, h)]
-        cs = [CoefficientVector.from_bloch(*p) for p in points]
+        cs = [CoefficientVector.from_bloch(*p) for p in BOUNDARY_POINTS]
         for c, row in zip(cs, kernel_results(u, cs)):
             expected = reference_compare(u, c)
             assert_same_bits(row, expected)
@@ -221,6 +223,109 @@ class TestBatchKernel:
     def test_rejects_non_row_shapes(self, shape):
         with pytest.raises(ValueError, match=r"\(N, 4\) array"):
             _compare_rows(automatic_preparation(), np.zeros(shape))
+
+
+def signed_zero_rows() -> np.ndarray:
+    """Pure pole and mixed inputs whose zero components take every sign, real and imaginary."""
+    zeros = [complex(re, im) for re in (0.0, -0.0) for im in (0.0, -0.0)]
+    c12 = np.array([a for a in zeros for _ in zeros])
+    c21 = np.array([b for _ in zeros for b in zeros])
+    n = len(c12)
+    poles = [(1.0, 0.0), (1.0, -0.0), (0.0, 1.0), (-0.0, 1.0), (0.5, 0.5)]
+    return np.concatenate(
+        [coefficient_rows(np.full(n, c11), c12, c21, np.full(n, c22)) for c11, c22 in poles]
+    )
+
+
+def _map_test_rows() -> dict:
+    """name -> (N, 4) rows: both samplers at N = 1000, the boundary points and the signed-zero inputs."""
+    rows = {
+        sampler: bloch_coefficient_rows(*SAMPLERS[sampler](np.random.default_rng([17, i]), 1000))
+        for i, sampler in enumerate(sorted(SAMPLERS))
+    }
+    rows["boundary"] = np.stack([CoefficientVector.from_bloch(*p).as_vector() for p in BOUNDARY_POINTS])
+    rows["signed zeros"] = signed_zero_rows()
+    return rows
+
+
+MAP_TEST_ROWS = _map_test_rows()
+
+
+def assert_same_updates(mapped, eight):
+    """Raw one-sided marginals and both traces, which the checks read, and both states, byte for byte."""
+    for value, wanted in zip(mapped, eight, strict=True):
+        assert value.dtype == wanted.dtype and value.shape == wanted.shape
+        assert value.tobytes() == wanted.tobytes()
+
+
+class TestConventionMaps:
+    """Known tensors compare through two 4x4 maps; the 8x8 products stay the oracle."""
+
+    @pytest.mark.parametrize("rows", sorted(MAP_TEST_ROWS))
+    @pytest.mark.parametrize("k", range(5))
+    def test_maps_equal_the_eight_by_eight_products(self, k, rows):
+        u = FIVE_PREPARATIONS[k]
+        c = MAP_TEST_ROWS[rows]
+        maps, p8 = u._convention_maps, u.sender_operator
+        assert_same_updates(_mapped_updates(maps, c), _both_updates(p8, c))
+        for i in range(0, len(c), 7):  # N = 1
+            assert_same_updates(_mapped_updates(maps, c[i : i + 1]), _both_updates(p8, c[i : i + 1]))
+
+    @pytest.mark.parametrize("k", range(5))
+    def test_each_map_row_has_one_power_of_two_entry(self, k):
+        # so every map product is one exact scaling: the bits hold for every input, not only the sampled ones
+        maps = FIVE_PREPARATIONS[k]._convention_maps
+        assert maps.shape == (2, 4, 4) and not maps.flags.writeable
+        assert not maps.imag.any()
+        nonzero = maps.real != 0
+        assert (nonzero.sum(axis=-1) == 1).all()
+        mantissas, _ = np.frexp(np.abs(maps.real[nonzero]))
+        assert (mantissas == 0.5).all()
+
+    @pytest.mark.parametrize("k", range(5))
+    def test_fresh_known_tensors_take_the_maps(self, k, monkeypatch):
+        u = preparation_from_bell(k + 1) if k < 4 else automatic_preparation()
+        assert all(u is not shared for shared in protocol._BELL_TENSORS.values())
+
+        def refuse(*_):
+            raise AssertionError("8x8 products on a known tensor")
+
+        monkeypatch.setattr(conventions, "_both_updates", refuse)
+        c = CoefficientVector.from_components(0.3, 0.2 - 0.1j)
+        assert_same_bits(compare_conventions(u, c), reference_compare(u, c))
+        assert u._convention_maps.tobytes() == FIVE_PREPARATIONS[k]._convention_maps.tobytes()
+
+    def test_near_known_tensor_takes_the_eight_by_eight_products(self):
+        # within EQ_TOL of Bell 2, so it classifies as Bell 2, but Bell 2's maps would round differently
+        bell2 = preparation_from_bell(2)
+        near = PreparationTensor(bell2.u + 1e-14, normalized=True)
+        assert near.bell_index == 2 and near._convention_maps is None
+        x, y, z = SAMPLERS["mixed_uniform"](np.random.default_rng(5), 200)
+        cs = [CoefficientVector.from_bloch(x[i], y[i], z[i]) for i in range(len(x))]
+        for c, row in zip(cs, kernel_results(near, cs)):
+            assert_same_bits(row, reference_compare(near, c))
+        rows = np.stack([c.as_vector() for c in cs])
+        borrowed = _mapped_updates(bell2._convention_maps, rows)[0]
+        assert borrowed.tobytes() != _both_updates(near.sender_operator, rows)[0].tobytes()
+
+
+class TestBellIndexArgument:
+    @pytest.mark.parametrize("index", [1, 2, 3, 4, np.int64(2)])
+    def test_index_compares_like_its_tensor(self, index):
+        u = preparation_from_bell(int(index))
+        c = CoefficientVector.from_components(0.3, 0.2 - 0.1j)
+        assert_same_bits(compare_conventions(index, c), compare_conventions(u, c))
+        assert sandwich_numerator(index, c).tobytes() == sandwich_numerator(u, c).tobytes()
+        assert prepare_sandwich(index, c).tobytes() == prepare_sandwich(u, c).tobytes()
+        for value, wanted in zip(_compare_rows(index, c.row), _compare_rows(u, c.row), strict=True):
+            assert value.tobytes() == wanted.tobytes()
+
+    @pytest.mark.parametrize("prep", [True, "x", None, 0, 5])
+    def test_anything_else_raises_the_boundary_message(self, prep):
+        c = CoefficientVector.from_components(0.3)
+        for call in (compare_conventions, sandwich_numerator, prepare_sandwich, lambda p, c: _compare_rows(p, c.row)):
+            with pytest.raises(ValueError, match="^preparation must be a PreparationTensor or an integer Bell index: "):
+                call(prep, c)
 
 
 def sender_pair_tensor(p) -> PreparationTensor:
