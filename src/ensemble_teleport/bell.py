@@ -80,6 +80,7 @@ def ppt_entangled(op) -> bool:
     eigenvalue below -EIGENVALUE_TOL. The input must be a 4x4 statistical
     operator (Hermitian, unit trace, positive semidefinite); violations raise
     with the offending invariant. The checks and the transpose's spectrum
-    share one eigensolve (``linalg._pair_spectra``).
+    share one pass over the operator and one eigensolve
+    (``linalg._pair_spectra``).
     """
-    return bool(_pair_spectra(op)[1, 0] < -EIGENVALUE_TOL)
+    return _pair_spectra(op).item(1, 0) < -EIGENVALUE_TOL

@@ -126,6 +126,8 @@ def _compare_rows(
 def compare_conventions(u: PreparationTensor | int, c: CoefficientVector) -> ConventionResult:
     """Run both updates on the same input and record their difference: ``_compare_rows`` on one row."""
     ansatz, sandwich, diff, ratio = _compare_rows(u, c.row)
-    return ConventionResult(
-        ansatz=ansatz[0], sandwich=sandwich[0], max_abs_diff=float(diff[0]), prenorm_ratio=float(ratio[0])
+    record = object.__new__(ConventionResult)  # the constructor's record, without its per-field object.__setattr__
+    record.__dict__.update(
+        ansatz=ansatz[0], sandwich=sandwich[0], max_abs_diff=diff.item(0), prenorm_ratio=ratio.item(0)
     )
+    return record

@@ -9,6 +9,7 @@ records both and flags divergence instead of hiding it.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -26,7 +27,8 @@ from .protocol import (
 
 _ANNIHILATES = "transformation annihilates the input: trace component {!r}".format
 _REAL_COMPONENT, _UNANNIHILATED_COMPONENT = positive_real_invariants(_ANNIHILATES, _ANNIHILATES)
-_TRACE_COMPONENT = scalar_table(_REAL_COMPONENT, _UNANNIHILATED_COMPONENT)
+_FINITE_COMPONENT = (sys.float_info.max, "transformation overflows: trace component {!r} is not finite".format)
+_TRACE_COMPONENT = scalar_table(_REAL_COMPONENT, _UNANNIHILATED_COMPONENT, _FINITE_COMPONENT)
 _REAL_VALUE = (AGREE_TOL, lambda value: f"vector-form fidelity has imaginary part {value.imag:.3e}")
 # the vector-form fidelity's check that it is real within AGREE_TOL (so never NaN)
 _vector_form_table = scalar_table(_REAL_VALUE)
@@ -37,13 +39,15 @@ def fidelity_vector(c: CoefficientVector, t) -> float:
 
     ||.|| is the trace reading of a coefficient 4-vector: the sum of its
     first and fourth components. Raises when the map has a NaN or Inf entry,
-    and when the transformed vector has no positive real trace component
-    (the transformation annihilates the input), as the two-sided update does.
+    when the transformed vector has no positive real trace component (the
+    transformation annihilates the input), as the two-sided update does, and
+    when that component overflows.
     """
     tm = as_matrix(t, 4)
     cv = c.as_vector()
-    tc = tm @ cv
-    norm = complex(tc[0] + tc[3])
+    with np.errstate(over="ignore", invalid="ignore"):  # the checks below name an overflowed trace component
+        tc = tm @ cv
+    norm = tc.item(0) + tc.item(3)  # Python numbers: an overflow gives inf with no warning
     require((_TRACE_COMPONENT, (norm,)))
     contamination = (tm / norm.real) @ cv - cv
     value = complex(cv @ cv + cv @ contamination)

@@ -10,6 +10,7 @@ operation besides the trace-out is the partial transpose on the second qubit.
 from __future__ import annotations
 
 import math
+import sys
 from cmath import isfinite
 from types import SimpleNamespace
 
@@ -41,12 +42,8 @@ class NonHermitianError(ValueError):
         )
 
 
-def as_matrix(m, n: int | None = None) -> np.ndarray:
-    """Coerce input to a square complex array of supported dimension.
-
-    Rejects a shape other than (n, n) when the size ``n`` is given, then
-    non-square shapes, dimensions outside {2, 4, 8}, and any NaN/Inf entry.
-    """
+def _square(m, n: int | None = None) -> np.ndarray:
+    """``as_matrix`` without its NaN/Inf check: the complex array and its shape checks."""
     arr = np.asarray(m, dtype=complex)
     if n is not None and arr.shape != (n, n):
         raise ValueError(f"expected a {n}x{n} operator, got shape {arr.shape}")
@@ -56,6 +53,16 @@ def as_matrix(m, n: int | None = None) -> np.ndarray:
         raise ValueError(
             f"matrix dimension {arr.shape[0]} unsupported; must be one of {SUPPORTED_DIMS}"
         )
+    return arr
+
+
+def as_matrix(m, n: int | None = None) -> np.ndarray:
+    """Coerce input to a square complex array of supported dimension.
+
+    Rejects a shape other than (n, n) when the size ``n`` is given, then
+    non-square shapes, dimensions outside {2, 4, 8}, and any NaN/Inf entry.
+    """
+    arr = _square(m, n)
     if not np.isfinite(arr).all():
         raise ValueError(_NOT_FINITE)
     return arr
@@ -112,19 +119,58 @@ _WITH_PARTIAL_TRANSPOSE = frozen(
 )
 
 
-@np.errstate(over="ignore", invalid="ignore")  # as a decorator, errstate costs about half what a with block does
-def _hermitian_part(arr: np.ndarray) -> tuple[np.ndarray, float]:
-    """An operator's Hermitian part, finite for every finite operator, and its asymmetry max |arr - arr^dagger|.
+_HALF_MAX = 0.5 * sys.float_info.max
+# (i*n + j, j*n + i) for i <= j: the entries of a flattened n x n operator that M - M^dagger pairs
+_MIRRORED = {n: tuple((i * n + j, j * n + i) for i in range(n) for j in range(i, n)) for n in SUPPORTED_DIMS}
+# complex(np.trace(m)) from the flattened entries e of an n x n m, in numpy's pairwise order and with
+# the 0j it starts from, so the bits are the same and an overflow gives inf with no warning
+_TRACES = {
+    2: lambda e: 0j + (e[0] + e[3]),
+    4: lambda e: 0j + ((e[0] + e[5]) + (e[10] + e[15])),
+    8: lambda e: 0j + (((e[0] + e[36]) + (e[9] + e[45])) + ((e[18] + e[54]) + (e[27] + e[63]))),
+}
 
-    The asymmetry is the largest np.hypot of the gap's parts, as the tables take moduli; inf if the gap overflows.
+
+def operator_trace(arr: np.ndarray) -> complex:
+    """``complex(np.trace(arr))`` of a shape-checked operator, bit for bit; inf where it overflows, with no warning."""
+    return _TRACES[len(arr)](arr.ravel().tolist())
+
+
+@np.errstate(over="ignore", invalid="ignore")  # as a decorator, errstate costs about half what a with block does
+def _unbounded_hermitian_part(arr: np.ndarray, adjoint: np.ndarray) -> np.ndarray:
+    """``_hermitian_part``'s Hermitian part of an operator that may hold NaN/Inf or huge entries: raises on NaN/Inf."""
+    hermitian = 0.5 * (arr + adjoint)
+    if not np.isfinite(hermitian).all():  # a finite part implies finite entries
+        if not np.isfinite(arr).all():
+            raise ValueError(_NOT_FINITE)
+        hermitian = 0.5 * arr + 0.5 * adjoint  # halve before adding only here: halving rounds subnormals
+    return hermitian
+
+
+def _hermitian_part(arr: np.ndarray) -> tuple[np.ndarray, float, complex]:
+    """The Hermitian part of a shape-checked operator, its asymmetry max |arr - arr^dagger| and its trace, in one pass.
+
+    The Hermitian part is 0.5 * (arr + arr^dagger), or the sum of the halves
+    where that overflows, so it is finite for every finite operator; a NaN or
+    Inf entry raises. The rest comes from one ``tolist()``. When the entries'
+    moduli sum to less than half the largest double, no entry is NaN or Inf
+    and no sum overflows, so the part needs no ``np.errstate`` and no test.
+    The asymmetry is the largest modulus of m_ij - conj(m_ji) over i <= j,
+    libm hypot as np.hypot gives it, inf if one overflows; the trace has the
+    bits of ``complex(np.trace(arr))``.
     """
     adjoint = arr.conj().T
-    gap = arr - adjoint
-    asymmetry = float(np.hypot(gap.real, gap.imag).max())
-    hermitian = 0.5 * (arr + adjoint)
-    if not np.isfinite(hermitian).all():  # halve before adding only here: halving rounds subnormals
-        hermitian = 0.5 * arr + 0.5 * adjoint
-    return hermitian, asymmetry
+    e = arr.ravel().tolist()
+    try:
+        bounded = sum(map(abs, e)) < _HALF_MAX  # False for NaN
+    except OverflowError:  # a finite entry whose modulus exceeds the largest double
+        bounded = False
+    hermitian = 0.5 * (arr + adjoint) if bounded else _unbounded_hermitian_part(arr, adjoint)
+    try:
+        asymmetry = max([abs(e[p] - e[q].conjugate()) for p, q in _MIRRORED[len(arr)]])
+    except OverflowError:  # a finite gap whose modulus exceeds the largest double
+        asymmetry = math.inf
+    return hermitian, asymmetry, _TRACES[len(arr)](e)
 
 
 def hermitian_spectrum(a) -> np.ndarray:
@@ -135,7 +181,7 @@ def hermitian_spectrum(a) -> np.ndarray:
     and ValueError when an eigenvalue overflows, as one does wherever the
     modulus of an entry, at most the spectral norm, exceeds the largest double.
     """
-    hermitian, asymmetry = _hermitian_part(as_matrix(a))
+    hermitian, asymmetry, _ = _hermitian_part(_square(a))
     if asymmetry > HERMITICITY_TOL:
         raise NonHermitianError(asymmetry)
     spectrum, _ = _eigenvalues(hermitian)
@@ -256,14 +302,21 @@ def positive_real_invariants(imaginary, vanishing) -> tuple:
     return (EQ_TOL, imaginary), (-math.nextafter(ANNIHILATION_TOL, math.inf), vanishing)
 
 
-def scalar_table(real, positive=None):
-    """A table on one complex number t, which each message takes: |Im t| against ``real``, then -Re t against ``positive`` if given."""
+def scalar_table(real, positive=None, finite=None):
+    """A table on one complex number t, which each message takes: |Im t| against ``real``, then those given of the rest.
+
+    The rest are -Re t against ``positive``, then Re t against ``finite``,
+    whose bound is the largest double: it fails a real part that passed
+    ``positive`` only at +inf, which -Re t lets through.
+    """
 
     def table(x, parts):
         t, = values = parts
         if positive is None:
             return ((abs(t.imag), real, values),)
-        return (abs(t.imag), real, values), (-t.real, positive, values)
+        if finite is None:
+            return (abs(t.imag), real, values), (-t.real, positive, values)
+        return (abs(t.imag), real, values), (-t.real, positive, values), (t.real, finite, values)
 
     return table
 
@@ -272,7 +325,10 @@ _REAL_TRACE, _UNANNIHILATED = positive_real_invariants(
     lambda t: f"cannot renormalize: trace has imaginary part {t.imag:.3e}",
     lambda t: f"preparation annihilated the ensemble: trace {t.real:.3e} <= {ANNIHILATION_TOL}",
 )
+_FINITE_TRACE = (sys.float_info.max, lambda t: f"cannot renormalize: trace {t.real} is not finite")
 renormalizable_trace_table = scalar_table(_REAL_TRACE, _UNANNIHILATED)
+# renormalize's own check, which also rejects a trace that overflowed to +inf
+finite_renormalizable_trace_table = scalar_table(_REAL_TRACE, _UNANNIHILATED, _FINITE_TRACE)
 
 
 def renormalization_table(x, entries) -> tuple:
@@ -351,13 +407,13 @@ def require_statistical_operator(op) -> None:
     operator is checked by ``qubit_operator_table``, which uses the closed
     form for its smallest eigenvalue; larger ones use the eigensolver.
     """
-    arr = as_matrix(op)
-    if arr.shape[0] == 2:
+    arr = _square(op)
+    if arr.shape[0] == 2:  # the table's first entry is the NaN/Inf check
         require((qubit_operator_table, arr.ravel().tolist()))
         return
-    hermitian, asymmetry = _hermitian_part(arr)
+    hermitian, asymmetry, trace = _hermitian_part(arr)
     _, smallest = _eigenvalues(hermitian)
-    require((_operator_table, (asymmetry, complex(arr.trace()), smallest)))
+    require((_operator_table, (asymmetry, trace, smallest)))
 
 
 def _eigenvalues(hermitian: np.ndarray) -> tuple[np.ndarray, float]:
@@ -389,18 +445,19 @@ def _operator_table(x, parts) -> tuple:
 def _pair_spectra(op) -> np.ndarray:
     """Ascending spectra of a two-qubit statistical operator and of its partial transpose.
 
-    Rows 0 and 1 of one ``eigvalsh`` call on the stacked Hermitian parts;
-    they are bitwise ``eigvalsh`` of the Hermitian part of ``op`` and
+    One pass over ``op`` (``_hermitian_part``) gives its Hermitian part,
+    asymmetry and trace; the spectra are rows 0 and 1 of one ``eigvalsh``
+    call on the stacked Hermitian parts. They are bitwise ``eigvalsh`` of
+    the Hermitian part of ``op`` and
     ``hermitian_spectrum(partial_transpose(op))[::-1]``, because the
     Hermitian part of the transpose is a permutation of that of ``op``;
     where ``eigvalsh`` returns NaN, ``_eigenvalues`` solves both again, halved.
     Raises as ``partial_transpose(op)``, then ``require_statistical_operator(op)``
     would; then ``hermitian_spectrum`` of the transpose cannot raise.
     """
-    arr = as_matrix(op, 4)
-    hermitian, asymmetry = _hermitian_part(arr)
+    hermitian, asymmetry, trace = _hermitian_part(_square(op, 4))
     spectra, smallest = _eigenvalues(hermitian.ravel()[_WITH_PARTIAL_TRANSPOSE])
-    require((_operator_table, (asymmetry, complex(arr.trace()), smallest)))
+    require((_operator_table, (asymmetry, trace, smallest)))
     return spectra
 
 

@@ -32,10 +32,11 @@ from .linalg import (
     bloch_table,
     coefficient_table,
     embed_sender_pair,
+    finite_renormalizable_trace_table,
     frozen,
+    operator_trace,
     qubit_operator_table,
     real_overlap_table,
-    renormalizable_trace_table,
     renormalization_table,
     require,
     require_rows,
@@ -362,11 +363,12 @@ def renormalize(m) -> np.ndarray:
     """Divide by the trace, restoring a unit-trace operator.
 
     Raises when the trace is not (numerically) a positive real, which
-    signals a preparation orthogonal to the state it was applied to.
+    signals a preparation orthogonal to the state it was applied to, and
+    when it overflows.
     """
     arr = as_matrix(m)
-    t = complex(np.trace(arr))
-    require((renormalizable_trace_table, (t,)))
+    t = operator_trace(arr)
+    require((finite_renormalizable_trace_table, (t,)))
     return arr / t.real
 
 

@@ -33,6 +33,7 @@ TABLES = {
     "bloch length": (linalg.bloch_table, "rrr", (0.1, -0.2, 0.3)),
     "renormalization": (linalg.renormalization_table, "cccc", (0.25, 0.1j, -0.1j, 0.75)),
     "renormalizable trace": (linalg.renormalizable_trace_table, "c", (0.5 + 0j,)),
+    "finite renormalizable trace": (linalg.finite_renormalizable_trace_table, "c", (0.5 + 0j,)),
     "qubit operator": (linalg.qubit_operator_table, "cccc", (0.5 + 0j, 0.1 + 0.2j, 0.1 - 0.2j, 0.5 + 0j)),
     "real overlap": (linalg.real_overlap_table, "c", (0.7 + 0j,)),
     "two-sided trace": (linalg.two_sided_trace_table, "c", (0.25 + 0j,)),
@@ -45,6 +46,9 @@ TABLES = {
         (0.0, 1.0 + 0j, 0.25),
     ),
 }
+
+
+DBL_MAX = 1.7976931348623157e308
 
 
 def _around(value):
@@ -145,6 +149,14 @@ BOUND_CASES = {
     "imaginary trace bound": (
         "renormalizable trace", (complex(0.5, EQ_TOL),), None,
         (complex(0.5, math.nextafter(EQ_TOL, 1.0)),), "cannot renormalize: trace has imaginary part 1.000e-12",
+    ),
+    "renormalizable trace overflow": (
+        "finite renormalizable trace", (complex(DBL_MAX, 0.0),), None,
+        (complex(math.inf, 0.0),), "cannot renormalize: trace inf is not finite",
+    ),
+    "trace component overflow": (
+        "trace component", (complex(DBL_MAX, 0.0),), None,
+        (complex(math.inf, 0.0),), "transformation overflows: trace component (inf+0j) is not finite",
     ),
     "eigenvalue bound": (
         "operator", (0.0, 1.0 + 0j, -EIGENVALUE_TOL), None,

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -307,6 +309,36 @@ class TestConventionMaps:
         rows = np.stack([c.as_vector() for c in cs])
         borrowed = _mapped_updates(bell2._convention_maps, rows)[0]
         assert borrowed.tobytes() != _both_updates(near.sender_operator, rows)[0].tobytes()
+
+
+def general_tensor() -> PreparationTensor:
+    """A positive definite sender-pair tensor with no exact binary structure, which takes the 8x8 path."""
+    rng = np.random.default_rng(11)
+    g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    return sender_pair_tensor(g @ g.conj().T + np.eye(4))
+
+
+class TestRecord:
+    """``compare_conventions`` sets its record's fields directly; it must equal the constructor's record."""
+
+    @pytest.mark.parametrize("k", range(6))
+    def test_equals_the_constructed_record(self, k):
+        u = (FIVE_PREPARATIONS + [general_tensor()])[k]
+        assert (u._convention_maps is None) == (k == 5)
+        c = CoefficientVector.from_components(0.3, 0.2 - 0.1j)
+        record = compare_conventions(u, c)
+        ansatz, sandwich, diff, ratio = _compare_rows(u, c.row)
+        built = ConventionResult(
+            ansatz=ansatz[0], sandwich=sandwich[0], max_abs_diff=float(diff[0]), prenorm_ratio=float(ratio[0])
+        )
+        assert_same_bits(record, built)
+        assert type(record) is ConventionResult
+        assert type(record.max_abs_diff) is float and type(record.prenorm_ratio) is float
+        assert repr(record) == repr(built)
+        assert dataclasses.asdict(record).keys() == dataclasses.asdict(built).keys()
+        for field in ("ansatz", "sandwich", "max_abs_diff", "prenorm_ratio"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(record, field, getattr(record, field))
 
 
 class TestBellIndexArgument:

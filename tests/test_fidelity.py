@@ -1,4 +1,5 @@
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -138,6 +139,22 @@ class TestFidelityVector:
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError) as info:
             fidelity_vector(CoefficientVector.from_components(0.5, 0.5), t)
         assert str(info.value) == "transformation annihilates the input: trace component (nan+nanj)"
+
+    @pytest.mark.parametrize(
+        "value, message",
+        [
+            # a trace component of +inf passes -Re t's bound; it used to warn and return 0.0
+            (1e308, "transformation overflows: trace component (inf+0j) is not finite"),
+            # the product itself overflows, which used to warn in the matmul
+            (1.7e308, "transformation annihilates the input: trace component (inf+nanj)"),
+        ],
+    )
+    def test_rejects_an_overflowed_trace_component(self, value, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as info:
+                fidelity_vector(CoefficientVector.from_bloch(0.1, 0.2, 0.3), np.full((4, 4), value))
+        assert str(info.value) == message
 
     def test_rejects_a_nan_value(self):
         # finite weights off the trace rows whose contamination overflows: the value used to come back nan

@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -458,6 +459,22 @@ class TestRenormalize:
     def test_zero_matrix_rejected(self):
         with pytest.raises(ValueError, match="annihilated"):
             renormalize(np.zeros((2, 2)))
+
+    @pytest.mark.parametrize("diagonal", [[1e308, 1e308], [1e308, 1e308, 1e308, -1.0], [1.7e308] * 8])
+    def test_overflowed_trace_rejected(self, diagonal):
+        # a trace of +inf passes -Re t's bound; it used to warn and return the zero matrix
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as info:
+                renormalize(np.diag(diagonal))
+        assert str(info.value) == "cannot renormalize: trace inf is not finite"
+
+    @pytest.mark.parametrize("n", [2, 4, 8])
+    def test_divides_by_the_numpy_trace(self, n, rng):
+        for _ in range(50):
+            m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+            m = m @ m.conj().T * rng.uniform(0.1, 10.0)
+            assert renormalize(m).tobytes() == (m / complex(np.trace(m)).real).tobytes()
 
 
 class TestTransformationMatrix:

@@ -52,6 +52,8 @@ HOMES = {
     "_REAL_COMPONENT": set(),
     "_UNANNIHILATED_COMPONENT": set(),
     "_REAL_VALUE": set(),
+    "_FINITE_TRACE": set(),
+    "_FINITE_COMPONENT": set(),
 }
 
 
