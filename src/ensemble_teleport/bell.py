@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import EIGENVALUE_TOL, _pair_spectra
+from .linalg import EIGENVALUE_TOL, _pair_spectra, is_integer
 
 BELL_INDICES = (1, 2, 3, 4)
 
@@ -14,7 +14,7 @@ _BELL_LABELS = {1: ("even", "+"), 2: ("even", "-"), 3: ("odd", "+"), 4: ("odd", 
 
 def require_bell_index(index) -> int:
     """``index`` as a Python int, if it is a Python or numpy integer (not a bool) in 1..4."""
-    if isinstance(index, (int, np.integer)) and not isinstance(index, bool) and index in BELL_INDICES:
+    if is_integer(index) and index in BELL_INDICES:
         return int(index)
     raise ValueError(f"Bell index must be an integer in {BELL_INDICES}, got {index!r}")
 

@@ -9,13 +9,12 @@ records both and flags divergence instead of hiding it.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .linalg import AGREE_TOL, as_matrix, frozen, positive_real_invariants, require, scalar_table
+from .linalg import AGREE_TOL, as_matrix, frozen, is_integer, positive_real_invariants, require, scalar_table
 from .protocol import (
     CoefficientVector,
     bloch_coefficient_rows,
@@ -27,11 +26,21 @@ from .protocol import (
 
 _ANNIHILATES = "transformation annihilates the input: trace component {!r}".format
 _REAL_COMPONENT, _UNANNIHILATED_COMPONENT = positive_real_invariants(_ANNIHILATES, _ANNIHILATES)
-_FINITE_COMPONENT = (sys.float_info.max, "transformation overflows: trace component {!r} is not finite".format)
-_TRACE_COMPONENT = scalar_table(_REAL_COMPONENT, _UNANNIHILATED_COMPONENT, _FINITE_COMPONENT)
+_FINITE_COMPONENT = (0.0, "transformation overflows: trace component {!r} is not finite".format)
+_unannihilated_component = scalar_table(_REAL_COMPONENT, _UNANNIHILATED_COMPONENT)
 _REAL_VALUE = (AGREE_TOL, lambda value: f"vector-form fidelity has imaginary part {value.imag:.3e}")
 # the vector-form fidelity's check that it is real within AGREE_TOL (so never NaN)
 _vector_form_table = scalar_table(_REAL_VALUE)
+
+
+def _trace_component_table(x, parts) -> tuple:
+    """fidelity_vector's checks on its trace component t: both parts finite, then real and positive.
+
+    The map and the vector are finite, so a part that is not can only have
+    overflowed, and that is named before the NaN it may leave in the other.
+    """
+    t, = parts
+    return ((x.nan_unless_finite(t, 0.0, 0.0, 0.0), _FINITE_COMPONENT, parts),) + _unannihilated_component(x, parts)
 
 
 def fidelity_vector(c: CoefficientVector, t) -> float:
@@ -39,16 +48,16 @@ def fidelity_vector(c: CoefficientVector, t) -> float:
 
     ||.|| is the trace reading of a coefficient 4-vector: the sum of its
     first and fourth components. Raises when the map has a NaN or Inf entry,
-    when the transformed vector has no positive real trace component (the
-    transformation annihilates the input), as the two-sided update does, and
-    when that component overflows.
+    when that component overflows, and when the transformed vector has no
+    positive real trace component (the transformation annihilates the
+    input), as the two-sided update does.
     """
     tm = as_matrix(t, 4)
     cv = c.as_vector()
     with np.errstate(over="ignore", invalid="ignore"):  # the checks below name an overflowed trace component
         tc = tm @ cv
     norm = tc.item(0) + tc.item(3)  # Python numbers: an overflow gives inf with no warning
-    require((_TRACE_COMPONENT, (norm,)))
+    require((_trace_component_table, (norm,)))
     contamination = (tm / norm.real) @ cv - cv
     value = complex(cv @ cv + cv @ contamination)
     require((_vector_form_table, (value,)))
@@ -203,12 +212,18 @@ def average_fidelity(
 
     Deterministic for a fixed (seed, n). ``prep`` is a Bell index or a
     PreparationTensor; with ``bob_acts`` the receiver correction for the
-    identified preparation is applied before measuring the overlap.
+    identified preparation is applied before measuring the overlap. ``n``
+    (at least 100) and ``seed`` (at least 0) are Python or numpy integers,
+    not bools; any other value raises a ValueError that names it.
     """
+    if not is_integer(n):
+        raise ValueError(f"n must be an integer, got {n!r}")
     if n < 100:
         raise ValueError(f"need at least 100 samples, got {n}")
     if sampler not in SAMPLERS:
         raise ValueError(f"unknown sampler {sampler!r}; expected one of {sorted(SAMPLERS)}")
+    if not is_integer(seed) or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
     session_map = resolve_preparation(prep).session_map(bob_acts)
     x, y, z = SAMPLERS[sampler](np.random.default_rng(seed), n)
     _, values = receiver_states(session_map, bloch_coefficient_rows(x, y, z))

@@ -190,6 +190,11 @@ def hermitian_spectrum(a) -> np.ndarray:
     return spectrum[::-1]
 
 
+def is_integer(value) -> bool:
+    """Whether ``value`` is a Python or numpy integer, and not a bool: a count, a seed or an index."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def modulus(z: complex) -> float:
     """|z| as libm hypot of its parts, the value np.hypot gives; inf where it overflows."""
     try:

@@ -436,23 +436,92 @@ _CORRECTION_MAPS = {
 }
 
 
+def _stacked_overlaps(c: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """Tr(C S) of each row, C the row's coefficients as a 2x2 matrix: one BLAS zgemm call per row."""
+    product = c.reshape(-1, 2, 2) @ states
+    return product[:, 0, 0] + product[:, 1, 1]
+
+
+def _fused_overlaps(c: np.ndarray, states: np.ndarray, out: np.ndarray) -> None:
+    """``_stacked_overlaps`` into ``out``, with zgemm's rounding, on whole columns.
+
+    zgemm sums a diagonal entry a0 b0 + a1 b1 of C S (a = C[i, :], b = S[:, i])
+    as two fused steps on numpy's complex product a0 b0 = p:
+    Re = fma(a1r, b1r, fma(-a1i, b1i, Re p)), Im = fma(a1r, b1i, fma(a1i, b1r, Im p)).
+    The real part of numpy's (x + iz)(y - i) is fma(x, y, z), so each step is
+    one product of an array x, whose real parts hold a multiplier and whose
+    imaginary parts hold the addend, with an array y of multiplicands - i.
+    Every arithmetic call writes a new array or the whole of x: numpy 2.4's
+    ``negative`` writes wrong values into some strided ``out=`` views.
+    """
+    n = len(c)
+    a1 = c.view(float).reshape(n, 2, 2, 2)[:, :, 1].transpose(1, 2, 0)  # [i, re/im, row] of C[i, 1]
+    b1 = states.view(float).reshape(n, 2, 2, 2)[:, 1].transpose(1, 2, 0)  # [i, re/im, row] of S[1, i]
+    # x[i, part, row] and y alike: part 0 makes the entry's real part, part 1 its imaginary part
+    x, y = np.empty((2, 2, 2, n), dtype=complex)
+    xf, yf = x.view(float).reshape(2, 2, n, 2), y.view(float).reshape(2, 2, n, 2)
+    for i in (0, 1):
+        p = c[:, 2 * i] * states[:, 0, i]
+        xf[i, 0, :, 1], xf[i, 1, :, 1] = p.real, p.imag
+    xf[..., 0] = a1[:, 1, None]
+    yf[:, 0, :, 0] = np.negative(b1[:, 1].copy())
+    yf[:, 1, :, 0] = b1[:, 0]
+    yf[..., 1] = -1.0
+    np.multiply(x, y, out=x)
+    xf[..., 1] = xf[..., 0]
+    xf[..., 0] = a1[:, 0, None]
+    yf[..., 0] = b1
+    np.multiply(x, y, out=x)
+    out.real, out.imag = xf[0, ..., 0] + xf[1, ..., 0]
+
+
+def _fused_overlaps_agree() -> bool:
+    """Whether ``_fused_overlaps`` gives ``_stacked_overlaps``' bits on rows where the summation order shows.
+
+    The BLAS kernel and numpy's complex loop are both chosen at run time for
+    the CPU, so this is asked once, at import. The rows are ratios of small
+    integers, whose fused and unfused sums differ in the last bit
+    (``tests/test_receiver_state.py`` checks that they do).
+    """
+    c, states = _CHECK_ROWS
+    fused = np.empty(len(c), dtype=complex)
+    _fused_overlaps(c, states, fused)
+    return fused.tobytes() == _stacked_overlaps(c, states).tobytes()
+
+
+# The import check's 8 coefficient rows and 8 states: real and imaginary parts k/7 for k = 1..128, every third negated.
+_CHECK_PARTS = frozen(np.arange(1.0, 129.0) / 7.0 * np.resize([1.0, -1.0, 1.0], 128))
+_CHECK_ROWS = (_CHECK_PARTS[:64].view(complex).reshape(8, 4), _CHECK_PARTS[64:].view(complex).reshape(8, 2, 2))
+# Batches of at least this many rows take the fused overlaps, where the platform gives them the
+# stacked product's bits; below it one zgemm call per row costs less (the crossover is near 64 rows).
+_FUSED_MIN_ROWS = 64
+_FUSED_BLOCK_ROWS = 2048  # rows per fused block: about 160 bytes of temporaries a row, however large the batch
+_FUSED_OVERLAPS = _fused_overlaps_agree()
+
+
 @np.errstate(all="ignore")  # as a decorator, errstate costs about half what a with block does
 def _mapped_states(t: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``receiver_states``' arithmetic, unchecked: the raw operators, the states and the overlaps.
 
     Half the mapped vector is alice_prepare's raw operator, so the trace
     checks see the same numbers as on the reference path. The stacked
-    matrix-vector products and 2x2 overlaps repeat one session's arithmetic
-    per row, so each row is bitwise what a batch of one gives. A row that
-    fails one check may give inf or nan in later ones, which is harmless:
-    only its first failing check is reported.
+    matrix-vector products repeat one session's arithmetic per row, and the
+    overlaps of a large batch take zgemm's rounding on whole columns, so
+    each row is bitwise what a batch of one gives. A row that fails one
+    check may give inf or nan in later ones, which is harmless: only its
+    first failing check is reported.
     """
     raw = (t @ c[:, :, None]).reshape(-1, 2, 2)
     raw *= 0.5
     trace = raw[:, 0, 0] + raw[:, 1, 1]
     states = raw / trace.real[:, None, None]
-    product = c.reshape(-1, 2, 2) @ states
-    return raw, states, product[:, 0, 0] + product[:, 1, 1]
+    if not _FUSED_OVERLAPS or len(c) < _FUSED_MIN_ROWS:
+        return raw, states, _stacked_overlaps(c, states)
+    c, overlap = np.ascontiguousarray(c), np.empty(len(c), dtype=complex)
+    for start in range(0, len(c), _FUSED_BLOCK_ROWS):
+        block = slice(start, start + _FUSED_BLOCK_ROWS)
+        _fused_overlaps(c[block], states[block], overlap[block])
+    return raw, states, overlap
 
 
 def receiver_states(t, coeffs) -> tuple[np.ndarray, np.ndarray]:
@@ -466,8 +535,12 @@ def receiver_states(t, coeffs) -> tuple[np.ndarray, np.ndarray]:
     passes renormalize's trace checks, then fidelity_trace's checks (a
     statistical operator, a real overlap); otherwise ValueError names the
     lowest failing row's first failing invariant, with the message those
-    one-operator functions give (``require_rows``). The arithmetic is the
-    same for every N.
+    one-operator functions give (``require_rows``). Every row gets the same
+    bits alone and inside a batch of any size: a batch of at least
+    ``_FUSED_MIN_ROWS`` rows takes its overlaps on whole columns with the
+    rounding of the one-row product, where a check at import finds that
+    this platform's kernels give that rounding, and the one-row product
+    otherwise.
     """
     t = np.asarray(t)
     if t.shape != (4, 4):

@@ -15,7 +15,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from ensemble_teleport import CoefficientVector, coefficient_rows, linalg
-from ensemble_teleport.fidelity import _TRACE_COMPONENT, _vector_form_table
+from ensemble_teleport.fidelity import _trace_component_table, _vector_form_table
 from ensemble_teleport.linalg import (
     ANNIHILATION_TOL,
     EIGENVALUE_TOL,
@@ -37,7 +37,7 @@ TABLES = {
     "qubit operator": (linalg.qubit_operator_table, "cccc", (0.5 + 0j, 0.1 + 0.2j, 0.1 - 0.2j, 0.5 + 0j)),
     "real overlap": (linalg.real_overlap_table, "c", (0.7 + 0j,)),
     "two-sided trace": (linalg.two_sided_trace_table, "c", (0.25 + 0j,)),
-    "trace component": (_TRACE_COMPONENT, "c", (0.5 + 0j,)),
+    "trace component": (_trace_component_table, "c", (0.5 + 0j,)),
     "vector-form value": (_vector_form_table, "c", (0.5 + 0j,)),
     # asymmetry, trace and smallest eigenvalue of an n x n operator
     "operator": (

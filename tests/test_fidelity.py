@@ -138,15 +138,15 @@ class TestFidelityVector:
         t[0, :3], t[3, :3] = 1.7e308, -1.7e308
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError) as info:
             fidelity_vector(CoefficientVector.from_components(0.5, 0.5), t)
-        assert str(info.value) == "transformation annihilates the input: trace component (nan+nanj)"
+        assert str(info.value) == "transformation overflows: trace component (nan+nanj) is not finite"
 
     @pytest.mark.parametrize(
         "value, message",
         [
             # a trace component of +inf passes -Re t's bound; it used to warn and return 0.0
             (1e308, "transformation overflows: trace component (inf+0j) is not finite"),
-            # the product itself overflows, which used to warn in the matmul
-            (1.7e308, "transformation annihilates the input: trace component (inf+nanj)"),
+            # the product itself overflows, which used to warn in the matmul and was named an annihilation
+            (1.7e308, "transformation overflows: trace component (inf+nanj) is not finite"),
         ],
     )
     def test_rejects_an_overflowed_trace_component(self, value, message):
@@ -389,6 +389,31 @@ class TestAverageFidelity:
     def test_rejects_unknown_sampler(self):
         with pytest.raises(ValueError, match="sampler"):
             average_fidelity(1, bob_acts=True, sampler="magic")
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"n": 1000.5}, "n must be an integer, got 1000.5"),
+            ({"n": 1000.0}, "n must be an integer, got 1000.0"),
+            ({"n": np.float64(200)}, "n must be an integer, got np.float64(200.0)"),
+            ({"n": True}, "n must be an integer, got True"),
+            ({"n": "200"}, "n must be an integer, got '200'"),
+            ({"seed": 1.5}, "seed must be a non-negative integer, got 1.5"),
+            ({"seed": -1}, "seed must be a non-negative integer, got -1"),
+            ({"seed": np.int64(-3)}, "seed must be a non-negative integer, got np.int64(-3)"),
+            ({"seed": False}, "seed must be a non-negative integer, got False"),
+            ({"seed": None}, "seed must be a non-negative integer, got None"),
+            ({"seed": "3"}, "seed must be a non-negative integer, got '3'"),
+        ],
+    )
+    def test_rejects_a_count_or_seed_that_is_not_an_integer(self, kwargs, message):
+        with pytest.raises(ValueError) as info:
+            average_fidelity(2, True, **kwargs)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("n, seed", [(np.int64(150), np.uint32(3)), (np.int32(150), np.int8(3)), (150, 2**70 + 3)])
+    def test_accepts_numpy_and_large_integers(self, n, seed):
+        assert average_fidelity(2, False, n=n, seed=seed) == average_fidelity(2, False, n=int(n), seed=int(seed))
 
 
 class TestFidelityReport:

@@ -7,6 +7,9 @@ The batched kernel is also checked against the per-row loop it replaced.
 
 import itertools
 import re
+import sys
+from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -20,7 +23,9 @@ from ensemble_teleport import (
     PreparationTensor,
     alice_prepare,
     automatic_preparation,
+    bloch_coefficient_rows,
     bob_correct,
+    coefficient_rows,
     fidelity_trace,
     preparation_from_bell,
     receiver_states,
@@ -30,8 +35,9 @@ from ensemble_teleport import (
     run_session,
     transformation_matrix,
 )
-from ensemble_teleport import linalg
+from ensemble_teleport import cli, linalg, protocol
 from ensemble_teleport.conventions import compare_conventions
+from ensemble_teleport.fidelity import SAMPLERS
 from conftest import bloch_coefficient_strategy, random_coefficients
 from test_check_tables import SPECIAL
 
@@ -456,3 +462,186 @@ class TestClassification:
             else:
                 assert u.bell_index == (prep if known else None)
                 assert not u.automatic
+
+
+def _fma(a: float, b: float, c: float) -> float:
+    """a * b + c rounded once, from exact rationals."""
+    return float(Fraction(a) * Fraction(b) + Fraction(c))
+
+
+def _mul(a: float, b: float) -> float:
+    return float(Fraction(a) * Fraction(b))
+
+
+def _chain(a0, b0, a1, b1) -> complex:
+    """a0 b0 + a1 b1 as zgemm sums it: numpy's fused product a0 b0, then one fused step per part of a1 b1."""
+    re = _fma(a0.real, b0.real, -_mul(a0.imag, b0.imag))
+    im = _fma(a0.real, b0.imag, _mul(a0.imag, b0.real))
+    return _outer_steps(a1, b1, re, im)
+
+
+def _outer_steps(a1, b1, re, im) -> complex:
+    """The chain's two fused steps of a1 b1 on the parts of a0 b0."""
+    re = _fma(a1.real, b1.real, _fma(-a1.imag, b1.imag, re))
+    return complex(re, _fma(a1.real, b1.imag, _fma(a1.imag, b1.real, im)))
+
+
+def _unfused(a0, b0, a1, b1) -> complex:
+    # every product and sum rounded on its own
+    re = (_mul(a0.real, b0.real) - _mul(a0.imag, b0.imag)) + (_mul(a1.real, b1.real) - _mul(a1.imag, b1.imag))
+    im = (_mul(a0.real, b0.imag) + _mul(a0.imag, b0.real)) + (_mul(a1.real, b1.imag) + _mul(a1.imag, b1.real))
+    return complex(re, im)
+
+
+def _unfused_first_term(a0, b0, a1, b1) -> complex:
+    # the chain's outer steps on a0 b0 rounded without fusion
+    re = _mul(a0.real, b0.real) - _mul(a0.imag, b0.imag)
+    im = _mul(a0.real, b0.imag) + _mul(a0.imag, b0.real)
+    return _outer_steps(a1, b1, re, im)
+
+
+def _outer_steps_swapped(a0, b0, a1, b1) -> complex:
+    p = _chain(a0, b0, 0j, 0j)
+    re, im = _fma(a1.real, b1.real, p.real), _fma(a1.real, b1.imag, p.imag)
+    return complex(_fma(-a1.imag, b1.imag, re), _fma(a1.imag, b1.real, im))
+
+
+def _two_fused_products(a0, b0, a1, b1) -> complex:
+    # each product fused as numpy's, then the two added
+    return _chain(a0, b0, 0j, 0j) + _chain(a1, b1, 0j, 0j)
+
+
+def _overlaps_by(rule, c, states) -> np.ndarray:
+    """Tr(C S) of each row with ``rule`` summing each diagonal entry a0 b0 + a1 b1."""
+    out = []
+    for row, s in zip(c.reshape(-1, 2, 2).tolist(), states.tolist()):
+        out.append(sum((rule(row[i][0], s[0][i], row[i][1], s[1][i]) for i in range(2)), 0j))
+    return np.array(out)
+
+
+def _sweep_rows(resolution=30, phase_resolution=4) -> np.ndarray:
+    """The sweep_csv grid's coefficient rows."""
+    args = SimpleNamespace(slice="grid", resolution=resolution, phase_resolution=phase_resolution)
+    c11, c12 = cli._sweep_grid(args, resolution)
+    return coefficient_rows(c11, c12, c12.conj(), 1.0 - c11)
+
+
+def _edge_rows() -> np.ndarray:
+    """c11 at 0 and 1, every signed zero in each part of c12, subnormal c12, and the boundary inputs."""
+    zeros = [complex(re, im) for re in (0.0, -0.0) for im in (0.0, -0.0)]
+    tiny = [5e-324, -5e-324, 5e-324j, -5e-324j, complex(5e-324, -5e-324)]
+    c11 = [0.0, 1.0] * 4 + [0.5] * 4 + [0.5] * 5 + [1.0] * 5
+    c12 = zeros * 2 + zeros + tiny * 2
+    edges = coefficient_rows(np.array(c11), np.array(c12), np.array(c12).conj(), 1.0 - np.array(c11))
+    return np.concatenate([edges, rows_of(BOUNDARY_INPUTS[name] for name in sorted(BOUNDARY_INPUTS))])
+
+
+def _batch(n: int) -> np.ndarray:
+    """n rows: the edge rows first, then sweep grid rows and pure and mixed samples, shuffled."""
+    rng = np.random.default_rng(n)
+    drawn = [bloch_coefficient_rows(*SAMPLERS[s](rng, 2000)) for s in sorted(SAMPLERS)]
+    rest = np.concatenate([_sweep_rows(), *drawn])
+    return np.concatenate([_edge_rows(), rest[rng.permutation(len(rest))]])[:n]
+
+
+def assert_same_outcome(t, rows):
+    """``receiver_states`` on the batch raises the per-row loop's first message, or returns each row's one-row bits.
+
+    The fidelities are also the loop's bits. So are the states, but for rows
+    with a subnormal part: the loop's ``0.5 * (T c)`` keeps the sign of a
+    subnormal entry that halves to zero, which the kernel's ``(T c) * 0.5``
+    drops, so there they are only equal as numbers.
+    """
+    expected, got = outcome(per_row_loop, t, rows), outcome(receiver_states, t, rows)
+    if isinstance(expected, str):
+        assert got == expected
+        return
+    assert not isinstance(got, str), got
+    assert got[1].tobytes() == expected[1].tobytes()
+    parts = np.abs(rows.view(float))
+    plain = ~((parts > 0.0) & (parts < sys.float_info.min)).any(axis=1)
+    assert got[0][plain].tobytes() == expected[0][plain].tobytes()
+    assert np.array_equal(got[0], expected[0])
+    alone = [receiver_states(t, row[None]) for row in rows]
+    assert got[0].tobytes() == np.concatenate([states for states, _ in alone]).tobytes()
+    assert got[1].tobytes() == np.concatenate([fidelities for _, fidelities in alone]).tobytes()
+
+
+@pytest.fixture
+def fused_calls(monkeypatch):
+    """How many times ``_fused_overlaps`` runs."""
+    calls = []
+    fused = protocol._fused_overlaps
+    monkeypatch.setattr(protocol, "_fused_overlaps", lambda *args: calls.append(1) or fused(*args))
+    return calls
+
+
+class TestFusedOverlaps:
+    """Batches of at least ``_FUSED_MIN_ROWS`` rows take the overlaps as zgemm rounds them, on whole columns."""
+
+    @pytest.mark.parametrize("n", [protocol._FUSED_MIN_ROWS - 1, protocol._FUSED_MIN_ROWS, 1000, 3600])
+    @pytest.mark.parametrize("bob_acts", [True, False])
+    @pytest.mark.parametrize("prep", PREPARATIONS)
+    def test_known_maps_equal_the_loop(self, prep, bob_acts, n):
+        assert_same_outcome(resolve_preparation(prep_input(prep)).session_map(bob_acts), _batch(n))
+
+    @pytest.mark.parametrize("prep", ["bell1", "bell2", "paut"])
+    def test_sweep_grid_equals_the_loop(self, prep):
+        assert_same_outcome(cli._PREPS[prep].session_map(False), _sweep_rows())
+
+    @given(u=hermitian_tensor_strategy())
+    def test_general_maps_equal_one_row_at_a_time(self, u):
+        t = resolve_preparation(u).session_map(False)
+        rows = _batch(2 * protocol._FUSED_MIN_ROWS)
+        assert_same_outcome(t, rows)
+        # every row whose state is finite gets its one-row bits, failing rows included
+        _, states, overlaps = protocol._mapped_states(t, rows)
+        for row, state, overlap in zip(rows, states, overlaps):
+            if np.isfinite(state).all():
+                _, one_state, one_overlap = protocol._mapped_states(t, row[None])
+                assert state.tobytes() == one_state[0].tobytes()
+                assert overlap.tobytes() == one_overlap.tobytes()
+
+    def test_failing_rows_shuffled_into_a_large_batch(self, rng):
+        pool = [VALID_ROW] * (200 - len(FAILING_ROWS)) + list(FAILING_ROWS.values())
+        for _ in range(10):
+            rows = np.array([pool[i] for i in rng.permutation(len(pool))], dtype=complex)
+            expected = outcome(per_row_loop, IDENTITY_MAP, rows)
+            assert isinstance(expected, str)
+            assert outcome(receiver_states, IDENTITY_MAP, rows) == expected
+
+    def test_the_row_count_picks_the_path(self, fused_calls):
+        if not protocol._FUSED_OVERLAPS:
+            pytest.skip("the import check kept the stacked product on this platform")
+        t = resolve_preparation(2).session_map(True)
+        receiver_states(t, _batch(protocol._FUSED_MIN_ROWS - 1))
+        assert fused_calls == []
+        receiver_states(t, _batch(protocol._FUSED_MIN_ROWS))
+        assert fused_calls == [1]
+        receiver_states(t, np.tile(_batch(3000), (3, 1))[: 2 * protocol._FUSED_BLOCK_ROWS + 1])
+        assert fused_calls == [1] * 4
+
+    def test_a_mismatch_at_import_keeps_the_stacked_product(self, monkeypatch):
+        fused = protocol._fused_overlaps
+
+        def off_by_one_ulp(c, states, out):
+            fused(c, states, out)
+            out.real = np.nextafter(out.real, np.inf)
+
+        monkeypatch.setattr(protocol, "_fused_overlaps", off_by_one_ulp)
+        agree = protocol._fused_overlaps_agree()
+        assert agree is False
+        monkeypatch.setattr(protocol, "_FUSED_OVERLAPS", agree)
+        for prep in PREPARATIONS:
+            assert_same_outcome(resolve_preparation(prep_input(prep)).session_map(True), _batch(1000))
+
+    def test_check_rows_tell_the_chain_from_other_orders(self):
+        c, states = protocol._CHECK_ROWS
+        chain = _overlaps_by(_chain, c, states)
+        for rule in (_unfused, _unfused_first_term, _outer_steps_swapped, _two_fused_products):
+            assert chain.tobytes() != _overlaps_by(rule, c, states).tobytes(), rule.__name__
+        # where the BLAS sums in the chain's order and numpy fuses its complex product, the check picks the fused path
+        a, b = c.ravel(), states.ravel()
+        numpy_fuses = (a * b).real.tolist() == [_fma(p.real, q.real, -_mul(p.imag, q.imag)) for p, q in zip(a, b)]
+        blas_chains = protocol._stacked_overlaps(c, states).tobytes() == chain.tobytes()
+        assert protocol._FUSED_OVERLAPS == (numpy_fuses and blas_chains)
