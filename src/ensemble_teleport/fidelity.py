@@ -26,38 +26,26 @@ from .protocol import (
 
 _ANNIHILATES = "transformation annihilates the input: trace component {!r}".format
 _REAL_COMPONENT, _UNANNIHILATED_COMPONENT = positive_real_invariants(_ANNIHILATES, _ANNIHILATES)
-_FINITE_COMPONENT = (0.0, "transformation overflows: trace component {!r} is not finite".format)
 _unannihilated_component = scalar_table(_REAL_COMPONENT, _UNANNIHILATED_COMPONENT)
 _REAL_VALUE = (AGREE_TOL, lambda value: f"vector-form fidelity has imaginary part {value.imag:.3e}")
 # the vector-form fidelity's check that it is real within AGREE_TOL (so never NaN)
 _vector_form_table = scalar_table(_REAL_VALUE)
 
 
-def _trace_component_table(x, parts) -> tuple:
-    """fidelity_vector's checks on its trace component t: both parts finite, then real and positive.
-
-    The map and the vector are finite, so a part that is not can only have
-    overflowed, and that is named before the NaN it may leave in the other.
-    """
-    t, = parts
-    return ((x.nan_unless_finite(t, 0.0, 0.0, 0.0), _FINITE_COMPONENT, parts),) + _unannihilated_component(x, parts)
-
-
 def fidelity_vector(c: CoefficientVector, t) -> float:
     """Vector-form fidelity c.c + c.(T/||Tc|| - 1).c with bilinear products.
 
     ||.|| is the trace reading of a coefficient 4-vector: the sum of its
-    first and fourth components. Raises when the map has a NaN or Inf entry,
-    when that component overflows, and when the transformed vector has no
-    positive real trace component (the transformation annihilates the
-    input), as the two-sided update does.
+    first and fourth components. Raises as ``as_matrix`` does on the map,
+    then when the transformed vector has no positive real trace component
+    (the transformation annihilates the input), as the two-sided update
+    does.
     """
     tm = as_matrix(t, 4)
     cv = c.as_vector()
-    with np.errstate(over="ignore", invalid="ignore"):  # the checks below name an overflowed trace component
-        tc = tm @ cv
-    norm = tc.item(0) + tc.item(3)  # Python numbers: an overflow gives inf with no warning
-    require((_trace_component_table, (norm,)))
+    tc = tm @ cv
+    norm = tc.item(0) + tc.item(3)
+    require((_unannihilated_component, (norm,)))
     contamination = (tm / norm.real) @ cv - cv
     value = complex(cv @ cv + cv @ contamination)
     require((_vector_form_table, (value,)))

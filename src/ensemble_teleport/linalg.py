@@ -10,7 +10,6 @@ operation besides the trace-out is the partial transpose on the second qubit.
 from __future__ import annotations
 
 import math
-import sys
 from cmath import isfinite
 from types import SimpleNamespace
 
@@ -25,6 +24,7 @@ EIGENVALUE_TOL = 1e-10  # how far a positive semidefinite operator's eigenvalue 
 TRACE_TOL = 1e-9  # |Tr M - 1| for a unit-trace operator
 ANNIHILATION_TOL = 1e-9  # a trace at or below this means the ensemble was annihilated
 AGREE_TOL = 1e-9  # largest gap between two formulations of the same quantity
+MAX_ENTRY = 2.0**400  # largest modulus of an operator's or a preparation tensor's entry (require_bounded)
 
 _NOT_FINITE = "matrix contains NaN or Inf entries"
 
@@ -43,7 +43,7 @@ class NonHermitianError(ValueError):
 
 
 def _square(m, n: int | None = None) -> np.ndarray:
-    """``as_matrix`` without its NaN/Inf check: the complex array and its shape checks."""
+    """``as_matrix`` without its magnitude check: the complex array and its shape checks."""
     arr = np.asarray(m, dtype=complex)
     if n is not None and arr.shape != (n, n):
         raise ValueError(f"expected a {n}x{n} operator, got shape {arr.shape}")
@@ -60,12 +60,34 @@ def as_matrix(m, n: int | None = None) -> np.ndarray:
     """Coerce input to a square complex array of supported dimension.
 
     Rejects a shape other than (n, n) when the size ``n`` is given, then
-    non-square shapes, dimensions outside {2, 4, 8}, and any NaN/Inf entry.
+    non-square shapes, dimensions outside {2, 4, 8}, then any NaN/Inf entry
+    or entry above MAX_ENTRY (``require_bounded``).
     """
     arr = _square(m, n)
-    if not np.isfinite(arr).all():
-        raise ValueError(_NOT_FINITE)
+    require_bounded(arr.ravel().tolist())
     return arr
+
+
+def require_bounded(entries: list, not_finite: str = _NOT_FINITE) -> None:
+    """The magnitude check where operators and preparation tensors enter, on their entries as Python numbers.
+
+    Raises ValueError(``not_finite``) when an entry is NaN or Inf, else
+    BOUNDED's message for the first entry whose modulus exceeds MAX_ENTRY.
+    Past this check every product the package forms stays finite: the
+    largest, a two-sided 8x8 product, is at most 256 * MAX_ENTRY**2 < 2**809,
+    so the code behind it has no overflow to handle. Every valid input
+    passes on one sum of moduli, which is NaN where an entry is.
+    """
+    try:
+        if sum(map(abs, entries)) <= MAX_ENTRY:
+            return
+    except OverflowError:  # a finite entry whose modulus exceeds the largest double
+        pass
+    if not all(map(isfinite, entries)):
+        raise ValueError(not_finite)
+    for z in entries:
+        if modulus(z) > MAX_ENTRY:
+            raise ValueError(BOUNDED[1](z))
 
 
 def frozen(a, dtype=None) -> np.ndarray:
@@ -119,11 +141,10 @@ _WITH_PARTIAL_TRANSPOSE = frozen(
 )
 
 
-_HALF_MAX = 0.5 * sys.float_info.max
 # (i*n + j, j*n + i) for i <= j: the entries of a flattened n x n operator that M - M^dagger pairs
 _MIRRORED = {n: tuple((i * n + j, j * n + i) for i in range(n) for j in range(i, n)) for n in SUPPORTED_DIMS}
 # complex(np.trace(m)) from the flattened entries e of an n x n m, in numpy's pairwise order and with
-# the 0j it starts from, so the bits are the same and an overflow gives inf with no warning
+# the 0j it starts from, so the bits are the same
 _TRACES = {
     2: lambda e: 0j + (e[0] + e[3]),
     4: lambda e: 0j + ((e[0] + e[5]) + (e[10] + e[15])),
@@ -132,62 +153,35 @@ _TRACES = {
 
 
 def operator_trace(arr: np.ndarray) -> complex:
-    """``complex(np.trace(arr))`` of a shape-checked operator, bit for bit; inf where it overflows, with no warning."""
+    """``complex(np.trace(arr))`` of a shape-checked operator, bit for bit."""
     return _TRACES[len(arr)](arr.ravel().tolist())
 
 
-@np.errstate(over="ignore", invalid="ignore")  # as a decorator, errstate costs about half what a with block does
-def _unbounded_hermitian_part(arr: np.ndarray, adjoint: np.ndarray) -> np.ndarray:
-    """``_hermitian_part``'s Hermitian part of an operator that may hold NaN/Inf or huge entries: raises on NaN/Inf."""
-    hermitian = 0.5 * (arr + adjoint)
-    if not np.isfinite(hermitian).all():  # a finite part implies finite entries
-        if not np.isfinite(arr).all():
-            raise ValueError(_NOT_FINITE)
-        hermitian = 0.5 * arr + 0.5 * adjoint  # halve before adding only here: halving rounds subnormals
-    return hermitian
-
-
 def _hermitian_part(arr: np.ndarray) -> tuple[np.ndarray, float, complex]:
-    """The Hermitian part of a shape-checked operator, its asymmetry max |arr - arr^dagger| and its trace, in one pass.
+    """The Hermitian part 0.5 * (arr + arr^dagger) of a shape-checked operator, its asymmetry and its trace, in one pass.
 
-    The Hermitian part is 0.5 * (arr + arr^dagger), or the sum of the halves
-    where that overflows, so it is finite for every finite operator; a NaN or
-    Inf entry raises. The rest comes from one ``tolist()``. When the entries'
-    moduli sum to less than half the largest double, no entry is NaN or Inf
-    and no sum overflows, so the part needs no ``np.errstate`` and no test.
-    The asymmetry is the largest modulus of m_ij - conj(m_ji) over i <= j,
-    libm hypot as np.hypot gives it, inf if one overflows; the trace has the
-    bits of ``complex(np.trace(arr))``.
+    One ``tolist()`` serves the magnitude check (``require_bounded``), the
+    asymmetry, the largest modulus of m_ij - conj(m_ji) over i <= j as libm
+    hypot (np.hypot) gives it, and the trace, with the bits of
+    ``complex(np.trace(arr))``.
     """
-    adjoint = arr.conj().T
     e = arr.ravel().tolist()
-    try:
-        bounded = sum(map(abs, e)) < _HALF_MAX  # False for NaN
-    except OverflowError:  # a finite entry whose modulus exceeds the largest double
-        bounded = False
-    hermitian = 0.5 * (arr + adjoint) if bounded else _unbounded_hermitian_part(arr, adjoint)
-    try:
-        asymmetry = max([abs(e[p] - e[q].conjugate()) for p, q in _MIRRORED[len(arr)]])
-    except OverflowError:  # a finite gap whose modulus exceeds the largest double
-        asymmetry = math.inf
-    return hermitian, asymmetry, _TRACES[len(arr)](e)
+    require_bounded(e)
+    asymmetry = max([abs(e[p] - e[q].conjugate()) for p, q in _MIRRORED[len(arr)]])
+    return 0.5 * (arr + arr.conj().T), asymmetry, _TRACES[len(arr)](e)
 
 
 def hermitian_spectrum(a) -> np.ndarray:
     """All eigenvalues of a Hermitian matrix, sorted descending.
 
-    Solves the Hermitian part through ``_eigenvalues``. Raises
-    NonHermitianError for inputs whose asymmetry exceeds HERMITICITY_TOL,
-    and ValueError when an eigenvalue overflows, as one does wherever the
-    modulus of an entry, at most the spectral norm, exceeds the largest double.
+    Solves the Hermitian part with ``eigvalsh``. Raises as ``as_matrix``
+    does, then NonHermitianError for inputs whose asymmetry exceeds
+    HERMITICITY_TOL.
     """
     hermitian, asymmetry, _ = _hermitian_part(_square(a))
     if asymmetry > HERMITICITY_TOL:
         raise NonHermitianError(asymmetry)
-    spectrum, _ = _eigenvalues(hermitian)
-    if not np.isfinite(spectrum).all():
-        raise ValueError("spectrum overflows: the eigensolver returned NaN or Inf")
-    return spectrum[::-1]
+    return np.linalg.eigvalsh(hermitian)[::-1]
 
 
 def is_integer(value) -> bool:
@@ -234,6 +228,7 @@ ON_COLUMNS = SimpleNamespace(
 )
 
 FINITE = (0.0, _NOT_FINITE.format)
+BOUNDED = (MAX_ENTRY, f"entry {{!r}} exceeds the magnitude bound 2**400 = {MAX_ENTRY:.3e}".format)
 HERMITIAN = (HERMITICITY_TOL, "not a statistical operator: not Hermitian (asymmetry {:.3e})".format)
 UNIT_TRACE = (TRACE_TOL, "not a statistical operator: not unit-trace (trace {:.12g})".format)
 POSITIVE = (EIGENVALUE_TOL, "not a statistical operator: negative eigenvalue {:.3e}".format)
@@ -307,21 +302,14 @@ def positive_real_invariants(imaginary, vanishing) -> tuple:
     return (EQ_TOL, imaginary), (-math.nextafter(ANNIHILATION_TOL, math.inf), vanishing)
 
 
-def scalar_table(real, positive=None, finite=None):
-    """A table on one complex number t, which each message takes: |Im t| against ``real``, then those given of the rest.
-
-    The rest are -Re t against ``positive``, then Re t against ``finite``,
-    whose bound is the largest double: it fails a real part that passed
-    ``positive`` only at +inf, which -Re t lets through.
-    """
+def scalar_table(real, positive=None):
+    """A table on one complex number t, which each message takes: |Im t| against ``real``, then -Re t against ``positive`` if given."""
 
     def table(x, parts):
         t, = values = parts
         if positive is None:
             return ((abs(t.imag), real, values),)
-        if finite is None:
-            return (abs(t.imag), real, values), (-t.real, positive, values)
-        return (abs(t.imag), real, values), (-t.real, positive, values), (t.real, finite, values)
+        return (abs(t.imag), real, values), (-t.real, positive, values)
 
     return table
 
@@ -330,10 +318,7 @@ _REAL_TRACE, _UNANNIHILATED = positive_real_invariants(
     lambda t: f"cannot renormalize: trace has imaginary part {t.imag:.3e}",
     lambda t: f"preparation annihilated the ensemble: trace {t.real:.3e} <= {ANNIHILATION_TOL}",
 )
-_FINITE_TRACE = (sys.float_info.max, lambda t: f"cannot renormalize: trace {t.real} is not finite")
 renormalizable_trace_table = scalar_table(_REAL_TRACE, _UNANNIHILATED)
-# renormalize's own check, which also rejects a trace that overflowed to +inf
-finite_renormalizable_trace_table = scalar_table(_REAL_TRACE, _UNANNIHILATED, _FINITE_TRACE)
 
 
 def renormalization_table(x, entries) -> tuple:
@@ -410,31 +395,18 @@ def require_statistical_operator(op) -> None:
     The invariants are Hermiticity (HERMITICITY_TOL), unit trace (TRACE_TOL)
     and positivity (smallest eigenvalue at least -EIGENVALUE_TOL). A 2x2
     operator is checked by ``qubit_operator_table``, which uses the closed
-    form for its smallest eigenvalue; larger ones use the eigensolver.
+    form for its smallest eigenvalue; larger ones use the eigensolver. An
+    operator with a NaN/Inf entry or an entry above MAX_ENTRY raises first,
+    as in ``as_matrix``.
     """
     arr = _square(op)
-    if arr.shape[0] == 2:  # the table's first entry is the NaN/Inf check
-        require((qubit_operator_table, arr.ravel().tolist()))
+    if arr.shape[0] == 2:
+        entries = arr.ravel().tolist()
+        require_bounded(entries)
+        require((qubit_operator_table, entries))
         return
     hermitian, asymmetry, trace = _hermitian_part(arr)
-    _, smallest = _eigenvalues(hermitian)
-    require((_operator_table, (asymmetry, trace, smallest)))
-
-
-def _eigenvalues(hermitian: np.ndarray) -> tuple[np.ndarray, float]:
-    """Ascending ``eigvalsh`` of a Hermitian part or of a stack of them, and its first eigenvalue as a Python float.
-
-    LAPACK returns NaN when the modulus of an entry exceeds the largest
-    double; then the halved stack is solved and its eigenvalues doubled,
-    which overflow to +-inf where they exceed it.
-    """
-    spectra = np.linalg.eigvalsh(hermitian)
-    smallest = spectra.item(0)
-    if smallest != smallest:  # NaN, tested on a Python float: a valid operator pays no numpy call for it
-        with np.errstate(over="ignore"):
-            spectra = 2.0 * np.linalg.eigvalsh(0.5 * hermitian)
-        smallest = spectra.item(0)
-    return spectra, smallest
+    require((_operator_table, (asymmetry, trace, np.linalg.eigvalsh(hermitian).item(0))))
 
 
 def _operator_table(x, parts) -> tuple:
@@ -455,14 +427,13 @@ def _pair_spectra(op) -> np.ndarray:
     call on the stacked Hermitian parts. They are bitwise ``eigvalsh`` of
     the Hermitian part of ``op`` and
     ``hermitian_spectrum(partial_transpose(op))[::-1]``, because the
-    Hermitian part of the transpose is a permutation of that of ``op``;
-    where ``eigvalsh`` returns NaN, ``_eigenvalues`` solves both again, halved.
+    Hermitian part of the transpose is a permutation of that of ``op``.
     Raises as ``partial_transpose(op)``, then ``require_statistical_operator(op)``
     would; then ``hermitian_spectrum`` of the transpose cannot raise.
     """
     hermitian, asymmetry, trace = _hermitian_part(_square(op, 4))
-    spectra, smallest = _eigenvalues(hermitian.ravel()[_WITH_PARTIAL_TRANSPOSE])
-    require((_operator_table, (asymmetry, trace, smallest)))
+    spectra = np.linalg.eigvalsh(hermitian.ravel()[_WITH_PARTIAL_TRANSPOSE])
+    require((_operator_table, (asymmetry, trace, spectra.item(0))))
     return spectra
 
 

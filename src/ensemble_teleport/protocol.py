@@ -32,13 +32,14 @@ from .linalg import (
     bloch_table,
     coefficient_table,
     embed_sender_pair,
-    finite_renormalizable_trace_table,
     frozen,
     operator_trace,
     qubit_operator_table,
     real_overlap_table,
+    renormalizable_trace_table,
     renormalization_table,
     require,
+    require_bounded,
     require_rows,
     require_statistical_operator,
     stacked_kron,
@@ -150,8 +151,7 @@ class PreparationTensor:
         arr = frozen(self.u, dtype=complex)
         if arr.shape != (2, 2, 2, 2):
             raise ValueError(f"preparation tensor must have shape (2, 2, 2, 2), got {arr.shape}")
-        if not np.isfinite(arr).all():
-            raise ValueError("preparation tensor contains NaN or Inf")
+        require_bounded(arr.ravel().tolist(), "preparation tensor contains NaN or Inf")
         object.__setattr__(self, "u", arr)
         if self.normalized:
             diag = np.array([arr[k, k, m, m] for k in (0, 1) for m in (0, 1)])
@@ -362,13 +362,13 @@ def alice_prepare(u: PreparationTensor, c: CoefficientVector) -> np.ndarray:
 def renormalize(m) -> np.ndarray:
     """Divide by the trace, restoring a unit-trace operator.
 
-    Raises when the trace is not (numerically) a positive real, which
-    signals a preparation orthogonal to the state it was applied to, and
-    when it overflows.
+    Raises as ``as_matrix`` does, then when the trace is not (numerically)
+    a positive real, which signals a preparation orthogonal to the state it
+    was applied to.
     """
     arr = as_matrix(m)
     t = operator_trace(arr)
-    require((finite_renormalizable_trace_table, (t,)))
+    require((renormalizable_trace_table, (t,)))
     return arr / t.real
 
 

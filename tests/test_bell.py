@@ -169,13 +169,15 @@ class TestPptEntangled:
             ppt_entangled(np.eye(8) / 8)
 
     def test_entry_beyond_the_largest_double(self):
-        # eigvalsh of the Hermitian part is all NaN; the halved part's smallest eigenvalue doubles to -inf
+        # eigvalsh of the Hermitian part would be all NaN; the magnitude bound names the entry first
         op = np.diag([0.25] * 4).astype(complex)
         op[0, 1] = np.finfo(float).max * (1 + 1j)
         op[1, 0] = op[0, 1].conjugate()
         with pytest.raises(ValueError) as info:
             ppt_entangled(op)
-        assert str(info.value) == "not a statistical operator: negative eigenvalue -inf"
+        assert str(info.value) == (
+            "entry (1.7976931348623157e+308+1.7976931348623157e+308j) exceeds the magnitude bound 2**400 = 2.582e+120"
+        )
 
 
 class TestMatrixUnit:

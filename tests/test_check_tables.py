@@ -4,9 +4,12 @@ Every table in the package runs through both runners: ``require`` on the
 row's Python numbers, and ``require_columns`` with the row at position k
 among valid rows. They must agree on whether the row fails and, if it does,
 on the message string, for extreme parts (±1e±300, subnormals, -0.0, NaN,
-±Inf) and for parts one ulp either side of each bound.
+±Inf) and for parts one ulp either side of each bound. The magnitude check
+where operators and tensors enter, ``require_bounded``, is tested here on
+the same parts.
 """
 
+import cmath
 import math
 
 import numpy as np
@@ -15,14 +18,17 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from ensemble_teleport import CoefficientVector, coefficient_rows, linalg
-from ensemble_teleport.fidelity import _trace_component_table, _vector_form_table
+from ensemble_teleport.fidelity import _vector_form_table
 from ensemble_teleport.linalg import (
     ANNIHILATION_TOL,
+    BOUNDED,
     EIGENVALUE_TOL,
     EQ_TOL,
     HERMITICITY_TOL,
+    MAX_ENTRY,
     TRACE_TOL,
     require,
+    require_bounded,
     require_columns,
 )
 
@@ -33,11 +39,9 @@ TABLES = {
     "bloch length": (linalg.bloch_table, "rrr", (0.1, -0.2, 0.3)),
     "renormalization": (linalg.renormalization_table, "cccc", (0.25, 0.1j, -0.1j, 0.75)),
     "renormalizable trace": (linalg.renormalizable_trace_table, "c", (0.5 + 0j,)),
-    "finite renormalizable trace": (linalg.finite_renormalizable_trace_table, "c", (0.5 + 0j,)),
     "qubit operator": (linalg.qubit_operator_table, "cccc", (0.5 + 0j, 0.1 + 0.2j, 0.1 - 0.2j, 0.5 + 0j)),
     "real overlap": (linalg.real_overlap_table, "c", (0.7 + 0j,)),
     "two-sided trace": (linalg.two_sided_trace_table, "c", (0.25 + 0j,)),
-    "trace component": (_trace_component_table, "c", (0.5 + 0j,)),
     "vector-form value": (_vector_form_table, "c", (0.5 + 0j,)),
     # asymmetry, trace and smallest eigenvalue of an n x n operator
     "operator": (
@@ -59,11 +63,11 @@ def _around(value):
 # Quantities that land on a bound when a part takes one of these values and
 # the others are 0 or 1: |Im| and Re of a trace, nonnegativity, the
 # coefficient and qubit traces, 2|Im a|, eigenvalues, |c12|^2 against c11*c22
-# at c11 = 0.5, and |r|^2 on one axis.
+# at c11 = 0.5, |r|^2 on one axis, and the modulus of an entry.
 _BOUNDARIES = [
     EQ_TOL, -EQ_TOL, ANNIHILATION_TOL, TRACE_TOL, HERMITICITY_TOL, HERMITICITY_TOL / 2,
     EIGENVALUE_TOL, -EIGENVALUE_TOL, 1.0 + EQ_TOL, 1.0 - EQ_TOL, 1.0 + TRACE_TOL, 1.0 - TRACE_TOL,
-    1.0 + EIGENVALUE_TOL, math.sqrt(0.25 + EQ_TOL), math.sqrt(1.0 + EQ_TOL), 0.5, 1.0, 0.0,
+    1.0 + EIGENVALUE_TOL, math.sqrt(0.25 + EQ_TOL), math.sqrt(1.0 + EQ_TOL), 0.5, 1.0, 0.0, MAX_ENTRY,
 ]
 EXTREMES = [
     -0.0, 1e300, -1e300, 1e-300, -1e-300, 5e-324, -5e-324, 2.2250738585072014e-308,
@@ -150,14 +154,6 @@ BOUND_CASES = {
         "renormalizable trace", (complex(0.5, EQ_TOL),), None,
         (complex(0.5, math.nextafter(EQ_TOL, 1.0)),), "cannot renormalize: trace has imaginary part 1.000e-12",
     ),
-    "renormalizable trace overflow": (
-        "finite renormalizable trace", (complex(DBL_MAX, 0.0),), None,
-        (complex(math.inf, 0.0),), "cannot renormalize: trace inf is not finite",
-    ),
-    "trace component overflow": (
-        "trace component", (complex(DBL_MAX, 0.0),), None,
-        (complex(math.inf, 0.0),), "transformation overflows: trace component (inf+0j) is not finite",
-    ),
     "eigenvalue bound": (
         "operator", (0.0, 1.0 + 0j, -EIGENVALUE_TOL), None,
         (0.0, 1.0 + 0j, math.nextafter(-EIGENVALUE_TOL, -1.0)),
@@ -189,6 +185,45 @@ class TestBounds:
         name, inside, inside_message, outside, outside_message = BOUND_CASES[case]
         assert assert_runners_agree(name, inside, 0, 2) == inside_message
         assert assert_runners_agree(name, outside, 1, 2) == outside_message
+
+
+def bounded_outcome(z):
+    """What require_bounded gives on a valid 2x2 operator with ``z`` in place of one entry, written out apart from it."""
+    if not cmath.isfinite(z):
+        expected = "matrix contains NaN or Inf entries"
+    elif math.hypot(z.real, z.imag) > MAX_ENTRY:
+        expected = f"entry {z!r} exceeds the magnitude bound 2**400 = 2.582e+120"
+    else:
+        expected = None
+    return outcome(require_bounded, [0.5 + 0j, z, 0.25 + 0j, 0.5 + 0j]), expected
+
+
+class TestMagnitudeBound:
+    """``require_bounded`` names a NaN or Inf entry first, then the first entry above MAX_ENTRY."""
+
+    @given(complexes)
+    @example(complex(DBL_MAX, 0.0))
+    @example(complex(-DBL_MAX, DBL_MAX))
+    @example(complex(math.inf, 0.0))
+    @example(complex(MAX_ENTRY, 0.0))
+    @example(complex(0.0, -math.nextafter(MAX_ENTRY, math.inf)))
+    @example(complex(MAX_ENTRY / math.sqrt(2.0), MAX_ENTRY / math.sqrt(2.0)))
+    def test_each_entry(self, z):
+        got, expected = bounded_outcome(z)
+        assert got == expected
+
+    def test_one_ulp_either_side(self):
+        above = math.nextafter(MAX_ENTRY, math.inf)
+        assert MAX_ENTRY == 2.0**400 and BOUNDED[0] == MAX_ENTRY
+        assert outcome(require_bounded, [complex(MAX_ENTRY, 0.0)] * 64) is None
+        assert outcome(require_bounded, [-MAX_ENTRY, 0.0, complex(0.0, above)]) == BOUNDED[1](complex(0.0, above))
+        assert outcome(require_bounded, [DBL_MAX, DBL_MAX * 1j]) == "entry 1.7976931348623157e+308 exceeds the magnitude bound 2**400 = 2.582e+120"
+
+    def test_nan_or_inf_is_named_before_a_large_entry(self):
+        assert outcome(require_bounded, [complex(DBL_MAX, DBL_MAX), math.nan]) == "matrix contains NaN or Inf entries"
+        assert outcome(require_bounded, [1e300, -math.inf], "preparation tensor contains NaN or Inf") == (
+            "preparation tensor contains NaN or Inf"
+        )
 
 
 class TestPositivityDigits:

@@ -374,12 +374,24 @@ def _unit(row, col, scale=1.0):
 _HUGE = 1.7e308
 # Nonzero on |01> and |11> only, with complex off-diagonal weights of modulus
 # sqrt(2) * _HUGE: the one-sided trace of the equatorial input at 45 degrees
-# overflows, and the opposite input's is negative. The two-sided product of
-# every input overflows, and the poles' two-sided totals are nan.
+# would overflow, and its two-sided product would for every input. Such
+# weights exceed the magnitude bound, so no tensor holds them.
 _OVERFLOWING = _unit(1, 1, _HUGE) + _unit(3, 3, _HUGE) + _unit(1, 3, _HUGE * (1 - 1j)) + _unit(3, 1, _HUGE * (1 + 1j))
-_H = np.sqrt(0.5)
+# weights whose raw operator of an equatorial input would hold 4.25e307+inf j with trace 0
+_ZERO_TRACE_OVERFLOWING = _HUGE * (
+    _unit(0, 1, -1 - 1j) + _unit(0, 3, -1 + 1j) + _unit(1, 0, -1) + _unit(2, 1, 1 + 1j) + _unit(2, 3, -1j)
+)
+# ``_compare_rows`` takes coefficient rows (c11, c12, c21, c22) that no CoefficientVector holds, so
+# large rows under small weights stand in for such tensors. Their parts are powers of two, so each
+# product is exact or overflows to inf, alike under every BLAS kernel. Under 4 (|00><00| - |11><11|)
+# the one-sided raw operator is diag(-2 c22, 2 c11) and the two-sided one diag(8 c22, 8 c11); under
+# 4 |00><01| the one-sided one is -2 c11 |0><1|, with trace 0.
+_LARGE = 2.0**1023
+_SPLIT = _unit(0, 0, 4.0) + _unit(3, 3, -4.0)
+_LOWER_POLE = CoefficientVector.from_components(0.0)  # one-sided trace -2 under _SPLIT
 
-# name -> (sender-pair operator, inputs, index of the lowest failing row, its message)
+# name -> (sender-pair operator, inputs, index of the lowest failing row, its message); an input is a
+# CoefficientVector, or a coefficient row that only the batch kernel takes
 FIRST_FAILURES = {
     # every input is annihilated
     "zero tensor": (
@@ -414,38 +426,34 @@ FIRST_FAILURES = {
         2,
         "two-sided update annihilated the ensemble: total trace (5.000000413701855e-11+0j)",
     ),
-    "non-finite raw operator": (
-        _OVERFLOWING,
-        [CoefficientVector.from_bloch(*p) for p in ((_H, _H, 0), (-_H, -_H, 0))],
-        0,
-        "matrix contains NaN or Inf entries",
-    ),
-    # A nan total is an annihilation, not a result; the pole's row fails the
-    # last check and the equator's the first, and the lower row is reported.
+    # the one-sided raw operator overflows to inf, and the next row's trace is negative
+    "non-finite raw operator": (_SPLIT, [[_LARGE, 0, 0, 0], _LOWER_POLE], 0, "matrix contains NaN or Inf entries"),
+    # A nan total is an annihilation, not a result: the first row's one-sided
+    # trace is 2**1023 and its two-sided total inf - inf. It fails the last
+    # check and the next row the first, and the lower row is reported.
     "nan two-sided total": (
-        _OVERFLOWING,
-        [CoefficientVector.from_bloch(*p) for p in ((0, 0, 1), (0, 0, -1), (_H, _H, 0))],
+        _SPLIT,
+        [[_LARGE / 4, 0, 0, -_LARGE / 4], [_LARGE, 0, 0, 0]],
         0,
         "two-sided update annihilated the ensemble: total trace (nan+nanj)",
     ),
-    # The raw operator's off-diagonal entry overflows (4.25e307+inf j) while
-    # its trace is 0: the finite check must come before the trace checks.
+    # The raw operator's off-diagonal entry overflows (-inf) while its trace
+    # is 0: the finite check must come before the trace checks.
     "non-finite raw operator with zero trace": (
-        _HUGE * (
-            _unit(0, 1, -1 - 1j) + _unit(0, 3, -1 + 1j) + _unit(1, 0, -1) + _unit(2, 1, 1 + 1j) + _unit(2, 3, -1j)
-        ),
-        [CoefficientVector.from_bloch(-_H, _H, 0)],
-        0,
-        "matrix contains NaN or Inf entries",
+        _unit(0, 1, 4.0), [[_LARGE, 0, 0, 0]], 0, "matrix contains NaN or Inf entries"
     ),
     # the lower row fails a later check than the higher row
     "annihilation before a non-finite row": (
-        _OVERFLOWING,
-        [CoefficientVector.from_bloch(*p) for p in ((-_H, -_H, 0), (_H, _H, 0))],
+        _SPLIT,
+        [_LOWER_POLE, [_LARGE, 0, 0, 0]],
         0,
-        "preparation annihilated the ensemble: trace -3.521e+307 <= 1e-09",
+        "preparation annihilated the ensemble: trace -2.000e+00 <= 1e-09",
     ),
 }
+
+
+def _rows(inputs) -> np.ndarray:
+    return np.array([c.as_vector() if isinstance(c, CoefficientVector) else c for c in inputs], dtype=complex)
 
 
 class TestFirstFailure:
@@ -453,16 +461,21 @@ class TestFirstFailure:
     def test_lowest_failing_row_raises_its_message(self, case):
         p, cs, row, message = FIRST_FAILURES[case]
         u = sender_pair_tensor(p)
-        # the rows before it pass (the overflowing products of the reference path warn)
-        with np.errstate(all="ignore"):
+        rows = _rows(cs)
+        if isinstance(cs[row], CoefficientVector):
+            # the rows before it pass
             for c in cs[:row]:
                 reference_compare(u, c)
-            for call in (lambda: reference_compare(u, cs[row]), lambda: compare_conventions(u, cs[row])):
-                with pytest.raises(ValueError) as one:
-                    call()
-                assert str(one.value) == message
+            calls = (lambda: reference_compare(u, cs[row]), lambda: compare_conventions(u, cs[row]))
+        else:  # only the batch kernel takes the row, alone or in the batch
+            _compare_rows(u, rows[:row])
+            calls = (lambda: _compare_rows(u, rows[row : row + 1]),)
+        for call in calls:
+            with pytest.raises(ValueError) as one:
+                call()
+            assert str(one.value) == message
         with pytest.raises(ValueError) as batch:
-            _compare_rows(u, np.stack([c.as_vector() for c in cs]))
+            _compare_rows(u, rows)
         assert str(batch.value) == message
 
     @pytest.mark.parametrize("case", sorted(FIRST_FAILURES))
@@ -470,17 +483,34 @@ class TestFirstFailure:
         # a one-row call takes the scalar checks, the row stacked twice the batch checks
         p, cs, row, _ = FIRST_FAILURES[case]
         u = sender_pair_tensor(p)
-        for c in cs[:row]:  # bitwise
-            one = compare_conventions(u, c)
-            two = _compare_rows(u, np.stack([c.as_vector()] * 2))
-            fields = (one.ansatz, one.sandwich, one.max_abs_diff, one.prenorm_ratio)
-            for value, column in zip(fields, two):
-                assert np.asarray(value).tobytes() == column[0].tobytes()
+        rows = _rows(cs)
+        for r in rows[:row]:  # bitwise
+            for value, column in zip(_compare_rows(u, r[None]), _compare_rows(u, np.stack([r] * 2))):
+                assert value[0].tobytes() == column[0].tobytes()
         with pytest.raises(ValueError) as two:
-            _compare_rows(u, np.stack([cs[row].as_vector()] * 2))
+            _compare_rows(u, np.stack([rows[row]] * 2))
         with pytest.raises(ValueError) as one:
-            compare_conventions(u, cs[row])
+            _compare_rows(u, rows[row : row + 1])
         assert str(one.value) == str(two.value)
+        if isinstance(cs[row], CoefficientVector):
+            with pytest.raises(ValueError) as vector:
+                compare_conventions(u, cs[row])
+            assert str(vector.value) == str(one.value)
+
+    @pytest.mark.parametrize(
+        "p, entry",
+        [(_OVERFLOWING, "(1.7e+308+0j)"), (_ZERO_TRACE_OVERFLOWING, "(-1.7e+308-1.7e+308j)")],
+    )
+    def test_overflowing_weights_fail_the_bound(self, p, entry):
+        # the tensors the overflow cases above used to take
+        with pytest.raises(ValueError) as info:
+            sender_pair_tensor(p)
+        assert str(info.value) == f"entry {entry} exceeds the magnitude bound 2**400 = 2.582e+120"
+
+    def test_the_zero_trace_row_overflows_off_the_diagonal(self):
+        p, cs, _, _ = FIRST_FAILURES["non-finite raw operator with zero trace"]
+        raw, (trace, _), _ = _both_updates(sender_pair_tensor(p).sender_operator, _rows(cs))
+        assert trace.tolist() == [0j] and np.isneginf(raw[0, 0, 1].real) and np.isfinite(raw[0].ravel()[[0, 2, 3]]).all()
 
 
 class TestSandwichCoefficientOracle:

@@ -28,6 +28,7 @@ from ensemble_teleport import (
     transformation_matrix,
 )
 from ensemble_teleport import fidelity
+from ensemble_teleport.linalg import BOUNDED, MAX_ENTRY
 from ensemble_teleport.fidelity import SAMPLERS
 from conftest import random_coefficients
 
@@ -56,11 +57,18 @@ class TestFidelityTrace:
         with pytest.raises(ValueError, match=re.escape("not a statistical operator: not unit-trace (trace 0.5+0j)")):
             fidelity_trace(c, 0.25 * np.eye(2))
 
-    def test_overflowing_trace_gap_fails_hermiticity_first(self):
-        # |trace - 1| exceeds the largest double, but the imaginary diagonal is checked first
+    def test_overflowing_trace_gap_fails_the_bound(self):
+        # |trace - 1| would exceed the largest double; the entries exceed the magnitude bound first
         c = CoefficientVector.from_components(0.5)
-        with pytest.raises(ValueError, match=re.escape("not Hermitian (asymmetry 1.500e+308)")):
+        with pytest.raises(ValueError) as info:
             fidelity_trace(c, 0.75e308 * (1 + 1j) * np.eye(2))
+        assert str(info.value) == BOUNDED[1](complex(0.75e308, 0.75e308))
+
+    def test_large_trace_gap_fails_hermiticity_first(self):
+        # at the bound, the imaginary diagonal is checked before the trace
+        c = CoefficientVector.from_components(0.5)
+        with pytest.raises(ValueError, match=re.escape("not Hermitian (asymmetry 2.582e+120)")):
+            fidelity_trace(c, 0.5 * MAX_ENTRY * (1 + 1j) * np.eye(2))
 
     def test_non_hermitian_fails_before_its_imaginary_overlap(self):
         c = CoefficientVector.from_components(0.5, 0.25j)
@@ -132,37 +140,56 @@ class TestFidelityVector:
             fidelity_vector(CoefficientVector.from_components(0.5, 0.25), t)
         assert str(info.value) == "matrix contains NaN or Inf entries"
 
-    def test_rejects_a_nan_trace_component(self):
-        # finite weights whose trace component overflows to inf - inf: the two-sided trace's form rejects nan
+    @pytest.mark.parametrize(
+        "scale, message",
+        [
+            # the trace component used to overflow to inf - inf and be named as not finite
+            (1.7e308, BOUNDED[1](1.7e308 + 0j)),
+            (MAX_ENTRY, "transformation annihilates the input: trace component 0j"),
+        ],
+    )
+    def test_rejects_a_cancelling_trace_component(self, scale, message):
         t = np.zeros((4, 4), dtype=complex)
-        t[0, :3], t[3, :3] = 1.7e308, -1.7e308
-        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError) as info:
-            fidelity_vector(CoefficientVector.from_components(0.5, 0.5), t)
-        assert str(info.value) == "transformation overflows: trace component (nan+nanj) is not finite"
+        t[0, :3], t[3, :3] = scale, -scale
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as info:
+                fidelity_vector(CoefficientVector.from_components(0.5, 0.5), t)
+        assert str(info.value) == message
 
     @pytest.mark.parametrize(
         "value, message",
         [
-            # a trace component of +inf passes -Re t's bound; it used to warn and return 0.0
-            (1e308, "transformation overflows: trace component (inf+0j) is not finite"),
-            # the product itself overflows, which used to warn in the matmul and was named an annihilation
-            (1.7e308, "transformation overflows: trace component (inf+nanj) is not finite"),
+            # a trace component of +inf used to be named as not finite, and before that to warn and return 0.0
+            (1e308, BOUNDED[1](1e308 + 0j)),
+            # the product itself used to overflow, and before that was named an annihilation
+            (1.7e308, BOUNDED[1](1.7e308 + 0j)),
         ],
     )
-    def test_rejects_an_overflowed_trace_component(self, value, message):
+    def test_rejects_an_overflowing_map(self, value, message):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError) as info:
                 fidelity_vector(CoefficientVector.from_bloch(0.1, 0.2, 0.3), np.full((4, 4), value))
         assert str(info.value) == message
 
-    def test_rejects_a_nan_value(self):
-        # finite weights off the trace rows whose contamination overflows: the value used to come back nan
+    def test_a_map_at_the_bound_gives_a_finite_value(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert fidelity_vector(CoefficientVector.from_bloch(0.1, 0.2, 0.3), np.full((4, 4), MAX_ENTRY)) == 0.55
+            t = np.eye(4, dtype=complex)
+            t[1, :3] = MAX_ENTRY
+            assert np.isfinite(fidelity_vector(CoefficientVector.from_components(0.5, 0.5), t))
+
+    def test_rejects_a_large_entry_off_the_trace_rows(self):
+        # its contamination used to overflow, and the value came back nan
         t = np.eye(4, dtype=complex)
         t[1, :3] = 1.7e308
-        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError) as info:
-            fidelity_vector(CoefficientVector.from_components(0.5, 0.5), t)
-        assert str(info.value) == "vector-form fidelity has imaginary part nan"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as info:
+                fidelity_vector(CoefficientVector.from_components(0.5, 0.5), t)
+        assert str(info.value) == BOUNDED[1](1.7e308 + 0j)
 
 
 class TestLazyFidelity:

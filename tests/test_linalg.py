@@ -1,4 +1,5 @@
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -19,8 +20,10 @@ from ensemble_teleport import (
     spectral_norm,
 )
 from ensemble_teleport.linalg import (
+    BOUNDED,
     EIGENVALUE_TOL,
     HERMITIAN,
+    MAX_ENTRY,
     ON_COLUMNS,
     POSITIVE,
     as_matrix,
@@ -133,7 +136,10 @@ class TestHermitianSpectrum:
 
 
 DBL_MAX = np.finfo(float).max
-HUGE_ENTRIES = [0.0, 1e300, -1e300, 1e-300, 5e-324, 9e307, 1.7e308, -1.7e308, DBL_MAX, -DBL_MAX]
+HUGE_ENTRIES = [
+    0.0, 1e300, -1e300, 1e-300, 5e-324, 9e307, 1.7e308, -1.7e308, DBL_MAX, -DBL_MAX,
+    MAX_ENTRY, -MAX_ENTRY, MAX_ENTRY * (1 - 2.0**-52), np.nextafter(MAX_ENTRY, np.inf),
+]
 
 
 def huge_hermitian_operators(seed: int, n: int):
@@ -151,23 +157,43 @@ def huge_hermitian_operators(seed: int, n: int):
         yield op + np.triu(op, 1).conj().T
 
 
+def bound_message(op):
+    """BOUNDED's message for the first entry of ``op`` whose modulus exceeds MAX_ENTRY, else None."""
+    with np.errstate(over="ignore"):
+        moduli = np.hypot(op.real, op.imag).ravel()
+    above = np.flatnonzero(moduli > MAX_ENTRY)
+    return BOUNDED[1](op.ravel()[above[0]].item()) if len(above) else None
+
+
 class TestOverflowingHermitianPart:
-    """Finite operators whose Hermitian part 0.5 * (M + M^dagger) would overflow."""
+    """Finite operators whose Hermitian part 0.5 * (M + M^dagger) would overflow fail the magnitude bound.
+
+    At the bound itself the Hermitian part, the spectrum and the verdict stay finite.
+    """
 
     def test_names_the_invariant(self):
         op = np.diag([0.25] * 4).astype(complex)
         op[0, 1] = op[1, 0] = 1.7e308
-        for check in (require_statistical_operator, ppt_entangled):
-            with pytest.raises(ValueError, match=re.escape("not a statistical operator: negative eigenvalue -1.700e+308")):
+        for check in (require_statistical_operator, ppt_entangled, hermitian_spectrum):
+            with pytest.raises(ValueError) as info:
                 check(op)
-        assert np.allclose(hermitian_spectrum(op), [1.7e308, 0.25, 0.25, -1.7e308])
+            assert str(info.value) == "entry (1.7e+308+0j) exceeds the magnitude bound 2**400 = 2.582e+120"
+        op[0, 1] = op[1, 0] = MAX_ENTRY
+        for check in (require_statistical_operator, ppt_entangled):
+            with pytest.raises(ValueError, match=re.escape("not a statistical operator: negative eigenvalue -2.582e+120")):
+                check(op)
+        assert hermitian_spectrum(op).tolist() == [MAX_ENTRY, 0.25, 0.25, -MAX_ENTRY]
 
     def test_overflowing_spectrum_raises(self):
         op = np.full((4, 4), DBL_MAX, dtype=complex)
         np.fill_diagonal(op, 0.25)  # an eigenvalue near 3 * DBL_MAX
-        with pytest.raises(ValueError, match="spectrum overflows") as info:
+        with pytest.raises(ValueError) as info:
             hermitian_spectrum(op)
-        assert type(info.value) is ValueError
+        assert str(info.value) == "entry (1.7976931348623157e+308+0j) exceeds the magnitude bound 2**400 = 2.582e+120"
+        op = np.full((4, 4), MAX_ENTRY, dtype=complex)
+        np.fill_diagonal(op, 0.25)  # an eigenvalue near 3 * MAX_ENTRY
+        spectrum = hermitian_spectrum(op)
+        assert np.isfinite(spectrum).all() and np.isclose(spectrum[0], 3 * MAX_ENTRY)
 
     def test_seeded_draws_neither_fail_in_the_solver_nor_return_non_finite_values(self):
         verdicts = set()
@@ -175,23 +201,28 @@ class TestOverflowingHermitianPart:
             for check, message in (
                 (require_statistical_operator, "not a statistical operator: "),
                 (ppt_entangled, "not a statistical operator: "),
-                (hermitian_spectrum, "spectrum overflows"),
+                (hermitian_spectrum, None),
             ):
-                try:
-                    result = check(op)
-                except ValueError as exc:
-                    assert not isinstance(exc, np.linalg.LinAlgError), (op, exc)
-                    assert str(exc).startswith(message), (op, exc)
-                    verdicts.add((check.__name__, "raised"))
-                    continue
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    try:
+                        result = check(op)
+                    except ValueError as exc:
+                        assert not isinstance(exc, np.linalg.LinAlgError), (op, exc)
+                        bound = bound_message(op)
+                        assert str(exc) == bound if bound else str(exc).startswith(message), (op, exc)
+                        verdicts.add((check.__name__, "bound" if bound else "raised"))
+                        continue
+                assert bound_message(op) is None, op
                 if check is hermitian_spectrum:
                     assert np.isfinite(result).all(), op
                 verdicts.add((check.__name__, "returned"))
-        assert {("hermitian_spectrum", "raised"), ("hermitian_spectrum", "returned")} <= verdicts
+        assert {("hermitian_spectrum", "bound"), ("hermitian_spectrum", "returned")} <= verdicts
+        assert {("require_statistical_operator", "bound"), ("require_statistical_operator", "raised")} <= verdicts
 
 
 class TestNaNSpectrum:
-    """A complex entry whose modulus exceeds the largest double makes eigvalsh return NaN; the halved part does not."""
+    """A complex entry whose modulus exceeds the largest double makes eigvalsh return NaN; the bound rejects it first."""
 
     @staticmethod
     def beyond_the_largest_double():
@@ -205,11 +236,13 @@ class TestNaNSpectrum:
         assert np.isnan(np.linalg.eigvalsh(op)).all()
         assert np.isfinite(np.linalg.eigvalsh(0.5 * op)).all()
 
-    def test_require_statistical_operator_reports_the_doubled_eigenvalue(self):
-        # the halved spectrum is +-1.27e308, which doubles to +-inf
+    def test_require_statistical_operator_reports_the_bound(self):
+        # the checks used to solve the halved part and report the doubled eigenvalue, -inf
         with pytest.raises(ValueError) as info:
             require_statistical_operator(self.beyond_the_largest_double())
-        assert str(info.value) == "not a statistical operator: negative eigenvalue -inf"
+        assert str(info.value) == (
+            "entry (1.7976931348623157e+308+1.7976931348623157e+308j) exceeds the magnitude bound 2**400 = 2.582e+120"
+        )
 
     def test_seeded_complex_draws_never_report_nan(self):
         for op in huge_hermitian_operators(2027, 2000):
@@ -256,7 +289,7 @@ class TestOperatorEntryPoints:
                     assert message == HERMITIAN[1](exc.asymmetry), (place, v)
                     continue
                 except ValueError as exc:
-                    assert str(exc) == message or "spectrum overflows" in str(exc), (place, v, message)
+                    assert str(exc) == message, (place, v, message)
                     continue
                 if message is None:
                     assert smallest >= -EIGENVALUE_TOL, (place, v)

@@ -1,11 +1,11 @@
 """The one-pass statistical-operator checks against the formulation they replaced.
 
-``oracle_*`` below are the earlier checks, kept as written: ``as_matrix``
-with its own NaN/Inf pass, a Hermitian part that takes the asymmetry as
-the largest np.hypot of the whole gap, the stacked ``eigvalsh`` and
-``complex(arr.trace())``. The one change is that the trace is taken under
-``np.errstate``: the earlier trace warned on overflow before the check
-named it, which is the fault the one-pass trace mends.
+``oracle_*`` below are the earlier checks: ``as_matrix`` with its own
+NaN/Inf pass, a Hermitian part that takes the asymmetry as the largest
+np.hypot of the whole gap, the stacked ``eigvalsh`` and
+``complex(arr.trace())``. Ahead of them stands the magnitude bound, written
+out on np.hypot of every entry; behind it no sum overflows, so the earlier
+branches for overflowed Hermitian parts and NaN spectra are gone here too.
 ``_pair_spectra``, ``require_statistical_operator`` and
 ``hermitian_spectrum`` must return the same spectrum bytes, or raise the
 same exception type with the same message and the same
@@ -23,7 +23,9 @@ from hypothesis import strategies as st
 
 from ensemble_teleport import NonHermitianError, hermitian_spectrum, ppt_entangled, require_statistical_operator
 from ensemble_teleport.linalg import (
+    BOUNDED,
     HERMITICITY_TOL,
+    MAX_ENTRY,
     SUPPORTED_DIMS,
     TRACE_TOL,
     _hermitian_part,
@@ -47,31 +49,26 @@ def oracle_as_matrix(m, n=None):
         raise ValueError(f"matrix dimension {arr.shape[0]} unsupported; must be one of {SUPPORTED_DIMS}")
     if not np.isfinite(arr).all():
         raise ValueError("matrix contains NaN or Inf entries")
+    with np.errstate(over="ignore"):
+        above = np.flatnonzero(np.hypot(arr.real, arr.imag) > MAX_ENTRY)
+    if len(above):
+        raise ValueError(BOUNDED[1](arr.ravel()[above[0]].item()))
     return arr
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def oracle_hermitian_part(arr):
     adjoint = arr.conj().T
     gap = arr - adjoint
-    asymmetry = float(np.hypot(gap.real, gap.imag).max())
-    hermitian = 0.5 * (arr + adjoint)
-    if not np.isfinite(hermitian).all():
-        hermitian = 0.5 * arr + 0.5 * adjoint
-    return hermitian, asymmetry
+    return 0.5 * (arr + adjoint), float(np.hypot(gap.real, gap.imag).max())
 
 
 def oracle_eigenvalues(hermitian):
     spectra = np.linalg.eigvalsh(hermitian)
-    if math.isnan(spectra.item(0)):
-        with np.errstate(over="ignore"):
-            spectra = 2.0 * np.linalg.eigvalsh(0.5 * hermitian)
     return spectra, spectra.item(0)
 
 
 def oracle_trace(arr):
-    with np.errstate(over="ignore", invalid="ignore"):
-        return complex(arr.trace())
+    return complex(arr.trace())
 
 
 def oracle_pair_spectra(op):
@@ -98,8 +95,6 @@ def oracle_hermitian_spectrum(a):
     if asymmetry > HERMITICITY_TOL:
         raise NonHermitianError(asymmetry)
     spectrum, _ = oracle_eigenvalues(hermitian)
-    if not np.isfinite(spectrum).all():
-        raise ValueError("spectrum overflows: the eigensolver returned NaN or Inf")
     return spectrum[::-1]
 
 
@@ -166,17 +161,26 @@ def with_tiny_entries(rng, n):
 HUGE = [1e308, -1e308, 1.7e308, -1.7e308, DBL_MAX, -DBL_MAX, 9e307, 0.25]
 
 
-def with_huge_entries(rng, n):
-    """Entries of +-1e308 and the like, so that traces, gaps and Hermitian parts overflow."""
+def with_huge_entries(rng, n, huge=HUGE):
+    """Entries of +-1e308 and the like, which would overflow traces, gaps and Hermitian parts: the bound names them."""
     op = np.diag(np.full(n, 1.0 / n)).astype(complex)
     for _ in range(int(rng.integers(1, 2 * n))):
         i, j = rng.integers(n, size=2).tolist()
-        op[i, j] = complex(rng.choice(HUGE), rng.choice(HUGE + [0.0] * 4))
+        op[i, j] = complex(rng.choice(huge), rng.choice(huge + [0.0] * 4))
         if rng.integers(2):
             op[j, i] = op[i, j].conjugate()
     if rng.integers(2):
-        op[np.diag_indices(n)] = rng.choice(HUGE, n)
+        op[np.diag_indices(n)] = rng.choice(huge, n)
     return op
+
+
+# parts at and just below the bound, and some whose complex modulus exceeds it
+AT_BOUND = [MAX_ENTRY, -MAX_ENTRY, MAX_ENTRY * (1 - 2.0**-52), MAX_ENTRY / 2, -MAX_ENTRY / 3, 1e120, 0.25]
+
+
+def with_entries_at_the_bound(rng, n):
+    """``with_huge_entries`` on parts of modulus up to MAX_ENTRY, where every check is compared with the oracle."""
+    return with_huge_entries(rng, n, AT_BOUND)
 
 
 def with_non_finite_entry(rng, n):
@@ -202,6 +206,7 @@ KINDS = {
     "trace at bound": near_trace_bound,
     "subnormal": with_tiny_entries,
     "overflowing": with_huge_entries,
+    "at the bound": with_entries_at_the_bound,
     "non-finite": with_non_finite_entry,
     "wrong shape": of_wrong_shape,
 }
@@ -246,7 +251,8 @@ class TestAgainstOracle:
         assert not_hermitian in verdicts("asymmetry past")
         assert not_hermitian not in verdicts("asymmetry inside")
         assert {None, not_unit_trace} <= verdicts("trace at bound")
-        assert not_unit_trace in verdicts("overflowing")
+        assert verdicts("overflowing") == {"entry"}  # the magnitude bound's message
+        assert {not_unit_trace, "entry"} <= verdicts("at the bound")
         assert verdicts("non-finite") == {"matrix contains NaN or Inf entries"}
 
 
@@ -272,21 +278,33 @@ class TestTrace:
 
 
 class TestTraceOverflow:
-    """A finite operator whose trace overflows is named by the unit-trace check, with no warning first."""
+    """A finite operator whose trace would overflow fails the magnitude bound, with no warning first.
 
-    MESSAGE = "not a statistical operator: not unit-trace (trace inf+0j)"
+    Its trace used to overflow to inf, which the unit-trace check named; at
+    the bound the trace is finite and the unit-trace check names it.
+    """
 
     @pytest.mark.parametrize(
-        "check, op",
+        "check, op, message",
         [
-            (ppt_entangled, np.diag([1e308, 1e308, -1e308, 0.0])),
-            (require_statistical_operator, np.diag([1e308, 1e308, -1e308, 0.0])),
-            (require_statistical_operator, np.diag([1e308, 1e308, -1e308, 0.0, 0.0, 0.0, 0.0, 0.0])),
+            (ppt_entangled, np.diag([1e308, 1e308, -1e308, 0.0]), BOUNDED[1](1e308 + 0j)),
+            (require_statistical_operator, np.diag([1e308, 1e308, -1e308, 0.0]), BOUNDED[1](1e308 + 0j)),
+            (require_statistical_operator, np.diag([1e308, 1e308, -1e308, 0.0, 0.0, 0.0, 0.0, 0.0]), BOUNDED[1](1e308 + 0j)),
+            (
+                ppt_entangled,
+                np.diag([MAX_ENTRY, MAX_ENTRY, -MAX_ENTRY, 0.0]),
+                "not a statistical operator: not unit-trace (trace 2.58224987809e+120+0j)",
+            ),
+            (
+                require_statistical_operator,
+                np.diag([MAX_ENTRY, MAX_ENTRY, -MAX_ENTRY, 0.0, 0.0, 0.0, 0.0, 0.0]),
+                "not a statistical operator: not unit-trace (trace 2.58224987809e+120+0j)",
+            ),
         ],
     )
-    def test_raises_the_unit_trace_message(self, check, op):
+    def test_raises_the_bound_or_unit_trace_message(self, check, op, message):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError) as info:
                 check(op)
-        assert str(info.value) == self.MESSAGE
+        assert str(info.value) == message

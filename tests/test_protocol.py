@@ -30,7 +30,7 @@ from ensemble_teleport import (
     total_state,
     transformation_matrix,
 )
-from ensemble_teleport.linalg import trace_out_sender_pair
+from ensemble_teleport.linalg import BOUNDED, MAX_ENTRY, trace_out_sender_pair
 from conftest import bloch_coefficient_strategy, random_coefficients
 
 BELL1_COEFFICIENT_MAP = np.array(
@@ -460,14 +460,26 @@ class TestRenormalize:
         with pytest.raises(ValueError, match="annihilated"):
             renormalize(np.zeros((2, 2)))
 
-    @pytest.mark.parametrize("diagonal", [[1e308, 1e308], [1e308, 1e308, 1e308, -1.0], [1.7e308] * 8])
-    def test_overflowed_trace_rejected(self, diagonal):
-        # a trace of +inf passes -Re t's bound; it used to warn and return the zero matrix
+    @pytest.mark.parametrize(
+        "diagonal",
+        [[1e308, 1e308], [1e308, 1e308, 1e308, -1.0], [1.7e308] * 8, [0.5 + 1.7e308j, 0.5 + 1.7e308j]],
+    )
+    def test_overflowing_trace_rejected(self, diagonal):
+        # a trace of +inf used to be named as not finite, and before that to warn and return the zero
+        # matrix; an overflowed imaginary part was named as a non-real trace
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError) as info:
                 renormalize(np.diag(diagonal))
-        assert str(info.value) == "cannot renormalize: trace inf is not finite"
+        assert str(info.value) == BOUNDED[1](complex(diagonal[0]))
+
+    @pytest.mark.parametrize("diagonal", [[MAX_ENTRY, MAX_ENTRY], [MAX_ENTRY, MAX_ENTRY, MAX_ENTRY, -1.0], [MAX_ENTRY] * 8])
+    def test_trace_at_the_bound_divides(self, diagonal):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            state = renormalize(np.diag(diagonal))
+        m = np.diag(diagonal).astype(complex)
+        assert state.tobytes() == (m / complex(np.trace(m)).real).tobytes()
 
     @pytest.mark.parametrize("n", [2, 4, 8])
     def test_divides_by_the_numpy_trace(self, n, rng):

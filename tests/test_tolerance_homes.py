@@ -12,6 +12,11 @@ HOMES entry (``test_every_invariant_has_a_home``), so an inline copy of any
 of them fails. EQ_TOL and AGREE_TOL are also bounds of invariants; besides
 those, only preparation classification, the appendix-check verdict and the
 fidelity report's agreement flag compare them.
+
+Entries are bounded by MAX_ENTRY where operators and tensors enter
+(``linalg.require_bounded``), so no code behind that check handles an
+overflow: ``OverflowError`` is named only there and in ``linalg.modulus``
+(``test_overflow_is_handled_only_at_the_bound``).
 """
 
 import ast
@@ -52,9 +57,11 @@ HOMES = {
     "_REAL_COMPONENT": set(),
     "_UNANNIHILATED_COMPONENT": set(),
     "_REAL_VALUE": set(),
-    "_FINITE_TRACE": set(),
-    "_FINITE_COMPONENT": set(),
+    "MAX_ENTRY": {"linalg.require_bounded"},
+    "BOUNDED": set(),
 }
+# the names of HOMES that are bounds of the tolerance table rather than invariants
+TOLERANCES = {name for name in HOMES if name.endswith("_TOL")} | {"MAX_ENTRY"}
 
 
 class _Comparisons(ast.NodeVisitor):
@@ -126,7 +133,7 @@ def invariants(module) -> set:
 def test_every_invariant_has_a_home():
     found = invariants(linalg) | invariants(fidelity)
     assert "HERMITIAN" in found and "_REAL_VALUE" in found
-    assert found == {name for name in HOMES if not name.endswith("_TOL")}
+    assert found == set(HOMES) - TOLERANCES
 
 
 def test_a_copied_coefficient_invariant_is_caught():
@@ -136,3 +143,41 @@ def test_a_copied_coefficient_invariant_is_caught():
         "    return abs(c11 + c22 - 1.0) <= _COEFFICIENT_TRACE[0]\n"
     )
     assert comparisons(source, "m") == {("_COEFFICIENT_TRACE", "m.check")}
+
+
+# the functions that may name OverflowError: the magnitude check and the modulus that maps it to inf
+OVERFLOW_HOMES = {"linalg.require_bounded", "linalg.modulus"}
+
+
+class _OverflowNames(_Comparisons):
+    """The enclosing scope of each use of the name OverflowError."""
+
+    def visit_Compare(self, node):
+        self.generic_visit(node)
+
+    def visit_Name(self, node):
+        if node.id == "OverflowError":
+            self.found.add(".".join(self.scope))
+
+
+def overflow_handlers(source: str, module: str) -> set:
+    visitor = _OverflowNames(module)
+    visitor.visit(ast.parse(source))
+    return visitor.found
+
+
+def test_overflow_is_handled_only_at_the_bound():
+    found = {where for path in SOURCES for where in overflow_handlers(path.read_text(encoding="utf-8"), path.stem)}
+    assert found == OVERFLOW_HOMES
+
+
+def test_a_new_overflow_handler_is_caught():
+    source = (
+        "class C:\n"
+        "    def trace(self, e):\n"
+        "        try:\n"
+        "            return sum(map(abs, e))\n"
+        "        except (OverflowError, ValueError):\n"
+        "            return None\n"
+    )
+    assert overflow_handlers(source, "m") == {"m.C.trace"}
