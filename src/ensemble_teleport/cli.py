@@ -22,10 +22,10 @@ import sys
 
 import numpy as np
 
-from .bell import BELL_INDICES, bell_projector
+from .bell import BELL_INDICES, bell_projector, ppt_entangled
 from .conventions import _compare_rows
 from .fidelity import SAMPLERS, fidelity_report, lazy_fidelities
-from .linalg import EIGENVALUE_TOL, EQ_TOL, _pair_spectra, hermitian_spectrum
+from .linalg import EQ_TOL, _pair_spectra, hermitian_spectrum
 from .protocol import (
     ClassicalMessage,
     CoefficientVector,
@@ -197,8 +197,8 @@ def _cmd_bell_audit(args) -> tuple[tuple[str, ...], list, bool]:
     for i in BELL_INDICES:
         r = projectors[i]
         idem = float(np.max(np.abs(r @ r - r)))
-        pt_min = float(_pair_spectra(r)[1, 0])  # ppt_entangled's solve, keeping the eigenvalue
-        entangled = pt_min < -EIGENVALUE_TOL
+        pt_min = float(_pair_spectra(r)[1, 0])  # the smallest eigenvalue of the partial transpose
+        entangled = ppt_entangled(r)
         rows.append(("operator", i, i, idem, float(np.trace(r).real), pt_min, entangled))
         ok = ok and idem < tol and entangled
     for i in BELL_INDICES:

@@ -24,7 +24,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (
-    embed_sender_pair,
     renormalization_table,
     require,
     require_rows,
@@ -36,7 +35,7 @@ from .protocol import CoefficientVector, PreparationTensor, resolve_preparation,
 
 def sandwich_numerator(u: PreparationTensor | int, c: CoefficientVector) -> np.ndarray:
     """Receiver-side operator of the two-sided update, before normalization; ``u`` may be a Bell index."""
-    p8 = embed_sender_pair(resolve_preparation(u).matrix())
+    p8 = resolve_preparation(u).sender_operator
     return trace_out_sender_pair(p8 @ total_state(c) @ p8)
 
 
@@ -110,7 +109,11 @@ def _compare_rows(
     of a known tensor, take the 8x8 products, whose rounding the maps would
     not reproduce. A row that fails renormalize's checks or the two-sided
     trace check raises ValueError with the message of the lowest failing
-    row's first failing check (``require_rows``).
+    row's first failing check (``require_rows``). Those are the one-operator
+    functions' messages for rows from ``coefficient_rows`` or
+    ``CoefficientVector``, which sit far below MAX_ENTRY; on rows with
+    entries past it the kernel gives the check tables' verdicts, not the
+    bound message.
     """
     u = resolve_preparation(u)
     c = np.asarray(coeffs, dtype=complex)

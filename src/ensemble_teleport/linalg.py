@@ -42,8 +42,14 @@ class NonHermitianError(ValueError):
         )
 
 
-def _square(m, n: int | None = None) -> np.ndarray:
-    """``as_matrix`` without its magnitude check: the complex array and its shape checks."""
+def _checked_entries(m, n: int | None = None) -> tuple[np.ndarray, list]:
+    """How an operator enters: its complex array, shape-checked, and its entries as Python numbers, bounded.
+
+    Rejects a shape other than (n, n) when the size ``n`` is given, then
+    non-square shapes, dimensions outside {2, 4, 8}, then any NaN/Inf entry
+    or entry above MAX_ENTRY (``require_bounded``). The one ``tolist()``
+    serves the bound and every check the caller runs on the entries.
+    """
     arr = np.asarray(m, dtype=complex)
     if n is not None and arr.shape != (n, n):
         raise ValueError(f"expected a {n}x{n} operator, got shape {arr.shape}")
@@ -53,19 +59,14 @@ def _square(m, n: int | None = None) -> np.ndarray:
         raise ValueError(
             f"matrix dimension {arr.shape[0]} unsupported; must be one of {SUPPORTED_DIMS}"
         )
-    return arr
+    entries = arr.ravel().tolist()
+    require_bounded(entries)
+    return arr, entries
 
 
 def as_matrix(m, n: int | None = None) -> np.ndarray:
-    """Coerce input to a square complex array of supported dimension.
-
-    Rejects a shape other than (n, n) when the size ``n`` is given, then
-    non-square shapes, dimensions outside {2, 4, 8}, then any NaN/Inf entry
-    or entry above MAX_ENTRY (``require_bounded``).
-    """
-    arr = _square(m, n)
-    require_bounded(arr.ravel().tolist())
-    return arr
+    """Coerce input to a square complex array of supported dimension, raising as ``_checked_entries`` does."""
+    return _checked_entries(m, n)[0]
 
 
 def require_bounded(entries: list, not_finite: str = _NOT_FINITE) -> None:
@@ -152,23 +153,15 @@ _TRACES = {
 }
 
 
-def operator_trace(arr: np.ndarray) -> complex:
-    """``complex(np.trace(arr))`` of a shape-checked operator, bit for bit."""
-    return _TRACES[len(arr)](arr.ravel().tolist())
+def _hermitian_part(arr: np.ndarray, entries: list) -> tuple[np.ndarray, float, complex]:
+    """The Hermitian part 0.5 * (arr + arr^dagger) of an entered operator, its asymmetry and its trace.
 
-
-def _hermitian_part(arr: np.ndarray) -> tuple[np.ndarray, float, complex]:
-    """The Hermitian part 0.5 * (arr + arr^dagger) of a shape-checked operator, its asymmetry and its trace, in one pass.
-
-    One ``tolist()`` serves the magnitude check (``require_bounded``), the
-    asymmetry, the largest modulus of m_ij - conj(m_ji) over i <= j as libm
-    hypot (np.hypot) gives it, and the trace, with the bits of
-    ``complex(np.trace(arr))``.
+    ``arr, entries`` are what ``_checked_entries`` gives. The asymmetry is
+    the largest modulus of m_ij - conj(m_ji) over i <= j as libm hypot
+    (np.hypot) gives it, and the trace has the bits of ``complex(np.trace(arr))``.
     """
-    e = arr.ravel().tolist()
-    require_bounded(e)
-    asymmetry = max([abs(e[p] - e[q].conjugate()) for p, q in _MIRRORED[len(arr)]])
-    return 0.5 * (arr + arr.conj().T), asymmetry, _TRACES[len(arr)](e)
+    asymmetry = max([abs(entries[p] - entries[q].conjugate()) for p, q in _MIRRORED[len(arr)]])
+    return 0.5 * (arr + arr.conj().T), asymmetry, _TRACES[len(arr)](entries)
 
 
 def hermitian_spectrum(a) -> np.ndarray:
@@ -178,7 +171,7 @@ def hermitian_spectrum(a) -> np.ndarray:
     does, then NonHermitianError for inputs whose asymmetry exceeds
     HERMITICITY_TOL.
     """
-    hermitian, asymmetry, _ = _hermitian_part(_square(a))
+    hermitian, asymmetry, _ = _hermitian_part(*_checked_entries(a))
     if asymmetry > HERMITICITY_TOL:
         raise NonHermitianError(asymmetry)
     return np.linalg.eigvalsh(hermitian)[::-1]
@@ -399,13 +392,11 @@ def require_statistical_operator(op) -> None:
     operator with a NaN/Inf entry or an entry above MAX_ENTRY raises first,
     as in ``as_matrix``.
     """
-    arr = _square(op)
-    if arr.shape[0] == 2:
-        entries = arr.ravel().tolist()
-        require_bounded(entries)
+    arr, entries = _checked_entries(op)
+    if len(arr) == 2:
         require((qubit_operator_table, entries))
         return
-    hermitian, asymmetry, trace = _hermitian_part(arr)
+    hermitian, asymmetry, trace = _hermitian_part(arr, entries)
     require((_operator_table, (asymmetry, trace, np.linalg.eigvalsh(hermitian).item(0))))
 
 
@@ -431,7 +422,7 @@ def _pair_spectra(op) -> np.ndarray:
     Raises as ``partial_transpose(op)``, then ``require_statistical_operator(op)``
     would; then ``hermitian_spectrum`` of the transpose cannot raise.
     """
-    hermitian, asymmetry, trace = _hermitian_part(_square(op, 4))
+    hermitian, asymmetry, trace = _hermitian_part(*_checked_entries(op, 4))
     spectra = np.linalg.eigvalsh(hermitian.ravel()[_WITH_PARTIAL_TRANSPOSE])
     require((_operator_table, (asymmetry, trace, spectra.item(0))))
     return spectra

@@ -28,12 +28,12 @@ from .bell import BELL_INDICES, bell_projector, matrix_unit, pauli, require_bell
 from .linalg import (
     EQ_TOL,
     ON_NUMBERS,
-    as_matrix,
+    _TRACES,
+    _checked_entries,
     bloch_table,
     coefficient_table,
     embed_sender_pair,
     frozen,
-    operator_trace,
     qubit_operator_table,
     real_overlap_table,
     renormalizable_trace_table,
@@ -41,7 +41,6 @@ from .linalg import (
     require,
     require_bounded,
     require_rows,
-    require_statistical_operator,
     stacked_kron,
     trace_out_sender_pair,
 )
@@ -315,13 +314,10 @@ class TotalStateDecomposition:
 def decompose_total_state(c: CoefficientVector) -> TotalStateDecomposition:
     """Split twice the total state along the sender-pair Bell projectors."""
     rho = c.matrix()
-    s1, s3 = pauli(1), pauli(3)
-    receiver_factors = (
-        s3 @ s1 @ rho @ s1 @ s3,
-        s1 @ rho @ s1,
-        s3 @ rho @ s3,
-        rho,
-    )
+    # U† rho U for each correction word U, in Pauli factors: forming U† rho U
+    # in one product, or multiplying by the identity, moves signed zeros
+    s1, s3 = _CORRECTIONS[2], _CORRECTIONS[3]
+    receiver_factors = (s3 @ s1 @ rho @ s1 @ s3, s1 @ rho @ s1, s3 @ rho @ s3, rho)
     projector_terms = tuple(
         np.kron(bell_projector(i), factor)
         for i, factor in zip(BELL_INDICES, receiver_factors)
@@ -356,7 +352,7 @@ def alice_prepare(u: PreparationTensor, c: CoefficientVector) -> np.ndarray:
     state, and traces the sender pair out. The 2x2 result generally has
     trace below one and must be renormalized before use.
     """
-    return trace_out_sender_pair(embed_sender_pair(u.matrix()) @ total_state(c))
+    return trace_out_sender_pair(u.sender_operator @ total_state(c))
 
 
 def renormalize(m) -> np.ndarray:
@@ -366,8 +362,8 @@ def renormalize(m) -> np.ndarray:
     a positive real, which signals a preparation orthogonal to the state it
     was applied to.
     """
-    arr = as_matrix(m)
-    t = operator_trace(arr)
+    arr, entries = _checked_entries(m)
+    t = _TRACES[len(arr)](entries)
     require((renormalizable_trace_table, (t,)))
     return arr / t.real
 
@@ -380,9 +376,9 @@ def fidelity_trace(c: CoefficientVector, bob) -> float:
     part signals a non-Hermitian pipeline bug. The checks are
     ``receiver_states``' own, in its order, so both raise the same message.
     """
-    arr = as_matrix(bob, 2)
+    arr, entries = _checked_entries(bob, 2)
     overlap = complex(np.trace(c.matrix() @ arr))
-    require((qubit_operator_table, arr.ravel().tolist()), (real_overlap_table, (overlap,)))
+    require((qubit_operator_table, entries), (real_overlap_table, (overlap,)))
     return float(overlap.real)
 
 
@@ -405,17 +401,17 @@ def transformation_matrix(u: PreparationTensor) -> np.ndarray:
     return frozen(np.einsum("am,bn,qpnm->abpq", _EPSILON, _EPSILON, u.u).reshape(4, 4))
 
 
+# The Pauli word that undoes each Bell preparation's imprint, by Bell index, and its coefficient map.
+_CORRECTIONS = {
+    index: frozen(word)
+    for index, word in zip(BELL_INDICES, (pauli(1) @ pauli(3), pauli(1), pauli(3), np.eye(2, dtype=complex)))
+}
+_CORRECTION_MAPS = {index: frozen(np.kron(un, un.conj())) for index, un in _CORRECTIONS.items()}
+
+
 def correction_unitary(index: int) -> np.ndarray:
-    """Pauli word undoing the conjugation imprinted by the indexed Bell preparation."""
-    index = require_bell_index(index)
-    s1, s3 = pauli(1), pauli(3)
-    if index == 1:
-        return s1 @ s3
-    if index == 2:
-        return s1
-    if index == 3:
-        return s3
-    return np.eye(2, dtype=complex)
+    """Pauli word undoing the conjugation imprinted by the indexed Bell preparation, as a new array."""
+    return _CORRECTIONS[require_bell_index(index)].copy()
 
 
 def bob_correct(index: int, m) -> np.ndarray:
@@ -424,16 +420,10 @@ def bob_correct(index: int, m) -> np.ndarray:
     Input must be a 2x2 statistical operator; the correction is a
     Pauli conjugation and exactly inverts the preparation's imprint.
     """
-    arr = as_matrix(m, 2)
-    require_statistical_operator(arr)
-    un = correction_unitary(index)
+    arr, entries = _checked_entries(m, 2)
+    require((qubit_operator_table, entries))
+    un = _CORRECTIONS[require_bell_index(index)]
     return un @ arr @ un.conj().T
-
-
-_CORRECTION_MAPS = {
-    index: frozen(np.kron(correction_unitary(index), correction_unitary(index).conj()))
-    for index in BELL_INDICES
-}
 
 
 def _stacked_overlaps(c: np.ndarray, states: np.ndarray) -> np.ndarray:
@@ -535,7 +525,11 @@ def receiver_states(t, coeffs) -> tuple[np.ndarray, np.ndarray]:
     passes renormalize's trace checks, then fidelity_trace's checks (a
     statistical operator, a real overlap); otherwise ValueError names the
     lowest failing row's first failing invariant, with the message those
-    one-operator functions give (``require_rows``). Every row gets the same
+    one-operator functions give (``require_rows``). That holds for rows from
+    ``coefficient_rows`` or ``CoefficientVector`` and maps of a
+    ``PreparationTensor``, which sit far below MAX_ENTRY; on rows with
+    entries past it the kernel gives the check tables' verdicts, not the
+    bound message of those functions. Every row gets the same
     bits alone and inside a batch of any size: a batch of at least
     ``_FUSED_MIN_ROWS`` rows takes its overlaps on whole columns with the
     rounding of the one-row product, where a check at import finds that

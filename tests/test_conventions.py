@@ -212,9 +212,11 @@ class TestBatchKernel:
         def refuse(*_):
             raise AssertionError("sender operator rebuilt")
 
-        monkeypatch.setattr(conventions, "embed_sender_pair", refuse)
         monkeypatch.setattr(protocol, "embed_sender_pair", refuse)
-        compare_conventions(u, CoefficientVector.from_components(0.5))
+        c = CoefficientVector.from_components(0.5)
+        compare_conventions(u, c)
+        alice_prepare(u, c)
+        sandwich_numerator(u, c)
         assert u.sender_operator is p8
 
     def test_result_shapes(self):

@@ -36,6 +36,7 @@ from ensemble_teleport import (
     require_statistical_operator,
     spectral_norm,
 )
+from ensemble_teleport import linalg
 from ensemble_teleport.linalg import MAX_ENTRY, as_matrix
 from test_linalg import bound_message
 
@@ -180,3 +181,20 @@ class TestEveryEntryPoint:
             assert above == "entry (1.7976931348623157e+308+0j) exceeds the magnitude bound 2**400 = 2.582e+120", name
             at = assert_bound_holds(name, with_entry(valid, 1, 1, complex(MAX_ENTRY, 0.0), False), c)
             assert not (isinstance(at, str) and at.startswith("entry ")), name
+
+
+class TestOneCheckPerCall:
+    """Each entry point that takes an operator checks its magnitudes once, on the one list of its entries."""
+
+    @pytest.mark.parametrize("name", [name for name in ENTRY_POINTS if not name.startswith("PreparationTensor")])
+    def test_each_operator_entry_point_checks_once(self, name, monkeypatch):
+        calls = []
+        check = linalg.require_bounded
+        monkeypatch.setattr(linalg, "require_bounded", lambda *args: calls.append(args) or check(*args))
+        sizes, base, call = ENTRY_POINTS[name]
+        c = CoefficientVector.from_bloch(0.3, -0.2, 0.5)
+        for n in sizes:
+            op = base(np.random.default_rng(n), n)
+            calls.clear()
+            call(op, c)
+            assert len(calls) == 1, (name, n)

@@ -28,10 +28,11 @@ from ensemble_teleport.linalg import (
     MAX_ENTRY,
     SUPPORTED_DIMS,
     TRACE_TOL,
+    _TRACES,
+    _checked_entries,
     _hermitian_part,
     _operator_table,
     _pair_spectra,
-    operator_trace,
     qubit_operator_table,
     require,
 )
@@ -266,15 +267,15 @@ class TestTrace:
             scale = 10.0 ** rng.integers(-5, 5, (n, n))
             m = (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))) * scale
             expected = np.complex128(complex(np.trace(m))).tobytes()
-            assert np.complex128(operator_trace(m)).tobytes() == expected
-            assert np.complex128(_hermitian_part(m)[2]).tobytes() == expected
+            assert np.complex128(_TRACES[n](m.ravel().tolist())).tobytes() == expected
+            assert np.complex128(_hermitian_part(*_checked_entries(m))[2]).tobytes() == expected
 
     @pytest.mark.parametrize("n", SUPPORTED_DIMS)
     def test_signed_zero_diagonals(self, n):
         rng = np.random.default_rng(200 + n)
         for _ in range(200):
             m = np.diag(rng.choice([0.0, -0.0], n) + 1j * rng.choice([0.0, -0.0], n))
-            assert np.complex128(operator_trace(m)).tobytes() == np.complex128(complex(np.trace(m))).tobytes()
+            assert np.complex128(_TRACES[n](m.ravel().tolist())).tobytes() == np.complex128(complex(np.trace(m))).tobytes()
 
 
 class TestTraceOverflow:

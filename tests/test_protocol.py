@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import warnings
 
 import numpy as np
@@ -27,10 +28,11 @@ from ensemble_teleport import (
     renormalize,
     resolve_preparation,
     run_session,
+    sandwich_numerator,
     total_state,
     transformation_matrix,
 )
-from ensemble_teleport.linalg import BOUNDED, MAX_ENTRY, trace_out_sender_pair
+from ensemble_teleport.linalg import BOUNDED, MAX_ENTRY, embed_sender_pair, trace_out_sender_pair
 from conftest import bloch_coefficient_strategy, random_coefficients
 
 BELL1_COEFFICIENT_MAP = np.array(
@@ -555,6 +557,73 @@ class TestBobCorrect:
         for i in BELL_INDICES:
             un = correction_unitary(i)
             assert np.max(np.abs(un @ un.conj().T - np.eye(2))) < 1e-15
+
+
+SIGNED_ZERO = st.sampled_from([0.0, -0.0])
+
+
+@st.composite
+def coefficient_vectors(draw):
+    """Valid coefficient vectors whose zero parts, often drawn, take either sign, in c11, c12 and c21 alike."""
+    c11 = draw(st.sampled_from([0.0, -0.0, 0.5, 1.0]) | st.floats(0.0, 1.0))
+    bound = math.sqrt(abs(c11 * (1.0 - c11))) / 2.0  # keeps |c12|^2 below c11*c22
+    part = SIGNED_ZERO | st.floats(-bound, bound)
+    re, im = draw(part), draw(part)
+    c21 = complex(draw(SIGNED_ZERO) if re == 0 else re, draw(SIGNED_ZERO) if im == 0 else -im)
+    return CoefficientVector(c11, complex(re, im), c21, 1.0 - c11)
+
+
+# the four Bell preparations, the automatic one and weights with no binary structure
+PREPARATIONS = [preparation_from_bell(i) for i in BELL_INDICES] + [
+    automatic_preparation(),
+    PreparationTensor(np.random.default_rng(5).normal(size=(2, 2, 2, 2, 2)) @ [1.0, 1j], normalized=False),
+]
+
+
+def written_out_correction(index):
+    """``correction_unitary`` as an if-chain of fresh Pauli products."""
+    s1, s3 = pauli(1), pauli(3)
+    if index == 1:
+        return s1 @ s3
+    if index == 2:
+        return s1
+    if index == 3:
+        return s3
+    return np.eye(2, dtype=complex)
+
+
+class TestReferencePathBits:
+    """The one-operator functions read constant operators from tables, with the bits of the products written out."""
+
+    @given(coefficient_vectors())
+    def test_receiver_factors(self, c):
+        rho, s1, s3 = c.matrix(), pauli(1), pauli(3)
+        expected = (s3 @ s1 @ rho @ s1 @ s3, s1 @ rho @ s1, s3 @ rho @ s3, rho)
+        factors = decompose_total_state(c).receiver_factors
+        assert [f.tobytes() for f in factors] == [e.tobytes() for e in expected]
+
+    @given(coefficient_vectors())
+    def test_bob_correct(self, c):
+        for i in BELL_INDICES:
+            un = written_out_correction(i)
+            assert bob_correct(i, c.matrix()).tobytes() == (un @ c.matrix() @ un.conj().T).tobytes()
+
+    @given(coefficient_vectors(), st.sampled_from(PREPARATIONS))
+    def test_sender_embedding(self, c, u):
+        p8 = embed_sender_pair(u.matrix())
+        assert alice_prepare(u, c).tobytes() == trace_out_sender_pair(p8 @ total_state(c)).tobytes()
+        assert sandwich_numerator(u, c).tobytes() == trace_out_sender_pair(p8 @ total_state(c) @ p8).tobytes()
+
+    @pytest.mark.parametrize("i", BELL_INDICES)
+    def test_correction_unitary_is_a_new_writable_array(self, i):
+        rho = CoefficientVector.from_bloch(0.3, -0.2, 0.5).matrix()
+        before = bob_correct(i, rho)
+        un = correction_unitary(i)
+        assert un.tobytes() == written_out_correction(i).tobytes()
+        assert un.flags.writeable
+        un[...] = 7.0
+        assert correction_unitary(i).tobytes() == written_out_correction(i).tobytes()
+        assert bob_correct(i, rho).tobytes() == before.tobytes()
 
 
 class TestSessionMap:

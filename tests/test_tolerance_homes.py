@@ -4,8 +4,8 @@ HERMITICITY_TOL, TRACE_TOL and ANNIHILATION_TOL are bounds of the check
 tables' invariants (``linalg``), which the runners compare; the one
 comparison written out is ``linalg.hermitian_spectrum``'s, whose typed
 NonHermitianError is its contract. EIGENVALUE_TOL, POSITIVE's bound, is
-compared only by the two PPT verdicts. The invariants themselves are never
-compared outside the runners.
+compared only by the PPT verdict, ``bell.ppt_entangled``. The invariants
+themselves are never compared outside the runners.
 
 Every ``(bound, message)`` invariant of ``linalg`` and ``fidelity`` has a
 HOMES entry (``test_every_invariant_has_a_home``), so an inline copy of any
@@ -16,7 +16,9 @@ fidelity report's agreement flag compare them.
 Entries are bounded by MAX_ENTRY where operators and tensors enter
 (``linalg.require_bounded``), so no code behind that check handles an
 overflow: ``OverflowError`` is named only there and in ``linalg.modulus``
-(``test_overflow_is_handled_only_at_the_bound``).
+(``test_overflow_is_handled_only_at_the_bound``). The check is called only
+where operators enter (``linalg._checked_entries``) and where preparation
+tensors do (``test_bound_is_checked_only_where_inputs_enter``).
 """
 
 import ast
@@ -32,7 +34,7 @@ HOMES = {
     "HERMITICITY_TOL": {"linalg.hermitian_spectrum"},
     "TRACE_TOL": set(),
     "ANNIHILATION_TOL": set(),
-    "EIGENVALUE_TOL": {"bell.ppt_entangled", "cli._cmd_bell_audit"},
+    "EIGENVALUE_TOL": {"bell.ppt_entangled"},
     "HERMITIAN": set(),
     "UNIT_TRACE": set(),
     "POSITIVE": set(),
@@ -181,3 +183,53 @@ def test_a_new_overflow_handler_is_caught():
         "            return None\n"
     )
     assert overflow_handlers(source, "m") == {"m.C.trace"}
+
+
+# the two calls of the magnitude check: where operators enter and where preparation tensors do
+BOUND_CALLERS = ["linalg._checked_entries", "protocol.PreparationTensor.__post_init__"]
+
+
+class _BoundCalls(_Comparisons):
+    """The enclosing scope of each call of require_bounded, by its name, an alias or an attribute, once per call."""
+
+    def __init__(self, module: str):
+        super().__init__(module)
+        self.aliases = {"require_bounded"}
+        self.found = []
+
+    def visit_ImportFrom(self, node):
+        self.aliases |= {alias.asname for alias in node.names if alias.name == "require_bounded" and alias.asname}
+
+    def visit_Compare(self, node):
+        self.generic_visit(node)
+
+    def visit_Call(self, node):
+        name = node.func.id if isinstance(node.func, ast.Name) else getattr(node.func, "attr", None)
+        if name in self.aliases:
+            self.found.append(".".join(self.scope))
+        self.generic_visit(node)
+
+
+def bound_calls(source: str, module: str) -> list:
+    visitor = _BoundCalls(module)
+    visitor.visit(ast.parse(source))
+    return visitor.found
+
+
+def test_bound_is_checked_only_where_inputs_enter():
+    found = [where for path in SOURCES for where in bound_calls(path.read_text(encoding="utf-8"), path.stem)]
+    assert sorted(found) == BOUND_CALLERS
+
+
+def test_a_new_bound_check_is_caught():
+    source = (
+        "from . import linalg\n"
+        "from .linalg import require_bounded as bounded\n"
+        "class C:\n"
+        "    def trace(self, e):\n"
+        "        bounded(e)\n"
+        "        bounded(e[::-1])\n"
+        "def norm(m):\n"
+        "    return linalg.require_bounded(m.ravel().tolist())\n"
+    )
+    assert bound_calls(source, "m") == ["m.C.trace", "m.C.trace", "m.norm"]
