@@ -20,8 +20,8 @@ def require_bell_index(index) -> int:
 
 
 def matrix_unit(row: int, col: int) -> np.ndarray:
-    """|row><col| on one two-level factor, indices in {1, 2}."""
-    if row not in (1, 2) or col not in (1, 2):
+    """|row><col| on one two-level factor, indices Python or numpy integers (not bools) in {1, 2}."""
+    if not (is_integer(row) and is_integer(col) and row in (1, 2) and col in (1, 2)):
         raise ValueError(f"matrix unit indices must be 1 or 2, got ({row}, {col})")
     e = np.zeros((2, 2), dtype=complex)
     e[row - 1, col - 1] = 1.0
@@ -63,12 +63,14 @@ def bell_projector(index: int) -> np.ndarray:
     return np.outer(w, w.conj()) / 2.0
 
 
+# k -> the entries of pauli(k)
+_PAULI = {1: ((0.0, 1.0), (1.0, 0.0)), 3: ((1.0, 0.0), (0.0, -1.0))}
+
+
 def pauli(k: int) -> np.ndarray:
-    """Pauli matrix: k=1 is the bit flip, k=3 the phase flip."""
-    if k == 1:
-        return np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-    if k == 3:
-        return np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
+    """Pauli matrix: k=1 is the bit flip, k=3 the phase flip; ``k`` a Python or numpy integer, not a bool."""
+    if is_integer(k) and k in _PAULI:
+        return np.array(_PAULI[k], dtype=complex)
     raise ValueError(f"only pauli(1) and pauli(3) are defined here, got {k}")
 
 
@@ -80,7 +82,12 @@ def ppt_entangled(op) -> bool:
     eigenvalue below -EIGENVALUE_TOL. The input must be a 4x4 statistical
     operator (Hermitian, unit trace, positive semidefinite); violations raise
     with the offending invariant. The checks and the transpose's spectrum
-    share one pass over the operator and one eigensolve
-    (``linalg._pair_spectra``).
+    share one pass over the operator and one eigensolve (``_ppt_test``).
     """
-    return _pair_spectra(op).item(1, 0) < -EIGENVALUE_TOL
+    return _ppt_test(op)[1]
+
+
+def _ppt_test(op) -> tuple[float, bool]:
+    """The smallest eigenvalue of the partial transpose of ``op`` and the PPT verdict: one ``_pair_spectra`` call."""
+    pt_min = _pair_spectra(op).item(1, 0)
+    return pt_min, pt_min < -EIGENVALUE_TOL

@@ -22,10 +22,10 @@ import sys
 
 import numpy as np
 
-from .bell import BELL_INDICES, bell_projector, ppt_entangled
+from .bell import BELL_INDICES, _ppt_test, bell_projector
 from .conventions import _compare_rows
 from .fidelity import SAMPLERS, fidelity_report, lazy_fidelities
-from .linalg import EQ_TOL, _pair_spectra, hermitian_spectrum
+from .linalg import EQ_TOL, hermitian_spectrum
 from .protocol import (
     ClassicalMessage,
     CoefficientVector,
@@ -42,7 +42,8 @@ DEFAULT_SEED = 42
 # --prep flag values and their preparation tensors.
 _PREPS = {**{f"bell{i}": resolve_preparation(i) for i in BELL_INDICES}, "paut": automatic_preparation()}
 _PREP_CHOICES = tuple(_PREPS)
-_MESSAGE_CHOICES = ("twobits", "onebit", "preagreed")
+# --message flag values and their ClassicalMessage variants.
+_MESSAGES = {"twobits": "two_bits", "onebit": "one_bit_ping", "preagreed": "pre_agreed"}
 
 _TELEPORT_CSV_COLUMNS = (
     "c11",
@@ -197,8 +198,7 @@ def _cmd_bell_audit(args) -> tuple[tuple[str, ...], list, bool]:
     for i in BELL_INDICES:
         r = projectors[i]
         idem = float(np.max(np.abs(r @ r - r)))
-        pt_min = float(_pair_spectra(r)[1, 0])  # the smallest eigenvalue of the partial transpose
-        entangled = ppt_entangled(r)
+        pt_min, entangled = _ppt_test(r)
         rows.append(("operator", i, i, idem, float(np.trace(r).real), pt_min, entangled))
         ok = ok and idem < tol and entangled
     for i in BELL_INDICES:
@@ -219,20 +219,10 @@ def _cmd_bell_audit(args) -> tuple[tuple[str, ...], list, bool]:
 def _cmd_teleport(args) -> tuple[tuple[str, ...], list, bool]:
     c = CoefficientVector.from_components(args.c11, complex(args.c12re, args.c12im))
     u = _PREPS[args.prep]
-    bell_index = u.bell_index
-
-    message_name = args.message
-    if message_name is None:
-        message_name = "twobits" if bell_index is not None else "preagreed"
-    if message_name == "twobits":
-        if bell_index is None:
-            raise ValueError("a two-bit message needs a Bell preparation, not paut")
-        message = ClassicalMessage.two_bits(bell_index)
-    elif message_name == "onebit":
-        message = ClassicalMessage.ping()
-    else:
-        message = ClassicalMessage.pre_agreed()
-
+    name = args.message or ("twobits" if u.bell_index is not None else "preagreed")
+    if name == "twobits" and u.bell_index is None:
+        raise ValueError("a two-bit message needs a Bell preparation, not paut")
+    message = ClassicalMessage(_MESSAGES[name], u.bell_index if name == "twobits" else None)
     record = run_session(c, u, message, bob_acts=args.correct)
     report = fidelity_report(c, u.session_map(args.correct), record.bob_state)
 
@@ -357,7 +347,7 @@ def _cmd_appendix_check(args) -> tuple[tuple[str, ...], list, bool]:
     rows: list[tuple] = []
     ok = True
     for name, u in _PREPS.items():
-        expected_ratio = 1.0 if u.bell_index is not None else 2.0
+        expected_ratio = u.diagonal_weight()
         # One block per preparation takes the draws in the order that one
         # sample at a time would.
         coeffs = bloch_coefficient_rows(*SAMPLERS["mixed_uniform"](rng, args.samples))
@@ -402,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--c12im", type=float, default=0.0, help="imaginary part of c12 (default: 0)")
     p.add_argument("--prep", choices=_PREP_CHOICES, required=True, help="sender preparation")
     p.add_argument(
-        "--message", choices=_MESSAGE_CHOICES, default=None,
+        "--message", choices=tuple(_MESSAGES), default=None,
         help="classical channel use (default: twobits for Bell preparations, preagreed for paut)",
     )
     p.add_argument(

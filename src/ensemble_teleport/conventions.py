@@ -30,7 +30,9 @@ from .linalg import (
     trace_out_sender_pair,
     two_sided_trace_table,
 )
-from .protocol import CoefficientVector, PreparationTensor, resolve_preparation, total_state, total_states
+from .protocol import (
+    CoefficientVector, PreparationTensor, _coefficient_batch, resolve_preparation, total_state, total_states,
+)
 
 
 def sandwich_numerator(u: PreparationTensor | int, c: CoefficientVector) -> np.ndarray:
@@ -116,9 +118,7 @@ def _compare_rows(
     bound message.
     """
     u = resolve_preparation(u)
-    c = np.asarray(coeffs, dtype=complex)
-    if c.ndim != 2 or c.shape[1] != 4:
-        raise ValueError(f"expected an (N, 4) array of coefficient rows, got shape {c.shape}")
+    c = _coefficient_batch(coeffs)
     maps = u._convention_maps
     updates = _both_updates(u.sender_operator, c) if maps is None else _mapped_updates(maps, c)
     raw, (trace, total), (ansatz, sandwich) = updates

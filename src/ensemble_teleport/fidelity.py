@@ -106,8 +106,12 @@ def maximize_lazy_fidelity(grid_resolution: int) -> LazyFidelityMaximum:
 
     Scans a (c11, |c12|) grid respecting c11 + c22 = 1, nonnegativity and
     |c12|^2 <= c11*c22, then refines c11 by golden-section search. The
-    objective is phase-independent, so the grid covers magnitudes only.
+    objective is phase-independent, so the grid covers magnitudes only:
+    both steps evaluate the closed form with c12 = c21 = |c12|.
+    ``grid_resolution`` is a Python or numpy integer (not a bool), at least 10.
     """
+    if not is_integer(grid_resolution):
+        raise ValueError(f"grid_resolution must be an integer, got {grid_resolution!r}")
     resolution = int(grid_resolution)
     if resolution < 10:
         raise ValueError(f"grid resolution must be at least 10, got {grid_resolution}")
@@ -118,7 +122,7 @@ def maximize_lazy_fidelity(grid_resolution: int) -> LazyFidelityMaximum:
     for c11 in np.linspace(0.0, 1.0, resolution):
         c22 = 1.0 - c11
         mags = np.linspace(0.0, np.sqrt(max(c11 * c22, 0.0)), resolution)
-        values = 2.0 * c11 * c22 - 2.0 * mags * mags
+        values = _lazy(c11, mags, mags, c22)
         k = int(np.argmax(values))  # the first maximum, as in scan order
         if values[k] > best_value:
             best_value = values[k]
@@ -129,10 +133,7 @@ def maximize_lazy_fidelity(grid_resolution: int) -> LazyFidelityMaximum:
     lo = max(0.0, best_c11 - spacing)
     hi = min(1.0, best_c11 + spacing)
 
-    def objective(c11: float) -> float:
-        return 2.0 * c11 * (1.0 - c11) - 2.0 * best_mag * best_mag
-
-    refined_c11 = _golden_section_max(objective, lo, hi)
+    refined_c11 = _golden_section_max(lambda c11: _lazy(c11, best_mag, best_mag, 1.0 - c11), lo, hi)
     argmax = CoefficientVector.from_components(refined_c11, best_mag)
     return LazyFidelityMaximum(argmax=argmax, value=lazy_fidelity(argmax))
 

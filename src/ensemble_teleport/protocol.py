@@ -158,7 +158,7 @@ class PreparationTensor:
                 raise ValueError(
                     "normalized preparation requires real nonnegative diagonal weights u_kkmm"
                 )
-            total = float(diag.real.sum())
+            total = self.diagonal_weight()
             if abs(total - 1.0) > EQ_TOL:
                 raise ValueError(
                     f"normalized preparation requires sum of u_kkmm = 1, got {total!r}"
@@ -514,6 +514,14 @@ def _mapped_states(t: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return raw, states, overlap
 
 
+def _coefficient_batch(coeffs) -> np.ndarray:
+    """``coeffs`` as a complex array, which must have the shape ``(N, 4)`` of coefficient rows."""
+    c = np.asarray(coeffs, dtype=complex)
+    if c.ndim != 2 or c.shape[1] != 4:
+        raise ValueError(f"expected an (N, 4) array of coefficient rows, got shape {c.shape}")
+    return c
+
+
 def receiver_states(t, coeffs) -> tuple[np.ndarray, np.ndarray]:
     """Receiver states and trace fidelities of a batch of sessions sharing one map.
 
@@ -539,10 +547,7 @@ def receiver_states(t, coeffs) -> tuple[np.ndarray, np.ndarray]:
     t = np.asarray(t)
     if t.shape != (4, 4):
         raise ValueError(f"expected a 4x4 session map, got shape {t.shape}")
-    c = np.asarray(coeffs, dtype=complex)
-    if c.ndim != 2 or c.shape[1] != 4:
-        raise ValueError(f"expected an (N, 4) array of coefficient rows, got shape {c.shape}")
-    raw, states, overlap = _mapped_states(t, c)
+    raw, states, overlap = _mapped_states(t, _coefficient_batch(coeffs))
     require_rows(
         (renormalization_table, raw),
         (qubit_operator_table, states),
@@ -551,7 +556,6 @@ def receiver_states(t, coeffs) -> tuple[np.ndarray, np.ndarray]:
     return states, overlap.real
 
 
-_MESSAGE_VARIANTS = ("two_bits", "one_bit_ping", "pre_agreed")
 _MESSAGE_BITS = {"two_bits": 2, "one_bit_ping": 1, "pre_agreed": 0}
 
 
@@ -563,9 +567,10 @@ class ClassicalMessage:
     index: int | None = None
 
     def __post_init__(self):
-        if self.variant not in _MESSAGE_VARIANTS:
+        # the isinstance test keeps an unhashable variant from reaching the dict lookup
+        if not isinstance(self.variant, str) or self.variant not in _MESSAGE_BITS:
             raise ValueError(
-                f"message variant must be one of {_MESSAGE_VARIANTS}, got {self.variant!r}"
+                f"message variant must be one of {tuple(_MESSAGE_BITS)}, got {self.variant!r}"
             )
         if self.variant == "two_bits":
             object.__setattr__(self, "index", require_bell_index(self.index))
@@ -631,7 +636,7 @@ def run_session(
     """
     u = resolve_preparation(prep)
     if message.variant == "two_bits":
-        if u.bell_index is None or message.index != u.bell_index:
+        if message.index != u.bell_index:
             raise ValueError(
                 f"two-bit message index {message.index} does not match the preparation "
                 f"(Bell index {u.bell_index})"

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,8 @@ from ensemble_teleport import (
     ppt_entangled,
     require_statistical_operator,
 )
+from ensemble_teleport import cli
+from ensemble_teleport.bell import _ppt_test
 from ensemble_teleport.linalg import EIGENVALUE_TOL, _pair_spectra
 
 I4 = np.eye(4, dtype=complex)
@@ -106,7 +110,7 @@ class TestBellProjector:
 
 
 class TestPauli:
-    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("k", [1, 3, np.int64(3)])
     def test_involution(self, k):
         assert np.array_equal(pauli(k) @ pauli(k), np.eye(2, dtype=complex))
 
@@ -121,6 +125,12 @@ class TestPauli:
     def test_rejects_other_indices(self):
         with pytest.raises(ValueError, match="pauli"):
             pauli(2)
+
+    @pytest.mark.parametrize("k", [True, np.float64(3.0), 1.0, "1"])
+    def test_rejects_non_integers(self, k):
+        with pytest.raises(ValueError) as info:
+            pauli(k)
+        assert str(info.value) == f"only pauli(1) and pauli(3) are defined here, got {k}"
 
 
 class TestPptEntangled:
@@ -189,6 +199,12 @@ class TestMatrixUnit:
     def test_rejects_bad_indices(self):
         with pytest.raises(ValueError, match="indices"):
             matrix_unit(0, 1)
+
+    @pytest.mark.parametrize("row, col", [(1.0, 2), (True, 2), (2, np.float64(1.0)), (1, False)])
+    def test_rejects_non_integers(self, row, col):
+        with pytest.raises(ValueError) as info:
+            matrix_unit(row, col)
+        assert str(info.value) == f"matrix unit indices must be 1 or 2, got ({row}, {col})"
 
 
 def reference_ppt_entangled(op) -> bool:
@@ -305,3 +321,18 @@ class TestPptOneEigensolve:
         monkeypatch.setattr(np.linalg, "eigvalsh", counting)
         assert ppt_entangled(bell_projector(1)) is True
         assert calls == [(2, 4, 4)]
+
+    def test_bell_audit_solves_once_per_projector(self, monkeypatch):
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(np.shape(a)) or eigvalsh(a))
+        assert cli.main(["bell-audit", "--out", os.devnull]) == 0
+        # one stacked solve per projector gives both its min_pt_eigenvalue column and its verdict
+        assert calls == [(2, 4, 4)] * len(BELL_INDICES)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_verdict_and_smallest_transposed_eigenvalue_share_one_solve(self, seed):
+        for op in seeded_states(seed):
+            pt_min, verdict = _ppt_test(op)
+            assert type(pt_min) is float and pt_min == _pair_spectra(op)[1, 0]
+            assert verdict is ppt_entangled(op)

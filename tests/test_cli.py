@@ -118,6 +118,13 @@ class TestTeleport:
         assert out == ""
         assert "positivity" in err
 
+    @pytest.mark.parametrize("prep, bits", [("bell2", 2), ("paut", 0)])
+    def test_default_message(self, capsys, prep, bits):
+        # twobits for a Bell preparation, preagreed for paut
+        code, out, _ = run_cli(capsys, "teleport", "--c11", "0.5", "--prep", prep, "--format", "json")
+        assert code == 0
+        assert json.loads(out)[0]["bits_sent"] == bits
+
     def test_onebit_message(self, capsys):
         code, out, _ = run_cli(
             capsys, "teleport", "--c11", "0.5", "--prep", "bell3",
@@ -616,6 +623,11 @@ class TestBadConfiguration:
     CASES = {
         "teleport --c11 0.5 --c12re 1e300 --prep bell1": "error: positivity constraint violated: |c12|^2 = inf",
         "appendix-check --seed -1": "error: --seed must be a non-negative integer",
+        "teleport --c11 0.5 --prep paut --message twobits": "error: a two-bit message needs a Bell preparation, not paut",
+        **{
+            f"sweep --{axis}-resolution 0": "error: magnitude and phase resolutions must be at least 1"
+            for axis in ("mag", "phase")
+        },
         **{
             f"{command} --tol {tol}": "error: --tol must be a positive number"
             for command in ("bell-audit", "paut-audit", "appendix-check")

@@ -243,7 +243,13 @@ class TestMaximizeLazyFidelity:
         with pytest.raises(ValueError, match="at least 10"):
             maximize_lazy_fidelity(9)
 
-    @pytest.mark.parametrize("resolution", [10, 11, 37, 100, 200])
+    @pytest.mark.parametrize("resolution", [10.9, 12.0, "12", True, np.float64(20.0)])
+    def test_rejects_non_integer_resolution(self, resolution):
+        with pytest.raises(ValueError) as info:
+            maximize_lazy_fidelity(resolution)
+        assert str(info.value) == f"grid_resolution must be an integer, got {resolution!r}"
+
+    @pytest.mark.parametrize("resolution", [10, 11, 37, np.int64(37), 100, 200])
     def test_matches_the_scalar_scan_bit_for_bit(self, resolution):
         result = maximize_lazy_fidelity(resolution)
         expected = loop_maximize_lazy_fidelity(resolution)

@@ -344,6 +344,19 @@ class TestPreparations:
         assert u.diagonal_weight() == 2.0
         assert u.normalized is False
 
+    @pytest.mark.parametrize("prep", [*BELL_INDICES, "automatic"])
+    def test_diagonal_weight_is_the_squaring_factor(self, prep):
+        # each known preparation is a multiple of a rank-one projector, so P @ P = Tr(P) P
+        u = automatic_preparation() if prep == "automatic" else resolve_preparation(prep)
+        p = u.matrix()
+        assert u.diagonal_weight() == np.trace(p).real
+        assert np.array_equal(p @ p, u.diagonal_weight() * p)
+
+    def test_rejects_a_tensor_of_another_shape(self):
+        with pytest.raises(ValueError) as info:
+            PreparationTensor(np.zeros((4, 4)))
+        assert str(info.value) == "preparation tensor must have shape (2, 2, 2, 2), got (4, 4)"
+
     def test_normalized_flag_enforced(self):
         bad = np.zeros((2, 2, 2, 2), dtype=complex)
         bad[0, 0, 1, 1] = 1.0
@@ -654,6 +667,14 @@ class TestClassicalMessage:
     def test_unknown_variant(self):
         with pytest.raises(ValueError, match="variant"):
             ClassicalMessage("smoke_signal")
+
+    @pytest.mark.parametrize("variant", [["two_bits"], {"pre_agreed": 0}, 2])
+    def test_variant_that_is_not_a_string(self, variant):
+        with pytest.raises(ValueError) as info:
+            ClassicalMessage(variant)
+        assert str(info.value) == (
+            f"message variant must be one of ('two_bits', 'one_bit_ping', 'pre_agreed'), got {variant!r}"
+        )
 
 
 class TestRunSession:

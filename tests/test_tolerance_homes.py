@@ -4,7 +4,7 @@ HERMITICITY_TOL, TRACE_TOL and ANNIHILATION_TOL are bounds of the check
 tables' invariants (``linalg``), which the runners compare; the one
 comparison written out is ``linalg.hermitian_spectrum``'s, whose typed
 NonHermitianError is its contract. EIGENVALUE_TOL, POSITIVE's bound, is
-compared only by the PPT verdict, ``bell.ppt_entangled``. The invariants
+compared only by the PPT verdict, ``bell._ppt_test``. The invariants
 themselves are never compared outside the runners.
 
 Every ``(bound, message)`` invariant of ``linalg`` and ``fidelity`` has a
@@ -34,7 +34,7 @@ HOMES = {
     "HERMITICITY_TOL": {"linalg.hermitian_spectrum"},
     "TRACE_TOL": set(),
     "ANNIHILATION_TOL": set(),
-    "EIGENVALUE_TOL": {"bell.ppt_entangled"},
+    "EIGENVALUE_TOL": {"bell._ppt_test"},
     "HERMITIAN": set(),
     "UNIT_TRACE": set(),
     "POSITIVE": set(),
