@@ -104,10 +104,11 @@ def _golden_section_max(f: Callable[[float], float], lo: float, hi: float, tol: 
 def maximize_lazy_fidelity(grid_resolution: int) -> LazyFidelityMaximum:
     """Maximize the lazy fidelity over the admissible coefficient set.
 
-    Scans a (c11, |c12|) grid respecting c11 + c22 = 1, nonnegativity and
-    |c12|^2 <= c11*c22, then refines c11 by golden-section search. The
-    objective is phase-independent, so the grid covers magnitudes only:
-    both steps evaluate the closed form with c12 = c21 = |c12|.
+    The objective 2 c11 c22 - 2 |c12|^2 is phase-independent and falls
+    with |c12|, so its maximum over the admissible set (c11 + c22 = 1,
+    nonnegativity, |c12|^2 <= c11*c22) has c12 = 0: a scan of
+    ``grid_resolution`` values of c11 with c12 = 0 finds the best grid
+    point, then golden-section search refines c11.
     ``grid_resolution`` is a Python or numpy integer (not a bool), at least 10.
     """
     if not is_integer(grid_resolution):
@@ -116,25 +117,15 @@ def maximize_lazy_fidelity(grid_resolution: int) -> LazyFidelityMaximum:
     if resolution < 10:
         raise ValueError(f"grid resolution must be at least 10, got {grid_resolution}")
 
-    best_value = -np.inf
-    best_c11 = 0.0
-    best_mag = 0.0
-    for c11 in np.linspace(0.0, 1.0, resolution):
-        c22 = 1.0 - c11
-        mags = np.linspace(0.0, np.sqrt(max(c11 * c22, 0.0)), resolution)
-        values = _lazy(c11, mags, mags, c22)
-        k = int(np.argmax(values))  # the first maximum, as in scan order
-        if values[k] > best_value:
-            best_value = values[k]
-            best_c11 = float(c11)
-            best_mag = float(mags[k])
+    grid = np.linspace(0.0, 1.0, resolution)
+    best_c11 = float(grid[int(np.argmax(_lazy(grid, 0.0, 0.0, 1.0 - grid)))])  # the first maximum
 
     spacing = 1.0 / (resolution - 1)
     lo = max(0.0, best_c11 - spacing)
     hi = min(1.0, best_c11 + spacing)
 
-    refined_c11 = _golden_section_max(lambda c11: _lazy(c11, best_mag, best_mag, 1.0 - c11), lo, hi)
-    argmax = CoefficientVector.from_components(refined_c11, best_mag)
+    refined_c11 = _golden_section_max(lambda c11: _lazy(c11, 0.0, 0.0, 1.0 - c11), lo, hi)
+    argmax = CoefficientVector.from_components(refined_c11, 0.0)
     return LazyFidelityMaximum(argmax=argmax, value=lazy_fidelity(argmax))
 
 

@@ -211,6 +211,13 @@ def _nan_unless_finite(a, b, c, d):
 # or np.hypot of the parts, both libm hypot, so they agree to the last bit
 # (np.abs of a complex array and math.hypot do not); the maximum of three
 # values; and 0.0 or NaN for four parts that are all finite or not.
+#
+# Every quantity must be nondecreasing in each modulus it uses (a modulus
+# enters directly, through -(q - h) or through m * m of m >= 0), and
+# rounding is monotone. Then ON_BOUNDS, whose moduli are never below libm
+# hypot's, gives quantities at least the exact ones (NaN counting as
+# failing): a column that passes on its bounds passes exactly, and
+# ``require_columns`` needs the exact evaluation only when one does not.
 ON_NUMBERS = SimpleNamespace(modulus=modulus, maximum=max, nan_unless_finite=_nan_unless_finite)
 ON_COLUMNS = SimpleNamespace(
     modulus=lambda z: np.hypot(z.real, z.imag),
@@ -218,6 +225,14 @@ ON_COLUMNS = SimpleNamespace(
     nan_unless_finite=lambda a, b, c, d: np.where(
         np.isfinite(a) & np.isfinite(b) & np.isfinite(c) & np.isfinite(d), 0.0, np.nan
     ),
+)
+# numpy's complex absolute, a few ulps from hypot and cheaper; the margin is about 256 ulps, and
+# the 2**-1000 covers subnormal moduli. A relative margin keeps the bound tight: |re| + |im|
+# would fail POSITIVE on every pure state.
+ON_BOUNDS = SimpleNamespace(
+    modulus=lambda z: np.abs(z) * (1.0 + 2.0**-45) + 2.0**-1000,
+    maximum=ON_COLUMNS.maximum,
+    nan_unless_finite=ON_COLUMNS.nan_unless_finite,
 )
 
 FINITE = (0.0, _NOT_FINITE.format)
@@ -346,26 +361,45 @@ def require(*checks) -> None:
                 raise ValueError(message(*values))
 
 
+def _column_entries(x, checks) -> list:
+    """The entries of every check's table on columns, in checking order, with the arithmetic ``x``."""
+    return [
+        entry
+        for table, rows in checks
+        for entry in table(x, rows if isinstance(rows, tuple) else rows.reshape(len(rows), -1).T)
+    ]
+
+
+def _passed(entries) -> np.ndarray:
+    """Whether each entry's quantity meets its bound, on each row: an (entries, N) array."""
+    return np.array([quantity <= bound for quantity, (bound, _), _ in entries])
+
+
+def _raise_first_failure(checks) -> None:
+    """``require_columns``' exact evaluation: ValueError for the lowest failing row, if any."""
+    entries = _column_entries(ON_COLUMNS, checks)
+    failed = ~_passed(entries)
+    if failed.any():
+        row = int(np.argmax(failed.any(axis=0)))
+        _, (_, message), values = entries[int(np.argmax(failed[:, row]))]
+        raise ValueError(message(*(value[row].item() for value in values)))
+
+
 def require_columns(*checks) -> None:
     """The runner on N >= 1 rows: ValueError for the lowest failing row, with its first failing message.
 
     Each check is a (table, rows) pair, ``rows`` an (N, ...) array whose
     other axes hold the table's parts or a tuple of the parts' N-long
-    columns; the message is the one ``require`` on that row raises.
+    columns; the message is the one ``require`` on that row raises. A
+    batch whose every entry passes on ON_BOUNDS passes; only otherwise are
+    the exact quantities, which pick the row and the message, evaluated.
     """
     # A row that fails one entry may give inf or nan in later ones, which is
     # harmless: only its first failing entry is reported.
     with np.errstate(all="ignore"):
-        entries = [
-            entry
-            for table, rows in checks
-            for entry in table(ON_COLUMNS, rows if isinstance(rows, tuple) else rows.reshape(len(rows), -1).T)
-        ]
-        failed = ~np.array([quantity <= bound for quantity, (bound, _), _ in entries])
-    if failed.any():
-        row = int(np.argmax(failed.any(axis=0)))
-        _, (_, message), values = entries[int(np.argmax(failed[:, row]))]
-        raise ValueError(message(*(value[row].item() for value in values)))
+        if _passed(_column_entries(ON_BOUNDS, checks)).all():
+            return
+        _raise_first_failure(checks)
 
 
 def require_rows(*checks) -> None:

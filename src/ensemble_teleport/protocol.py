@@ -19,6 +19,7 @@ the same state and is kept as the reference.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -484,9 +485,30 @@ _CHECK_PARTS = frozen(np.arange(1.0, 129.0) / 7.0 * np.resize([1.0, -1.0, 1.0], 
 _CHECK_ROWS = (_CHECK_PARTS[:64].view(complex).reshape(8, 4), _CHECK_PARTS[64:].view(complex).reshape(8, 2, 2))
 # Batches of at least this many rows take the fused overlaps, where the platform gives them the
 # stacked product's bits; below it one zgemm call per row costs less (the crossover is near 64 rows).
+# From the same size on, a scaled-permutation map gathers columns (``_scaled_permutation``).
 _FUSED_MIN_ROWS = 64
 _FUSED_BLOCK_ROWS = 2048  # rows per fused block: about 160 bytes of temporaries a row, however large the batch
 _FUSED_OVERLAPS = _fused_overlaps_agree()
+
+
+def _scaled_permutation(t: np.ndarray) -> tuple[list, np.ndarray] | None:
+    """``(columns, scales)`` when the complex map ``t`` is a permutation matrix times finite real scales.
+
+    Row r of ``t @ v`` is then ``scales[r] * v[columns[r]]``. Every known
+    session map is one, with scales of 1/2 or 1. A map with a second
+    nonzero entry in a row or column, a nonzero imaginary part or a NaN/Inf
+    entry gives None. Every column is taken, so a NaN/Inf coefficient
+    reaches the mapped vector on both paths.
+    """
+    if t.dtype != complex:
+        return None
+    nonzero = [[(j, z) for j, z in enumerate(row) if z] for row in t.tolist()]
+    if any(len(row) != 1 for row in nonzero):
+        return None
+    columns, scales = zip(*(row[0] for row in nonzero))
+    if sorted(columns) != [0, 1, 2, 3] or any(z.imag or not math.isfinite(z.real) for z in scales):
+        return None
+    return list(columns), np.array([z.real for z in scales])
 
 
 @np.errstate(all="ignore")  # as a decorator, errstate costs about half what a with block does
@@ -499,9 +521,21 @@ def _mapped_states(t: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray
     overlaps of a large batch take zgemm's rounding on whole columns, so
     each row is bitwise what a batch of one gives. A row that fails one
     check may give inf or nan in later ones, which is harmless: only its
-    first failing check is reported.
+    first failing check is reported. A large batch under a scaled
+    permutation (``_scaled_permutation``) gathers its columns instead: each
+    entry is one product, rounded once on both paths, and ``+= 0.0`` turns
+    a -0.0 into the +0.0 that the matrix-vector sums, which start from +0,
+    give. A product that overflows is inf here and may be NaN there; either
+    fails the finite check.
     """
-    raw = (t @ c[:, :, None]).reshape(-1, 2, 2)
+    permutation = _scaled_permutation(t) if len(c) >= _FUSED_MIN_ROWS else None
+    if permutation is None:
+        raw = (t @ c[:, :, None]).reshape(-1, 2, 2)
+    else:
+        columns, scales = permutation
+        # take(), unlike c[:, columns], gives C order, which the states inherit and _fused_overlaps needs
+        raw = (c.take(columns, axis=1) * scales).reshape(-1, 2, 2)
+        raw += 0.0
     raw *= 0.5
     trace = raw[:, 0, 0] + raw[:, 1, 1]
     states = raw / trace.real[:, None, None]

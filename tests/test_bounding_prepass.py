@@ -1,0 +1,290 @@
+"""The large-batch shortcuts change no bit, verdict or message.
+
+``require_columns`` first runs every table on ``linalg.ON_BOUNDS``, whose
+moduli are never below libm hypot's, and returns when every entry passes; it
+evaluates the exact quantities only otherwise. That is sound when each
+bounded quantity is at least the exact one (NaN counting as failing), which
+``TestBoundsAreSound`` checks on extreme parts, and it pays only when valid
+batches pass on their bounds, which ``TestNoFallback`` checks on the
+package's own batches. ``_mapped_states`` gathers the columns of a large
+batch under a scaled permutation map instead of one matrix-vector product
+per row; ``TestGather`` checks it against that product bit for bit.
+"""
+
+import itertools
+import math
+import sys
+
+import numpy as np
+import pytest
+
+from ensemble_teleport import cli, linalg, protocol
+from ensemble_teleport.fidelity import SAMPLERS, average_fidelity
+from ensemble_teleport.protocol import automatic_preparation, receiver_states, resolve_preparation
+from test_check_tables import DBL_MAX, SPECIAL, TABLES
+
+TINY = sys.float_info.min  # the smallest normal double
+
+
+def _near(values):
+    """Each value and its neighbours one and two ulps either side, with both signs."""
+    out = []
+    for v in values:
+        up = math.nextafter(v, math.inf)
+        down = math.nextafter(v, -math.inf)
+        out += [v, up, down, math.nextafter(up, math.inf), math.nextafter(down, -math.inf)]
+    return out + [-v for v in out]
+
+
+# parts near the overflow and underflow of a square (1e+-154), subnormal, and near DBL_MAX
+REALS = np.array(
+    SPECIAL
+    + _near([1e154, 1.3407807929942596e154, 1e-154, 1.4916681462400413e-154])
+    + _near([5e-324, 1e-320, 1e-310, TINY, 2.0 * TINY, 0.5 * TINY])
+    + _near([DBL_MAX, DBL_MAX / 2.0, DBL_MAX / math.sqrt(2.0), 1e308, 0.1, 0.3, 0.7, 1.0 / 3.0])
+)
+
+
+def _complex_pool(reals):
+    """Complex parts: one part 0, equal parts, parts one ulp apart, opposite parts and seeded pairs."""
+    rng = np.random.default_rng(7)
+    finite, zero = reals[np.isfinite(reals)], np.zeros_like(reals)
+    with np.errstate(over="ignore"):  # DBL_MAX's upper neighbour is inf
+        up, down = np.nextafter(finite, np.inf), np.nextafter(finite, -np.inf)
+    pairs = [
+        (reals, zero),
+        (zero, reals),
+        (reals, reals),
+        (finite, up),
+        (finite, down),
+        (reals, -reals),
+        (rng.choice(reals, 4000), rng.choice(reals, 4000)),
+    ]
+    z = np.empty(sum(len(re) for re, _ in pairs), dtype=complex)
+    z.real, z.imag = (np.concatenate(parts) for parts in zip(*pairs))
+    return z
+
+
+COMPLEXES = _complex_pool(REALS)
+
+
+def _failing_key(quantity):
+    """A quantity with NaN as +inf: NaN fails every bound, as +inf does."""
+    q = np.array(quantity, dtype=float)
+    return np.where(np.isnan(q), np.inf, q)
+
+
+class TestBoundsAreSound:
+    @pytest.mark.parametrize("name", sorted(TABLES))
+    def test_each_bounded_quantity_is_at_least_the_exact_one(self, name):
+        table, kinds, valid = TABLES[name]
+        rng = np.random.default_rng(sorted(TABLES).index(name))
+        n = 40000
+        columns = []
+        for i, kind in enumerate(kinds):
+            pool = REALS if kind == "r" else COMPLEXES
+            column = rng.choice(pool, n)
+            # a quarter of the rows keep the valid part, so the other parts reach every quantity alone
+            keep = rng.random(n) < 0.25
+            column[keep] = valid[i]
+            columns.append(column)
+        with np.errstate(all="ignore"):
+            bounded = table(linalg.ON_BOUNDS, tuple(columns))
+            exact = table(linalg.ON_COLUMNS, tuple(columns))
+        for (b, _, _), (e, _, _) in zip(bounded, exact):
+            low = _failing_key(b) < _failing_key(e)
+            assert not low.any(), [tuple(c[low][0] for c in columns), b[low][0], e[low][0]]
+
+    @pytest.mark.parametrize("re", [0.0, 5e-324, 1e-300, 1.0, 1e154, DBL_MAX])
+    @pytest.mark.parametrize("im", [0.0, 5e-324, 0.75, DBL_MAX])
+    def test_modulus_bound(self, re, im):
+        z = complex(re, im)
+        with np.errstate(over="ignore"):
+            assert linalg.ON_BOUNDS.modulus(np.array([z]))[0] >= np.hypot(z.real, z.imag)
+
+
+# The nine known session maps: each Bell preparation with and without its correction, and the automatic one.
+KNOWN_MAPS = {
+    f"bell{i}{'' if acts else ' lazy'}": resolve_preparation(i).session_map(acts)
+    for i in (1, 2, 3, 4)
+    for acts in (True, False)
+}
+KNOWN_MAPS["automatic"] = automatic_preparation().session_map(True)
+
+
+def _distinct(maps):
+    """The distinct arrays among ``maps``, each by the names of the maps that share it."""
+    shared = {}
+    for name, t in maps.items():
+        shared.setdefault(t.tobytes(), []).append(name)
+    return {", ".join(names): maps[names[0]] for names in shared.values()}
+
+
+DISTINCT_MAPS = _distinct(KNOWN_MAPS)  # five arrays
+
+# Every row with its eight parts in {±0, ±1, 0.5, -3}, in 36 blocks of 6**6 rows.
+GRID_PARTS = np.array([0.0, -0.0, 1.0, -1.0, 0.5, -3.0])
+_GRID_TAIL = np.array(list(itertools.product(range(6), repeat=6)))
+
+
+def grid_block(head):
+    """The 6**6 grid rows whose first two parts are ``GRID_PARTS[head]``."""
+    index = np.concatenate([np.broadcast_to(head, (len(_GRID_TAIL), 2)), _GRID_TAIL], axis=1)
+    return GRID_PARTS[index].view(complex)
+
+
+def grid_blocks():
+    """The whole grid, 1 679 616 rows, one block at a time."""
+    return map(grid_block, itertools.product(range(6), repeat=2))
+
+
+def matvec_path(monkeypatch):
+    """Send every map to the per-row matrix-vector product."""
+    monkeypatch.setattr(protocol, "_scaled_permutation", lambda t: None)
+
+
+def outcome(t, rows):
+    """``receiver_states`` on the batch: its bytes, or the message of the ValueError it raises."""
+    try:
+        return b"".join(a.tobytes() for a in receiver_states(t, rows))
+    except ValueError as exc:
+        return str(exc)
+
+
+def assert_same_bits(t, rows, whole_batch=True):
+    """``_mapped_states`` gives the per-row product's bits, and ``receiver_states`` its outcome.
+
+    The raw operators, states and overlaps agree byte for byte on every row
+    whose raw operator is finite. A product that overflows is inf on one
+    path and may be NaN on the other, so only that row's raw operator is
+    non-finite on both, which fails the first check alike. With
+    ``whole_batch``, every row must agree, so the outcomes agree as well.
+    """
+    with pytest.MonkeyPatch.context() as patch:
+        matvec_path(patch)
+        expected = protocol._mapped_states(t, rows)
+        expected_outcome = None if whole_batch else outcome(t, rows)
+    got = protocol._mapped_states(t, rows)
+    if whole_batch:
+        for g, e in zip(got, expected):
+            assert g.tobytes() == e.tobytes()
+        return
+    finite = np.isfinite(expected[0]).all(axis=(1, 2))
+    assert np.array_equal(np.isfinite(got[0]).all(axis=(1, 2)), finite)
+    for g, e in zip(got, expected):
+        assert g[finite].tobytes() == e[finite].tobytes()
+    assert outcome(t, rows) == expected_outcome
+
+
+def random_permutation_map(rng):
+    """A permutation with random signed scales over 2**+-30, -0.0 in some zero and imaginary parts."""
+    t = np.zeros((4, 4), dtype=complex)
+    rows, columns = np.arange(4), rng.permutation(4)
+    t.real[rows, columns] = rng.choice([-1.0, 1.0], 4) * rng.uniform(0.1, 10.0, 4) * 2.0 ** rng.integers(-30, 31, 4)
+    t.imag[rng.random((4, 4)) < 0.5] = -0.0
+    t.real[(t.real == 0.0) & (rng.random((4, 4)) < 0.5)] = -0.0
+    return t
+
+
+class TestGather:
+    @pytest.mark.parametrize("names", sorted(DISTINCT_MAPS))
+    def test_known_maps_on_the_signed_zero_grid(self, names):
+        t = DISTINCT_MAPS[names]
+        assert protocol._scaled_permutation(t) is not None
+        for rows in grid_blocks():
+            assert_same_bits(t, rows)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_permutation_maps(self, seed):
+        rng = np.random.default_rng(seed)
+        t = random_permutation_map(rng)
+        assert protocol._scaled_permutation(t) is not None
+        assert_same_bits(t, grid_block(rng.integers(6, size=2)))
+        # random doubles, subnormal and huge parts, and the check tables' special parts
+        parts = np.concatenate([rng.standard_normal(4000), rng.choice(REALS[np.isfinite(REALS)], 4000)])
+        assert_same_bits(t, rng.permutation(parts).view(complex).reshape(-1, 4), whole_batch=False)
+
+    @pytest.mark.parametrize(
+        "t",
+        [
+            np.diag([0.5, 0.5, 0.5, 0.5 + 1e-300j]),  # a nonzero imaginary part
+            np.diag([0.5, 0.5, 0.5, math.nan]),  # a NaN scale
+            np.diag([0.5, 0.5, 0.5, math.inf]),
+            np.diag([0.5, 0.5, 0.5, 0.0]),  # an empty row
+            np.eye(4, dtype=complex)[[0, 0, 2, 3]],  # a column taken twice, so one never is
+            np.eye(4, dtype=complex) + np.eye(4, k=1),  # a second nonzero entry in a row
+            np.eye(4),  # not complex
+        ],
+        ids=["imaginary", "nan", "inf", "empty row", "column twice", "dense row", "float"],
+    )
+    def test_other_maps_keep_the_matvec(self, t):
+        assert protocol._scaled_permutation(np.asarray(t)) is None
+
+    def test_small_batches_keep_the_matvec(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(protocol, "_scaled_permutation", lambda t: calls.append(1))
+        t = KNOWN_MAPS["bell1 lazy"]
+        rows = grid_block((0, 0))
+        protocol._mapped_states(t, rows[: protocol._FUSED_MIN_ROWS - 1])
+        assert calls == []
+        protocol._mapped_states(t, rows[: protocol._FUSED_MIN_ROWS])
+        assert calls == [1]
+
+    def test_any_layout_of_the_batch(self):
+        rows = protocol.bloch_coefficient_rows(*SAMPLERS["pure_uniform"](np.random.default_rng(4), 400))
+        t = KNOWN_MAPS["bell2 lazy"]
+        expected = outcome(t, rows)
+        assert isinstance(expected, bytes)
+        assert outcome(t, np.asfortranarray(rows)) == expected
+        assert outcome(t, np.repeat(rows, 2, axis=0)[::2]) == expected
+
+    @pytest.mark.parametrize("name", sorted(KNOWN_MAPS))
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rows_raise_the_same_message(self, name, bad):
+        rng = np.random.default_rng(3)
+        rows = protocol.bloch_coefficient_rows(*SAMPLERS["mixed_uniform"](rng, 200))
+        for part in range(8):
+            broken = rows.copy()
+            broken.view(float)[17 + part, part] = bad
+            with pytest.raises(ValueError) as gathered:
+                receiver_states(KNOWN_MAPS[name], broken)
+            with pytest.MonkeyPatch.context() as patch:
+                matvec_path(patch)
+                with pytest.raises(ValueError) as multiplied:
+                    receiver_states(KNOWN_MAPS[name], broken)
+            assert str(gathered.value) == str(multiplied.value)
+
+
+@pytest.fixture
+def fallbacks(monkeypatch):
+    """The batches ``require_columns`` had to evaluate exactly, because an entry failed on its bounds."""
+    calls = []
+    exact = linalg._raise_first_failure
+    monkeypatch.setattr(linalg, "_raise_first_failure", lambda checks: calls.append(1) or exact(checks))
+    return calls
+
+
+class TestNoFallback:
+    """Valid batches pass on their bounds: a looser bound would cost the exact evaluation on every batch."""
+
+    @pytest.mark.parametrize("sampler", sorted(SAMPLERS))
+    @pytest.mark.parametrize("prep, bob_acts", [(i, acts) for i in (1, 2, 3, 4) for acts in (True, False)] + [("paut", True)])
+    def test_average_fidelity(self, prep, bob_acts, sampler, fallbacks):
+        prep = automatic_preparation() if prep == "paut" else prep
+        average_fidelity(prep, bob_acts, sampler, n=1000, seed=11)
+        assert fallbacks == []
+
+    @pytest.mark.parametrize("grid, rows", [("grid", 3600), ("pure", 120), ("zero", 30)])
+    @pytest.mark.parametrize("prep", cli._PREP_CHOICES)
+    def test_sweep(self, prep, grid, rows, fallbacks, capsys):
+        argv = ["sweep", "--resolution", "30", "--phase-resolution", "4", "--slice", grid, "--prep", prep]
+        assert cli.main([*argv, "--format", "csv"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == rows + 1
+        assert fallbacks == []
+
+    def test_a_failing_batch_is_evaluated_exactly(self, fallbacks):
+        c12 = np.full(100, 0.1 + 0j)
+        c12[40] = 0.75
+        with pytest.raises(ValueError, match="positivity"):
+            protocol.coefficient_rows(np.full(100, 0.5), c12, c12.conj(), np.full(100, 0.5))
+        assert fallbacks == [1]

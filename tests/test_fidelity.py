@@ -249,7 +249,7 @@ class TestMaximizeLazyFidelity:
             maximize_lazy_fidelity(resolution)
         assert str(info.value) == f"grid_resolution must be an integer, got {resolution!r}"
 
-    @pytest.mark.parametrize("resolution", [10, 11, 37, np.int64(37), 100, 200])
+    @pytest.mark.parametrize("resolution", [10, 11, 37, np.int64(37), 50, 100, 101, 200, 1001])
     def test_matches_the_scalar_scan_bit_for_bit(self, resolution):
         result = maximize_lazy_fidelity(resolution)
         expected = loop_maximize_lazy_fidelity(resolution)
@@ -257,7 +257,11 @@ class TestMaximizeLazyFidelity:
 
 
 def loop_maximize_lazy_fidelity(resolution):
-    """The scalar double loop the grid scan replaced, then the same refinement: (value, c11, c12)."""
+    """The scalar double loop over (c11, |c12|), then the same refinement: (value, c11, c12).
+
+    The oracle for the one-axis scan, which drops |c12| because the
+    objective falls with it.
+    """
     best_value, best_c11, best_mag = -np.inf, 0.0, 0.0
     for c11 in np.linspace(0.0, 1.0, resolution):
         c22 = 1.0 - c11
