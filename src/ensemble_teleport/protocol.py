@@ -20,6 +20,7 @@ the same state and is kept as the reference.
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -519,9 +520,9 @@ def _mapped_states(t: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray
     checks see the same numbers as on the reference path. The stacked
     matrix-vector products repeat one session's arithmetic per row, and the
     overlaps of a large batch take zgemm's rounding on whole columns, so
-    each row is bitwise what a batch of one gives. A row that fails one
-    check may give inf or nan in later ones, which is harmless: only its
-    first failing check is reported. A large batch under a scaled
+    each row is bitwise what a batch of one (``_session_row``) gives. A row
+    that fails one check may give inf or nan in later ones, which is
+    harmless: only its first failing check is reported. A large batch under a scaled
     permutation (``_scaled_permutation``) gathers its columns instead: each
     entry is one product, rounded once on both paths, and ``+= 0.0`` turns
     a -0.0 into the +0.0 that the matrix-vector sums, which start from +0,
@@ -548,6 +549,40 @@ def _mapped_states(t: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return raw, states, overlap
 
 
+_STATE_PARTS = struct.Struct("8d")  # a 2x2 complex state as the real and imaginary parts of its entries, in C order
+
+
+@np.errstate(all="ignore")
+def _session_row(t: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, float]:
+    """``receiver_states`` on the one row of ``c``: the state, read-only over immutable bytes, and the fidelity.
+
+    ``_mapped_states``' arithmetic and checks on one row, to the same bits,
+    on the Python numbers that ``require`` reads. Three numpy calls stay: the
+    map's zgemv, the halving (numpy's complex product may be fused, and on a
+    part of -5e-324 give -0.0 where Python's gives +0.0) and the overlap's
+    zgemm, whose fused sums Python floats cannot repeat. The division is
+    numpy's complex one by ``trace + 0j``, whose ratio is +0.0 and scale
+    1 / trace for the positive trace that the checks before it ensure;
+    Python's ``complex / float`` differs from it in the last bit.
+    """
+    raw = t @ c[0]
+    raw *= 0.5
+    raw = raw.tolist()
+    require((renormalization_table, raw))
+    m11, m12, m21, m22 = raw
+    scale = 1.0 / (m11.real + m22.real)
+    state = np.ndarray((2, 2), complex, _STATE_PARTS.pack(
+        (m11.real + m11.imag * 0.0) * scale, (m11.imag - m11.real * 0.0) * scale,
+        (m12.real + m12.imag * 0.0) * scale, (m12.imag - m12.real * 0.0) * scale,
+        (m21.real + m21.imag * 0.0) * scale, (m21.imag - m21.real * 0.0) * scale,
+        (m22.real + m22.imag * 0.0) * scale, (m22.imag - m22.real * 0.0) * scale,
+    ))
+    product = (c.reshape(2, 2) @ state).tolist()
+    overlap = product[0][0] + product[1][1]
+    require((qubit_operator_table, state.ravel().tolist()), (real_overlap_table, (overlap,)))
+    return state, overlap.real
+
+
 def _coefficient_batch(coeffs) -> np.ndarray:
     """``coeffs`` as a complex array, which must have the shape ``(N, 4)`` of coefficient rows."""
     c = np.asarray(coeffs, dtype=complex)
@@ -572,7 +607,9 @@ def receiver_states(t, coeffs) -> tuple[np.ndarray, np.ndarray]:
     ``PreparationTensor``, which sit far below MAX_ENTRY; on rows with
     entries past it the kernel gives the check tables' verdicts, not the
     bound message of those functions. Every row gets the same
-    bits alone and inside a batch of any size: a batch of at least
+    bits alone and inside a batch of any size: one row runs as Python
+    numbers around the map and overlap products (``_session_row``), and
+    larger batches as arrays (``_mapped_states``); a batch of at least
     ``_FUSED_MIN_ROWS`` rows takes its overlaps on whole columns with the
     rounding of the one-row product, where a check at import finds that
     this platform's kernels give that rounding, and the one-row product
@@ -581,7 +618,11 @@ def receiver_states(t, coeffs) -> tuple[np.ndarray, np.ndarray]:
     t = np.asarray(t)
     if t.shape != (4, 4):
         raise ValueError(f"expected a 4x4 session map, got shape {t.shape}")
-    raw, states, overlap = _mapped_states(t, _coefficient_batch(coeffs))
+    c = _coefficient_batch(coeffs)
+    if len(c) == 1:
+        state, fidelity = _session_row(t, c)
+        return state[None].copy(), np.array([fidelity])
+    raw, states, overlap = _mapped_states(t, c)
     require_rows(
         (renormalization_table, raw),
         (qubit_operator_table, states),
@@ -637,19 +678,16 @@ class SessionRecord:
     bits_sent: int
 
     def __post_init__(self):
-        arr = np.array(self.bob_state, dtype=complex)
-        arr.setflags(write=False)
-        object.__setattr__(self, "bob_state", arr)
+        object.__setattr__(self, "bob_state", frozen(self.bob_state, dtype=complex))
 
     @classmethod
-    def _owning(cls, states: np.ndarray, fidelity: float, bits_sent: int) -> "SessionRecord":
-        """The record of ``states``, a new ``(1, 2, 2)`` kernel array that no one else holds, taken without a copy.
+    def _owning(cls, state: np.ndarray, fidelity: float, bits_sent: int) -> "SessionRecord":
+        """The record of ``state``, taken without a copy: a 2x2 array over immutable bytes, which ``_session_row`` gives.
 
-        The array is made read-only, and ``bob_state`` is a view of it.
+        No array along its ``.base`` chain can be made writable, as for ``frozen``.
         """
-        states.setflags(write=False)
         record = object.__new__(cls)
-        record.__dict__.update(bob_state=states[0], fidelity=fidelity, bits_sent=bits_sent)
+        record.__dict__.update(bob_state=state, fidelity=fidelity, bits_sent=bits_sent)
         return record
 
 
@@ -675,5 +713,5 @@ def run_session(
                 f"two-bit message index {message.index} does not match the preparation "
                 f"(Bell index {u.bell_index})"
             )
-    states, fidelities = receiver_states(u.session_map(bob_acts), c.row)
-    return SessionRecord._owning(states, float(fidelities[0]), message.bits)
+    # a tensor's map and c.row have the kernel's shapes, so no shape check is needed
+    return SessionRecord._owning(*_session_row(u.session_map(bob_acts), c.row), message.bits)

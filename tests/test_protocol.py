@@ -742,16 +742,21 @@ class TestRunSession:
     def test_record_state_cannot_be_written_through_its_base(self):
         c = CoefficientVector.from_components(0.4, 0.2j)
         record = run_session(c, 2, ClassicalMessage.two_bits(2), bob_acts=True)
-        state = record.bob_state
-        chain = []
-        while state is not None:
-            chain.append(state)
-            state = state.base
-        assert len(chain) == 2  # the state is a view of the kernel's own (1, 2, 2) array, not a copy
-        for array in chain:
+        for array in base_chain(record.bob_state):
             assert not array.flags.writeable
             with pytest.raises(ValueError):
+                array.setflags(write=True)
+            with pytest.raises(ValueError):
                 array[...] = 0.0
+
+
+def base_chain(array):
+    """``array`` and every array along its ``.base`` chain, which a non-array buffer such as bytes ends."""
+    chain = []
+    while isinstance(array, np.ndarray):
+        chain.append(array)
+        array = array.base
+    return chain
 
 
 class TestSessionRecord:
@@ -771,7 +776,10 @@ class TestSessionRecord:
             given_state.setflags(write=False)
         record = SessionRecord(bob_state=given_state, fidelity=0.5, bits_sent=0)
         assert record.bob_state.tobytes() == source.tobytes()
-        assert record.bob_state.base is None and not record.bob_state.flags.writeable
+        for array in base_chain(record.bob_state):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array.setflags(write=True)
         assert not np.shares_memory(record.bob_state, source)
         source[0, 0] = 9.0
         if kind == "nested list":

@@ -174,10 +174,14 @@ class TestDifferential:
         run_session(c, automatic_preparation(), ClassicalMessage.pre_agreed(), bob_acts=False)
 
     def test_session_path_skips_the_batch_checks(self, monkeypatch):
-        def refuse(*_):
-            raise AssertionError("batch checks called on a one-row batch")
+        def refusing(name):
+            def refuse(*_):
+                raise AssertionError(f"{name} called on a one-row batch")
 
-        monkeypatch.setattr(linalg, "require_columns", refuse)
+            return refuse
+
+        monkeypatch.setattr(linalg, "require_columns", refusing("batch checks"))
+        monkeypatch.setattr(protocol, "_mapped_states", refusing("batch arithmetic"))
         c = CoefficientVector.from_bloch(0.3, -0.5, 0.4)
         run_session(c, 2, ClassicalMessage.two_bits(2), bob_acts=True)
         run_session(c, automatic_preparation(), ClassicalMessage.pre_agreed(), bob_acts=False)
@@ -194,6 +198,11 @@ class TestDifferential:
                 bob_acts=False,
             )
         compare_conventions(preparation_from_bell(1), c)
+        receiver_states(IDENTITY_MAP, np.array([VALID_ROW]))
+        with pytest.raises(AssertionError, match="batch arithmetic"):
+            receiver_states(IDENTITY_MAP, np.array([VALID_ROW] * 2))
+        monkeypatch.undo()
+        monkeypatch.setattr(linalg, "require_columns", refusing("batch checks"))
         with pytest.raises(AssertionError, match="batch checks"):
             receiver_states(IDENTITY_MAP, np.array([VALID_ROW] * 2))
 
@@ -286,10 +295,85 @@ def assert_one_row_as_two(t, row):
         assert one[1].tobytes() == two[1][:1].tobytes()
 
 
+# Parts of the bit oracle's rows: signed zeros and units, values near the underflow and overflow
+# thresholds, the magnitude bound and non-finite values. The tiny ones keep a valid row valid.
+# -5e-324, or -1e-323 under a map entry of 1/2, reaches the halving of the mapped vector as
+# -5e-324, which a fused complex product halves to -0.0 and an unfused one may halve to +0.0.
+TINY_PARTS = [0.0, -0.0, 5e-324, -5e-324, 1e-323, -1e-323, 1e-300, -1e-300]
+SPECIAL_PARTS = TINY_PARTS + [1.0, -1.0, 0.5, 1e300, -1e300, 2.0**400, np.inf, -np.inf, np.nan]
+
+
+def special_rows(seed, n):
+    """n seeded rows: even ones with every part from SPECIAL_PARTS, odd ones valid with about a quarter from TINY_PARTS."""
+    rng = np.random.default_rng(seed)
+    odd = (np.arange(n) % 2 == 1)[:, None]
+    drawn = np.where(odd, rng.choice(TINY_PARTS, size=(n, 8)), rng.choice(SPECIAL_PARTS, size=(n, 8)))
+    valid = rows_of(random_coefficients(rng, n)).view(float)
+    keep = odd & (rng.random((n, 8)) < 0.75)
+    return np.where(keep, valid, drawn).view(complex)
+
+
+def general_tensor(seed, psd):
+    """A seeded general preparation: positive semidefinite, or Hermitian with eigenvalues of both signs."""
+    rng = np.random.default_rng(seed)
+    g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    p = g @ g.conj().T if psd else g + g.conj().T
+    return PreparationTensor(u=p.reshape(2, 2, 2, 2).transpose(0, 2, 1, 3), normalized=False)
+
+
+# (preparation, bob_acts) of the bit oracle's sessions: the 10 known session maps and two general ones.
+ORACLE_SESSIONS = {
+    **{f"{prep}, bob_acts={acts}": (prep_input(prep), acts) for prep in PREPARATIONS for acts in (True, False)},
+    "general PSD": (general_tensor(11, psd=True), False),
+    "general not PSD": (general_tensor(12, psd=False), False),
+}
+
+
+def session_message(prep):
+    return ClassicalMessage.two_bits(prep) if isinstance(prep, int) else ClassicalMessage.pre_agreed()
+
+
+def one_row_outcomes(prep, bob_acts, row):
+    """The bytes, or the messages, of a one-row ``receiver_states`` and of ``run_session`` on ``row``.
+
+    ``run_session`` reads only ``c.row``, so it takes rows that are not valid inputs as a stand-in.
+    """
+    row = np.array([row], dtype=complex)
+    kernel = outcome(receiver_states, resolve_preparation(prep).session_map(bob_acts), row)
+    record = outcome(run_session, SimpleNamespace(row=row), prep, session_message(prep), bob_acts)
+    if not isinstance(kernel, str):
+        kernel = kernel[0].tobytes() + kernel[1].tobytes()
+    if not isinstance(record, str):
+        record = record.bob_state.tobytes() + np.float64(record.fidelity).tobytes()
+    return kernel, record
+
+
 class TestOneRowBranch:
-    @pytest.mark.parametrize("kind", ["valid", *FAILING_ROWS])
+    @pytest.mark.parametrize("kind", ["valid", *FAILING_ROWS, *(f"special parts, {name}" for name in ORACLE_SESSIONS)])
     def test_one_row_as_two(self, kind):
-        assert_one_row_as_two(IDENTITY_MAP, VALID_ROW if kind == "valid" else FAILING_ROWS[kind])
+        if not kind.startswith("special parts, "):
+            assert_one_row_as_two(IDENTITY_MAP, VALID_ROW if kind == "valid" else FAILING_ROWS[kind])
+            return
+        name = kind.removeprefix("special parts, ")
+        prep, bob_acts = ORACLE_SESSIONS[name]
+        t = resolve_preparation(prep).session_map(bob_acts)
+        for row in special_rows(list(ORACLE_SESSIONS).index(name), 300):
+            assert_one_row_as_two(t, row)
+            kernel, record = one_row_outcomes(prep, bob_acts, row)
+            assert record == kernel, row
+
+    @pytest.mark.parametrize("kind", ["subnormal coherence", *FAILING_ROWS])
+    def test_same_outcome_when_numpy_raises(self, kind):
+        # The one-row kernel ignores numpy's error state as the batch kernel does: the subnormal
+        # coherence underflows in the map product or the halving, and the failing rows overflow or give NaN.
+        if kind == "subnormal coherence":
+            row, sessions = CoefficientVector.from_components(0.5, 5e-324).as_vector(), ORACLE_SESSIONS.values()
+        else:
+            row, sessions = FAILING_ROWS[kind], [(automatic_preparation(), False)]
+        for prep, bob_acts in sessions:
+            expected = one_row_outcomes(prep, bob_acts, row)
+            with np.errstate(all="raise"):
+                assert one_row_outcomes(prep, bob_acts, row) == expected
 
     def test_non_finite_raw_operator_before_its_trace(self):
         # the map overflows the coherences of a row whose trace is zero
