@@ -520,8 +520,8 @@ def _mapped_states(t: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray
     checks see the same numbers as on the reference path. The stacked
     matrix-vector products repeat one session's arithmetic per row, and the
     overlaps of a large batch take zgemm's rounding on whole columns, so
-    each row is bitwise what a batch of one (``_session_row``) gives. A row
-    that fails one check may give inf or nan in later ones, which is
+    each row is bitwise what a batch of one, and ``_session_row``, give. A
+    row that fails one check may give inf or nan in later ones, which is
     harmless: only its first failing check is reported. A large batch under a scaled
     permutation (``_scaled_permutation``) gathers its columns instead: each
     entry is one product, rounded once on both paths, and ``+= 0.0`` turns
@@ -606,10 +606,9 @@ def receiver_states(t, coeffs) -> tuple[np.ndarray, np.ndarray]:
     ``coefficient_rows`` or ``CoefficientVector`` and maps of a
     ``PreparationTensor``, which sit far below MAX_ENTRY; on rows with
     entries past it the kernel gives the check tables' verdicts, not the
-    bound message of those functions. Every row gets the same
-    bits alone and inside a batch of any size: one row runs as Python
-    numbers around the map and overlap products (``_session_row``), and
-    larger batches as arrays (``_mapped_states``); a batch of at least
+    bound message of those functions. Every row gets the same bits alone,
+    inside a batch of any size and in ``run_session``, which runs its one
+    row as Python numbers (``_session_row``); a batch of at least
     ``_FUSED_MIN_ROWS`` rows takes its overlaps on whole columns with the
     rounding of the one-row product, where a check at import finds that
     this platform's kernels give that rounding, and the one-row product
@@ -618,11 +617,7 @@ def receiver_states(t, coeffs) -> tuple[np.ndarray, np.ndarray]:
     t = np.asarray(t)
     if t.shape != (4, 4):
         raise ValueError(f"expected a 4x4 session map, got shape {t.shape}")
-    c = _coefficient_batch(coeffs)
-    if len(c) == 1:
-        state, fidelity = _session_row(t, c)
-        return state[None].copy(), np.array([fidelity])
-    raw, states, overlap = _mapped_states(t, c)
+    raw, states, overlap = _mapped_states(t, _coefficient_batch(coeffs))
     require_rows(
         (renormalization_table, raw),
         (qubit_operator_table, states),
