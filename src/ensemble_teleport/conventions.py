@@ -7,14 +7,14 @@ both produce the same receiver state; for the automatic preparation the
 sandwich numerator is exactly twice the one-sided one and renormalization
 absorbs the factor.
 
-The comparison runs on stacks of inputs (``_compare_rows``), and
-``compare_conventions`` is its one-input call. Both updates are linear in
-the input's coefficient 4-vector. For the four Bell preparations and the
-automatic one, the comparison applies the tensor's two cached 4x4 maps
-(``PreparationTensor._convention_maps``), whose products round nothing;
-every other tensor takes the two 8x8 products (``_both_updates``), which
-``sandwich_numerator`` and ``alice_prepare`` also compute. Either way each
-row is bitwise what the 8x8 products give.
+The comparison of a stack of inputs (``_compare_rows``) takes the two 8x8
+products that ``alice_prepare`` and ``sandwich_numerator`` compute. One
+input's comparison (``compare_conventions``) under the four Bell
+preparations or the automatic one takes none: their operators satisfy
+P @ P = w P, so both updates give the session state without correction,
+the gap is 0.0 and the ratio is w. That state is bitwise the 8x8 products'
+on sampled, boundary and signed-zero inputs; on subnormal parts the 8x8
+path rounds twice and may differ in the last bit.
 """
 
 from __future__ import annotations
@@ -23,15 +23,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (
-    renormalization_table,
-    require,
-    require_rows,
-    trace_out_sender_pair,
-    two_sided_trace_table,
-)
+from .linalg import renormalization_table, require, require_rows, trace_out_sender_pair, two_sided_trace_table
 from .protocol import (
-    CoefficientVector, PreparationTensor, _coefficient_batch, resolve_preparation, total_state, total_states,
+    CoefficientVector, PreparationTensor, _coefficient_batch, _row_state, resolve_preparation, total_state,
+    total_states,
 )
 
 
@@ -55,7 +50,8 @@ class ConventionResult:
 
     ``prenorm_ratio`` is the ratio of pre-normalization traces (two-sided
     over one-sided): one for idempotent preparations, two for the
-    automatic one.
+    automatic one. For those five preparations ``compare_conventions``
+    gives one read-only state as both ``ansatz`` and ``sandwich``.
     """
 
     ansatz: np.ndarray
@@ -64,15 +60,9 @@ class ConventionResult:
     prenorm_ratio: float
 
 
-def _renormalized(marginals: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The raw one-sided marginals, both traces and both states of a ``(2, N, 2, 2)`` stack of raw marginals."""
-    traces = marginals[..., 0, 0] + marginals[..., 1, 1]
-    return marginals[0], traces, marginals / traces.real[..., None, None]
-
-
 @np.errstate(all="ignore")  # as a decorator, errstate costs about half what a with block does
 def _both_updates(p8: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``_compare_rows``' arithmetic on the 8x8 path, unchecked: ``_renormalized`` of both raw marginals.
+    """``_compare_rows``' arithmetic, unchecked: the raw one-sided marginals, both traces and both states.
 
     p8 @ total @ p8 evaluates as (p8 @ total) @ p8, so the sandwich reuses
     the one-sided product. Both products share one (2, N, 8, 8) buffer, so
@@ -85,52 +75,53 @@ def _both_updates(p8: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray
     np.matmul(products[0], p8, out=products[1])
     marginals = trace_out_sender_pair(products)
     del products  # a (2, N, 8, 8) temporary
-    return _renormalized(marginals)
-
-
-@np.errstate(all="ignore")
-def _mapped_updates(maps: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``_both_updates`` through a known tensor's ``(2, 4, 4)`` convention maps: the same bits, no 8x8 product."""
-    return _renormalized((maps[:, None] @ c[None, :, :, None]).reshape(2, len(c), 2, 2))
+    traces = marginals[..., 0, 0] + marginals[..., 1, 1]
+    return marginals[0], traces, marginals / traces.real[..., None, None]
 
 
 def _compare_rows(
     u: PreparationTensor | int, coeffs
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Both updates of one preparation on each of a batch of inputs.
+    """Both updates of one preparation on each of a batch of inputs, through the 8x8 products.
 
     ``u`` is a PreparationTensor or a Bell index (``resolve_preparation``).
     ``coeffs`` is an ``(N, 4)`` array of checked input coefficient rows, as
     ``coefficient_rows`` gives them. Returns the ``ConventionResult`` fields
     stacked: the ``(N, 2, 2)`` one-sided and two-sided states, and the
     ``(N,)`` gaps and ratios. Row i is bitwise what one comparison of input
-    i gives: renormalize(alice_prepare(u, c)), prepare_sandwich(u, c) and
-    the traces of alice_prepare and sandwich_numerator. Weights byte-equal
-    to a Bell or the automatic preparation take their convention maps,
-    whose products are exact; all other weights, even those within EQ_TOL
-    of a known tensor, take the 8x8 products, whose rounding the maps would
-    not reproduce. A row that fails renormalize's checks or the two-sided
-    trace check raises ValueError with the message of the lowest failing
-    row's first failing check (``require_rows``). Those are the one-operator
-    functions' messages for rows from ``coefficient_rows`` or
-    ``CoefficientVector``, which sit far below MAX_ENTRY; on rows with
-    entries past it the kernel gives the check tables' verdicts, not the
-    bound message.
+    i on the two separate 8x8 paths gives: renormalize(alice_prepare(u, c)),
+    prepare_sandwich(u, c) and the traces of alice_prepare and
+    sandwich_numerator. Every tensor takes these products, the known ones
+    too, so a batch of known weights checks P @ P = w P on them. A row that
+    fails renormalize's checks or the two-sided trace check raises
+    ValueError with the message of the lowest failing row's first failing
+    check (``require_rows``). Those are the one-operator functions' messages
+    for rows from ``coefficient_rows`` or ``CoefficientVector``, which sit
+    far below MAX_ENTRY; on rows with entries past it the kernel gives the
+    check tables' verdicts, not the bound message.
     """
     u = resolve_preparation(u)
-    c = _coefficient_batch(coeffs)
-    maps = u._convention_maps
-    updates = _both_updates(u.sender_operator, c) if maps is None else _mapped_updates(maps, c)
-    raw, (trace, total), (ansatz, sandwich) = updates
+    raw, (trace, total), (ansatz, sandwich) = _both_updates(u.sender_operator, _coefficient_batch(coeffs))
     require_rows((renormalization_table, raw), (two_sided_trace_table, total))
     return ansatz, sandwich, np.abs(ansatz - sandwich).max(axis=(1, 2)), total.real / trace.real
 
 
+@np.errstate(all="ignore")
 def compare_conventions(u: PreparationTensor | int, c: CoefficientVector) -> ConventionResult:
-    """Run both updates on the same input and record their difference: ``_compare_rows`` on one row."""
-    ansatz, sandwich, diff, ratio = _compare_rows(u, c.row)
+    """Run both updates on the same input and record their difference.
+
+    Weights byte-equal to a known preparation's give the session state
+    without correction (``_row_state``) as both states, gap 0.0 and ratio
+    ``diagonal_weight()``; any other tensor takes ``_compare_rows`` on one row.
+    """
+    u = resolve_preparation(u)
+    ratio = u._exact_ratio
+    if ratio is None:
+        ansatz, sandwich, diffs, ratios = _compare_rows(u, c.row)
+        ansatz, sandwich, diff, ratio = ansatz[0], sandwich[0], diffs.item(0), ratios.item(0)
+    else:
+        ansatz = sandwich = _row_state(u.coefficient_map, c.row)
+        diff = 0.0
     record = object.__new__(ConventionResult)  # the constructor's record, without its per-field object.__setattr__
-    record.__dict__.update(
-        ansatz=ansatz[0], sandwich=sandwich[0], max_abs_diff=diff.item(0), prenorm_ratio=ratio.item(0)
-    )
+    record.__dict__.update(ansatz=ansatz, sandwich=sandwich, max_abs_diff=diff, prenorm_ratio=ratio)
     return record

@@ -202,20 +202,14 @@ class PreparationTensor:
         return self._known_index == 4
 
     @cached_property
-    def _convention_maps(self) -> np.ndarray | None:
-        # The (2, 4, 4) one-sided and two-sided maps onto the raw receiver
-        # coefficients, read off the 8x8 products of the four matrix units, for
-        # weights byte-equal to a known preparation's; else None. Each row of
-        # these maps has one nonzero entry, a power of two, so their products
-        # round nothing and equal the 8x8 ones bit for bit. Weights that only
-        # match within EQ_TOL would round differently.
+    def _exact_ratio(self) -> float | None:
+        # diagonal_weight() for weights byte-equal to a known preparation's, else None. Each
+        # known operator P has P @ P = w P with w = 1 or 2, so its two-sided update is w times
+        # its one-sided one, exactly. Weights that only match within EQ_TOL round differently.
         k = self._known_index
         if k is None or self.u.tobytes() != _KNOWN_WEIGHTS[k].tobytes():
             return None
-        one_sided = self.sender_operator @ total_states(np.eye(4, dtype=complex))
-        marginals = trace_out_sender_pair(np.stack([one_sided, one_sided @ self.sender_operator]))
-        # marginals[s, j] is the image of the j-th matrix unit: column j of map s
-        return frozen(marginals.reshape(2, 4, 4).transpose(0, 2, 1))
+        return self.diagonal_weight()
 
     @cached_property
     def _corrected_map(self) -> np.ndarray:
@@ -552,18 +546,16 @@ def _mapped_states(t: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray
 _STATE_PARTS = struct.Struct("8d")  # a 2x2 complex state as the real and imaginary parts of its entries, in C order
 
 
-@np.errstate(all="ignore")
-def _session_row(t: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, float]:
-    """``receiver_states`` on the one row of ``c``: the state, read-only over immutable bytes, and the fidelity.
+def _row_state(t: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """The renormalized state of the one row of ``c`` under ``t``, read-only over immutable bytes.
 
-    ``_mapped_states``' arithmetic and checks on one row, to the same bits,
-    on the Python numbers that ``require`` reads. Three numpy calls stay: the
-    map's zgemv, the halving (numpy's complex product may be fused, and on a
-    part of -5e-324 give -0.0 where Python's gives +0.0) and the overlap's
-    zgemm, whose fused sums Python floats cannot repeat. The division is
-    numpy's complex one by ``trace + 0j``, whose ratio is +0.0 and scale
-    1 / trace for the positive trace that the checks before it ensure;
-    Python's ``complex / float`` differs from it in the last bit.
+    The map's zgemv, numpy's halving (its complex product may be fused, and
+    on a part of -5e-324 give -0.0 where Python's gives +0.0) and
+    ``renormalize``'s checks on the Python numbers that ``require`` reads.
+    The division is numpy's complex one by ``trace + 0j``, whose ratio is
+    +0.0 and scale 1 / trace for the positive trace that the checks ensure;
+    Python's ``complex / float`` differs from it in the last bit. Callers
+    run it under ``np.errstate(all="ignore")``.
     """
     raw = t @ c[0]
     raw *= 0.5
@@ -571,12 +563,23 @@ def _session_row(t: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, float]:
     require((renormalization_table, raw))
     m11, m12, m21, m22 = raw
     scale = 1.0 / (m11.real + m22.real)
-    state = np.ndarray((2, 2), complex, _STATE_PARTS.pack(
+    return np.ndarray((2, 2), complex, _STATE_PARTS.pack(
         (m11.real + m11.imag * 0.0) * scale, (m11.imag - m11.real * 0.0) * scale,
         (m12.real + m12.imag * 0.0) * scale, (m12.imag - m12.real * 0.0) * scale,
         (m21.real + m21.imag * 0.0) * scale, (m21.imag - m21.real * 0.0) * scale,
         (m22.real + m22.imag * 0.0) * scale, (m22.imag - m22.real * 0.0) * scale,
     ))
+
+
+@np.errstate(all="ignore")
+def _session_row(t: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, float]:
+    """``receiver_states`` on the one row of ``c``: the state, read-only over immutable bytes, and the fidelity.
+
+    ``_mapped_states``' arithmetic and checks on one row, to the same bits:
+    ``_row_state``, then the overlap's zgemm, whose fused sums Python floats
+    cannot repeat, and the remaining checks.
+    """
+    state = _row_state(t, c)
     product = (c.reshape(2, 2) @ state).tolist()
     overlap = product[0][0] + product[1][1]
     require((qubit_operator_table, state.ravel().tolist()), (real_overlap_table, (overlap,)))

@@ -24,6 +24,7 @@ from ensemble_teleport import (
     partial_transpose,
     pauli,
     ppt_entangled,
+    prepare_sandwich,
     preparation_from_bell,
     renormalize,
     run_session,
@@ -195,6 +196,7 @@ def test_criterion_8_automatic_preparation_audit():
 
 def test_criterion_9_update_convention_equivalence():
     worst_diff = 0.0
+    worst_reference = 0.0
     worst_trace = 0.0
     inputs = _random_inputs(100)
     for i in BELL_INDICES:
@@ -202,15 +204,23 @@ def test_criterion_9_update_convention_equivalence():
         for c in inputs:
             result = compare_conventions(u, c)
             worst_diff = max(worst_diff, result.max_abs_diff)
+            # the comparison's states against the two separate 8x8 updates
+            one_sided, two_sided = renormalize(alice_prepare(u, c)), prepare_sandwich(u, c)
+            worst_reference = max(
+                worst_reference,
+                float(np.max(np.abs(result.ansatz - one_sided))),
+                float(np.max(np.abs(result.sandwich - two_sided))),
+            )
     u1 = preparation_from_bell(1)
     for c in inputs:
         numerator_trace = float(np.trace(sandwich_numerator(u1, c)).real)
         worst_trace = max(worst_trace, abs(numerator_trace - 0.25))
-    ok = worst_diff < 1e-12 and worst_trace < 1e-12
+    ok = worst_diff < 1e-12 and worst_reference < 1e-12 and worst_trace < 1e-12
     _report(
         "update convention equivalence",
         ok,
         f"worst convention gap {worst_diff:.2e} over 4 preparations x 100 inputs, "
+        f"worst gap to the 8x8 updates {worst_reference:.2e}, "
         f"worst |numerator trace - 1/4| = {worst_trace:.2e} (tol 1e-12)",
     )
 

@@ -320,7 +320,7 @@ class TestAppendixCheck:
         assert first == second
 
     def test_reads_one_stream_of_draws_in_prep_order(self, capsys, monkeypatch):
-        # The printed gaps are exact zeros for any valid inputs, so only the
+        # The printed gaps are exact zeros for the sampler's draws, so only the
         # blocks handed to the kernel show which draws the command reads.
         seen = []
 

@@ -25,10 +25,12 @@ from ensemble_teleport import (
     transformation_matrix,
 )
 from ensemble_teleport import conventions, protocol
-from ensemble_teleport.conventions import _both_updates, _compare_rows, _mapped_updates
+from ensemble_teleport.conventions import _both_updates, _compare_rows
 from ensemble_teleport.fidelity import SAMPLERS
-from ensemble_teleport.linalg import embed_sender_pair
+from ensemble_teleport.protocol import ClassicalMessage, _row_state, run_session
+from ensemble_teleport.linalg import AGREE_TOL, embed_sender_pair
 from conftest import random_coefficients
+from test_frozen_constants import can_be_made_writable
 from test_protocol import bloch_coefficient_strategy
 
 
@@ -255,62 +257,97 @@ def _map_test_rows() -> dict:
 MAP_TEST_ROWS = _map_test_rows()
 
 
-def assert_same_updates(mapped, eight):
-    """Raw one-sided marginals and both traces, which the checks read, and both states, byte for byte."""
-    for value, wanted in zip(mapped, eight, strict=True):
-        assert value.dtype == wanted.dtype and value.shape == wanted.shape
-        assert value.tobytes() == wanted.tobytes()
+def vectors(rows) -> list:
+    """The CoefficientVector of each coefficient row; its ``row`` has the same bytes."""
+    cs = [CoefficientVector(r[0].real, r[1], r[2], r[3].real) for r in rows]
+    assert np.concatenate([c.row for c in cs]).tobytes() == np.asarray(rows).tobytes()
+    return cs
 
 
-class TestConventionMaps:
-    """Known tensors compare through two 4x4 maps; the 8x8 products stay the oracle."""
+def subnormal_rows() -> np.ndarray:
+    """Pure pole and mixed inputs whose off-diagonal parts take every combination of signed zeros and subnormals."""
+    parts = [0.0, -0.0, 5e-324, -1.5e-323]
+    values = [complex(re, im) for re in parts for im in parts]
+    subnormal = [any(0 < abs(p) < 1e-300 for p in (z.real, z.imag)) for z in values]
+    pairs = [(a, b) for a, sa in zip(values, subnormal) for b, sb in zip(values, subnormal) if sa or sb]
+    c12, c21 = (np.array(side) for side in zip(*pairs))
+    n = len(pairs)
+    poles = [(1.0, 0.0), (0.0, 1.0), (0.5, 0.5)]
+    return np.concatenate(
+        [coefficient_rows(np.full(n, c11), c12, c21, np.full(n, c22)) for c11, c22 in poles]
+    )
+
+
+# (index in FIVE_PREPARATIONS, input): subnormal parts, which the halving of the mapped vector rounds
+SUBNORMAL_INPUTS = {
+    "automatic, c12 = 5e-324": (4, CoefficientVector.from_components(0.5, 5e-324)),
+    "Bell 2, c12 = 1.5e-323j": (1, CoefficientVector.from_components(0.5, 1.5e-323j)),
+}
+
+
+class TestIdentityPath:
+    """A known preparation's comparison is its session state without correction; the 8x8 products stay the oracle."""
 
     @pytest.mark.parametrize("rows", sorted(MAP_TEST_ROWS))
     @pytest.mark.parametrize("k", range(5))
-    def test_maps_equal_the_eight_by_eight_products(self, k, rows):
+    def test_one_row_equals_the_eight_by_eight_products(self, k, rows):
         u = FIVE_PREPARATIONS[k]
         c = MAP_TEST_ROWS[rows]
-        maps, p8 = u._convention_maps, u.sender_operator
-        assert_same_updates(_mapped_updates(maps, c), _both_updates(p8, c))
-        for i in range(0, len(c), 7):  # N = 1
-            assert_same_updates(_mapped_updates(maps, c[i : i + 1]), _both_updates(p8, c[i : i + 1]))
+        raw, (trace, total), (ansatz, sandwich) = _both_updates(u.sender_operator, c)
+        assert (total.real / trace.real == u.diagonal_weight()).all()
+        for i, vector in enumerate(vectors(c)):
+            record = compare_conventions(u, vector)
+            assert record.ansatz.tobytes() == ansatz[i].tobytes()
+            assert record.sandwich.tobytes() == sandwich[i].tobytes()
+            assert record.max_abs_diff == 0.0 == np.abs(ansatz[i] - sandwich[i]).max()
+            assert record.prenorm_ratio == u.diagonal_weight()
 
     @pytest.mark.parametrize("k", range(5))
-    def test_each_map_row_has_one_power_of_two_entry(self, k):
-        # so every map product is one exact scaling: the bits hold for every input, not only the sampled ones
-        maps = FIVE_PREPARATIONS[k]._convention_maps
-        assert maps.shape == (2, 4, 4) and not maps.flags.writeable
-        assert not maps.imag.any()
-        nonzero = maps.real != 0
-        assert (nonzero.sum(axis=-1) == 1).all()
-        mantissas, _ = np.frexp(np.abs(maps.real[nonzero]))
-        assert (mantissas == 0.5).all()
-
-    @pytest.mark.parametrize("k", range(5))
-    def test_fresh_known_tensors_take_the_maps(self, k, monkeypatch):
+    def test_fresh_known_tensors_take_no_eight_by_eight_product(self, k, monkeypatch):
         u = preparation_from_bell(k + 1) if k < 4 else automatic_preparation()
         assert all(u is not shared for shared in protocol._BELL_TENSORS.values())
+        c = CoefficientVector.from_components(0.3, 0.2 - 0.1j)
+        expected = reference_compare(FIVE_PREPARATIONS[k], c)
 
         def refuse(*_):
             raise AssertionError("8x8 products on a known tensor")
 
-        monkeypatch.setattr(conventions, "_both_updates", refuse)
-        c = CoefficientVector.from_components(0.3, 0.2 - 0.1j)
-        assert_same_bits(compare_conventions(u, c), reference_compare(u, c))
-        assert u._convention_maps.tobytes() == FIVE_PREPARATIONS[k]._convention_maps.tobytes()
+        monkeypatch.setattr(conventions, "_compare_rows", refuse)
+        assert_same_bits(compare_conventions(u, c), expected)
+        assert "sender_operator" not in vars(u)
 
-    def test_near_known_tensor_takes_the_eight_by_eight_products(self):
-        # within EQ_TOL of Bell 2, so it classifies as Bell 2, but Bell 2's maps would round differently
+    def test_near_known_tensor_keeps_its_eight_by_eight_bits(self):
+        # within EQ_TOL of Bell 2, so it classifies as Bell 2, but its products round differently
         bell2 = preparation_from_bell(2)
         near = PreparationTensor(bell2.u + 1e-14, normalized=True)
-        assert near.bell_index == 2 and near._convention_maps is None
+        assert near.bell_index == 2 and near._exact_ratio is None
         x, y, z = SAMPLERS["mixed_uniform"](np.random.default_rng(5), 200)
         cs = [CoefficientVector.from_bloch(x[i], y[i], z[i]) for i in range(len(x))]
-        for c, row in zip(cs, kernel_results(near, cs)):
-            assert_same_bits(row, reference_compare(near, c))
-        rows = np.stack([c.as_vector() for c in cs])
-        borrowed = _mapped_updates(bell2._convention_maps, rows)[0]
-        assert borrowed.tobytes() != _both_updates(near.sender_operator, rows)[0].tobytes()
+        records = [compare_conventions(near, c) for c in cs]
+        for c, record, row in zip(cs, records, kernel_results(near, cs)):
+            assert_same_bits(record, reference_compare(near, c))
+            assert_same_bits(record, row)
+        assert any(record.prenorm_ratio != 1.0 for record in records)
+
+    @pytest.mark.parametrize("k", range(5))
+    def test_subnormal_inputs(self, k):
+        u = FIVE_PREPARATIONS[k]
+        cs = vectors(subnormal_rows()) + [c for j, c in SUBNORMAL_INPUTS.values() if j == k]
+        for c in cs:
+            record = compare_conventions(u, c)
+            assert record.max_abs_diff == 0.0
+            assert record.prenorm_ratio == u.diagonal_weight()
+            session = run_session(c, u, ClassicalMessage.pre_agreed(), False)
+            assert record.ansatz.tobytes() == session.bob_state.tobytes()
+            for reference in (renormalize(alice_prepare(u, c)), prepare_sandwich(u, c)):
+                assert np.abs(record.ansatz - reference).max() <= AGREE_TOL
+
+    def test_the_eight_by_eight_path_rounds_twice_on_subnormal_parts(self):
+        # so on such inputs the 8x8 products are an oracle within AGREE_TOL, not bit for bit
+        k, c = SUBNORMAL_INPUTS["Bell 2, c12 = 1.5e-323j"]
+        u = FIVE_PREPARATIONS[k]
+        assert 0.0 < np.abs(renormalize(alice_prepare(u, c)) - prepare_sandwich(u, c)).max() <= AGREE_TOL
+        assert compare_conventions(u, c).max_abs_diff == 0.0
 
 
 def general_tensor() -> PreparationTensor:
@@ -326,13 +363,17 @@ class TestRecord:
     @pytest.mark.parametrize("k", range(6))
     def test_equals_the_constructed_record(self, k):
         u = (FIVE_PREPARATIONS + [general_tensor()])[k]
-        assert (u._convention_maps is None) == (k == 5)
+        assert (u._exact_ratio is None) == (k == 5)
         c = CoefficientVector.from_components(0.3, 0.2 - 0.1j)
         record = compare_conventions(u, c)
-        ansatz, sandwich, diff, ratio = _compare_rows(u, c.row)
-        built = ConventionResult(
-            ansatz=ansatz[0], sandwich=sandwich[0], max_abs_diff=float(diff[0]), prenorm_ratio=float(ratio[0])
-        )
+        if k < 5:
+            state = _row_state(u.coefficient_map, c.row)
+            built = ConventionResult(ansatz=state, sandwich=state, max_abs_diff=0.0, prenorm_ratio=u.diagonal_weight())
+        else:
+            ansatz, sandwich, diff, ratio = _compare_rows(u, c.row)
+            built = ConventionResult(
+                ansatz=ansatz[0], sandwich=sandwich[0], max_abs_diff=float(diff[0]), prenorm_ratio=float(ratio[0])
+            )
         assert_same_bits(record, built)
         assert type(record) is ConventionResult
         assert type(record.max_abs_diff) is float and type(record.prenorm_ratio) is float
@@ -341,6 +382,15 @@ class TestRecord:
         for field in ("ansatz", "sandwich", "max_abs_diff", "prenorm_ratio"):
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(record, field, getattr(record, field))
+
+    @pytest.mark.parametrize("k", range(5))
+    def test_the_shared_state_cannot_be_written(self, k):
+        # one array is both fields, so writing the ansatz must not be able to change the sandwich
+        record = compare_conventions(FIVE_PREPARATIONS[k], CoefficientVector.from_components(0.3, 0.2 - 0.1j))
+        assert record.ansatz is record.sandwich
+        with pytest.raises(ValueError):
+            record.ansatz.setflags(write=True)
+        assert not can_be_made_writable(record.ansatz)
 
 
 class TestBellIndexArgument:

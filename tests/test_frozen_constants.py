@@ -106,7 +106,6 @@ def test_no_shared_array_can_be_made_writable():
         bell2.u,
         bell2._corrected_map,
         bell2.sender_operator,
-        bell2._convention_maps,
     )
     assert {id(array) for array in expected} <= reached
     assert [where for where, array in found if can_be_made_writable(array)] == []
@@ -147,7 +146,6 @@ def named_arrays() -> dict:
         "session_map(True)": u.session_map(True),
         "session_map(False)": u.session_map(False),
         "sender_operator": u.sender_operator,
-        "_convention_maps": u._convention_maps,
         "CoefficientVector.row": c.row,
         "protocol._KNOWN_WEIGHTS": protocol._KNOWN_WEIGHTS,
         "protocol._SHARED_PAIR": protocol._SHARED_PAIR,

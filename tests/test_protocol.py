@@ -350,7 +350,9 @@ class TestPreparations:
         u = automatic_preparation() if prep == "automatic" else resolve_preparation(prep)
         p = u.matrix()
         assert u.diagonal_weight() == np.trace(p).real
-        assert np.array_equal(p @ p, u.diagonal_weight() * p)
+        # exactly, signed zeros included: compare_conventions returns 0.0 and this ratio on it
+        assert (p @ p).tobytes() == (u.diagonal_weight() * p).tobytes()
+        assert u._exact_ratio == u.diagonal_weight() and type(u._exact_ratio) is float
 
     def test_rejects_a_tensor_of_another_shape(self):
         with pytest.raises(ValueError) as info:
