@@ -5,9 +5,9 @@ so repeated runs produce byte-identical output. Numeric fields are
 serialized with 17 significant digits in CSV; JSON carries native floats
 that round-trip exactly. Every format is rendered column by column.
 
-Exit status: 0 on success, 1 on an invariant violation, bad configuration
-or an --out path that cannot be written, 2 when a numerical audit exceeds
-its tolerance.
+Exit status: 0 on success, 1 on an invariant violation, bad configuration,
+a run that does not fit in memory or an --out path that cannot be written,
+2 when a numerical audit exceeds its tolerance.
 """
 
 from __future__ import annotations
@@ -447,10 +447,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         columns, data, ok = args.func(args)
+        text = _render(columns, data, args.format)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    text = _render(columns, data, args.format)
+    except MemoryError as exc:  # a grid or sample count too large for this machine
+        print(f"error: out of memory: {exc}" if str(exc) else "error: out of memory", file=sys.stderr)
+        return 1
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8") as handle:

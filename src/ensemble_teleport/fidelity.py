@@ -207,8 +207,12 @@ def average_fidelity(
     session_map = resolve_preparation(prep).session_map(bob_acts)
     x, y, z = SAMPLERS[sampler](np.random.default_rng(seed), n)
     _, values = receiver_states(session_map, bloch_coefficient_rows(x, y, z))
-    stderr = float(values.std(ddof=1) / np.sqrt(n))
-    return AverageFidelity(mean=float(values.mean()), stderr=stderr)
+    # values.mean() and values.std(ddof=1) without their Python wrappers: the same pairwise sums and divisions
+    mean = np.add.reduce(values) / n
+    d = values - mean
+    d *= d
+    stderr = float(np.sqrt(np.add.reduce(d) / (n - 1)) / np.sqrt(n))
+    return AverageFidelity(mean=float(mean), stderr=stderr)
 
 
 @dataclass(frozen=True)

@@ -218,6 +218,11 @@ def _nan_unless_finite(a, b, c, d):
 # hypot's, gives quantities at least the exact ones (NaN counting as
 # failing): a column that passes on its bounds passes exactly, and
 # ``require_columns`` needs the exact evaluation only when one does not.
+# The finite entry is the one bound not built from moduli: ON_BOUNDS takes
+# the real part of (a + b + c + d) * 0.0, 0.0 or -0.0 for finite parts. A
+# NaN or Inf part makes the sum non-finite and the product NaN, so the bound
+# fails wherever the exact entry does; finite parts whose sum overflows give
+# NaN as well, which only sends the batch to the exact evaluation.
 ON_NUMBERS = SimpleNamespace(modulus=modulus, maximum=max, nan_unless_finite=_nan_unless_finite)
 ON_COLUMNS = SimpleNamespace(
     modulus=lambda z: np.hypot(z.real, z.imag),
@@ -232,7 +237,7 @@ ON_COLUMNS = SimpleNamespace(
 ON_BOUNDS = SimpleNamespace(
     modulus=lambda z: np.abs(z) * (1.0 + 2.0**-45) + 2.0**-1000,
     maximum=ON_COLUMNS.maximum,
-    nan_unless_finite=ON_COLUMNS.nan_unless_finite,
+    nan_unless_finite=lambda a, b, c, d: ((a + b + c + d) * 0.0).real,
 )
 
 FINITE = (0.0, _NOT_FINITE.format)

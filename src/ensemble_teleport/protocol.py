@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -486,24 +486,36 @@ _FUSED_BLOCK_ROWS = 2048  # rows per fused block: about 160 bytes of temporaries
 _FUSED_OVERLAPS = _fused_overlaps_agree()
 
 
-def _scaled_permutation(t: np.ndarray) -> tuple[list, np.ndarray] | None:
+def _scaled_permutation(t: np.ndarray) -> tuple[tuple, np.ndarray] | None:
     """``(columns, scales)`` when the complex map ``t`` is a permutation matrix times finite real scales.
 
     Row r of ``t @ v`` is then ``scales[r] * v[columns[r]]``. Every known
     session map is one, with scales of 1/2 or 1. A map with a second
     nonzero entry in a row or column, a nonzero imaginary part or a NaN/Inf
     entry gives None. Every column is taken, so a NaN/Inf coefficient
-    reaches the mapped vector on both paths.
+    reaches the mapped vector on both paths. The plan comes from a cache
+    keyed on the map's bytes, so a map sent again costs one ``tobytes``.
     """
     if t.dtype != complex:
         return None
-    nonzero = [[(j, z) for j, z in enumerate(row) if z] for row in t.tolist()]
+    return _permutation_plan(t.tobytes())
+
+
+@lru_cache(maxsize=32)
+def _permutation_plan(entries: bytes) -> tuple[tuple, np.ndarray] | None:
+    """``_scaled_permutation`` of the 4x4 complex map whose C-order bytes are ``entries``.
+
+    Every caller gets the same plan, so it is immutable: a tuple of columns
+    and scales over immutable bytes (``frozen``).
+    """
+    rows = np.frombuffer(entries, complex).reshape(4, 4).tolist()
+    nonzero = [[(j, z) for j, z in enumerate(row) if z] for row in rows]
     if any(len(row) != 1 for row in nonzero):
         return None
     columns, scales = zip(*(row[0] for row in nonzero))
     if sorted(columns) != [0, 1, 2, 3] or any(z.imag or not math.isfinite(z.real) for z in scales):
         return None
-    return list(columns), np.array([z.real for z in scales])
+    return columns, frozen([z.real for z in scales])
 
 
 @np.errstate(all="ignore")  # as a decorator, errstate costs about half what a with block does

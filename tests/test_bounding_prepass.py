@@ -22,6 +22,7 @@ from ensemble_teleport import cli, linalg, protocol
 from ensemble_teleport.fidelity import SAMPLERS, average_fidelity
 from ensemble_teleport.protocol import automatic_preparation, receiver_states, resolve_preparation
 from test_check_tables import DBL_MAX, SPECIAL, TABLES
+from test_frozen_constants import can_be_made_writable
 
 TINY = sys.float_info.min  # the smallest normal double
 
@@ -253,6 +254,43 @@ class TestGather:
                 with pytest.raises(ValueError) as multiplied:
                     receiver_states(KNOWN_MAPS[name], broken)
             assert str(gathered.value) == str(multiplied.value)
+
+
+class TestPlanCache:
+    """``_scaled_permutation`` hands out one cached plan per map bytes, which no caller can change."""
+
+    def test_equal_maps_built_apart_share_one_plan(self):
+        t = KNOWN_MAPS["bell3"]
+        rebuilt = np.asfortranarray(np.array(t.tolist()))
+        assert rebuilt is not t and rebuilt.tobytes() == t.tobytes()
+        assert protocol._scaled_permutation(rebuilt) is protocol._scaled_permutation(t)
+
+    @pytest.mark.parametrize("names", sorted(DISTINCT_MAPS))
+    def test_the_plan_cannot_be_written(self, names):
+        columns, scales = protocol._scaled_permutation(DISTINCT_MAPS[names])
+        assert isinstance(columns, tuple)
+        assert not can_be_made_writable(scales)
+
+    def test_a_mutated_map_gets_its_new_plan(self):
+        t = KNOWN_MAPS["bell1"].copy()
+        rows = grid_block((2, 4))
+        (a, b, c, d), _ = protocol._scaled_permutation(t)
+        t[[0, 3]] = t[[3, 0]]
+        assert protocol._scaled_permutation(t)[0] == (d, b, c, a)
+        assert_same_bits(t, rows)
+        t[1, 2] = 0.25
+        assert protocol._scaled_permutation(t) is None
+        assert_same_bits(t, rows)
+
+    def test_a_signed_zero_map_keeps_the_product_bits(self):
+        t = KNOWN_MAPS["automatic"].copy()
+        signed = t.copy()
+        signed.imag[0, 0] = -0.0
+        signed.real[0, 1] = -0.0
+        assert signed.tobytes() != t.tobytes() and np.array_equal(signed, t)
+        assert protocol._scaled_permutation(signed) is not None
+        for rows in itertools.islice(grid_blocks(), 0, None, 7):
+            assert_same_bits(signed, rows)
 
 
 @pytest.fixture

@@ -673,3 +673,38 @@ class TestOutFailure:
         assert out == ""
         assert err.startswith(f"error: cannot write {target}: ")
         assert "Traceback" not in err and err.count("\n") == 1
+
+
+class TestOutOfMemory:
+    """A run too large for memory exits 1 with one error line, as a bad flag does.
+
+    A helper is made to raise before anything large is allocated: a real
+    oversized allocation may succeed under memory overcommit and then be
+    killed, so none is attempted.
+    """
+
+    NUMPY_MESSAGE = "Unable to allocate 7.28 TiB for an array with shape (1000000000000,) and data type float64"
+
+    # command -> (namespace, name) of the helper that raises in it
+    CASES = {
+        "sweep --resolution 1000000": (cli, "_sweep_grid"),
+        "appendix-check --samples 100000000000": (cli.SAMPLERS, "mixed_uniform"),
+        "sweep --resolution 3 --format csv": (cli, "_render_csv"),
+        "bell-audit --format json": (cli, "_render_json"),
+    }
+
+    @pytest.mark.parametrize("command", sorted(CASES))
+    @pytest.mark.parametrize("message", [NUMPY_MESSAGE, ""])
+    def test_exits_one_with_one_error_line(self, capsys, monkeypatch, command, message):
+        def out_of_memory(*_):
+            raise MemoryError(message)
+
+        namespace, name = self.CASES[command]
+        if isinstance(namespace, dict):
+            monkeypatch.setitem(namespace, name, out_of_memory)
+        else:
+            monkeypatch.setattr(namespace, name, out_of_memory)
+        code, out, err = run_cli(capsys, *command.split())
+        assert code == 1
+        assert out == ""
+        assert err == (f"error: out of memory: {message}\n" if message else "error: out of memory\n")

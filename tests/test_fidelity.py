@@ -352,6 +352,27 @@ class TestSeededStream:
             assert batch_rng.random() == loop_rng.random() == public_rng.random()
 
 
+class TestSummaryStatistics:
+    """The mean and stderr are numpy's own ``mean()`` and ``std(ddof=1)`` of the overlaps, bit for bit.
+
+    From 8193 values on, numpy's reductions buffer the strided overlaps in
+    blocks of 8192, so those sizes cross a block boundary.
+    """
+
+    @pytest.mark.parametrize("n", [100, 1000, 8193, 20000])
+    @pytest.mark.parametrize(
+        "prep, bob_acts, sampler",
+        [(2, True, "pure_uniform"), (1, False, "mixed_uniform"), ("automatic", False, "mixed_uniform")],
+    )
+    def test_equal_numpys_mean_and_std(self, prep, bob_acts, sampler, n):
+        prep = automatic_preparation() if prep == "automatic" else prep
+        x, y, z = SAMPLERS[sampler](np.random.default_rng(n), n)
+        _, values = receiver_states(resolve_preparation(prep).session_map(bob_acts), bloch_coefficient_rows(x, y, z))
+        expected = (values.mean(), values.std(ddof=1) / np.sqrt(n))
+        got = average_fidelity(prep, bob_acts, sampler=sampler, n=n, seed=n)
+        assert np.array(got).tobytes() == np.array(expected).tobytes()
+
+
 # Uncorrected Bell k maps input Bloch vector r to R_k r, so its fidelity is (1 + r.R_k r)/2.
 BELL_ROTATIONS = {1: (-1, 1, -1), 2: (1, -1, -1), 3: (-1, -1, 1), 4: (1, 1, 1)}
 
