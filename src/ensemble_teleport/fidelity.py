@@ -153,8 +153,8 @@ def _mixed_bloch(rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarr
     z, phi, u = (_MIXED_LOW + _MIXED_WIDTH * rng.random((n, 3))).T
     # float_power calls libm pow like Python's **; np.power rounds some cube roots differently.
     radius = np.float_power(u, 1.0 / 3.0)
-    r = np.sqrt(np.maximum(1.0 - z * z, 0.0))
-    return radius * r * np.cos(phi), radius * r * np.sin(phi), radius * z
+    r = radius * np.sqrt(np.maximum(1.0 - z * z, 0.0))
+    return r * np.cos(phi), r * np.sin(phi), radius * z
 
 
 def sample_pure_uniform(rng: np.random.Generator) -> CoefficientVector:

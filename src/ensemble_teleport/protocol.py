@@ -78,6 +78,7 @@ class CoefficientVector:
     @classmethod
     def from_bloch(cls, x: float, y: float, z: float) -> "CoefficientVector":
         """Coefficients of (I + x*sigma1 + y*sigma2 + z*sigma3) / 2 for |r| <= 1."""
+        x, y, z = float(x), float(y), float(z)
         require((bloch_table, (x, y, z)))
         return cls.from_components((1.0 + z) / 2.0, (x - 1j * y) / 2.0)
 
@@ -123,12 +124,18 @@ def coefficient_rows(c11, c12, c21, c22) -> np.ndarray:
 
 
 def bloch_coefficient_rows(x, y, z) -> np.ndarray:
-    """``CoefficientVector.from_bloch`` on arrays: its length check, then ``coefficient_rows``."""
+    """``CoefficientVector.from_bloch`` on arrays: its length check and its one check, ``bloch_table``, then its rows.
+
+    fl(x^2 + y^2 + z^2) <= 1 + EQ_TOL implies every ``coefficient_table`` invariant, so that pass is not run:
+    finite parts, |c11 + c22 - 1| <= 2**-52, -c11 and -c22 <= 2.6e-13, c21 - conj(c12) = 0, positivity <= -7e-13.
+    """
     x, y, z = (np.asarray(v, dtype=float) for v in (x, y, z))
     _require_equal_1d("x, y, z", x, y, z)
     require_rows((bloch_table, (x, y, z)))
     c11, c12 = (1.0 + z) / 2.0, (x - 1j * y) / 2.0
-    return coefficient_rows(c11, c12, c12.conj(), 1.0 - c11)
+    rows = np.empty((len(c11), 4), dtype=complex)
+    rows[:, 0], rows[:, 1], rows[:, 2], rows[:, 3] = c11, c12, c12.conj(), 1.0 - c11
+    return rows
 
 
 @dataclass(frozen=True, eq=False)
