@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import renormalization_table, require, require_rows, trace_out_sender_pair, two_sided_trace_table
+from .linalg import renormalization_table, require, require_columns, trace_out_sender_pair, two_sided_trace_table
 from .protocol import (
     CoefficientVector, PreparationTensor, _coefficient_batch, _row_state, resolve_preparation, total_state,
     total_states,
@@ -95,14 +95,14 @@ def _compare_rows(
     too, so a batch of known weights checks P @ P = w P on them. A row that
     fails renormalize's checks or the two-sided trace check raises
     ValueError with the message of the lowest failing row's first failing
-    check (``require_rows``). Those are the one-operator functions' messages
+    check (``require`` on that row). Those are the one-operator functions' messages
     for rows from ``coefficient_rows`` or ``CoefficientVector``, which sit
     far below MAX_ENTRY; on rows with entries past it the kernel gives the
     check tables' verdicts, not the bound message.
     """
     u = resolve_preparation(u)
     raw, (trace, total), (ansatz, sandwich) = _both_updates(u.sender_operator, _coefficient_batch(coeffs))
-    require_rows((renormalization_table, raw), (two_sided_trace_table, total))
+    require_columns((renormalization_table, raw), (two_sided_trace_table, (total,)))
     return ansatz, sandwich, np.abs(ansatz - sandwich).max(axis=(1, 2)), total.real / trace.real
 
 

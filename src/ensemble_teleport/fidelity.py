@@ -200,7 +200,8 @@ def average_fidelity(
         raise ValueError(f"n must be an integer, got {n!r}")
     if n < 100:
         raise ValueError(f"need at least 100 samples, got {n}")
-    if sampler not in SAMPLERS:
+    # the isinstance test keeps an unhashable sampler from reaching the dict lookup
+    if not isinstance(sampler, str) or sampler not in SAMPLERS:
         raise ValueError(f"unknown sampler {sampler!r}; expected one of {sorted(SAMPLERS)}")
     if not is_integer(seed) or seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed!r}")

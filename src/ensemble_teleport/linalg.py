@@ -195,8 +195,8 @@ def _nan_unless_finite(a, b, c, d):
     return 0.0 if isfinite(a) and isfinite(b) and isfinite(c) and isfinite(d) else math.nan
 
 
-# Check tables: each invariant is written once and runs on one row's Python
-# numbers or on columns of many rows.
+# Check tables: each invariant is written once and runs exactly on one row's
+# Python numbers, or as a bound on columns of many rows.
 #
 # An invariant is (bound, message): a quantity meets it when
 # ``quantity <= bound``, so a NaN quantity fails, and otherwise
@@ -207,36 +207,29 @@ def _nan_unless_finite(a, b, c, d):
 # A table ``table(x, parts)`` returns its entries (quantity, invariant,
 # values) in checking order; each quantity is one expression over the parts,
 # with squares as ``m * m``. The arithmetic ``x`` supplies what differs
-# between Python numbers and columns: moduli, as abs() of a Python complex
-# or np.hypot of the parts, both libm hypot, so they agree to the last bit
-# (np.abs of a complex array and math.hypot do not); the maximum of three
-# values; and 0.0 or NaN for four parts that are all finite or not.
+# between Python numbers and columns: moduli, the maximum of three values,
+# and 0.0 or NaN for four parts that are all finite or not. ON_NUMBERS, which
+# ``require`` alone uses, takes moduli as abs() of a Python complex, libm
+# hypot, and Python's max.
 #
 # Every quantity must be nondecreasing in each modulus it uses (a modulus
 # enters directly, through -(q - h) or through m * m of m >= 0), and
 # rounding is monotone. Then ON_BOUNDS, whose moduli are never below libm
 # hypot's, gives quantities at least the exact ones (NaN counting as
-# failing): a column that passes on its bounds passes exactly, and
-# ``require_columns`` needs the exact evaluation only when one does not.
-# The finite entry is the one bound not built from moduli: ON_BOUNDS takes
-# the real part of (a + b + c + d) * 0.0, 0.0 or -0.0 for finite parts. A
-# NaN or Inf part makes the sum non-finite and the product NaN, so the bound
+# failing): a row that passes on its bounds passes exactly, so
+# ``require_columns`` hands ``require`` only the rows that fail an entry
+# there. The finite entry is the one bound not built from moduli: ON_BOUNDS
+# takes the real part of (a + b + c + d) * 0.0, 0.0 or -0.0 for finite parts.
+# A NaN or Inf part makes the sum non-finite and the product NaN, so the bound
 # fails wherever the exact entry does; finite parts whose sum overflows give
-# NaN as well, which only sends the batch to the exact evaluation.
+# NaN as well, which only sends the row to ``require``.
 ON_NUMBERS = SimpleNamespace(modulus=modulus, maximum=max, nan_unless_finite=_nan_unless_finite)
-ON_COLUMNS = SimpleNamespace(
-    modulus=lambda z: np.hypot(z.real, z.imag),
-    maximum=lambda p, q, r: np.maximum(np.maximum(p, q), r),
-    nan_unless_finite=lambda a, b, c, d: np.where(
-        np.isfinite(a) & np.isfinite(b) & np.isfinite(c) & np.isfinite(d), 0.0, np.nan
-    ),
-)
 # numpy's complex absolute, a few ulps from hypot and cheaper; the margin is about 256 ulps, and
 # the 2**-1000 covers subnormal moduli. A relative margin keeps the bound tight: |re| + |im|
 # would fail POSITIVE on every pure state.
 ON_BOUNDS = SimpleNamespace(
     modulus=lambda z: np.abs(z) * (1.0 + 2.0**-45) + 2.0**-1000,
-    maximum=ON_COLUMNS.maximum,
+    maximum=lambda p, q, r: np.maximum(np.maximum(p, q), r),
     nan_unless_finite=lambda a, b, c, d: ((a + b + c + d) * 0.0).real,
 )
 
@@ -350,75 +343,48 @@ real_overlap_table = scalar_table(_REAL_OVERLAP)
 
 
 def require(*checks) -> None:
-    """The runner on one row: ValueError with the message of its first failing entry.
+    """The runner on one row, and the one exact evaluation: ValueError with the message of its first failing entry.
 
-    Each check is a (table, parts) pair, ``parts`` the row's Python numbers,
-    or a one-row array or a tuple of one-element columns of them, which are
-    read as Python numbers; the tables run in order.
+    Each check is a (table, parts) pair, ``parts`` the row's Python numbers;
+    the tables run in order.
     """
     for table, parts in checks:
-        if isinstance(parts, np.ndarray):
-            parts = parts.ravel().tolist()
-        elif isinstance(parts[0], np.ndarray):
-            parts = [part.item() for part in parts]
         for quantity, (bound, message), values in table(ON_NUMBERS, parts):
             if not quantity <= bound:
                 raise ValueError(message(*values))
 
 
-def _column_entries(x, checks) -> list:
-    """The entries of every check's table on columns, in checking order, with the arithmetic ``x``."""
-    return [
-        entry
-        for table, rows in checks
-        for entry in table(x, rows if isinstance(rows, tuple) else rows.reshape(len(rows), -1).T)
-    ]
-
-
-def _passed(entries) -> np.ndarray:
-    """Whether each entry's quantity meets its bound, on each row: an (entries, N) array."""
-    return np.array([quantity <= bound for quantity, (bound, _), _ in entries])
-
-
-def _raise_first_failure(checks) -> None:
-    """``require_columns``' exact evaluation: ValueError for the lowest failing row, if any."""
-    entries = _column_entries(ON_COLUMNS, checks)
-    failed = ~_passed(entries)
-    if failed.any():
-        row = int(np.argmax(failed.any(axis=0)))
-        _, (_, message), values = entries[int(np.argmax(failed[:, row]))]
-        raise ValueError(message(*(value[row].item() for value in values)))
+def _row(rows, i: int) -> list:
+    """Row i of a check's rows, an (N, ...) array or a tuple of N-long columns, as Python numbers."""
+    return [column.item(i) for column in rows] if isinstance(rows, tuple) else rows[i].ravel().tolist()
 
 
 def require_columns(*checks) -> None:
-    """The runner on N >= 1 rows: ValueError for the lowest failing row, with its first failing message.
+    """The runner on N rows: ValueError for the lowest failing row, with the message ``require`` raises on it.
 
     Each check is a (table, rows) pair, ``rows`` an (N, ...) array whose
     other axes hold the table's parts or a tuple of the parts' N-long
-    columns; the message is the one ``require`` on that row raises. A
-    batch whose every entry passes on ON_BOUNDS passes; only otherwise are
-    the exact quantities, which pick the row and the message, evaluated.
+    columns. From two rows on, the tables first run on ON_BOUNDS: a batch
+    whose every entry passes there passes, and otherwise ``require`` runs on
+    each row that failed an entry, lowest first, until one fails exactly.
+    A batch of 0 or 1 rows goes to ``require`` directly.
     """
-    # A row that fails one entry may give inf or nan in later ones, which is
-    # harmless: only its first failing entry is reported.
-    with np.errstate(all="ignore"):
-        if _passed(_column_entries(ON_BOUNDS, checks)).all():
+    first = checks[0][1]
+    candidates = range(len(first[0] if isinstance(first, tuple) else first))
+    if len(candidates) > 1:
+        with np.errstate(all="ignore"):  # a failing row may give inf or nan in later entries: harmless
+            passed = np.array([
+                quantity <= bound
+                for table, rows in checks
+                for quantity, (bound, _), _ in table(
+                    ON_BOUNDS, rows if isinstance(rows, tuple) else rows.reshape(len(rows), -1).T
+                )
+            ])
+        if passed.all():
             return
-        _raise_first_failure(checks)
-
-
-def require_rows(*checks) -> None:
-    """``require`` on a single row, else ``require_columns``: the choice depends on the row count alone.
-
-    One row costs less as Python numbers than as columns of one, and both
-    runners evaluate the same expressions to the same bits.
-    """
-    rows = checks[0][1]
-    n = len(rows[0] if isinstance(rows, tuple) else rows)
-    if n == 1:
-        require(*checks)
-    elif n:
-        require_columns(*checks)
+        candidates = np.flatnonzero(~passed.all(axis=0)).tolist()
+    for i in candidates:
+        require(*[(table, _row(rows, i)) for table, rows in checks])
 
 
 def require_statistical_operator(op) -> None:

@@ -42,7 +42,7 @@ from .linalg import (
     renormalization_table,
     require,
     require_bounded,
-    require_rows,
+    require_columns,
     stacked_kron,
     trace_out_sender_pair,
 )
@@ -63,6 +63,7 @@ class CoefficientVector:
     c22: float
 
     def __post_init__(self):
+        _require_real(c11=self.c11, c22=self.c22)
         object.__setattr__(self, "c11", float(self.c11))
         object.__setattr__(self, "c12", complex(self.c12))
         object.__setattr__(self, "c21", complex(self.c21))
@@ -72,12 +73,14 @@ class CoefficientVector:
     @classmethod
     def from_components(cls, c11: float, c12: complex = 0.0) -> "CoefficientVector":
         """Build from the free parameters, deriving c22 = 1 - c11 and c21 = conj(c12)."""
+        _require_real(c11=c11)
         c12 = complex(c12)
         return cls(float(c11), c12, c12.conjugate(), 1.0 - float(c11))
 
     @classmethod
     def from_bloch(cls, x: float, y: float, z: float) -> "CoefficientVector":
         """Coefficients of (I + x*sigma1 + y*sigma2 + z*sigma3) / 2 for |r| <= 1."""
+        _require_real(x=x, y=y, z=z)
         x, y, z = float(x), float(y), float(z)
         require((bloch_table, (x, y, z)))
         return cls.from_components((1.0 + z) / 2.0, (x - 1j * y) / 2.0)
@@ -102,6 +105,13 @@ class CoefficientVector:
         return abs(mag2 - product) <= tol
 
 
+def _require_real(**parts) -> None:
+    """TypeError for a complex part, a Python or numpy one or an array of them, whose imaginary part float() would drop."""
+    for name, part in parts.items():
+        if not isinstance(part, (float, int)) and np.iscomplexobj(part):  # floats skip the 1 µs array test
+            raise TypeError(f"{name} must be real, got a complex value")
+
+
 def _require_equal_1d(names: str, *arrays: np.ndarray) -> None:
     shapes = [a.shape for a in arrays]
     if arrays[0].ndim != 1 or len(set(shapes)) != 1:
@@ -114,12 +124,13 @@ def coefficient_rows(c11, c12, c21, c22) -> np.ndarray:
     ``coefficient_table`` on every row, as the CoefficientVector constructor
     runs it on one: the lowest failing row raises the constructor's message.
     """
+    _require_real(c11=c11, c22=c22)
     c11, c22 = np.asarray(c11, dtype=float), np.asarray(c22, dtype=float)
     c12, c21 = np.asarray(c12, dtype=complex), np.asarray(c21, dtype=complex)
     _require_equal_1d("c11, c12, c21, c22", c11, c12, c21, c22)
     rows = np.empty((len(c11), 4), dtype=complex)
     rows[:, 0], rows[:, 1], rows[:, 2], rows[:, 3] = c11, c12, c21, c22
-    require_rows((coefficient_table, (c11, c12, c21, c22)))
+    require_columns((coefficient_table, (c11, c12, c21, c22)))
     return rows
 
 
@@ -129,9 +140,10 @@ def bloch_coefficient_rows(x, y, z) -> np.ndarray:
     fl(x^2 + y^2 + z^2) <= 1 + EQ_TOL implies every ``coefficient_table`` invariant, so that pass is not run:
     finite parts, |c11 + c22 - 1| <= 2**-52, -c11 and -c22 <= 2.6e-13, c21 - conj(c12) = 0, positivity <= -7e-13.
     """
+    _require_real(x=x, y=y, z=z)
     x, y, z = (np.asarray(v, dtype=float) for v in (x, y, z))
     _require_equal_1d("x, y, z", x, y, z)
-    require_rows((bloch_table, (x, y, z)))
+    require_columns((bloch_table, (x, y, z)))
     c11, c12 = (1.0 + z) / 2.0, (x - 1j * y) / 2.0
     rows = np.empty((len(c11), 4), dtype=complex)
     rows[:, 0], rows[:, 1], rows[:, 2], rows[:, 3] = c11, c12, c12.conj(), 1.0 - c11
@@ -624,7 +636,7 @@ def receiver_states(t, coeffs) -> tuple[np.ndarray, np.ndarray]:
     passes renormalize's trace checks, then fidelity_trace's checks (a
     statistical operator, a real overlap); otherwise ValueError names the
     lowest failing row's first failing invariant, with the message those
-    one-operator functions give (``require_rows``). That holds for rows from
+    one-operator functions give (``require`` on that row). That holds for rows from
     ``coefficient_rows`` or ``CoefficientVector`` and maps of a
     ``PreparationTensor``, which sit far below MAX_ENTRY; on rows with
     entries past it the kernel gives the check tables' verdicts, not the
@@ -640,10 +652,10 @@ def receiver_states(t, coeffs) -> tuple[np.ndarray, np.ndarray]:
     if t.shape != (4, 4):
         raise ValueError(f"expected a 4x4 session map, got shape {t.shape}")
     raw, states, overlap = _mapped_states(t, _coefficient_batch(coeffs))
-    require_rows(
+    require_columns(
         (renormalization_table, raw),
         (qubit_operator_table, states),
-        (real_overlap_table, overlap),
+        (real_overlap_table, (overlap,)),
     )
     return states, overlap.real
 

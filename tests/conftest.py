@@ -4,6 +4,7 @@ from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 
 from ensemble_teleport import CoefficientVector, sample_mixed_uniform, sample_pure_uniform
+from ensemble_teleport.linalg import ON_NUMBERS
 
 settings.register_profile(
     "ci",
@@ -36,6 +37,17 @@ def random_coefficients(rng, n, kind="mixed"):
     """n valid coefficient vectors drawn from the Bloch ball or sphere."""
     draw = sample_pure_uniform if kind == "pure" else sample_mixed_uniform
     return [draw(rng) for _ in range(n)]
+
+
+def exact_quantities(table, columns) -> np.ndarray:
+    """The quantities of ``table`` on each row of ``columns`` as ``require`` evaluates them, an (N, entries) array.
+
+    ``columns`` holds the table's parts as N-long columns; each row is
+    ``table(ON_NUMBERS, row)`` on the row's Python numbers, the one exact
+    evaluation of the check tables. No rows give an empty 1-d array.
+    """
+    rows = zip(*(np.asarray(column).tolist() for column in columns))
+    return np.array([[quantity for quantity, _, _ in table(ON_NUMBERS, row)] for row in rows], dtype=float)
 
 
 def random_hermitian(rng, dim):

@@ -8,7 +8,8 @@ just inside the Bloch bound, special parts and the ties just below z = -1);
 a tolerance change that breaks the implication fails there. ``TestRows``
 checks that the rows are ``coefficient_rows``' bytes and that no other check
 runs. ``TestFromBloch`` checks that 0-d arrays and numpy scalars give the
-record of their floats, and that the one-vector errors are the batch's.
+record of their floats, that a complex part, numpy's too, raises TypeError,
+and that the one-vector errors are the batch's.
 """
 
 import itertools
@@ -21,7 +22,8 @@ from hypothesis import strategies as st
 
 from ensemble_teleport import CoefficientVector, bloch_coefficient_rows, coefficient_rows, linalg, protocol
 from ensemble_teleport.fidelity import SAMPLERS
-from ensemble_teleport.linalg import ON_COLUMNS, bloch_table, coefficient_table
+from ensemble_teleport.linalg import ON_NUMBERS, bloch_table, coefficient_table
+from conftest import exact_quantities
 
 BLOCH_BOUND = linalg._BLOCH_LENGTH[0]  # 1 + EQ_TOL
 ULP = 2.0**-52
@@ -38,8 +40,7 @@ MARGINS = (0.0, ULP, 2.6e-13, 2.6e-13, 0.0, -7e-13)
 def _passing(x, y, z):
     """The rows of (x, y, z) that pass the Bloch check, by ``bloch_table``'s own quantity."""
     x, y, z = (np.asarray(v, dtype=float) for v in (x, y, z))
-    (r2, _, _), = bloch_table(ON_COLUMNS, (x, y, z))
-    keep = r2 <= BLOCH_BOUND
+    keep = exact_quantities(bloch_table, (x, y, z)).reshape(len(x)) <= BLOCH_BOUND
     return x[keep], y[keep], z[keep]
 
 
@@ -78,7 +79,7 @@ bloch_batches = st.lists(st.one_of(st.tuples(_part, _part, _part), _on_shell), m
 
 
 def _quantities(rows):
-    return [quantity for quantity, _, _ in coefficient_table(ON_COLUMNS, tuple(rows.T))]
+    return exact_quantities(coefficient_table, rows.T).reshape(len(rows), len(MARGINS)).T
 
 
 def _assert_within_margins(x, y, z):
@@ -93,7 +94,7 @@ def _as_coefficient_rows(x, y, z):
 
 class TestMargins:
     def test_each_margin_is_inside_its_invariant(self):
-        bounds = [bound for _, (bound, _), _ in coefficient_table(ON_COLUMNS, (0.5, 0j, 0j, 0.5))]
+        bounds = [bound for _, (bound, _), _ in coefficient_table(ON_NUMBERS, (0.5, 0j, 0j, 0.5))]
         assert all(margin < bound for margin, bound in zip(MARGINS[1:], bounds[1:]))
         assert MARGINS[0] == bounds[0] == 0.0
 
@@ -138,21 +139,20 @@ class TestRows:
 
             return run
 
-        monkeypatch.setattr(protocol, "require_rows", recording(linalg.require_rows))
-        monkeypatch.setattr(linalg, "require_columns", recording(linalg.require_columns))
+        monkeypatch.setattr(protocol, "require_columns", recording(linalg.require_columns))
         x, y, z = INPUTS["sampled"]
         bloch_coefficient_rows(x, y, z)
-        assert seen == [("require_rows", [bloch_table]), ("require_columns", [bloch_table])]
+        assert seen == [("require_columns", [bloch_table])]
         seen.clear()
         _as_coefficient_rows(x, y, z)
-        assert seen == [("require_rows", [coefficient_table]), ("require_columns", [coefficient_table])]
+        assert seen == [("require_columns", [coefficient_table])]
 
 
 FLOAT_ARGS = (0.1, -0.2, 0.3)
 
 
 class TestFromBloch:
-    """``from_bloch`` takes each part through float(), as ``bloch_coefficient_rows`` takes its arrays."""
+    """``from_bloch`` takes each part through float(), as ``bloch_coefficient_rows`` takes its arrays; a complex part raises TypeError."""
 
     @pytest.mark.parametrize("position", range(3))
     @pytest.mark.parametrize(
@@ -179,8 +179,16 @@ class TestFromBloch:
     @pytest.mark.parametrize("position", range(3))
     @pytest.mark.parametrize(
         "value, error",
-        [(10**400, OverflowError), (-(10**400), OverflowError), (0.5j, TypeError)],
-        ids=["huge int", "huge negative int", "complex"],
+        [
+            (10**400, OverflowError),
+            (-(10**400), OverflowError),
+            (0.5j, TypeError),
+            (np.complex128(0.3 + 0.9j), TypeError),
+            (np.complex128(0.3), TypeError),
+            (np.complex64(0.3 + 0.9j), TypeError),
+            (np.array(0.3 + 0.9j), TypeError),
+        ],
+        ids=["huge int", "huge negative int", "complex", "complex128", "complex128 real", "complex64", "0-d complex array"],
     )
     def test_error_is_the_batch_error(self, position, value, error):
         args = [0, 0, 0]
@@ -190,6 +198,14 @@ class TestFromBloch:
         with pytest.raises(error) as one:
             CoefficientVector.from_bloch(*args)
         assert str(one.value) == str(batch.value)
+
+    @pytest.mark.parametrize("position", range(3))
+    def test_complex_column_is_refused(self, position):
+        # numpy used to drop the imaginary part with a ComplexWarning: c12 was 0.15 for x = 0.3 + 0.9j
+        args = [np.zeros(2), np.zeros(2), np.zeros(2)]
+        args[position] = np.array([0.3 + 0.9j, 0.1])
+        with pytest.raises(TypeError, match=f"^{'xyz'[position]} must be real, got a complex value$"):
+            bloch_coefficient_rows(*args)
 
     @pytest.mark.parametrize("wrap", [np.array, np.float32], ids=["0-d array", "float32"])
     def test_long_vector_message_is_the_float_message(self, wrap):

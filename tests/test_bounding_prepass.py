@@ -1,12 +1,13 @@
 """The large-batch shortcuts change no bit, verdict or message.
 
 ``require_columns`` first runs every table on ``linalg.ON_BOUNDS``, whose
-moduli are never below libm hypot's, and returns when every entry passes; it
-evaluates the exact quantities only otherwise. That is sound when each
-bounded quantity is at least the exact one (NaN counting as failing), which
-``TestBoundsAreSound`` checks on extreme parts, and it pays only when valid
-batches pass on their bounds, which ``TestNoFallback`` checks on the
-package's own batches. ``_mapped_states`` gathers the columns of a large
+moduli are never below libm hypot's, and returns when every entry passes;
+otherwise it hands ``require``, the one exact evaluation, only the rows that
+failed an entry there. That is sound when each bounded quantity is at least
+``require``'s (NaN counting as failing), which ``TestBoundsAreSound`` checks
+on extreme parts; it pays only when valid batches pass on their bounds,
+which ``TestNoFallback`` checks on the package's own batches; and
+``TestCandidateRows`` checks which rows reach ``require``. ``_mapped_states`` gathers the columns of a large
 batch under a scaled permutation map instead of one matrix-vector product
 per row; ``TestGather`` checks it against that product bit for bit.
 """
@@ -18,9 +19,10 @@ import sys
 import numpy as np
 import pytest
 
-from ensemble_teleport import cli, linalg, protocol
+from ensemble_teleport import cli, conventions, linalg, protocol
 from ensemble_teleport.fidelity import SAMPLERS, average_fidelity
 from ensemble_teleport.protocol import automatic_preparation, receiver_states, resolve_preparation
+from conftest import exact_quantities
 from test_check_tables import DBL_MAX, SPECIAL, TABLES
 from test_frozen_constants import can_be_made_writable
 
@@ -91,8 +93,8 @@ class TestBoundsAreSound:
             columns.append(column)
         with np.errstate(all="ignore"):
             bounded = table(linalg.ON_BOUNDS, tuple(columns))
-            exact = table(linalg.ON_COLUMNS, tuple(columns))
-        for (b, _, _), (e, _, _) in zip(bounded, exact):
+        exact = exact_quantities(table, columns)
+        for (b, _, _), e in zip(bounded, exact.T, strict=True):
             low = _failing_key(b) < _failing_key(e)
             assert not low.any(), [tuple(c[low][0] for c in columns), b[low][0], e[low][0]]
 
@@ -295,15 +297,15 @@ class TestPlanCache:
 
 @pytest.fixture
 def fallbacks(monkeypatch):
-    """The batches ``require_columns`` had to evaluate exactly, because an entry failed on its bounds."""
-    calls = []
-    exact = linalg._raise_first_failure
-    monkeypatch.setattr(linalg, "_raise_first_failure", lambda checks: calls.append(1) or exact(checks))
-    return calls
+    """The rows ``require_columns`` handed to ``require``, each as the parts of its checks."""
+    rows = []
+    exact = linalg.require
+    monkeypatch.setattr(linalg, "require", lambda *checks: rows.append([parts for _, parts in checks]) or exact(*checks))
+    return rows
 
 
 class TestNoFallback:
-    """Valid batches pass on their bounds: a looser bound would cost the exact evaluation on every batch."""
+    """Valid batches pass on their bounds: a looser bound would send every row of every batch to ``require``."""
 
     @pytest.mark.parametrize("sampler", sorted(SAMPLERS))
     @pytest.mark.parametrize("prep, bob_acts", [(i, acts) for i in (1, 2, 3, 4) for acts in (True, False)] + [("paut", True)])
@@ -325,4 +327,46 @@ class TestNoFallback:
         c12[40] = 0.75
         with pytest.raises(ValueError, match="positivity"):
             protocol.coefficient_rows(np.full(100, 0.5), c12, c12.conj(), np.full(100, 0.5))
-        assert fallbacks == [1]
+        assert fallbacks == [[[0.5, 0.75 + 0j, 0.75 - 0j, 0.5]]]
+
+
+# Row 3's Hermiticity quantity |c21 - conj(c12)| is exactly EQ_TOL: it passes exactly but fails its bound.
+ON_THE_BOUND = (0.5, 0j, complex(linalg.EQ_TOL, 0.0), 0.5)
+VALID = (0.5, 0.1 + 0j, 0.1 + 0j, 0.5)
+
+
+def ten_rows(row7=VALID):
+    """The columns of ten valid coefficient rows, with ``ON_THE_BOUND`` at row 3 and ``row7`` at row 7."""
+    rows = [VALID] * 10
+    rows[3], rows[7] = ON_THE_BOUND, row7
+    return [np.array(column) for column in zip(*rows)]
+
+
+class TestCandidateRows:
+    """``require`` runs on the rows that fail an entry on their bounds, lowest first, and on no other row."""
+
+    def test_a_row_on_its_bound_passes(self, fallbacks):
+        assert exact_quantities(linalg.coefficient_table, ten_rows())[3, 4] == linalg.EQ_TOL
+        rows = protocol.coefficient_rows(*ten_rows())
+        assert rows[3].tolist() == list(ON_THE_BOUND)
+        assert fallbacks == [[list(ON_THE_BOUND)]]
+
+    def test_the_first_row_that_fails_exactly_raises(self, fallbacks):
+        with pytest.raises(ValueError) as info:
+            protocol.coefficient_rows(*ten_rows((0.5, 0.75 + 0j, 0.75 + 0j, 0.5)))
+        with pytest.raises(ValueError) as one:
+            protocol.CoefficientVector(0.5, 0.75, 0.75, 0.5)
+        assert str(info.value) == str(one.value)
+        assert str(info.value).startswith("positivity constraint violated")
+        assert fallbacks == [[list(ON_THE_BOUND)], [[0.5, 0.75 + 0j, 0.75 + 0j, 0.5]]]
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_small_batches_skip_the_bounds(self, n, monkeypatch, fallbacks):
+        monkeypatch.delattr(linalg, "ON_BOUNDS")  # evaluating a bound would raise NameError
+        x, y, z = np.zeros((3, n))
+        rows = protocol.bloch_coefficient_rows(x, y, z)
+        c11, c12, c21, c22 = rows.T
+        assert protocol.coefficient_rows(c11.real, c12, c21, c22.real).tobytes() == rows.tobytes()
+        receiver_states(KNOWN_MAPS["bell1"], rows)
+        conventions._compare_rows(2, rows)
+        assert len(fallbacks) == 4 * n

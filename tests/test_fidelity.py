@@ -444,9 +444,10 @@ class TestAverageFidelity:
         with pytest.raises(ValueError, match="at least 100"):
             average_fidelity(1, bob_acts=True, n=50)
 
-    def test_rejects_unknown_sampler(self):
-        with pytest.raises(ValueError, match="sampler"):
-            average_fidelity(1, bob_acts=True, sampler="magic")
+    @pytest.mark.parametrize("sampler", ["magic", ["pure_uniform"], None, b"pure_uniform"], ids=["name", "list", "None", "bytes"])
+    def test_rejects_unknown_sampler(self, sampler):
+        with pytest.raises(ValueError, match=r"^unknown sampler .*; expected one of \['mixed_uniform', 'pure_uniform'\]$"):
+            average_fidelity(1, bob_acts=True, sampler=sampler)
 
     @pytest.mark.parametrize(
         "kwargs, message",

@@ -22,9 +22,9 @@ from ensemble_teleport import (
 from ensemble_teleport.linalg import (
     BOUNDED,
     EIGENVALUE_TOL,
+    FINITE,
     HERMITIAN,
     MAX_ENTRY,
-    ON_COLUMNS,
     POSITIVE,
     as_matrix,
     embed_sender_pair,
@@ -34,7 +34,7 @@ from ensemble_teleport.linalg import (
     stacked_kron,
     trace_out_sender_pair,
 )
-from conftest import random_hermitian
+from conftest import exact_quantities, random_hermitian
 from test_check_tables import SPECIAL
 
 I2 = np.eye(2, dtype=complex)
@@ -565,17 +565,16 @@ class TestInvariants:
 
 
 def finite_rows(stack):
-    """The rows of an ``(N, 4)`` or ``(N, 2, 2)`` stack that meet the finite entry on columns.
+    """The rows of an ``(N, 4)`` or ``(N, 2, 2)`` stack that meet the finite entry as ``require`` evaluates it.
 
     That is the first entry of ``renormalization_table``, as the kernels check their raw operators.
     """
-    with np.errstate(invalid="ignore"):
-        quantity, (bound, _), _ = renormalization_table(ON_COLUMNS, stack.reshape(len(stack), 4).T)[0]
-        return quantity <= bound
+    quantities = exact_quantities(renormalization_table, stack.reshape(len(stack), 4).T)
+    return np.array([row[0] <= FINITE[0] for row in quantities], dtype=bool)
 
 
 class TestFiniteRows:
-    """The finite entry on columns equals the reduction, for every placement of one non-finite part."""
+    """The finite entry, as ``require`` evaluates it, equals the reduction, for every placement of one non-finite part."""
 
     @staticmethod
     def reference(a):

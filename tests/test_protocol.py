@@ -232,6 +232,24 @@ class TestCoefficientRows:
         rows = coefficient_rows(*(np.array([getattr(c, k) for c in inputs]) for k in ("c11", "c12", "c21", "c22")))
         assert rows.tobytes() == np.array([c.as_vector() for c in inputs]).tobytes()
 
+    @pytest.mark.parametrize("part", ["c11", "c22"])
+    @pytest.mark.parametrize(
+        "value",
+        [0.5 + 0.3j, np.complex128(0.5 + 0.3j), np.complex128(0.5), np.complex64(0.5), np.array(0.5 + 0j)],
+        ids=["complex", "complex128", "complex128 real", "complex64", "0-d complex array"],
+    )
+    def test_complex_diagonal_raises_the_constructor_error(self, part, value):
+        # numpy used to drop the imaginary part with a ComplexWarning
+        parts = dict(zip(("c11", "c12", "c21", "c22"), VALID_COEFFICIENTS), **{part: value})
+        message = f"^{part} must be real, got a complex value$"
+        with pytest.raises(TypeError, match=message):
+            CoefficientVector(**parts)
+        with pytest.raises(TypeError, match=message):
+            coefficient_rows(*(np.array([v, v]) for v in parts.values()))
+        if part == "c11":
+            with pytest.raises(TypeError, match=message):
+                CoefficientVector.from_components(value, 0.1 + 0.2j)
+
     @pytest.mark.parametrize(
         "args",
         [

@@ -35,7 +35,7 @@ from ensemble_teleport import (
     run_session,
     transformation_matrix,
 )
-from ensemble_teleport import cli, linalg, protocol
+from ensemble_teleport import cli, protocol
 from ensemble_teleport.conventions import compare_conventions
 from ensemble_teleport.fidelity import SAMPLERS
 from ensemble_teleport.linalg import BOUNDED, MAX_ENTRY
@@ -180,7 +180,7 @@ class TestDifferential:
 
             return refuse
 
-        monkeypatch.setattr(linalg, "require_columns", refusing("batch checks"))
+        monkeypatch.setattr(protocol, "require_columns", refusing("batch checks"))
         monkeypatch.setattr(protocol, "_mapped_states", refusing("batch arithmetic"))
         c = CoefficientVector.from_bloch(0.3, -0.5, 0.4)
         run_session(c, 2, ClassicalMessage.two_bits(2), bob_acts=True)
@@ -201,7 +201,7 @@ class TestDifferential:
         with pytest.raises(AssertionError, match="batch arithmetic"):
             receiver_states(IDENTITY_MAP, np.array([VALID_ROW] * 2))
         monkeypatch.undo()
-        monkeypatch.setattr(linalg, "require_columns", refusing("batch checks"))
+        monkeypatch.setattr(protocol, "require_columns", refusing("batch checks"))
         with pytest.raises(AssertionError, match="batch checks"):
             receiver_states(IDENTITY_MAP, np.array([VALID_ROW] * 2))
 
