@@ -103,6 +103,8 @@ def frozen(a, dtype=None) -> np.ndarray:
 
 
 _I2 = frozen(np.eye(2, dtype=complex))
+# 0.5 + 0j for halving complex arrays: the bits of 0.5 in the same operand place, without a per-call conversion
+_HALF = frozen(0.5 + 0j)
 
 
 def stacked_kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -154,14 +156,14 @@ _TRACES = {
 
 
 def _hermitian_part(arr: np.ndarray, entries: list) -> tuple[np.ndarray, float, complex]:
-    """The Hermitian part 0.5 * (arr + arr^dagger) of an entered operator, its asymmetry and its trace.
+    """The Hermitian part ``_HALF * (arr + arr^dagger)`` of an entered operator, its asymmetry and its trace.
 
     ``arr, entries`` are what ``_checked_entries`` gives. The asymmetry is
     the largest modulus of m_ij - conj(m_ji) over i <= j as libm hypot
     (np.hypot) gives it, and the trace has the bits of ``complex(np.trace(arr))``.
     """
     asymmetry = max([abs(entries[p] - entries[q].conjugate()) for p, q in _MIRRORED[len(arr)]])
-    return 0.5 * (arr + arr.conj().T), asymmetry, _TRACES[len(arr)](entries)
+    return _HALF * (arr + arr.conj().T), asymmetry, _TRACES[len(arr)](entries)
 
 
 def hermitian_spectrum(a) -> np.ndarray:

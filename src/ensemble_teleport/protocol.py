@@ -30,6 +30,7 @@ from .bell import BELL_INDICES, bell_projector, matrix_unit, pauli, require_bell
 from .linalg import (
     EQ_TOL,
     ON_NUMBERS,
+    _HALF,
     _TRACES,
     _checked_entries,
     bloch_table,
@@ -64,18 +65,28 @@ class CoefficientVector:
 
     def __post_init__(self):
         _require_real(c11=self.c11, c22=self.c22)
-        object.__setattr__(self, "c11", float(self.c11))
-        object.__setattr__(self, "c12", complex(self.c12))
-        object.__setattr__(self, "c21", complex(self.c21))
-        object.__setattr__(self, "c22", float(self.c22))
-        require((coefficient_table, (self.c11, self.c12, self.c21, self.c22)))
+        self._settle(float(self.c11), complex(self.c12), complex(self.c21), float(self.c22))
+
+    def _settle(self, c11: float, c12: complex, c21: complex, c22: float) -> "CoefficientVector":
+        """Store the converted parts and run the constructor's check: the constructor after its real-part test."""
+        # as __init__ sets them: __dict__.update would give each vector its own key table (about 130 bytes)
+        object.__setattr__(self, "c11", c11)
+        object.__setattr__(self, "c12", c12)
+        object.__setattr__(self, "c21", c21)
+        object.__setattr__(self, "c22", c22)
+        require((coefficient_table, (c11, c12, c21, c22)))
+        return self
 
     @classmethod
     def from_components(cls, c11: float, c12: complex = 0.0) -> "CoefficientVector":
         """Build from the free parameters, deriving c22 = 1 - c11 and c21 = conj(c12)."""
         _require_real(c11=c11)
-        c12 = complex(c12)
-        return cls(float(c11), c12, c12.conjugate(), 1.0 - float(c11))
+        return cls._from_real(float(c11), complex(c12))
+
+    @classmethod
+    def _from_real(cls, c11: float, c12: complex) -> "CoefficientVector":
+        """``from_components`` on a float c11, so each public call tests its real parts once."""
+        return object.__new__(cls)._settle(c11, c12, c12.conjugate(), 1.0 - c11)
 
     @classmethod
     def from_bloch(cls, x: float, y: float, z: float) -> "CoefficientVector":
@@ -83,7 +94,7 @@ class CoefficientVector:
         _require_real(x=x, y=y, z=z)
         x, y, z = float(x), float(y), float(z)
         require((bloch_table, (x, y, z)))
-        return cls.from_components((1.0 + z) / 2.0, (x - 1j * y) / 2.0)
+        return cls._from_real((1.0 + z) / 2.0, (x - 1j * y) / 2.0)
 
     def as_vector(self) -> np.ndarray:
         """The coefficient 4-vector (c11, c12, c21, c22), as a new array."""
@@ -562,7 +573,7 @@ def _mapped_states(t: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray
         # take(), unlike c[:, columns], gives C order, which the states inherit and _fused_overlaps needs
         raw = (c.take(columns, axis=1) * scales).reshape(-1, 2, 2)
         raw += 0.0
-    raw *= 0.5
+    raw *= _HALF
     trace = raw[:, 0, 0] + raw[:, 1, 1]
     states = raw / trace.real[:, None, None]
     if not _FUSED_OVERLAPS or len(c) < _FUSED_MIN_ROWS:
@@ -580,16 +591,18 @@ _STATE_PARTS = struct.Struct("8d")  # a 2x2 complex state as the real and imagin
 def _row_state(t: np.ndarray, c: np.ndarray) -> np.ndarray:
     """The renormalized state of the one row of ``c`` under ``t``, read-only over immutable bytes.
 
-    The map's zgemv, numpy's halving (its complex product may be fused, and
-    on a part of -5e-324 give -0.0 where Python's gives +0.0) and
+    The map's zgemv by ``ndarray.dot`` (``@`` without the matmul ufunc's
+    dispatch), numpy's halving by ``_HALF`` (its complex product may be fused,
+    and on a part of -5e-324 give -0.0 where Python's gives +0.0) and
     ``renormalize``'s checks on the Python numbers that ``require`` reads.
     The division is numpy's complex one by ``trace + 0j``, whose ratio is
     +0.0 and scale 1 / trace for the positive trace that the checks ensure;
-    Python's ``complex / float`` differs from it in the last bit. Callers
-    run it under ``np.errstate(all="ignore")``.
+    Python's ``complex / float`` differs from it in the last bit. Callers run
+    it under ``np.errstate(all="ignore")``: like ``@``, the dot raises under
+    ``np.errstate(under="raise")`` on a subnormal part.
     """
-    raw = t @ c[0]
-    raw *= 0.5
+    raw = t.dot(c[0])
+    raw *= _HALF
     raw = raw.tolist()
     require((renormalization_table, raw))
     m11, m12, m21, m22 = raw
@@ -607,11 +620,11 @@ def _session_row(t: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, float]:
     """``receiver_states`` on the one row of ``c``: the state, read-only over immutable bytes, and the fidelity.
 
     ``_mapped_states``' arithmetic and checks on one row, to the same bits:
-    ``_row_state``, then the overlap's zgemm, whose fused sums Python floats
-    cannot repeat, and the remaining checks.
+    ``_row_state``, then the overlap's zgemm through ``ndarray.dot``, whose
+    fused sums Python floats cannot repeat, and the remaining checks.
     """
     state = _row_state(t, c)
-    product = (c.reshape(2, 2) @ state).tolist()
+    product = c.reshape(2, 2).dot(state).tolist()
     overlap = product[0][0] + product[1][1]
     require((qubit_operator_table, state.ravel().tolist()), (real_overlap_table, (overlap,)))
     return state, overlap.real

@@ -360,6 +360,14 @@ class TestIdentityPath:
             for reference in (renormalize(alice_prepare(u, c)), prepare_sandwich(u, c)):
                 assert np.abs(record.ansatz - reference).max() <= AGREE_TOL
 
+    @pytest.mark.parametrize("k", range(5))
+    def test_same_bits_when_numpy_raises(self, k):
+        # the map's product underflows on the subnormal coherence; the comparison ignores numpy's error state
+        u, c = FIVE_PREPARATIONS[k], CoefficientVector.from_components(0.5, 5e-324)
+        expected = compare_conventions(u, c)
+        with np.errstate(all="raise"):
+            assert_same_bits(compare_conventions(u, c), expected)
+
     def test_the_eight_by_eight_path_rounds_twice_on_subnormal_parts(self):
         # so on such inputs the 8x8 products are an oracle within AGREE_TOL, not bit for bit
         k, c = SUBNORMAL_INPUTS["Bell 2, c12 = 1.5e-323j"]

@@ -101,6 +101,7 @@ def test_no_shared_array_can_be_made_writable():
     reached = {id(array) for _, array in found}
     expected = (
         linalg._I2,
+        linalg._HALF,
         fidelity._PURE_WIDTH,
         protocol._CORRECTION_MAPS[2],
         bell2.u,
@@ -156,6 +157,7 @@ def named_arrays() -> dict:
         "fidelity._MIXED_LOW": fidelity._MIXED_LOW,
         "fidelity._MIXED_WIDTH": fidelity._MIXED_WIDTH,
         "linalg._I2": linalg._I2,
+        "linalg._HALF": linalg._HALF,
         "linalg._WITH_PARTIAL_TRANSPOSE": linalg._WITH_PARTIAL_TRANSPOSE,
     }
 

@@ -26,6 +26,9 @@ from ensemble_teleport.linalg import (
     HERMITIAN,
     MAX_ENTRY,
     POSITIVE,
+    _HALF,
+    _checked_entries,
+    _hermitian_part,
     as_matrix,
     embed_sender_pair,
     qubit_operator_table,
@@ -434,6 +437,38 @@ class TestPartialTranspose:
         left = partial_transpose(u4 @ m @ u4.conj().T)
         right = u4 @ partial_transpose(m) @ u4.conj().T
         assert np.max(np.abs(left - right)) < 1e-12 * np.max(np.abs(m)) * 16
+
+
+DBL_MIN, DBL_MAX = np.finfo(float).tiny, np.finfo(float).max
+HALVING_PARTS = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, DBL_MIN, -DBL_MIN, 1.0, -3.0, DBL_MAX, np.inf, -np.inf, np.nan, 0.1, -0.7]
+# every complex number whose real and imaginary parts are both in HALVING_PARTS
+HALVING_VALUES = np.array([(re, im) for re in HALVING_PARTS for im in HALVING_PARTS]).view(complex).ravel()
+
+
+class TestHalf:
+    @pytest.mark.parametrize("length", [1, 2, 3, 4, 5, 7, 8, 16, 17, 256, 4096])
+    def test_same_bits_as_a_python_half(self, length):
+        # Arrays of `length` entries that together hold every value. Each form is compared with its own
+        # form of 0.5: with a fused complex product, 0.5 * a, a * 0.5 and a *= 0.5 differ in the sign
+        # of a zero on parts of -5e-324.
+        arrays = np.resize(HALVING_VALUES, -(-len(HALVING_VALUES) // length) * length).reshape(-1, length)
+        with np.errstate(all="ignore"):  # inf * 0 in the imaginary parts' products
+            for a in arrays:
+                assert (_HALF * a).tobytes() == (0.5 * a).tobytes()
+                assert (a * _HALF).tobytes() == (a * 0.5).tobytes()
+                halved, expected = a.copy(), a.copy()
+                halved *= _HALF
+                expected *= 0.5
+                assert halved.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("n", [2, 4, 8])
+    def test_hermitian_part_has_the_bits_of_its_formula(self, n):
+        # entries from the bounded values, so that sums of mirrored entries reach every signed zero and subnormal
+        bounded = HALVING_VALUES[np.abs(HALVING_VALUES) <= MAX_ENTRY]
+        rng = np.random.default_rng(n)
+        for _ in range(200):
+            m = rng.choice(bounded, size=(n, n))
+            assert _hermitian_part(*_checked_entries(m))[0].tobytes() == (0.5 * (m + m.conj().T)).tobytes()
 
 
 class TestStackedKron:

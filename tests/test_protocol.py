@@ -32,6 +32,7 @@ from ensemble_teleport import (
     total_state,
     transformation_matrix,
 )
+from ensemble_teleport import protocol
 from ensemble_teleport.linalg import BOUNDED, MAX_ENTRY, embed_sender_pair, trace_out_sender_pair
 from conftest import bloch_coefficient_strategy, random_coefficients
 
@@ -249,6 +250,25 @@ class TestCoefficientRows:
         if part == "c11":
             with pytest.raises(TypeError, match=message):
                 CoefficientVector.from_components(value, 0.1 + 0.2j)
+
+    @pytest.mark.parametrize(
+        "build, args, tested",
+        [
+            (CoefficientVector, VALID_COEFFICIENTS, ["c11", "c22"]),
+            (CoefficientVector.from_components, (0.5, 0.1 + 0.2j), ["c11"]),
+            (CoefficientVector.from_bloch, (0.2, -0.4, 0.6), ["x", "y", "z"]),
+        ],
+        ids=["constructor", "from_components", "from_bloch"],
+    )
+    def test_each_real_part_is_tested_once(self, monkeypatch, build, args, tested):
+        calls = []
+        require_real = protocol._require_real
+        monkeypatch.setattr(protocol, "_require_real", lambda **parts: calls.append(list(parts)) or require_real(**parts))
+        c = build(*args)
+        assert calls == [tested]
+        assert c == CoefficientVector(c.c11, c.c12, c.c21, c.c22)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            c.c11 = 0.0
 
     @pytest.mark.parametrize(
         "args",
