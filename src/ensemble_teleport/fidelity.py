@@ -17,6 +17,7 @@ import numpy as np
 from .linalg import AGREE_TOL, as_matrix, frozen, is_integer, positive_real_invariants, require, scalar_table
 from .protocol import (
     CoefficientVector,
+    _bilinear,
     bloch_coefficient_rows,
     fidelity_trace,
     receiver_states,
@@ -36,20 +37,21 @@ def fidelity_vector(c: CoefficientVector, t) -> float:
     """Vector-form fidelity c.c + c.(T/||Tc|| - 1).c with bilinear products.
 
     ||.|| is the trace reading of a coefficient 4-vector: the sum of its
-    first and fourth components. Raises as ``as_matrix`` does on the map,
-    then when the transformed vector has no positive real trace component
-    (the transformation annihilates the input), as the two-sided update
-    does.
+    first and fourth components. Every product of two 4-vectors, T's rows
+    with c included, is ``_bilinear`` on Python numbers, as the trace form's
+    overlap is. Raises as ``as_matrix`` does on the map, then when the
+    transformed vector has no positive real trace component (the
+    transformation annihilates the input), as the two-sided update does.
     """
     tm = as_matrix(t, 4)
-    cv = c.as_vector()
-    tc = tm @ cv
-    norm = tc.item(0) + tc.item(3)
+    cv = c.as_vector().tolist()
+    rows = tm.tolist()
+    norm = complex(*_bilinear(rows[0], cv)) + complex(*_bilinear(rows[3], cv))
     require((_unannihilated_component, (norm,)))
-    contamination = (tm / norm.real) @ cv - cv
-    value = complex(cv @ cv + cv @ contamination)
+    contamination = [complex(*_bilinear(row, cv)) - v for row, v in zip((tm / norm.real).tolist(), cv)]
+    value = complex(*_bilinear(cv, cv)) + complex(*_bilinear(cv, contamination))
     require((_vector_form_table, (value,)))
-    return float(value.real)
+    return value.real
 
 
 def _lazy(c11, c12, c21, c22):

@@ -394,18 +394,35 @@ def renormalize(m) -> np.ndarray:
     return arr / t.real
 
 
+def _bilinear(x, y) -> tuple:
+    """Sum of x[k] * y[k] over four complex entries, unconjugated, as its (real, imaginary) parts.
+
+    Real IEEE products, sums and differences on ``.real`` and ``.imag``, added
+    pairwise as ((0 + 1) + (2 + 3)): each operation rounds once, with no BLAS
+    call and no fused complex product. The entries may be Python numbers or a
+    batch's float64 columns, which get the same bits row for row on every CPU.
+    """
+    (a0, a1, a2, a3), (b0, b1, b2, b3) = x, y
+    return (((a0.real * b0.real - a0.imag * b0.imag) + (a1.real * b1.real - a1.imag * b1.imag))
+            + ((a2.real * b2.real - a2.imag * b2.imag) + (a3.real * b3.real - a3.imag * b3.imag)),
+            ((a0.real * b0.imag + a0.imag * b0.real) + (a1.real * b1.imag + a1.imag * b1.real))
+            + ((a2.real * b2.imag + a2.imag * b2.real) + (a3.real * b3.imag + a3.imag * b3.real)))
+
+
 def fidelity_trace(c: CoefficientVector, bob) -> float:
     """Overlap Tr(rho_in * rho_bob) with the input transported to the receiver basis.
 
-    ``bob`` must be a 2x2 statistical operator, so no unphysical operator
-    yields a value, and the overlap must be real: a non-negligible imaginary
-    part signals a non-Hermitian pipeline bug. The checks are
-    ``receiver_states``' own, in its order, so both raise the same message.
+    The trace is c11 b11 + c12 b21 + c21 b12 + c22 b22 as ``_bilinear`` sums
+    it, the kernel's overlap to the bit. ``bob`` must be a 2x2 statistical
+    operator, so no unphysical operator yields a value, and the overlap must
+    be real: a non-negligible imaginary part signals a non-Hermitian pipeline
+    bug. The checks are ``receiver_states``' own, in its order, so both raise
+    the same message.
     """
-    arr, entries = _checked_entries(bob, 2)
-    overlap = complex(np.trace(c.matrix() @ arr))
-    require((qubit_operator_table, entries), (real_overlap_table, (overlap,)))
-    return float(overlap.real)
+    b11, b12, b21, b22 = entries = _checked_entries(bob, 2)[1]
+    re, im = _bilinear(c.matrix().ravel().tolist(), (b11, b21, b12, b22))
+    require((qubit_operator_table, entries), (real_overlap_table, (complex(re, im),)))
+    return re
 
 
 _EPSILON = frozen([[0.0, 1.0], [-1.0, 0.0]])
@@ -452,68 +469,7 @@ def bob_correct(index: int, m) -> np.ndarray:
     return un @ arr @ un.conj().T
 
 
-def _stacked_overlaps(c: np.ndarray, states: np.ndarray) -> np.ndarray:
-    """Tr(C S) of each row, C the row's coefficients as a 2x2 matrix: one BLAS zgemm call per row."""
-    product = c.reshape(-1, 2, 2) @ states
-    return product[:, 0, 0] + product[:, 1, 1]
-
-
-def _fused_overlaps(c: np.ndarray, states: np.ndarray, out: np.ndarray) -> None:
-    """``_stacked_overlaps`` into ``out``, with zgemm's rounding, on whole columns.
-
-    zgemm sums a diagonal entry a0 b0 + a1 b1 of C S (a = C[i, :], b = S[:, i])
-    as two fused steps on numpy's complex product a0 b0 = p:
-    Re = fma(a1r, b1r, fma(-a1i, b1i, Re p)), Im = fma(a1r, b1i, fma(a1i, b1r, Im p)).
-    The real part of numpy's (x + iz)(y - i) is fma(x, y, z), so each step is
-    one product of an array x, whose real parts hold a multiplier and whose
-    imaginary parts hold the addend, with an array y of multiplicands - i.
-    Every arithmetic call writes a new array or the whole of x: numpy 2.4's
-    ``negative`` writes wrong values into some strided ``out=`` views.
-    """
-    n = len(c)
-    a1 = c.view(float).reshape(n, 2, 2, 2)[:, :, 1].transpose(1, 2, 0)  # [i, re/im, row] of C[i, 1]
-    b1 = states.view(float).reshape(n, 2, 2, 2)[:, 1].transpose(1, 2, 0)  # [i, re/im, row] of S[1, i]
-    # x[i, part, row] and y alike: part 0 makes the entry's real part, part 1 its imaginary part
-    x, y = np.empty((2, 2, 2, n), dtype=complex)
-    xf, yf = x.view(float).reshape(2, 2, n, 2), y.view(float).reshape(2, 2, n, 2)
-    for i in (0, 1):
-        p = c[:, 2 * i] * states[:, 0, i]
-        xf[i, 0, :, 1], xf[i, 1, :, 1] = p.real, p.imag
-    xf[..., 0] = a1[:, 1, None]
-    yf[:, 0, :, 0] = np.negative(b1[:, 1].copy())
-    yf[:, 1, :, 0] = b1[:, 0]
-    yf[..., 1] = -1.0
-    np.multiply(x, y, out=x)
-    xf[..., 1] = xf[..., 0]
-    xf[..., 0] = a1[:, 0, None]
-    yf[..., 0] = b1
-    np.multiply(x, y, out=x)
-    out.real, out.imag = xf[0, ..., 0] + xf[1, ..., 0]
-
-
-def _fused_overlaps_agree() -> bool:
-    """Whether ``_fused_overlaps`` gives ``_stacked_overlaps``' bits on rows where the summation order shows.
-
-    The BLAS kernel and numpy's complex loop are both chosen at run time for
-    the CPU, so this is asked once, at import. The rows are ratios of small
-    integers, whose fused and unfused sums differ in the last bit
-    (``tests/test_receiver_state.py`` checks that they do).
-    """
-    c, states = _CHECK_ROWS
-    fused = np.empty(len(c), dtype=complex)
-    _fused_overlaps(c, states, fused)
-    return fused.tobytes() == _stacked_overlaps(c, states).tobytes()
-
-
-# The import check's 8 coefficient rows and 8 states: real and imaginary parts k/7 for k = 1..128, every third negated.
-_CHECK_PARTS = frozen(np.arange(1.0, 129.0) / 7.0 * np.resize([1.0, -1.0, 1.0], 128))
-_CHECK_ROWS = (_CHECK_PARTS[:64].view(complex).reshape(8, 4), _CHECK_PARTS[64:].view(complex).reshape(8, 2, 2))
-# Batches of at least this many rows take the fused overlaps, where the platform gives them the
-# stacked product's bits; below it one zgemm call per row costs less (the crossover is near 64 rows).
-# From the same size on, a scaled-permutation map gathers columns (``_scaled_permutation``).
-_FUSED_MIN_ROWS = 64
-_FUSED_BLOCK_ROWS = 2048  # rows per fused block: about 160 bytes of temporaries a row, however large the batch
-_FUSED_OVERLAPS = _fused_overlaps_agree()
+_GATHER_MIN_ROWS = 64  # from this many rows on, a scaled-permutation map gathers columns (``_scaled_permutation``)
 
 
 def _scaled_permutation(t: np.ndarray) -> tuple[tuple, np.ndarray] | None:
@@ -555,33 +511,28 @@ def _mapped_states(t: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray
     Half the mapped vector is alice_prepare's raw operator, so the trace
     checks see the same numbers as on the reference path. The stacked
     matrix-vector products repeat one session's arithmetic per row, and the
-    overlaps of a large batch take zgemm's rounding on whole columns, so
-    each row is bitwise what a batch of one, and ``_session_row``, give. A
-    row that fails one check may give inf or nan in later ones, which is
-    harmless: only its first failing check is reported. A large batch under a scaled
-    permutation (``_scaled_permutation``) gathers its columns instead: each
-    entry is one product, rounded once on both paths, and ``+= 0.0`` turns
-    a -0.0 into the +0.0 that the matrix-vector sums, which start from +0,
-    give. A product that overflows is inf here and may be NaN there; either
-    fails the finite check.
+    overlaps are ``_bilinear`` on whole columns, so each row is bitwise what
+    a batch of one, and ``_session_row``, give. A row that fails one check
+    may give inf or nan in later ones, which is harmless: only its first
+    failing check is reported. A large batch under a scaled permutation
+    (``_scaled_permutation``) gathers its columns instead: each entry is one
+    product, rounded once on both paths, and ``+= 0.0`` turns a -0.0 into
+    the +0.0 that the matrix-vector sums, which start from +0, give. A
+    product that overflows is inf here and may be NaN there; either fails
+    the finite check.
     """
-    permutation = _scaled_permutation(t) if len(c) >= _FUSED_MIN_ROWS else None
+    permutation = _scaled_permutation(t) if len(c) >= _GATHER_MIN_ROWS else None
     if permutation is None:
         raw = (t @ c[:, :, None]).reshape(-1, 2, 2)
     else:
         columns, scales = permutation
-        # take(), unlike c[:, columns], gives C order, which the states inherit and _fused_overlaps needs
         raw = (c.take(columns, axis=1) * scales).reshape(-1, 2, 2)
         raw += 0.0
     raw *= _HALF
     trace = raw[:, 0, 0] + raw[:, 1, 1]
     states = raw / trace.real[:, None, None]
-    if not _FUSED_OVERLAPS or len(c) < _FUSED_MIN_ROWS:
-        return raw, states, _stacked_overlaps(c, states)
-    c, overlap = np.ascontiguousarray(c), np.empty(len(c), dtype=complex)
-    for start in range(0, len(c), _FUSED_BLOCK_ROWS):
-        block = slice(start, start + _FUSED_BLOCK_ROWS)
-        _fused_overlaps(c[block], states[block], overlap[block])
+    overlap = np.empty(len(c), dtype=complex)
+    overlap.real, overlap.imag = _bilinear(c.T, (states[:, 0, 0], states[:, 1, 0], states[:, 0, 1], states[:, 1, 1]))
     return raw, states, overlap
 
 
@@ -620,14 +571,14 @@ def _session_row(t: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, float]:
     """``receiver_states`` on the one row of ``c``: the state, read-only over immutable bytes, and the fidelity.
 
     ``_mapped_states``' arithmetic and checks on one row, to the same bits:
-    ``_row_state``, then the overlap's zgemm through ``ndarray.dot``, whose
-    fused sums Python floats cannot repeat, and the remaining checks.
+    ``_row_state``, then the overlap's ``_bilinear`` on Python numbers, and
+    the remaining checks.
     """
     state = _row_state(t, c)
-    product = c.reshape(2, 2).dot(state).tolist()
-    overlap = product[0][0] + product[1][1]
-    require((qubit_operator_table, state.ravel().tolist()), (real_overlap_table, (overlap,)))
-    return state, overlap.real
+    s11, s12, s21, s22 = entries = state.ravel().tolist()
+    re, im = _bilinear(c[0].tolist(), (s11, s21, s12, s22))
+    require((qubit_operator_table, entries), (real_overlap_table, (complex(re, im),)))
+    return state, re
 
 
 def _coefficient_batch(coeffs) -> np.ndarray:
@@ -655,11 +606,9 @@ def receiver_states(t, coeffs) -> tuple[np.ndarray, np.ndarray]:
     entries past it the kernel gives the check tables' verdicts, not the
     bound message of those functions. Every row gets the same bits alone,
     inside a batch of any size and in ``run_session``, which runs its one
-    row as Python numbers (``_session_row``); a batch of at least
-    ``_FUSED_MIN_ROWS`` rows takes its overlaps on whole columns with the
-    rounding of the one-row product, where a check at import finds that
-    this platform's kernels give that rounding, and the one-row product
-    otherwise.
+    row as Python numbers (``_session_row``). The overlap is one bilinear sum
+    (``_bilinear``), on Python numbers for one row and on whole columns for a
+    batch, with the same bits on every CPU.
     """
     t = np.asarray(t)
     if t.shape != (4, 4):

@@ -16,16 +16,13 @@ settings.load_profile("ci")
 
 
 def pytest_report_header(config):
-    """numpy, its BLAS and the overlap path the import check chose: the golden digests depend on these kernels."""
-    from ensemble_teleport import protocol
-
+    """numpy and its BLAS: the golden digests depend on their map products and divisions."""
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
         blas = f"{blas.get('name')} {blas.get('version')}"
     except (TypeError, KeyError):  # numpy before 1.26 prints its configuration only
         blas = "unknown"
-    path = "fused columns" if protocol._FUSED_OVERLAPS else "stacked matmul only"
-    return f"numpy {np.__version__}, BLAS {blas}; overlaps of {protocol._FUSED_MIN_ROWS}+ rows: {path}"
+    return f"numpy {np.__version__}, BLAS {blas}"
 
 
 @pytest.fixture

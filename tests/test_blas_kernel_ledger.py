@@ -1,19 +1,20 @@
-"""Which golden digests hold when OpenBLAS runs its Haswell kernels (ROADMAP item 2).
+"""The golden digests under the BLAS and numpy kernels of other CPUs.
 
-The golden CLI and demo digests were taken with an AVX-512 BLAS kernel. One
-subprocess with ``OPENBLAS_CORETYPE=Haswell``, the kernel an AVX2-only CPU
-gets, renders every ``test_cli.GOLDEN`` command through ``cli.main`` and
-runs every demo through ``runpy``, and returns the sha256 of each stdout.
-The digests that differ under that kernel are strict xfails, so the change
-that makes them hold has to move them out of ``DIFFER``.
+The golden CLI and demo digests were taken with AVX-512 kernels. One
+subprocess per configuration renders every ``test_cli.GOLDEN`` command
+through ``cli.main`` and runs every demo through ``runpy``, and returns the
+sha256 of each stdout; every digest must hold. The configurations are
+``OPENBLAS_CORETYPE=Haswell``, the BLAS kernel an AVX2-only CPU gets, and a
+pre-AVX2 CPU: ``OPENBLAS_CORETYPE=Nehalem`` with numpy's AVX2 and AVX-512
+loops switched off, so that its complex product is not fused either.
 
 The same subprocess compares the one-row session kernel, ``_session_row``,
 with row 0 of a two-row ``receiver_states`` batch, byte for byte, on the
 nine known session maps and 20 dense ones.
 
 The test needs a numpy whose BLAS is a DYNAMIC_ARCH OpenBLAS (the only kind
-the variable switches) and a CPU with AVX2 and FMA (which the Haswell
-kernels use); elsewhere it is skipped.
+the variable switches), and the Haswell case a CPU with AVX2 and FMA (which
+its kernels use); elsewhere they are skipped.
 """
 
 import json
@@ -30,22 +31,6 @@ from test_cli import GOLDEN
 from test_demos import DEMOS, ROOT, STDOUT_SHA256
 from test_conventions import signed_zero_rows, subnormal_rows
 from test_receiver_state import general_tensor, special_rows
-
-# The golden digests that differ under the Haswell kernels: the overlaps of
-# a batch and the vector-form fidelity round differently there.
-DIFFER = {
-    *(f"teleport --c11 0.3 --c12re 0.458 --prep bell2 --format {fmt}" for fmt in ("table", "csv", "json")),
-    "sweep --resolution 5 --mag-resolution 3 --phase-resolution 2 --format table",
-    "sweep --resolution 5 --mag-resolution 3 --phase-resolution 2 --format csv",
-    "sweep --resolution 5 --mag-resolution 3 --phase-resolution 2 --format json",
-    "sweep --resolution 30 --phase-resolution 4 --prep bell1 --format csv",
-    "sweep --resolution 30 --phase-resolution 4 --prep paut --format csv",
-    "sweep --resolution 30 --phase-resolution 4 --prep bell1 --format table",
-    "sweep --resolution 30 --phase-resolution 4 --prep paut --format json",
-    "sweep --resolution 21 --slice pure --phase-resolution 3 --format json",
-    "sweep --resolution 12 --mag-resolution 5 --phase-resolution 3 --format table",
-    "demo automatic_teleportation",
-}
 
 # The key under which the subprocess reports the one-row kernel against row 0 of a two-row batch.
 SESSION_ROWS = "one-row sessions"
@@ -126,10 +111,13 @@ def _cpu_flags() -> set:
     return {flag for line in lines if line.startswith("flags") for flag in line.partition(":")[2].split()}
 
 
-pytestmark = pytest.mark.skipif(
-    not _dynamic_openblas() or not {"avx2", "fma"} <= _cpu_flags(),
-    reason="needs a DYNAMIC_ARCH OpenBLAS and a CPU with AVX2 and FMA",
-)
+pytestmark = pytest.mark.skipif(not _dynamic_openblas(), reason="needs a DYNAMIC_ARCH OpenBLAS")
+
+# (environment, CPU flags its kernels need) of each configuration
+CONFIGURATIONS = {
+    "Haswell": ({"OPENBLAS_CORETYPE": "Haswell"}, {"avx2", "fma"}),
+    "Nehalem": ({"OPENBLAS_CORETYPE": "Nehalem", "NPY_DISABLE_CPU_FEATURES": "X86_V3 X86_V4 AVX512_ICL AVX512_SPR"}, set()),
+}
 
 # (name, golden digest, what the subprocess reports it under)
 CASES = [(command, digest, command) for command, digest in sorted(GOLDEN.items())] + [
@@ -137,36 +125,30 @@ CASES = [(command, digest, command) for command, digest in sorted(GOLDEN.items()
 ]
 
 
-@pytest.fixture(scope="module")
-def haswell_digests():
+@pytest.fixture(scope="module", params=sorted(CONFIGURATIONS))
+def digests(request):
+    env, flags = CONFIGURATIONS[request.param]
+    if not flags <= _cpu_flags():
+        pytest.skip(f"the {request.param} kernels need a CPU with {sorted(flags)}")
     pythonpath = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     result = subprocess.run(
         [sys.executable, "-c", _RENDER_ALL],
         input=json.dumps([sorted(GOLDEN), [str(path) for path in DEMOS], session_payload()]),
         capture_output=True, text=True, timeout=300,
-        env=dict(os.environ, PYTHONPATH=pythonpath, OPENBLAS_CORETYPE="Haswell"),
+        env=dict(os.environ, PYTHONPATH=pythonpath, **env),
     )
     assert result.returncode == 0, result.stderr
     return json.loads(result.stdout)
 
 
-@pytest.mark.parametrize(
-    "name, golden, key",
-    [
-        pytest.param(
-            *case, id=case[0],
-            marks=[pytest.mark.xfail(strict=True, reason="ROADMAP item 2")] if case[0] in DIFFER else [],
-        )
-        for case in CASES
-    ],
-)
-def test_golden_digest_under_haswell_kernels(haswell_digests, name, golden, key):
-    assert haswell_digests[key] == golden
+@pytest.mark.parametrize("name, golden, key", [pytest.param(*case, id=case[0]) for case in CASES])
+def test_golden_digest_under_other_kernels(digests, name, golden, key):
+    assert digests[key] == golden
 
 
-def test_one_row_session_is_row_0_of_its_batch_under_haswell_kernels(haswell_digests):
-    # _session_row's products (ndarray.dot) against the batch's stacked matmuls, on rows of signed zeros and subnormals
-    rows = haswell_digests[SESSION_ROWS]
+def test_one_row_session_is_row_0_of_its_batch_under_other_kernels(digests):
+    # _session_row's arithmetic on Python numbers against the batch's on columns, on rows of signed zeros and subnormals
+    rows = digests[SESSION_ROWS]
     assert rows["differ"] == []
     assert rows["rows"] == sum(len(session_rows(seed)) for seed in range(len(SESSION_MAPS)))
     assert 0 < rows["valid"] < rows["rows"]

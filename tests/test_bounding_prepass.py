@@ -228,9 +228,9 @@ class TestGather:
         monkeypatch.setattr(protocol, "_scaled_permutation", lambda t: calls.append(1))
         t = KNOWN_MAPS["bell1 lazy"]
         rows = grid_block((0, 0))
-        protocol._mapped_states(t, rows[: protocol._FUSED_MIN_ROWS - 1])
+        protocol._mapped_states(t, rows[: protocol._GATHER_MIN_ROWS - 1])
         assert calls == []
-        protocol._mapped_states(t, rows[: protocol._FUSED_MIN_ROWS])
+        protocol._mapped_states(t, rows[: protocol._GATHER_MIN_ROWS])
         assert calls == [1]
 
     def test_any_layout_of_the_batch(self):

@@ -432,39 +432,39 @@ GOLDEN = {
     "bell-audit --format csv": "b9dc4f8300f5b54c61fcace1cf41396788d665ec8a53eb79c8bd497f839c1e52",
     "bell-audit --format json": "c659f3952adb479cde000f928f22c0083af51b6debbf1df7572e7df11b31aa7e",
     "teleport --c11 0.3 --c12re 0.458 --prep bell2 --format table":
-        "53c0df3d9d36e1d15663e0f2658028e69d37008d9996e64182f37e3dbca4a829",
+        "369ba1d2e5eb96ed86ae9b19a87230982b83a3d8e2797be0f04e8d29c756bc81",
     "teleport --c11 0.3 --c12re 0.458 --prep bell2 --format csv":
-        "db14c76394e69a2de111d40abef3673b695e06d96497bc8c984641417727c0cb",
+        "a8ab34642d22e2e6068eb84d5408915ea6a76631d49466877f67aa779d645079",
     "teleport --c11 0.3 --c12re 0.458 --prep bell2 --format json":
-        "89e1315de9b35cc2f3d5b66a9075b1bcc870cf1e8c4597f4a02ff570b80db39a",
+        "afa05ffdd50f227e575c2616b1d49b8306c21f43ff303e67c57944dfe6e2faf4",
     "teleport --c11 1 --prep paut --message preagreed --no-correct --format table":
         "742e4331ecd29774a642953dd7376d071da149d676783ae89ac73951a92740d8",
     "teleport --c11 0.5 --c12im 0.25 --prep bell3 --message onebit --no-correct --format json":
         "c0d465a2550c44fb8289dd881ca4c1117cef1d11bce3fb006577fde3a39624b6",
     "sweep --resolution 5 --mag-resolution 3 --phase-resolution 2 --format table":
-        "69e2036a613046d9d7bed8f4313fa449cb288bcaec8724cdc50399aab547062e",
+        "c423ad8c7fe1a96ec336c1b5d3c230990db78b11a346cc3d1e003794c9b40593",
     "sweep --resolution 5 --mag-resolution 3 --phase-resolution 2 --format csv":
-        "fdae781a7f531783ee954fcb3ca1846fb4ae3cd29dd14ba57e1ffdb2b8d55a4f",
+        "db4ad10a703c4754d40ed862cdc744ca3d72e5bc0b1a9736b182d52e31e2e288",
     "sweep --resolution 5 --mag-resolution 3 --phase-resolution 2 --format json":
-        "0e1a2cbcc5fa4106d4583e801c720527ca8b0cc587ed59d784d0d9c4927148f5",
+        "c9d893bcf0c225a23331e71980505ccaa72bf9fcd0141ce0b2f93c20a55c7dc3",
     "sweep --resolution 30 --phase-resolution 4 --prep bell1 --format csv":
-        "03c136455ca7562aaab4dfb6b5dcbac6eb426b2a8e6f92e1600dc580c1b8a2a4",
+        "0469b704de161669b4efdf500bd9bd3bce7ed7a84e0095da673c9f1802b8f164",
     "sweep --resolution 30 --phase-resolution 4 --prep paut --format csv":
-        "295a62f4d460446c622f3570c18b74b471fb50901b3cdaf563d766d6d891234e",
+        "f03404535656a75175f2bdacaaa69e6532ca4a357dbc2c84ed5e5e1b7ac5ccdb",
     "sweep --resolution 30 --phase-resolution 4 --prep bell1 --format table":
-        "ca9c2252f9db15e0340df1ae8cb4f6253ed231bad0754e15ce8e741bb392a0b9",
+        "9302ef92262bcd0a15c0c91f0c822b43046dedd6af91ee1dd67b77a29e32da91",
     "sweep --resolution 30 --phase-resolution 4 --prep paut --format json":
-        "f9d822490ed1251d58bc46583696e5d671a1d5db01d3b6115097a8f071697748",
+        "34bdca09aaddb0e089df41ac98ff15d4cb64c857a2087b35f9174a0f6ce87a16",
     "sweep --resolution 101 --slice zero --format csv":
         "74c68622e3adc50492df921519bea5d69049e51f4fcf89961d44aa13ae8b8f81",
     "sweep --resolution 21 --slice pure --phase-resolution 3 --format json":
-        "6cda9ddfe308cbb50286ced05dca49927575ede29d0fd021e35a8e9d8e0530e8",
+        "8d9b5cf32e6a1b9b8e3766f06e0b781624d819a53e41b27d6ba3537a1ed437e0",
     "sweep --resolution 2 --mag-resolution 2 --format csv":
         "7378dc6f90d117d6a2addcfe36dd9e71d3f83f258512f56934f219536a4f4cfc",
     "sweep --resolution 7 --mag-resolution 1 --phase-resolution 3 --format csv":
         "2ddf04784954ea5275500c7d334acf7f66a970d9011c4b569933e904dcba8959",
     "sweep --resolution 12 --mag-resolution 5 --phase-resolution 3 --format table":
-        "2a77f564ad6bdf0fb0e9d9cbdd47d66f8c90fca8f450426a938e5a2ef24ba779",
+        "44bb87c73ff30ed94bf50f4cf6eec7ef683c811b485b6fafcfb48333676adf57",
     "paut-audit --format table": "a72c5dac8b2fbfb20b42d115813fc0ac62dddf9a5e4211e09892b8a3defe8524",
     "paut-audit --format csv": "4535c6bd736e3103f466fb807ca12296000c8513427b8fdd6b792de14b408e7f",
     "paut-audit --format json": "8f0f46137a83d28dd311d7f25efae6a24c7b853294be1bf8db4c68cb307e4439",

@@ -14,7 +14,7 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 # sha256 of each demo's stdout. A change that is meant to alter a demo's
 # output updates its digest here and says why.
 STDOUT_SHA256 = {
-    "automatic_teleportation": "2ee5719d3092c9e190052e7c2874efb43a1624306381749a373fa0058d9ad559",
+    "automatic_teleportation": "4be7a9e43fba7b07ababcc6e6648e9f71d507cf7532c6da53d40c0b1d82e3041",
     "bell_operator_checks": "9b2c9c4bfbe3f877cf1c9b9ef6221bfa0cb2245adf910f8869cd7abd4e660a60",
     "lazy_receiver_bound": "c8151f3ef1817c558cded2efc94ec357c648f5ac2ba9898963ed76acf326c790",
     "two_bit_teleportation": "4d6f1197a772bbf8b5b36afbc335bab05f8311d54604a274683a8c420013425c",

@@ -6,6 +6,7 @@ The batched kernel is also checked against the per-row loop it replaced.
 """
 
 import itertools
+import math
 import re
 import sys
 from fractions import Fraction
@@ -303,13 +304,20 @@ SPECIAL_PARTS = TINY_PARTS + [1.0, -1.0, 0.5, 1e300, -1e300, 2.0**400, np.inf, -
 
 
 def special_rows(seed, n):
-    """n seeded rows: even ones with every part from SPECIAL_PARTS, odd ones valid with about a quarter from TINY_PARTS."""
+    """n seeded rows: even ones with every part from SPECIAL_PARTS, odd ones valid inputs with parts from TINY_PARTS.
+
+    An odd row's c11 and each part of c12 is replaced from TINY_PARTS with
+    probability 1/4, in pairs that keep c22 = 1 - c11 and c21 = conj(c12), so
+    most odd rows stay valid.
+    """
     rng = np.random.default_rng(seed)
     odd = (np.arange(n) % 2 == 1)[:, None]
-    drawn = np.where(odd, rng.choice(TINY_PARTS, size=(n, 8)), rng.choice(SPECIAL_PARTS, size=(n, 8)))
+    drawn = rng.choice(SPECIAL_PARTS, size=(n, 8))
     valid = rows_of(random_coefficients(rng, n)).view(float)
-    keep = odd & (rng.random((n, 8)) < 0.75)
-    return np.where(keep, valid, drawn).view(complex)
+    c11, re, im = np.where(rng.random((n, 3)) < 0.25, rng.choice(TINY_PARTS, size=(n, 3)), valid[:, [0, 2, 3]]).T
+    valid[:, 0], valid[:, 6] = c11, 1.0 - c11
+    valid[:, 2], valid[:, 3], valid[:, 4], valid[:, 5] = re, im, re, -im
+    return np.where(odd, valid, drawn).view(complex)
 
 
 def general_tensor(seed, psd):
@@ -566,59 +574,90 @@ class TestClassification:
                 assert not u.automatic
 
 
-def _fma(a: float, b: float, c: float) -> float:
-    """a * b + c rounded once, from exact rationals."""
-    return float(Fraction(a) * Fraction(b) + Fraction(c))
+def _rounded(exact: Fraction, zero_sign: float) -> float:
+    """``exact`` rounded once to a double; an exact zero takes the sign of ``zero_sign``."""
+    if exact == 0:
+        return math.copysign(0.0, zero_sign)
+    try:
+        return float(exact)
+    except OverflowError:
+        return math.inf if exact > 0 else -math.inf
 
 
 def _mul(a: float, b: float) -> float:
-    return float(Fraction(a) * Fraction(b))
+    """a * b rounded once, from exact rationals. On a non-finite operand IEEE's result is exact: the float product's."""
+    if not (math.isfinite(a) and math.isfinite(b)):
+        return a * b
+    return _rounded(Fraction(a) * Fraction(b), math.copysign(1.0, a) * math.copysign(1.0, b))
 
 
-def _chain(a0, b0, a1, b1) -> complex:
-    """a0 b0 + a1 b1 as zgemm sums it: numpy's fused product a0 b0, then one fused step per part of a1 b1."""
-    re = _fma(a0.real, b0.real, -_mul(a0.imag, b0.imag))
-    im = _fma(a0.real, b0.imag, _mul(a0.imag, b0.real))
-    return _outer_steps(a1, b1, re, im)
+def _add(a: float, b: float) -> float:
+    """a + b rounded once, as ``_mul``: an exact zero is -0.0 only for two negative zeros."""
+    if not (math.isfinite(a) and math.isfinite(b)):
+        return a + b
+    both_negative = math.copysign(1.0, a) == math.copysign(1.0, b) == -1.0
+    return _rounded(Fraction(a) + Fraction(b), -1.0 if both_negative else 1.0)
 
 
-def _outer_steps(a1, b1, re, im) -> complex:
-    """The chain's two fused steps of a1 b1 on the parts of a0 b0."""
-    re = _fma(a1.real, b1.real, _fma(-a1.imag, b1.imag, re))
-    return complex(re, _fma(a1.real, b1.imag, _fma(a1.imag, b1.real, im)))
+def _fma(a: float, b: float, c: float) -> float:
+    """a * b + c rounded once, as ``_mul`` (an exact zero as +0.0)."""
+    if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(c)):
+        return a * b + c
+    return _rounded(Fraction(a) * Fraction(b) + Fraction(c), 1.0)
 
 
-def _unfused(a0, b0, a1, b1) -> complex:
-    # every product and sum rounded on its own
-    re = (_mul(a0.real, b0.real) - _mul(a0.imag, b0.imag)) + (_mul(a1.real, b1.real) - _mul(a1.imag, b1.imag))
-    im = (_mul(a0.real, b0.imag) + _mul(a0.imag, b0.real)) + (_mul(a1.real, b1.imag) + _mul(a1.imag, b1.real))
-    return complex(re, im)
+def _exact_bilinear(x, y, fused=False, sequential=False) -> tuple:
+    """``_bilinear``'s expression with every operation rounded once from exact rationals.
+
+    ``fused`` rounds each part of a product x[k] y[k] once, as an FMA does, and
+    ``sequential`` adds the four terms as ((0 + 1) + 2) + 3: two changes that
+    ``TestBilinear``'s rows must tell from ``_bilinear``.
+    """
+    def part(p, q, r, s):  # p q + r s
+        return _fma(p, q, _mul(r, s)) if fused else _add(_mul(p, q), _mul(r, s))
+
+    def total(t):
+        return _add(_add(_add(t[0], t[1]), t[2]), t[3]) if sequential else _add(_add(t[0], t[1]), _add(t[2], t[3]))
+
+    re, im = zip(*((part(a.real, b.real, -a.imag, b.imag), part(a.real, b.imag, a.imag, b.real)) for a, b in zip(x, y)))
+    return total(re), total(im)
 
 
-def _unfused_first_term(a0, b0, a1, b1) -> complex:
-    # the chain's outer steps on a0 b0 rounded without fusion
-    re = _mul(a0.real, b0.real) - _mul(a0.imag, b0.imag)
-    im = _mul(a0.real, b0.imag) + _mul(a0.imag, b0.real)
-    return _outer_steps(a1, b1, re, im)
+def assert_same_doubles(got, expected):
+    """Equal bytes, but a NaN, whose sign and payload IEEE leaves open, only has to sit where the other's does."""
+    got, expected = np.asarray(got, dtype=float), np.asarray(expected, dtype=float)
+    nan = np.isnan(expected)
+    assert np.array_equal(np.isnan(got), nan)
+    assert got[~nan].tobytes() == expected[~nan].tobytes()
 
 
-def _outer_steps_swapped(a0, b0, a1, b1) -> complex:
-    p = _chain(a0, b0, 0j, 0j)
-    re, im = _fma(a1.real, b1.real, p.real), _fma(a1.real, b1.imag, p.imag)
-    return complex(_fma(-a1.imag, b1.imag, re), _fma(a1.imag, b1.real, im))
+class TestBilinear:
+    """``_bilinear`` rounds each operation once, in its one order, on Python numbers and float64 columns alike."""
 
+    # 4097 rows of 4 entries of x then 4 of y, every part from SPECIAL_PARTS; a non-finite part is
+    # rare (weight 1/50), so most rows stay finite and show how their products and sums round
+    WEIGHTS = np.where(np.isfinite(SPECIAL_PARTS), 1.0, 0.02)
+    ROWS = np.random.default_rng(31).choice(SPECIAL_PARTS, size=(4097, 16), p=WEIGHTS / WEIGHTS.sum()).view(complex)
 
-def _two_fused_products(a0, b0, a1, b1) -> complex:
-    # each product fused as numpy's, then the two added
-    return _chain(a0, b0, 0j, 0j) + _chain(a1, b1, 0j, 0j)
+    @pytest.fixture(scope="class")
+    def exact(self):
+        return np.array([_exact_bilinear(row[:4], row[4:]) for row in self.ROWS.tolist()])
 
+    def test_python_numbers(self, exact):
+        assert_same_doubles([protocol._bilinear(row[:4], row[4:]) for row in self.ROWS.tolist()], exact)
 
-def _overlaps_by(rule, c, states) -> np.ndarray:
-    """Tr(C S) of each row with ``rule`` summing each diagonal entry a0 b0 + a1 b1."""
-    out = []
-    for row, s in zip(c.reshape(-1, 2, 2).tolist(), states.tolist()):
-        out.append(sum((rule(row[i][0], s[0][i], row[i][1], s[1][i]) for i in range(2)), 0j))
-    return np.array(out)
+    @pytest.mark.parametrize("n", [1, 63, 64, 4097])
+    def test_columns(self, exact, n):
+        rows = self.ROWS[:n]
+        with np.errstate(all="ignore"):
+            re, im = protocol._bilinear(rows[:, :4].T, rows[:, 4:].T)
+        assert_same_doubles(np.stack([re, im], axis=1), exact[:n])
+
+    @pytest.mark.parametrize("change", ["fused", "sequential"])
+    def test_the_rows_tell_a_fused_product_or_another_order(self, exact, change):
+        other = np.array([_exact_bilinear(row[:4], row[4:], **{change: True}) for row in self.ROWS.tolist()])
+        with pytest.raises(AssertionError):
+            assert_same_doubles(other, exact)
 
 
 def _sweep_rows(resolution=30, phase_resolution=4) -> np.ndarray:
@@ -669,19 +708,10 @@ def assert_same_outcome(t, rows):
     assert got[1].tobytes() == np.concatenate([fidelities for _, fidelities in alone]).tobytes()
 
 
-@pytest.fixture
-def fused_calls(monkeypatch):
-    """How many times ``_fused_overlaps`` runs."""
-    calls = []
-    fused = protocol._fused_overlaps
-    monkeypatch.setattr(protocol, "_fused_overlaps", lambda *args: calls.append(1) or fused(*args))
-    return calls
+class TestLargeBatches:
+    """Batches on both sides of ``_GATHER_MIN_ROWS``, where scaled-permutation maps start gathering columns."""
 
-
-class TestFusedOverlaps:
-    """Batches of at least ``_FUSED_MIN_ROWS`` rows take the overlaps as zgemm rounds them, on whole columns."""
-
-    @pytest.mark.parametrize("n", [protocol._FUSED_MIN_ROWS - 1, protocol._FUSED_MIN_ROWS, 1000, 3600])
+    @pytest.mark.parametrize("n", [protocol._GATHER_MIN_ROWS - 1, protocol._GATHER_MIN_ROWS, 1000, 3600])
     @pytest.mark.parametrize("bob_acts", [True, False])
     @pytest.mark.parametrize("prep", PREPARATIONS)
     def test_known_maps_equal_the_loop(self, prep, bob_acts, n):
@@ -694,7 +724,7 @@ class TestFusedOverlaps:
     @given(u=hermitian_tensor_strategy())
     def test_general_maps_equal_one_row_at_a_time(self, u):
         t = resolve_preparation(u).session_map(False)
-        rows = _batch(2 * protocol._FUSED_MIN_ROWS)
+        rows = _batch(2 * protocol._GATHER_MIN_ROWS)
         assert_same_outcome(t, rows)
         # every row whose state is finite gets its one-row bits, failing rows included
         _, states, overlaps = protocol._mapped_states(t, rows)
@@ -711,39 +741,3 @@ class TestFusedOverlaps:
             expected = outcome(per_row_loop, IDENTITY_MAP, rows)
             assert isinstance(expected, str)
             assert outcome(receiver_states, IDENTITY_MAP, rows) == kernel_message(expected)
-
-    def test_the_row_count_picks_the_path(self, fused_calls):
-        if not protocol._FUSED_OVERLAPS:
-            pytest.skip("the import check kept the stacked product on this platform")
-        t = resolve_preparation(2).session_map(True)
-        receiver_states(t, _batch(protocol._FUSED_MIN_ROWS - 1))
-        assert fused_calls == []
-        receiver_states(t, _batch(protocol._FUSED_MIN_ROWS))
-        assert fused_calls == [1]
-        receiver_states(t, np.tile(_batch(3000), (3, 1))[: 2 * protocol._FUSED_BLOCK_ROWS + 1])
-        assert fused_calls == [1] * 4
-
-    def test_a_mismatch_at_import_keeps_the_stacked_product(self, monkeypatch):
-        fused = protocol._fused_overlaps
-
-        def off_by_one_ulp(c, states, out):
-            fused(c, states, out)
-            out.real = np.nextafter(out.real, np.inf)
-
-        monkeypatch.setattr(protocol, "_fused_overlaps", off_by_one_ulp)
-        agree = protocol._fused_overlaps_agree()
-        assert agree is False
-        monkeypatch.setattr(protocol, "_FUSED_OVERLAPS", agree)
-        for prep in PREPARATIONS:
-            assert_same_outcome(resolve_preparation(prep_input(prep)).session_map(True), _batch(1000))
-
-    def test_check_rows_tell_the_chain_from_other_orders(self):
-        c, states = protocol._CHECK_ROWS
-        chain = _overlaps_by(_chain, c, states)
-        for rule in (_unfused, _unfused_first_term, _outer_steps_swapped, _two_fused_products):
-            assert chain.tobytes() != _overlaps_by(rule, c, states).tobytes(), rule.__name__
-        # where the BLAS sums in the chain's order and numpy fuses its complex product, the check picks the fused path
-        a, b = c.ravel(), states.ravel()
-        numpy_fuses = (a * b).real.tolist() == [_fma(p.real, q.real, -_mul(p.imag, q.imag)) for p, q in zip(a, b)]
-        blas_chains = protocol._stacked_overlaps(c, states).tobytes() == chain.tobytes()
-        assert protocol._FUSED_OVERLAPS == (numpy_fuses and blas_chains)
