@@ -12,13 +12,32 @@ The same subprocess compares the one-row session kernel, ``_session_row``,
 with row 0 of a two-row ``receiver_states`` batch, byte for byte, on the
 nine known session maps and 20 dense ones.
 
+It also takes the library digests of ``tests/test_library_digests.py`` on
+the inputs this process built, sent as pickled arrays. Not all of them are
+the same bits on every CPU, so each configuration has its own record,
+``LIBRARY_DIGESTS``, which a change may not move either:
+
+- every eigenvalue (``hermitian_spectrum``, ``_ppt_test``) comes from
+  LAPACK on the BLAS core's kernels;
+- a dense map's product is a zgemv or zgemm on those kernels
+  (``compare_conventions`` on a general tensor, ``run_session``,
+  ``receiver_states`` and ``average_fidelity`` on a dense map);
+- numpy's complex halving without FMA gives +0.0 where the fused one gives
+  -0.0 on a coherence whose real part is -1e-323, under a known map too.
+
+Haswell keeps the digests of ``run_session``, ``receiver_states``,
+``average_fidelity`` and ``fidelity_vector``, and Nehalem only that of
+``fidelity_vector``.
+
 The test needs a numpy whose BLAS is a DYNAMIC_ARCH OpenBLAS (the only kind
 the variable switches), and the Haswell case a CPU with AVX2 and FMA (which
 its kernels use); elsewhere they are skipped.
 """
 
+import base64
 import json
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -29,6 +48,7 @@ import pytest
 from ensemble_teleport import automatic_preparation, resolve_preparation
 from test_cli import GOLDEN
 from test_demos import DEMOS, ROOT, STDOUT_SHA256
+from test_library_digests import LIBRARY_GOLDEN, library_inputs
 from test_conventions import signed_zero_rows, subnormal_rows
 from test_receiver_state import general_tensor, special_rows
 
@@ -55,13 +75,35 @@ def session_payload() -> dict:
     }
 
 
-# Run in the subprocess: reads [commands, demo paths, {session map: [map, rows]}] as JSON on stdin, writes
-# {name: sha256} and, under SESSION_ROWS, the sessions whose one-row kernel differs from their batch, as JSON.
+# The key under which the subprocess reports the library digests.
+LIBRARY = "library"
+
+# Each configuration's library digests where they differ from LIBRARY_GOLDEN (see the module docstring).
+LIBRARY_DIGESTS = {
+    "Haswell": {
+        "compare_conventions": "5d4ee6dcfa1ccc02756554638c1d17c2ea9af17cce3eb48bc07d999f0aee6360",
+        "hermitian_spectrum": "417bb6c58cd190e92133318c5d65460de671b5b743105eab90f37cf249d60cb6",
+        "_ppt_test": "baa8383553554790daaa929aa2ad4f9426661e388e1a6e51eea1fd8da5e530ad",
+    },
+    "Nehalem": {
+        "run_session": "33574c774a083e7e8b0507b4e6b3ee3ce874535ca2ffb49b830ea04b5be777d9",
+        "receiver_states": "ed2bc6b2c2d1ea81f54336b8055839f8c25c77d7cf98c2289655859d9b7f0972",
+        "compare_conventions": "4338c68b421fd8dde6d7c2e2abb353099f14cde38ff14cf270254de08e962457",
+        "average_fidelity": "74687078d33a141efdabdfe515515283ace2f2f0f5bac46aec3187e4f8bb400c",
+        "hermitian_spectrum": "8a48c74e84d812391d3ed26f67016f6745a31d30272cd1f9533bfd4cb74f2574",
+        "_ppt_test": "5523f65a178438ebd6d34441062e74a88966d56fa1a47947185b9943881f972f",
+    },
+}
+
+# Run in the subprocess: reads [commands, demo paths, {session map: [map, rows]}, pickled library inputs] as JSON
+# on stdin, writes {name: sha256}, under SESSION_ROWS the sessions whose one-row kernel differs from their batch
+# and under LIBRARY the library digests, as JSON.
 _RENDER_ALL = """
-import contextlib, hashlib, io, json, runpy, sys
+import base64, contextlib, hashlib, io, json, pickle, runpy, sys
 import numpy as np
 from ensemble_teleport import cli
 from ensemble_teleport.protocol import _session_row, receiver_states
+from test_library_digests import library_digests
 
 def digest(run):
     out = io.StringIO()
@@ -79,7 +121,7 @@ def bits(kernel, t, rows):
 def complex_parts(parts, shape):
     return np.array(parts).view(complex).reshape(shape)
 
-commands, demos, sessions = json.load(sys.stdin)
+commands, demos, sessions, library = json.load(sys.stdin)
 digests = {command: digest(lambda: cli.main(command.split())) for command in commands}
 digests.update({path: digest(lambda: runpy.run_path(path, run_name="__main__")) for path in demos})
 differ, valid = [], 0
@@ -91,8 +133,9 @@ for name, (t, rows) in sessions.items():
         if one != bits(receiver_states, t, np.array([row, row])):
             differ.append([name, i])
 digests["%s"] = {"rows": sum(len(rows) // 8 for _, rows in sessions.values()), "valid": valid, "differ": differ}
+digests["%s"] = library_digests(pickle.loads(base64.b64decode(library)))
 json.dump(digests, sys.stdout)
-""" % SESSION_ROWS
+""" % (SESSION_ROWS, LIBRARY)
 
 
 def _dynamic_openblas() -> bool:
@@ -130,25 +173,32 @@ def digests(request):
     env, flags = CONFIGURATIONS[request.param]
     if not flags <= _cpu_flags():
         pytest.skip(f"the {request.param} kernels need a CPU with {sorted(flags)}")
-    pythonpath = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    pythonpath = os.pathsep.join(filter(None, [str(ROOT / "src"), str(ROOT / "tests"), os.environ.get("PYTHONPATH")]))
+    library = base64.b64encode(pickle.dumps(library_inputs())).decode()
     result = subprocess.run(
         [sys.executable, "-c", _RENDER_ALL],
-        input=json.dumps([sorted(GOLDEN), [str(path) for path in DEMOS], session_payload()]),
+        input=json.dumps([sorted(GOLDEN), [str(path) for path in DEMOS], session_payload(), library]),
         capture_output=True, text=True, timeout=300,
         env=dict(os.environ, PYTHONPATH=pythonpath, **env),
     )
     assert result.returncode == 0, result.stderr
-    return json.loads(result.stdout)
+    return request.param, json.loads(result.stdout)
 
 
 @pytest.mark.parametrize("name, golden, key", [pytest.param(*case, id=case[0]) for case in CASES])
 def test_golden_digest_under_other_kernels(digests, name, golden, key):
-    assert digests[key] == golden
+    assert digests[1][key] == golden
+
+
+@pytest.mark.parametrize("name", sorted(LIBRARY_GOLDEN))
+def test_library_digest_under_other_kernels(digests, name):
+    configuration, got = digests
+    assert got[LIBRARY][name] == LIBRARY_DIGESTS[configuration].get(name, LIBRARY_GOLDEN[name])
 
 
 def test_one_row_session_is_row_0_of_its_batch_under_other_kernels(digests):
     # _session_row's arithmetic on Python numbers against the batch's on columns, on rows of signed zeros and subnormals
-    rows = digests[SESSION_ROWS]
+    rows = digests[1][SESSION_ROWS]
     assert rows["differ"] == []
     assert rows["rows"] == sum(len(session_rows(seed)) for seed in range(len(SESSION_MAPS)))
     assert 0 < rows["valid"] < rows["rows"]
