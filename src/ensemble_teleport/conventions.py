@@ -102,7 +102,7 @@ def _compare_rows(
     """
     u = resolve_preparation(u)
     raw, (trace, total), (ansatz, sandwich) = _both_updates(u.sender_operator, _coefficient_batch(coeffs))
-    require_columns((renormalization_table, raw), (two_sided_trace_table, (total,)))
+    require_columns((renormalization_table, raw.reshape(-1, 4).T), (two_sided_trace_table, (total,)))
     return ansatz, sandwich, np.abs(ansatz - sandwich).max(axis=(1, 2)), total.real / trace.real
 
 

@@ -356,37 +356,27 @@ def require(*checks) -> None:
                 raise ValueError(message(*values))
 
 
-def _row(rows, i: int) -> list:
-    """Row i of a check's rows, an (N, ...) array or a tuple of N-long columns, as Python numbers."""
-    return [column.item(i) for column in rows] if isinstance(rows, tuple) else rows[i].ravel().tolist()
-
-
 def require_columns(*checks) -> None:
     """The runner on N rows: ValueError for the lowest failing row, with the message ``require`` raises on it.
 
-    Each check is a (table, rows) pair, ``rows`` an (N, ...) array whose
-    other axes hold the table's parts or a tuple of the parts' N-long
-    columns. From two rows on, the tables first run on ON_BOUNDS: a batch
+    Each check is a (table, columns) pair, ``columns`` the table's parts as
+    N-long columns: a tuple of 1-d arrays or a (k, N) array, which iterate
+    alike. From two rows on, the tables first run on ON_BOUNDS: a batch
     whose every entry passes there passes, and otherwise ``require`` runs on
     each row that failed an entry, lowest first, until one fails exactly.
     A batch of 0 or 1 rows goes to ``require`` directly.
     """
-    first = checks[0][1]
-    candidates = range(len(first[0] if isinstance(first, tuple) else first))
+    candidates = range(len(checks[0][1][0]))
     if len(candidates) > 1:
         with np.errstate(all="ignore"):  # a failing row may give inf or nan in later entries: harmless
             passed = np.array([
-                quantity <= bound
-                for table, rows in checks
-                for quantity, (bound, _), _ in table(
-                    ON_BOUNDS, rows if isinstance(rows, tuple) else rows.reshape(len(rows), -1).T
-                )
+                quantity <= bound for table, columns in checks for quantity, (bound, _), _ in table(ON_BOUNDS, columns)
             ])
         if passed.all():
             return
         candidates = np.flatnonzero(~passed.all(axis=0)).tolist()
     for i in candidates:
-        require(*[(table, _row(rows, i)) for table, rows in checks])
+        require(*[(table, [column.item(i) for column in columns]) for table, columns in checks])
 
 
 def require_statistical_operator(op) -> None:

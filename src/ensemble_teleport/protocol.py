@@ -469,30 +469,19 @@ def bob_correct(index: int, m) -> np.ndarray:
     return un @ arr @ un.conj().T
 
 
-_GATHER_MIN_ROWS = 64  # from this many rows on, a scaled-permutation map gathers columns (``_scaled_permutation``)
-
-
-def _scaled_permutation(t: np.ndarray) -> tuple[tuple, np.ndarray] | None:
-    """``(columns, scales)`` when the complex map ``t`` is a permutation matrix times finite real scales.
-
-    Row r of ``t @ v`` is then ``scales[r] * v[columns[r]]``. Every known
-    session map is one, with scales of 1/2 or 1. A map with a second
-    nonzero entry in a row or column, a nonzero imaginary part or a NaN/Inf
-    entry gives None. Every column is taken, so a NaN/Inf coefficient
-    reaches the mapped vector on both paths. The plan comes from a cache
-    keyed on the map's bytes, so a map sent again costs one ``tobytes``.
-    """
-    if t.dtype != complex:
-        return None
-    return _permutation_plan(t.tobytes())
-
-
 @lru_cache(maxsize=32)
 def _permutation_plan(entries: bytes) -> tuple[tuple, np.ndarray] | None:
-    """``_scaled_permutation`` of the 4x4 complex map whose C-order bytes are ``entries``.
+    """``(columns, scales)`` when the 4x4 complex map t with C-order bytes ``entries`` is a scaled permutation.
 
-    Every caller gets the same plan, so it is immutable: a tuple of columns
-    and scales over immutable bytes (``frozen``).
+    That is, a permutation matrix times finite real scales: row r of
+    ``t @ v`` is then ``scales[r] * v[columns[r]]``. Every known session map
+    is one, with scales of 1/2 or 1. A map with a second nonzero entry in a
+    row or column, a nonzero imaginary part or a NaN/Inf entry gives None.
+    Every column is taken, so a NaN/Inf coefficient reaches the mapped
+    vector on both paths. The cache is keyed on the map's bytes, so a map
+    sent again costs one ``tobytes``; every caller gets the same plan, so it
+    is immutable: a tuple of columns and scales over immutable bytes
+    (``frozen``).
     """
     rows = np.frombuffer(entries, complex).reshape(4, 4).tolist()
     nonzero = [[(j, z) for j, z in enumerate(row) if z] for row in rows]
@@ -514,14 +503,15 @@ def _mapped_states(t: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray
     overlaps are ``_bilinear`` on whole columns, so each row is bitwise what
     a batch of one, and ``_session_row``, give. A row that fails one check
     may give inf or nan in later ones, which is harmless: only its first
-    failing check is reported. A large batch under a scaled permutation
-    (``_scaled_permutation``) gathers its columns instead: each entry is one
-    product, rounded once on both paths, and ``+= 0.0`` turns a -0.0 into
-    the +0.0 that the matrix-vector sums, which start from +0, give. A
-    product that overflows is inf here and may be NaN there; either fails
-    the finite check.
+    failing check is reported. A complex map that is a scaled permutation
+    (``_permutation_plan``) gathers its columns instead, at every batch
+    size: each entry is one product, rounded once on both paths, and
+    ``+= 0.0`` turns a -0.0 into the +0.0 that the matrix-vector sums, which
+    start from +0, give. A product that overflows is inf here and may be NaN
+    there; either fails the finite check. A map of any other dtype keeps
+    the product.
     """
-    permutation = _scaled_permutation(t) if len(c) >= _GATHER_MIN_ROWS else None
+    permutation = _permutation_plan(t.tobytes()) if t.dtype == complex else None
     if permutation is None:
         raw = (t @ c[:, :, None]).reshape(-1, 2, 2)
     else:
@@ -606,7 +596,9 @@ def receiver_states(t, coeffs) -> tuple[np.ndarray, np.ndarray]:
     entries past it the kernel gives the check tables' verdicts, not the
     bound message of those functions. Every row gets the same bits alone,
     inside a batch of any size and in ``run_session``, which runs its one
-    row as Python numbers (``_session_row``). The overlap is one bilinear sum
+    row as Python numbers (``_session_row``). A known map gathers the
+    columns of every batch (``_permutation_plan``), to the bits of the
+    per-row product that other maps take. The overlap is one bilinear sum
     (``_bilinear``), on Python numbers for one row and on whole columns for a
     batch, with the same bits on every CPU.
     """
@@ -615,8 +607,8 @@ def receiver_states(t, coeffs) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(f"expected a 4x4 session map, got shape {t.shape}")
     raw, states, overlap = _mapped_states(t, _coefficient_batch(coeffs))
     require_columns(
-        (renormalization_table, raw),
-        (qubit_operator_table, states),
+        (renormalization_table, raw.reshape(-1, 4).T),
+        (qubit_operator_table, states.reshape(-1, 4).T),
         (real_overlap_table, (overlap,)),
     )
     return states, overlap.real

@@ -47,6 +47,22 @@ def exact_quantities(table, columns) -> np.ndarray:
     return np.array([[quantity for quantity, _, _ in table(ON_NUMBERS, row)] for row in rows], dtype=float)
 
 
+def random_state(rng, n):
+    """A seeded full-rank n x n density matrix: g g^dagger over its trace, g with Gaussian complex entries."""
+    g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    rho = g @ g.conj().T
+    return rho / np.trace(rho).real
+
+
+def base_chain(array) -> list:
+    """``array`` and every ndarray along its ``.base`` chain, which a non-array buffer such as bytes ends."""
+    chain = []
+    while isinstance(array, np.ndarray):
+        chain.append(array)
+        array = array.base
+    return chain
+
+
 def random_hermitian(rng, dim):
     m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     return m + m.conj().T

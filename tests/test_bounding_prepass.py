@@ -7,9 +7,9 @@ failed an entry there. That is sound when each bounded quantity is at least
 ``require``'s (NaN counting as failing), which ``TestBoundsAreSound`` checks
 on extreme parts; it pays only when valid batches pass on their bounds,
 which ``TestNoFallback`` checks on the package's own batches; and
-``TestCandidateRows`` checks which rows reach ``require``. ``_mapped_states`` gathers the columns of a large
-batch under a scaled permutation map instead of one matrix-vector product
-per row; ``TestGather`` checks it against that product bit for bit.
+``TestCandidateRows`` checks which rows reach ``require``. ``_mapped_states`` gathers the columns of a batch
+of any size under a scaled permutation map instead of one matrix-vector
+product per row; ``TestGather`` checks it against that product bit for bit.
 """
 
 import itertools
@@ -143,7 +143,12 @@ def grid_blocks():
 
 def matvec_path(monkeypatch):
     """Send every map to the per-row matrix-vector product."""
-    monkeypatch.setattr(protocol, "_scaled_permutation", lambda t: None)
+    monkeypatch.setattr(protocol, "_permutation_plan", lambda entries: None)
+
+
+def plan(t):
+    """The gather plan of the complex map ``t``, as ``_mapped_states`` looks it up."""
+    return protocol._permutation_plan(t.tobytes())
 
 
 def outcome(t, rows):
@@ -193,7 +198,7 @@ class TestGather:
     @pytest.mark.parametrize("names", sorted(DISTINCT_MAPS))
     def test_known_maps_on_the_signed_zero_grid(self, names):
         t = DISTINCT_MAPS[names]
-        assert protocol._scaled_permutation(t) is not None
+        assert plan(t) is not None
         for rows in grid_blocks():
             assert_same_bits(t, rows)
 
@@ -201,7 +206,7 @@ class TestGather:
     def test_random_permutation_maps(self, seed):
         rng = np.random.default_rng(seed)
         t = random_permutation_map(rng)
-        assert protocol._scaled_permutation(t) is not None
+        assert plan(t) is not None
         assert_same_bits(t, grid_block(rng.integers(6, size=2)))
         # random doubles, subnormal and huge parts, and the check tables' special parts
         parts = np.concatenate([rng.standard_normal(4000), rng.choice(REALS[np.isfinite(REALS)], 4000)])
@@ -216,22 +221,22 @@ class TestGather:
             np.diag([0.5, 0.5, 0.5, 0.0]),  # an empty row
             np.eye(4, dtype=complex)[[0, 0, 2, 3]],  # a column taken twice, so one never is
             np.eye(4, dtype=complex) + np.eye(4, k=1),  # a second nonzero entry in a row
-            np.eye(4),  # not complex
         ],
-        ids=["imaginary", "nan", "inf", "empty row", "column twice", "dense row", "float"],
+        ids=["imaginary", "nan", "inf", "empty row", "column twice", "dense row"],
     )
     def test_other_maps_keep_the_matvec(self, t):
-        assert protocol._scaled_permutation(np.asarray(t)) is None
+        assert plan(np.asarray(t, dtype=complex)) is None
 
-    def test_small_batches_keep_the_matvec(self, monkeypatch):
-        calls = []
-        monkeypatch.setattr(protocol, "_scaled_permutation", lambda t: calls.append(1))
-        t = KNOWN_MAPS["bell1 lazy"]
-        rows = grid_block((0, 0))
-        protocol._mapped_states(t, rows[: protocol._GATHER_MIN_ROWS - 1])
-        assert calls == []
-        protocol._mapped_states(t, rows[: protocol._GATHER_MIN_ROWS])
-        assert calls == [1]
+    @pytest.mark.parametrize("n", [1, 1000])
+    @pytest.mark.parametrize("names", sorted(DISTINCT_MAPS))
+    def test_a_float_map_gives_the_bits_of_its_complex_copy(self, names, n):
+        real = DISTINCT_MAPS[names].real.copy()
+        copy = real.astype(complex)
+        assert plan(copy) is not None
+        rows = grid_block((2, 5))[:: len(_GRID_TAIL) // n][:n]
+        for got, expected in zip(protocol._mapped_states(real, rows), protocol._mapped_states(copy, rows), strict=True):
+            assert got.tobytes() == expected.tobytes()
+        assert outcome(real, rows) == outcome(copy, rows)
 
     def test_any_layout_of_the_batch(self):
         rows = protocol.bloch_coefficient_rows(*SAMPLERS["pure_uniform"](np.random.default_rng(4), 400))
@@ -259,29 +264,29 @@ class TestGather:
 
 
 class TestPlanCache:
-    """``_scaled_permutation`` hands out one cached plan per map bytes, which no caller can change."""
+    """``_permutation_plan`` hands out one cached plan per map bytes, which no caller can change."""
 
     def test_equal_maps_built_apart_share_one_plan(self):
         t = KNOWN_MAPS["bell3"]
         rebuilt = np.asfortranarray(np.array(t.tolist()))
         assert rebuilt is not t and rebuilt.tobytes() == t.tobytes()
-        assert protocol._scaled_permutation(rebuilt) is protocol._scaled_permutation(t)
+        assert plan(rebuilt) is plan(t)
 
     @pytest.mark.parametrize("names", sorted(DISTINCT_MAPS))
     def test_the_plan_cannot_be_written(self, names):
-        columns, scales = protocol._scaled_permutation(DISTINCT_MAPS[names])
+        columns, scales = plan(DISTINCT_MAPS[names])
         assert isinstance(columns, tuple)
         assert not can_be_made_writable(scales)
 
     def test_a_mutated_map_gets_its_new_plan(self):
         t = KNOWN_MAPS["bell1"].copy()
         rows = grid_block((2, 4))
-        (a, b, c, d), _ = protocol._scaled_permutation(t)
+        (a, b, c, d), _ = plan(t)
         t[[0, 3]] = t[[3, 0]]
-        assert protocol._scaled_permutation(t)[0] == (d, b, c, a)
+        assert plan(t)[0] == (d, b, c, a)
         assert_same_bits(t, rows)
         t[1, 2] = 0.25
-        assert protocol._scaled_permutation(t) is None
+        assert plan(t) is None
         assert_same_bits(t, rows)
 
     def test_a_signed_zero_map_keeps_the_product_bits(self):
@@ -290,7 +295,7 @@ class TestPlanCache:
         signed.imag[0, 0] = -0.0
         signed.real[0, 1] = -0.0
         assert signed.tobytes() != t.tobytes() and np.array_equal(signed, t)
-        assert protocol._scaled_permutation(signed) is not None
+        assert plan(signed) is not None
         for rows in itertools.islice(grid_blocks(), 0, None, 7):
             assert_same_bits(signed, rows)
 

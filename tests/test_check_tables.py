@@ -104,8 +104,8 @@ def assert_runners_agree(name, parts, k, n):
     stack = np.array([valid] * n, dtype=complex if "c" in kinds else float)
     stack[k] = parts
     one = outcome(require, (table, parts))
-    assert outcome(require_columns, (table, stack)) == one
-    assert outcome(require_columns, (table, stack[k : k + 1])) == one
+    assert outcome(require_columns, (table, stack.T)) == one
+    assert outcome(require_columns, (table, stack[k : k + 1].T)) == one
     return one
 
 

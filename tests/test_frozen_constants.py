@@ -28,6 +28,7 @@ from ensemble_teleport import (
 )
 from ensemble_teleport.cli import _PREPS
 from ensemble_teleport.linalg import frozen
+from conftest import base_chain
 
 MODULES = [
     importlib.import_module(f"ensemble_teleport.{info.name}")
@@ -62,15 +63,6 @@ def package_arrays() -> list:
         if not isinstance(value, (types.ModuleType, type, types.FunctionType))
         for found in shared_arrays(value, f"{module.__name__}.{name}", seen)
     ]
-
-
-def base_chain(array: np.ndarray) -> list:
-    """``array`` and every ndarray along its ``.base``."""
-    chain = []
-    while isinstance(array, np.ndarray):
-        chain.append(array)
-        array = array.base
-    return chain
 
 
 def can_be_made_writable(array: np.ndarray) -> bool:

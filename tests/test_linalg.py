@@ -342,7 +342,7 @@ class TestRequireStatisticalOperator:
             verdicts = []
             for check in (
                 require_statistical_operator,
-                lambda m: require_columns((qubit_operator_table, np.asarray(m, dtype=complex)[None])),
+                lambda m: require_columns((qubit_operator_table, np.asarray(m, dtype=complex).reshape(4, 1))),
             ):
                 try:
                     check(op)
@@ -362,7 +362,7 @@ class TestRequireStatisticalOperator:
             ([state, asymmetric, negative], "not Hermitian"),
             ([state, state], None),
         ):
-            check = (qubit_operator_table, np.stack(stack).astype(complex))
+            check = (qubit_operator_table, np.stack(stack).astype(complex).reshape(-1, 4).T)
             if message is None:
                 require_columns(check)
             else:

@@ -38,6 +38,7 @@ from ensemble_teleport import (
 )
 from ensemble_teleport import linalg
 from ensemble_teleport.linalg import MAX_ENTRY, as_matrix
+from conftest import random_state
 from test_linalg import bound_message
 
 DBL_MAX = np.finfo(float).max
@@ -61,12 +62,6 @@ INVARIANTS = (
 )
 
 KNOWN = [preparation_from_bell(k) for k in (1, 2, 3, 4)] + [automatic_preparation()]
-
-
-def random_state(rng, n):
-    g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    rho = g @ g.conj().T
-    return rho / np.trace(rho).real
 
 
 def tensor(w):

@@ -36,6 +36,7 @@ from ensemble_teleport.linalg import (
     qubit_operator_table,
     require,
 )
+from conftest import random_state
 
 DBL_MAX = np.finfo(float).max
 
@@ -114,12 +115,6 @@ def outcome(check, op):
         asymmetry = np.float64(exc.asymmetry).tobytes() if isinstance(exc, NonHermitianError) else None
         return type(exc), str(exc), asymmetry
     return None if result is None else (result.dtype, result.shape, result.tobytes())
-
-
-def random_state(rng, n):
-    g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    rho = g @ g.conj().T
-    return rho / np.trace(rho).real
 
 
 def near_asymmetry_bound(rng, n, past):

@@ -709,9 +709,9 @@ def assert_same_outcome(t, rows):
 
 
 class TestLargeBatches:
-    """Batches on both sides of ``_GATHER_MIN_ROWS``, where scaled-permutation maps start gathering columns."""
+    """Batches of every size equal the per-row loop: known maps gather their columns, other maps take the product."""
 
-    @pytest.mark.parametrize("n", [protocol._GATHER_MIN_ROWS - 1, protocol._GATHER_MIN_ROWS, 1000, 3600])
+    @pytest.mark.parametrize("n", [1, 2, 63, 64, 1000, 3600])
     @pytest.mark.parametrize("bob_acts", [True, False])
     @pytest.mark.parametrize("prep", PREPARATIONS)
     def test_known_maps_equal_the_loop(self, prep, bob_acts, n):
@@ -724,7 +724,7 @@ class TestLargeBatches:
     @given(u=hermitian_tensor_strategy())
     def test_general_maps_equal_one_row_at_a_time(self, u):
         t = resolve_preparation(u).session_map(False)
-        rows = _batch(2 * protocol._GATHER_MIN_ROWS)
+        rows = _batch(128)
         assert_same_outcome(t, rows)
         # every row whose state is finite gets its one-row bits, failing rows included
         _, states, overlaps = protocol._mapped_states(t, rows)
