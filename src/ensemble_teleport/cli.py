@@ -3,7 +3,8 @@
 Every command is deterministic given its full flag set (appendix-check's includes --seed),
 so repeated runs produce byte-identical output. Numeric fields are
 serialized with 17 significant digits in CSV; JSON carries native floats
-that round-trip exactly. Every format is rendered column by column.
+that round-trip exactly. Cell texts are formatted column by column; CSV and
+JSON then take one pass over the rows.
 
 Exit status: 0 on success, 1 on an invariant violation, bad configuration,
 a run that does not fit in memory or an --out path that cannot be written,
@@ -112,8 +113,8 @@ def _is_float_column(values) -> bool:
     return len(values) > 0 and all(type(value) is float for value in values)
 
 
-def _column_texts(data, cell_text, float_texts):
-    """A function of (start, stop) giving the cell texts of those rows, column by column.
+def _column_texts(data, cell_text, float_texts) -> list:
+    """The cell texts of every row, one list per column.
 
     The all-float columns share one table of distinct doubles, each formatted
     once by ``float_texts`` (a list of doubles to a list of texts); their
@@ -128,18 +129,11 @@ def _column_texts(data, cell_text, float_texts):
         distinct, inverse = np.unique(bits, return_inverse=True)
         texts = np.array(float_texts(distinct.view(np.float64).tolist()), dtype=object)
         index = dict(zip(floats, inverse.reshape(len(floats), len(data[0]))))
-
-    def rows(start: int, stop: int) -> list:
-        return [
-            texts[index[k][start:stop]].tolist() if k in index else list(map(cell_text, values[start:stop]))
-            for k, values in enumerate(data)
-        ]
-
-    return rows
+    return [texts[index[k]].tolist() if k in index else list(map(cell_text, values)) for k, values in enumerate(data)]
 
 
 def _render_table(columns, data) -> str:
-    texts = _column_texts(data, _format_cell, _float_texts)(0, len(data[0]))
+    texts = _column_texts(data, _format_cell, _float_texts)
     widths = [max(len(name), max(map(len, text), default=0)) for name, text in zip(columns, texts)]
     padded = [[cell.ljust(w) for cell in text] for text, w in zip(texts, widths)]
     header = "  ".join(name.ljust(w) for name, w in zip(columns, widths)).rstrip()
@@ -148,30 +142,21 @@ def _render_table(columns, data) -> str:
     return "\n".join([header, rule, *body]) + "\n"
 
 
-# Rows rendered per block of CSV: bounds the cell texts held at one time.
-_CSV_BLOCK_ROWS = 1024
-
-
 def _render_csv(columns, data) -> str:
-    """CSV as csv.writer writes it; cells that are not strings never need quoting."""
-    texts = _column_texts(data, _csv_cell, _float_texts)
-    blocks = [",".join(map(_csv_field, columns))]
-    for start in range(0, len(data[0]), _CSV_BLOCK_ROWS):
-        blocks.append("\n".join(map(",".join, zip(*texts(start, start + _CSV_BLOCK_ROWS)))))
-    return "\n".join(blocks) + "\n"
+    """CSV as csv.writer writes it, in one pass over the rows; cells that are not strings never need quoting."""
+    lines = [",".join(map(_csv_field, columns))]
+    lines.extend(map(",".join, zip(*_column_texts(data, _csv_cell, _float_texts))))
+    lines.append("")  # the final newline, without a second copy of the text
+    return "\n".join(lines)
 
 
 def _render_json(columns, data) -> str:
-    """What json.dumps(records, indent=2) writes for one record per row."""
-    texts = _column_texts(data, _json_cell, _json_floats)(0, len(data[0]))
-    keyed = []
-    for name, column in zip(columns, texts):
-        key = f"    {json.dumps(name)}: "
-        keyed.append([None if text is None else key + text for text in column])
+    """json.dumps(records, indent=2) of one record per row, in one pass: ``key + text`` per present cell."""
+    keys = [f"    {json.dumps(name)}: " for name in columns]
     records = []
-    for row in zip(*keyed):
-        present = [cell for cell in row if cell is not None]
-        records.append("  {\n" + ",\n".join(present) + "\n  }" if present else "  {}")
+    for row in zip(*_column_texts(data, _json_cell, _json_floats)):
+        present = ",\n".join([key + text for key, text in zip(keys, row) if text is not None])
+        records.append("  {\n" + present + "\n  }" if present else "  {}")
     return "[\n" + ",\n".join(records) + "\n]\n" if records else "[]\n"
 
 

@@ -474,9 +474,10 @@ def _permutation_plan(entries: bytes) -> tuple[tuple, np.ndarray] | None:
     """``(columns, scales)`` when the 4x4 complex map t with C-order bytes ``entries`` is a scaled permutation.
 
     That is, a permutation matrix times finite real scales: row r of
-    ``t @ v`` is then ``scales[r] * v[columns[r]]``. Every known session map
-    is one, with scales of 1/2 or 1. A map with a second nonzero entry in a
-    row or column, a nonzero imaginary part or a NaN/Inf entry gives None.
+    ``t @ v`` is then ``scales[r] * v[columns[r]]``. ``receiver_states``
+    asks for every map, as complex. Every known session map is one, with
+    scales of 1/2 or 1. A map with a second nonzero entry in a row or
+    column, a nonzero imaginary part or a NaN/Inf entry gives None.
     Every column is taken, so a NaN/Inf coefficient reaches the mapped
     vector on both paths. The cache is keyed on the map's bytes, so a map
     sent again costs one ``tobytes``; every caller gets the same plan, so it
@@ -503,15 +504,14 @@ def _mapped_states(t: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray
     overlaps are ``_bilinear`` on whole columns, so each row is bitwise what
     a batch of one, and ``_session_row``, give. A row that fails one check
     may give inf or nan in later ones, which is harmless: only its first
-    failing check is reported. A complex map that is a scaled permutation
-    (``_permutation_plan``) gathers its columns instead, at every batch
-    size: each entry is one product, rounded once on both paths, and
+    failing check is reported. ``t`` is a complex map; one that is a scaled
+    permutation (``_permutation_plan``) gathers its columns instead, at every
+    batch size: each entry is one product, rounded once on both paths, and
     ``+= 0.0`` turns a -0.0 into the +0.0 that the matrix-vector sums, which
     start from +0, give. A product that overflows is inf here and may be NaN
-    there; either fails the finite check. A map of any other dtype keeps
-    the product.
+    there; either fails the finite check.
     """
-    permutation = _permutation_plan(t.tobytes()) if t.dtype == complex else None
+    permutation = _permutation_plan(t.tobytes())
     if permutation is None:
         raw = (t @ c[:, :, None]).reshape(-1, 2, 2)
     else:
@@ -596,13 +596,13 @@ def receiver_states(t, coeffs) -> tuple[np.ndarray, np.ndarray]:
     entries past it the kernel gives the check tables' verdicts, not the
     bound message of those functions. Every row gets the same bits alone,
     inside a batch of any size and in ``run_session``, which runs its one
-    row as Python numbers (``_session_row``). A known map gathers the
-    columns of every batch (``_permutation_plan``), to the bits of the
-    per-row product that other maps take. The overlap is one bilinear sum
-    (``_bilinear``), on Python numbers for one row and on whole columns for a
-    batch, with the same bits on every CPU.
+    row as Python numbers (``_session_row``). The map enters as complex; a
+    known map gathers the columns of every batch (``_permutation_plan``), to
+    the bits of the per-row product that other maps take. The overlap is one
+    bilinear sum (``_bilinear``), on Python numbers for one row and on whole
+    columns for a batch, with the same bits on every CPU.
     """
-    t = np.asarray(t)
+    t = np.asarray(t, dtype=complex)
     if t.shape != (4, 4):
         raise ValueError(f"expected a 4x4 session map, got shape {t.shape}")
     raw, states, overlap = _mapped_states(t, _coefficient_batch(coeffs))

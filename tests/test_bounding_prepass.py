@@ -234,8 +234,6 @@ class TestGather:
         copy = real.astype(complex)
         assert plan(copy) is not None
         rows = grid_block((2, 5))[:: len(_GRID_TAIL) // n][:n]
-        for got, expected in zip(protocol._mapped_states(real, rows), protocol._mapped_states(copy, rows), strict=True):
-            assert got.tobytes() == expected.tobytes()
         assert outcome(real, rows) == outcome(copy, rows)
 
     def test_any_layout_of_the_batch(self):

@@ -1,12 +1,17 @@
+import argparse
+import contextlib
 import csv
 import hashlib
 import io
 import json
+import pathlib
 import struct
+import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ensemble_teleport import (
@@ -571,17 +576,10 @@ class TestColumnRenderers:
         columns, data = table
         assert cli._render(columns, data, fmt) == reference_render(columns, data, fmt)
 
-    @given(
-        table=repeating_tables(),
-        fmt=st.sampled_from(["table", "csv", "json"]),
-        block_rows=st.sampled_from([1, 7, cli._CSV_BLOCK_ROWS]),
-    )
-    def test_repeated_floats_match_the_dict_reference(self, table, fmt, block_rows):
+    @given(table=repeating_tables(), fmt=st.sampled_from(["table", "csv", "json"]))
+    def test_repeated_floats_match_the_dict_reference(self, table, fmt):
         columns, data = table
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(cli, "_CSV_BLOCK_ROWS", block_rows)
-            rendered = cli._render(columns, data, fmt)
-        assert rendered == reference_render(columns, as_lists(data), fmt)
+        assert cli._render(columns, data, fmt) == reference_render(columns, as_lists(data), fmt)
 
     def test_distinct_bits_keep_distinct_texts(self):
         column = np.array([0.0, -0.0, 0.0, -0.0])
@@ -594,13 +592,21 @@ class TestColumnRenderers:
         assert all(isinstance(values, np.ndarray) and values.dtype == np.float64 for values in data)
         assert cli._render(columns, data, fmt) == cli._render(columns, as_lists(data), fmt)
 
-    @pytest.mark.parametrize("block_rows", [1, 7, 30, 31])
-    def test_csv_blocks_join_seamlessly(self, monkeypatch, block_rows):
-        monkeypatch.setattr(cli, "_CSV_BLOCK_ROWS", block_rows)
-        args = cli.build_parser().parse_args(COMMANDS["sweep"] + ["--format", "csv"])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_one_pass_holds_at_most_four_texts(self, fmt):
+        # Rendering holds the column texts, the lines or records and the
+        # joined text; a second copy of every cell (keyed columns) or of the
+        # text would pass 4x.
+        args = cli.build_parser().parse_args(["sweep", "--resolution", "30", "--phase-resolution", "4"])
         columns, data, _ = args.func(args)
-        assert len(data[0]) == 30
-        assert cli._render(columns, data, "csv") == reference_render(columns, data, "csv")
+        assert len(data[0]) == 3600
+        tracemalloc.start()
+        try:
+            text = cli._render(columns, data, fmt)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * len(text)
 
     def test_quoted_note_keeps_its_quotes(self, capsys):
         _, out, _ = run_cli(capsys, "paut-audit", "--format", "csv")
@@ -708,3 +714,87 @@ class TestOutOfMemory:
         assert code == 1
         assert out == ""
         assert err == (f"error: out of memory: {message}\n" if message else "error: out of memory\n")
+
+
+# Upper bounds of the size flags. These flags are always given, so that no
+# default (--mag-resolution takes --resolution's) runs a larger grid.
+_FUZZ_SIZES = {"--resolution": 50, "--mag-resolution": 8, "--phase-resolution": 8, "--samples": 200}
+# Numbers in range, at an edge and invalid; an integer flag given nan or inf
+# is argparse's usage error.
+_FUZZ_FLOATS = st.one_of(
+    st.sampled_from([0.0, -1.0, float("nan"), float("inf"), float("-inf"), -0.5, 1.5, 1e300, 5e-324]),
+    st.floats(min_value=-2, max_value=2),
+    st.floats(),
+).map(repr)
+_FUZZ_INTEGER_EDGES = st.sampled_from(["0", "-1", "nan", "inf"])
+
+
+@st.composite
+def flag_sets(draw):
+    """A subcommand and values for its flags, drawn from ``build_parser()``'s own choices, with bounded sizes."""
+    (commands,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    name = draw(st.sampled_from(sorted(commands.choices)))
+    argv = [name]
+    for action in commands.choices[name]._actions:
+        flag = action.option_strings[0]
+        if flag in ("-h", "--out"):
+            continue
+        if not (action.required or flag in _FUZZ_SIZES or flag == "--format") and draw(st.booleans()):
+            continue  # left at its default
+        if isinstance(action, argparse.BooleanOptionalAction):
+            argv.append(draw(st.sampled_from(action.option_strings)))
+            continue
+        if action.choices is not None:
+            value = draw(st.sampled_from(action.choices))
+        elif action.type is int:
+            value = draw(st.one_of(_FUZZ_INTEGER_EDGES, st.integers(1, _FUZZ_SIZES.get(flag, 2**32)).map(str)))
+        else:
+            value = draw(_FUZZ_FLOATS)
+        argv.append(f"{flag}={value}")  # one token, so that a value such as -inf is not taken for a flag
+    return argv
+
+
+def run_captured(argv):
+    """``main(argv)``'s exit code, stdout and stderr; argparse's usage errors exit by ``SystemExit``."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+class TestFuzzedContract:
+    """Any flag set the parser offers keeps the exit-code contract, seeded determinism and parseable output."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(argv=flag_sets())
+    @example(argv=["teleport", "--c11=0.5", "--prep=paut", "--message=twobits", "--format=json"])
+    @example(argv=["teleport", "--c11=1.5", "--prep=bell1", "--format=csv"])
+    def test_exit_codes_determinism_and_formats(self, argv):
+        code, out, err = run_captured(argv)
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err
+        if code == 1:
+            assert out == "" and err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+        assert run_captured(argv) == (code, out, err)
+        if not out:  # a usage error or exit 1: nothing was rendered
+            return
+        assert err == ""
+        with tempfile.TemporaryDirectory() as directory:
+            target = pathlib.Path(directory) / "out"
+            assert run_captured([*argv, f"--out={target}"]) == (code, "", "")
+            assert target.read_bytes() == out.encode("utf-8")
+        args = cli.build_parser().parse_args(argv)
+        columns = list(args.func(args)[0])
+        if args.format == "csv":
+            header, *rows = csv.reader(io.StringIO(out))
+            assert header == columns
+            assert all(len(row) == len(columns) for row in rows)
+        elif args.format == "json":
+            records = json.loads(out)
+            assert isinstance(records, list)
+            for record in records:
+                assert isinstance(record, dict)
+                assert [key for key in columns if key in record] == list(record)
