@@ -367,6 +367,38 @@ class TestOutputPlumbing:
         assert "idempotence_factor" in out.splitlines()[0]
 
 
+def subcommands():
+    """``build_parser()``'s subcommand parsers by name."""
+    (commands,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return commands.choices
+
+
+class TestDocumentedDefaults:
+    """Each flag's ``(default: ...)`` help text states the value the parser gives when the flag is left out."""
+
+    @pytest.mark.parametrize("name", sorted(subcommands()))
+    def test_help_states_the_default(self, name):
+        documented = 0
+        for action in subcommands()[name]._actions:
+            help_text = action.help or ""
+            if "(default: " not in help_text or action.default is None:
+                continue  # no default, or one that another flag or the preparation picks
+            stated = help_text.rsplit("(default: ", 1)[1].removesuffix(")")
+            if isinstance(action, argparse.BooleanOptionalAction):
+                assert stated == action.option_strings[0 if action.default else 1]
+            elif isinstance(action.default, str):
+                assert stated == action.default
+            else:
+                assert action.type(stated) == action.default
+            documented += 1
+        assert documented >= 1
+
+    def test_tolerances(self):
+        names = ("bell-audit", "paut-audit", "appendix-check")
+        tolerances = {name: cli.build_parser().parse_args([name]).tol for name in names}
+        assert tolerances == {"bell-audit": 1e-12, "paut-audit": 1e-10, "appendix-check": 1e-12}
+
+
 # The dict-based renderers the CLI used before it rendered column-wise, kept
 # as the reference: each row is a dict that leaves out its absent cells.
 
@@ -732,10 +764,10 @@ _FUZZ_INTEGER_EDGES = st.sampled_from(["0", "-1", "nan", "inf"])
 @st.composite
 def flag_sets(draw):
     """A subcommand and values for its flags, drawn from ``build_parser()``'s own choices, with bounded sizes."""
-    (commands,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
-    name = draw(st.sampled_from(sorted(commands.choices)))
+    commands = subcommands()
+    name = draw(st.sampled_from(sorted(commands)))
     argv = [name]
-    for action in commands.choices[name]._actions:
+    for action in commands[name]._actions:
         flag = action.option_strings[0]
         if flag in ("-h", "--out"):
             continue
