@@ -107,25 +107,19 @@ def _json_floats(values: list) -> list:
     return list(map(_json_float, values))
 
 
-def _is_float_column(values) -> bool:
-    if isinstance(values, np.ndarray):
-        return values.ndim == 1 and values.dtype == np.float64
-    return len(values) > 0 and all(type(value) is float for value in values)
-
-
 def _column_texts(data, cell_text, float_texts) -> list:
     """The cell texts of every row, one list per column.
 
-    The all-float columns share one table of distinct doubles, each formatted
-    once by ``float_texts`` (a list of doubles to a list of texts); their
-    cells index into it. Doubles are told apart by their bits, so 0.0 and
-    -0.0, or NaNs with different payloads, never share a text. Every other
-    column formats cell by cell with ``cell_text``.
+    The float64 array columns share one table of distinct doubles, each
+    formatted once by ``float_texts`` (a list of doubles to a list of texts);
+    their cells index into it. Doubles are told apart by their bits, so 0.0
+    and -0.0, or NaNs with different payloads, never share a text. Every
+    other column formats cell by cell with ``cell_text``.
     """
-    floats = [k for k, values in enumerate(data) if _is_float_column(values)]
+    floats = [k for k, values in enumerate(data) if isinstance(values, np.ndarray) and values.dtype == np.float64]
     index = {}
     if floats:
-        bits = np.concatenate([np.asarray(data[k], dtype=np.float64) for k in floats]).view(np.uint64)
+        bits = np.concatenate([data[k] for k in floats]).view(np.uint64)
         distinct, inverse = np.unique(bits, return_inverse=True)
         texts = np.array(float_texts(distinct.view(np.float64).tolist()), dtype=object)
         index = dict(zip(floats, inverse.reshape(len(floats), len(data[0]))))

@@ -98,8 +98,8 @@ def frozen(a, dtype=None) -> np.ndarray:
     its memory, and of a view of a writable array, but not of an array, nor
     of any view along its ``.base`` chain, over a buffer that is read-only.
     """
-    owner = np.array(a, dtype=dtype)
-    return np.frombuffer(owner.tobytes(), owner.dtype).reshape(owner.shape)
+    owner = np.asarray(a, dtype=dtype)
+    return np.ndarray(owner.shape, owner.dtype, owner.tobytes())
 
 
 _I2 = frozen(np.eye(2, dtype=complex))

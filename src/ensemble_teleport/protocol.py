@@ -20,7 +20,6 @@ the same state and is kept as the reference.
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -526,34 +525,23 @@ def _mapped_states(t: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return raw, states, overlap
 
 
-_STATE_PARTS = struct.Struct("8d")  # a 2x2 complex state as the real and imaginary parts of its entries, in C order
-
-
 def _row_state(t: np.ndarray, c: np.ndarray) -> np.ndarray:
     """The renormalized state of the one row of ``c`` under ``t``, read-only over immutable bytes.
 
     The map's zgemv by ``ndarray.dot`` (``@`` without the matmul ufunc's
     dispatch), numpy's halving by ``_HALF`` (its complex product may be fused,
-    and on a part of -5e-324 give -0.0 where Python's gives +0.0) and
-    ``renormalize``'s checks on the Python numbers that ``require`` reads.
-    The division is numpy's complex one by ``trace + 0j``, whose ratio is
-    +0.0 and scale 1 / trace for the positive trace that the checks ensure;
-    Python's ``complex / float`` differs from it in the last bit. Callers run
-    it under ``np.errstate(all="ignore")``: like ``@``, the dot raises under
+    and on a part of -5e-324 give -0.0 where Python's gives +0.0),
+    ``renormalize``'s checks on the Python numbers that ``require`` reads, and
+    ``_mapped_states``' division by the real trace. Callers run it under
+    ``np.errstate(all="ignore")``: like ``@``, the dot raises under
     ``np.errstate(under="raise")`` on a subnormal part.
     """
     raw = t.dot(c[0])
     raw *= _HALF
-    raw = raw.tolist()
-    require((renormalization_table, raw))
-    m11, m12, m21, m22 = raw
-    scale = 1.0 / (m11.real + m22.real)
-    return np.ndarray((2, 2), complex, _STATE_PARTS.pack(
-        (m11.real + m11.imag * 0.0) * scale, (m11.imag - m11.real * 0.0) * scale,
-        (m12.real + m12.imag * 0.0) * scale, (m12.imag - m12.real * 0.0) * scale,
-        (m21.real + m21.imag * 0.0) * scale, (m21.imag - m21.real * 0.0) * scale,
-        (m22.real + m22.imag * 0.0) * scale, (m22.imag - m22.real * 0.0) * scale,
-    ))
+    m11, _, _, m22 = entries = raw.tolist()
+    require((renormalization_table, entries))
+    raw /= m11.real + m22.real
+    return np.ndarray((2, 2), complex, raw.tobytes())
 
 
 @np.errstate(all="ignore")

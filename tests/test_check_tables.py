@@ -171,6 +171,13 @@ BOUND_CASES = {
         (math.nextafter(-EQ_TOL, -1.0), 0j, 0j, 1.0 + EQ_TOL),
         "nonnegativity constraint violated: c11 = -1.0000000000000002e-12, c22 = 1.000000000001",
     ),
+    # |c12|^2 against c11*c22 + EQ_TOL at c11 = c22 = 0.5: |c12| = 0.500000000001 squares to
+    # the bound exactly, and the next double up squares past it.
+    "coefficient positivity bound": (
+        "coefficients", (0.5, 0.500000000001, 0.500000000001, 0.5), None,
+        (0.5, 0.5000000000010001, 0.5000000000010001, 0.5),
+        "positivity constraint violated: |c12|^2 = 0.2500000000010001 exceeds c11*c22 = 0.25",
+    ),
     "coefficient hermiticity bound": (
         "coefficients", (0.5, 0j, complex(EQ_TOL, 0.0), 0.5), None,
         (0.5, 0j, complex(math.nextafter(EQ_TOL, 1.0), 0.0), 0.5),
@@ -185,6 +192,10 @@ class TestBounds:
         name, inside, inside_message, outside, outside_message = BOUND_CASES[case]
         assert assert_runners_agree(name, inside, 0, 2) == inside_message
         assert assert_runners_agree(name, outside, 1, 2) == outside_message
+
+    def test_a_pure_state_passes(self):
+        # |c12|^2 = c11*c22 exactly: the positivity bound admits it only because it adds EQ_TOL.
+        assert assert_runners_agree("coefficients", (0.5, 0.5, 0.5, 0.5), 0, 2) is None
 
 
 def bounded_outcome(z):

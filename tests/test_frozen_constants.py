@@ -1,12 +1,12 @@
 """No array that the package shares between calls can be made writable again.
 
 A module-level array, or one a shared object caches, is frozen with
-``linalg.frozen``: a read-only view of a read-only array that owns its
-memory. An array flagged read-only is not enough when it owns its memory, or
-when it is a view of a writable array: ``setflags(write=True)`` undoes the
-flag. This test walks every package module's globals, through dicts, tuples,
-lists and the package's own objects (so the cached maps of the shared
-preparation tensors too), and fails on any array whose flag can be set.
+``linalg.frozen``: an array over an immutable bytes buffer. An array
+flagged read-only is not enough when it owns its memory, or when it is a
+view of a writable array: ``setflags(write=True)`` undoes the flag. This
+test walks every package module's globals, through dicts, tuples, lists and
+the package's own objects (so the cached maps of the shared preparation
+tensors too), and fails on any array whose flag can be set.
 """
 
 import importlib
@@ -127,6 +127,13 @@ def test_frozen_copies_and_cannot_be_thawed():
     assert not can_be_made_writable(array[1:])
     source[0] = 9.0
     assert array[0] == 0.0
+    grid = np.arange(12.0).reshape(3, 4)
+    for source in (np.asfortranarray(grid), grid[::2, ::3]):
+        array = frozen(source)
+        assert array.flags.c_contiguous and array.shape == source.shape
+        assert array.tobytes() == source.tobytes(order="C") and np.array_equal(array, source)
+        assert not np.shares_memory(array, source)
+        assert not can_be_made_writable(array)
 
 
 def named_arrays() -> dict:

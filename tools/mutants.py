@@ -48,12 +48,16 @@ TESTS = {
         "tests/test_check_tables.py",
         "tests/test_magnitude_bound.py",
         "tests/test_operator_oracle.py",
+        "tests/test_bounding_prepass.py",
+        "tests/test_bloch_rows.py",
     ],
     "protocol": [
         "tests/test_protocol.py",
         "tests/test_receiver_state.py",
         "tests/test_bounding_prepass.py",
         "tests/test_bloch_rows.py",
+        "tests/test_conventions.py",
+        "tests/test_library_digests.py",
     ],
 }
 
