@@ -120,8 +120,9 @@ def compare_conventions(u: PreparationTensor | int, c: CoefficientVector) -> Con
         ansatz, sandwich, diffs, ratios = _compare_rows(u, c.row)
         ansatz, sandwich, diff, ratio = ansatz[0], sandwich[0], diffs.item(0), ratios.item(0)
     else:
-        ansatz = sandwich = _row_state(u.coefficient_map, c.row)
-        diff = 0.0
+        raw, ansatz = _row_state(u.coefficient_map, c.row)
+        require((renormalization_table, raw))
+        sandwich, diff = ansatz, 0.0
     record = object.__new__(ConventionResult)  # the constructor's record, without its per-field object.__setattr__
     record.__dict__.update(ansatz=ansatz, sandwich=sandwich, max_abs_diff=diff, prenorm_ratio=ratio)
     return record

@@ -18,9 +18,9 @@ from .linalg import AGREE_TOL, as_matrix, frozen, is_integer, positive_real_inva
 from .protocol import (
     CoefficientVector,
     _bilinear,
+    _session_states,
     bloch_coefficient_rows,
     fidelity_trace,
-    receiver_states,
     resolve_preparation,
 )
 
@@ -197,6 +197,12 @@ def average_fidelity(
     identified preparation is applied before measuring the overlap. ``n``
     (at least 100) and ``seed`` (at least 0) are Python or numpy integers,
     not bools; any other value raises a ValueError that names it.
+
+    The overlaps are ``receiver_states``' on the sampled rows, to the bit.
+    Under weights byte-equal to a known preparation's
+    (``PreparationTensor._certified``) the receiver checks are skipped:
+    rows built from passing Bloch vectors pass them by construction (README,
+    "Certified known sessions"). Every other tensor keeps every check.
     """
     if not is_integer(n):
         raise ValueError(f"n must be an integer, got {n!r}")
@@ -207,9 +213,11 @@ def average_fidelity(
         raise ValueError(f"unknown sampler {sampler!r}; expected one of {sorted(SAMPLERS)}")
     if not is_integer(seed) or seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
-    session_map = resolve_preparation(prep).session_map(bob_acts)
+    u = resolve_preparation(prep)
+    session_map = u.session_map(bob_acts)
     x, y, z = SAMPLERS[sampler](np.random.default_rng(seed), n)
-    _, values = receiver_states(session_map, bloch_coefficient_rows(x, y, z))
+    # Bloch rows pass bloch_table with c21 = conj(c12) exactly: under a certified map they skip the checks
+    _, values = _session_states(session_map, bloch_coefficient_rows(x, y, z), u._certified)
     # values.mean() and values.std(ddof=1) without their Python wrappers: the same pairwise sums and divisions
     mean = np.add.reduce(values) / n
     d = values - mean

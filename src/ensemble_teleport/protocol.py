@@ -241,6 +241,17 @@ class PreparationTensor:
         return self.diagonal_weight()
 
     @cached_property
+    def _certified(self) -> bool:
+        # Whether a session of these weights, on a row that passed coefficient_table or bloch_table with
+        # c21 == conj(c12) exactly, passes the receiver checks by construction (README, "Certified known
+        # sessions"): the weights are byte-equal to a known preparation's, and each of their session maps
+        # is a scaled Pauli conjugation. Weights that only match within EQ_TOL keep every check.
+        if self._exact_ratio is None:
+            return False
+        maps = (self.coefficient_map, self._corrected_map) if self.bell_index else (self.coefficient_map,)
+        return all(_is_conjugation(_permutation_plan(t.tobytes())) for t in maps)
+
+    @cached_property
     def _corrected_map(self) -> np.ndarray:
         # A Pauli conjugation U . U† acts on row-major coefficient 4-vectors as kron(U, conj(U)).
         return frozen(_CORRECTION_MAPS[self.bell_index] @ self.coefficient_map)
@@ -493,9 +504,24 @@ def _permutation_plan(entries: bytes) -> tuple[tuple, np.ndarray] | None:
     return columns, frozen([z.real for z in scales])
 
 
+def _is_conjugation(plan) -> bool:
+    """Whether a ``_permutation_plan`` (or None) acts as ``s * U . U†`` for a Pauli word U and a scale s > 0.
+
+    The diagonal goes to the diagonal with the scale s, the coherence pair
+    to the coherence pair with one common scale of ±s. So the mapped vector
+    of a Hermitian, positive row with a trace near one is s times a
+    Hermitian, positive operator with that trace. Every known session map
+    is such a plan.
+    """
+    if plan is None:
+        return False
+    (d1, o1, o2, d2), (s11, s12, s21, s22) = plan[0], plan[1].tolist()
+    return {d1, d2} == {0, 3} and {o1, o2} == {1, 2} and s11 == s22 > 0.0 and s12 == s21 and abs(s12) == s11
+
+
 @np.errstate(all="ignore")  # as a decorator, errstate costs about half what a with block does
 def _mapped_states(t: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``receiver_states``' arithmetic, unchecked: the raw operators, the states and the overlaps.
+    """``_session_states``' arithmetic, unchecked: the raw operators, the states and the overlaps.
 
     Half the mapped vector is alice_prepare's raw operator, so the trace
     checks see the same numbers as on the reference path. The stacked
@@ -525,37 +551,42 @@ def _mapped_states(t: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return raw, states, overlap
 
 
-def _row_state(t: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """The renormalized state of the one row of ``c`` under ``t``, read-only over immutable bytes.
+def _row_state(t: np.ndarray, c: np.ndarray) -> tuple[list, np.ndarray]:
+    """The one row of ``c`` under ``t``, unchecked: the raw operator's entries as Python numbers, and the state.
 
     The map's zgemv by ``ndarray.dot`` (``@`` without the matmul ufunc's
     dispatch), numpy's halving by ``_HALF`` (its complex product may be fused,
-    and on a part of -5e-324 give -0.0 where Python's gives +0.0),
-    ``renormalize``'s checks on the Python numbers that ``require`` reads, and
-    ``_mapped_states``' division by the real trace. Callers run it under
-    ``np.errstate(all="ignore")``: like ``@``, the dot raises under
-    ``np.errstate(under="raise")`` on a subnormal part.
+    and on a part of -5e-324 give -0.0 where Python's gives +0.0), then
+    ``_mapped_states``' division by the real trace. The state is read-only
+    over immutable bytes. ``renormalize``'s checks are the caller's, on the
+    entries, after the division: a trace that fails them gives a harmless inf
+    or nan. Callers run it under ``np.errstate(all="ignore")``: like ``@``,
+    the dot raises under ``np.errstate(under="raise")`` on a subnormal part.
     """
     raw = t.dot(c[0])
     raw *= _HALF
     m11, _, _, m22 = entries = raw.tolist()
-    require((renormalization_table, entries))
     raw /= m11.real + m22.real
-    return np.ndarray((2, 2), complex, raw.tobytes())
+    return entries, np.ndarray((2, 2), complex, raw.tobytes())
 
 
 @np.errstate(all="ignore")
-def _session_row(t: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, float]:
+def _session_row(t: np.ndarray, c: np.ndarray, certified: bool = False) -> tuple[np.ndarray, float]:
     """``receiver_states`` on the one row of ``c``: the state, read-only over immutable bytes, and the fidelity.
 
     ``_mapped_states``' arithmetic and checks on one row, to the same bits:
-    ``_row_state``, then the overlap's ``_bilinear`` on Python numbers, and
-    the remaining checks.
+    ``_row_state``, then the overlap's ``_bilinear`` on Python numbers, then
+    the three tables in the batch's order. A ``certified`` session (a
+    certified map on a checked row, ``run_session``) skips the tables, which
+    it passes by construction.
     """
-    state = _row_state(t, c)
+    raw, state = _row_state(t, c)
     s11, s12, s21, s22 = entries = state.ravel().tolist()
     re, im = _bilinear(c[0].tolist(), (s11, s21, s12, s22))
-    require((qubit_operator_table, entries), (real_overlap_table, (complex(re, im),)))
+    if not certified:
+        require(
+            (renormalization_table, raw), (qubit_operator_table, entries), (real_overlap_table, (complex(re, im),))
+        )
     return state, re
 
 
@@ -588,17 +619,31 @@ def receiver_states(t, coeffs) -> tuple[np.ndarray, np.ndarray]:
     known map gathers the columns of every batch (``_permutation_plan``), to
     the bits of the per-row product that other maps take. The overlap is one
     bilinear sum (``_bilinear``), on Python numbers for one row and on whole
-    columns for a batch, with the same bits on every CPU.
+    columns for a batch, with the same bits on every CPU. ``average_fidelity``
+    and ``sweep`` skip the checks on rows they build under a certified map
+    (``_session_states``); this function, on a caller's rows, never does.
     """
     t = np.asarray(t, dtype=complex)
     if t.shape != (4, 4):
         raise ValueError(f"expected a 4x4 session map, got shape {t.shape}")
-    raw, states, overlap = _mapped_states(t, _coefficient_batch(coeffs))
-    require_columns(
-        (renormalization_table, raw.reshape(-1, 4).T),
-        (qubit_operator_table, states.reshape(-1, 4).T),
-        (real_overlap_table, (overlap,)),
-    )
+    return _session_states(t, _coefficient_batch(coeffs))
+
+
+def _session_states(t: np.ndarray, c: np.ndarray, certified: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """``receiver_states`` on a complex 4x4 map and complex ``(N, 4)`` rows: ``_mapped_states``, then its checks.
+
+    A ``certified`` batch skips the checks, which it passes by construction:
+    the map is a ``PreparationTensor._certified`` tensor's, and every row
+    passed ``coefficient_table`` or ``bloch_table`` with c21 == conj(c12)
+    exactly, as ``bloch_coefficient_rows`` and the sweep's rows are built.
+    """
+    raw, states, overlap = _mapped_states(t, c)
+    if not certified:
+        require_columns(
+            (renormalization_table, raw.reshape(-1, 4).T),
+            (qubit_operator_table, states.reshape(-1, 4).T),
+            (real_overlap_table, (overlap,)),
+        )
     return states, overlap.real
 
 
@@ -676,6 +721,13 @@ def run_session(
     preparation he can identify (from the message or by prior agreement);
     corrections exist only for the Bell family, while the automatic
     preparation needs none.
+
+    A session of weights byte-equal to a known preparation's
+    (``PreparationTensor._certified``) on a ``CoefficientVector`` whose c21
+    is exactly conj(c12) returns without the receiver checks, which such a
+    session passes by construction (README, "Certified known sessions"), to
+    the bits of the checked session. Every other session is checked as
+    ``receiver_states`` checks a row.
     """
     u = resolve_preparation(prep)
     if message.variant == "two_bits":
@@ -684,5 +736,7 @@ def run_session(
                 f"two-bit message index {message.index} does not match the preparation "
                 f"(Bell index {u.bell_index})"
             )
+    # the type test comes first: any other object with a row carries no checked coefficients
+    certified = u._certified and type(c) is CoefficientVector and c.c21 == c.c12.conjugate()
     # a tensor's map and c.row have the kernel's shapes, so no shape check is needed
-    return SessionRecord._owning(*_session_row(u.session_map(bob_acts), c.row), message.bits)
+    return SessionRecord._owning(*_session_row(u.session_map(bob_acts), c.row, certified), message.bits)

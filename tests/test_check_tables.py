@@ -197,6 +197,13 @@ class TestBounds:
         # |c12|^2 = c11*c22 exactly: the positivity bound admits it only because it adds EQ_TOL.
         assert assert_runners_agree("coefficients", (0.5, 0.5, 0.5, 0.5), 0, 2) is None
 
+    def test_unit_trace_bound_is_one_part_in_a_billion(self):
+        # literal traces, so the bound cannot move with TRACE_TOL as the one-ulp cases do
+        assert outcome(linalg.require_statistical_operator, [[0.5000000009, 0], [0, 0.5]]) is None
+        assert outcome(linalg.require_statistical_operator, [[0.5000000011, 0], [0, 0.5]]) == (
+            "not a statistical operator: not unit-trace (trace 1.0000000011+0j)"
+        )
+
 
 def bounded_outcome(z):
     """What require_bounded gives on a valid 2x2 operator with ``z`` in place of one entry, written out apart from it."""

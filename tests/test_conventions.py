@@ -393,7 +393,7 @@ class TestRecord:
         c = CoefficientVector.from_components(0.3, 0.2 - 0.1j)
         record = compare_conventions(u, c)
         if k < 5:
-            state = _row_state(u.coefficient_map, c.row)
+            state = _row_state(u.coefficient_map, c.row)[1]
             built = ConventionResult(ansatz=state, sandwich=state, max_abs_diff=0.0, prenorm_ratio=u.diagonal_weight())
         else:
             ansatz, sandwich, diff, ratio = _compare_rows(u, c.row)

@@ -40,9 +40,9 @@ TIMEOUT = 600.0  # seconds per test run; a mutant that loops forever counts as k
 # Module -> the test files that run against it.
 TESTS = {
     "bell": ["tests/test_bell.py"],
-    "cli": ["tests/test_cli.py"],
+    "cli": ["tests/test_cli.py", "tests/test_certified_sessions.py"],
     "conventions": ["tests/test_conventions.py"],
-    "fidelity": ["tests/test_fidelity.py"],
+    "fidelity": ["tests/test_fidelity.py", "tests/test_certified_sessions.py"],
     "linalg": [
         "tests/test_linalg.py",
         "tests/test_check_tables.py",
@@ -50,6 +50,7 @@ TESTS = {
         "tests/test_operator_oracle.py",
         "tests/test_bounding_prepass.py",
         "tests/test_bloch_rows.py",
+        "tests/test_certified_sessions.py",
     ],
     "protocol": [
         "tests/test_protocol.py",
@@ -58,6 +59,7 @@ TESTS = {
         "tests/test_bloch_rows.py",
         "tests/test_conventions.py",
         "tests/test_library_digests.py",
+        "tests/test_certified_sessions.py",
     ],
 }
 
