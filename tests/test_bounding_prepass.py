@@ -7,9 +7,9 @@ failed an entry there. That is sound when each bounded quantity is at least
 ``require``'s (NaN counting as failing), which ``TestBoundsAreSound`` checks
 on extreme parts; it pays only when valid batches pass on their bounds,
 which ``TestNoFallback`` checks on the package's own batches; and
-``TestCandidateRows`` checks which rows reach ``require``. ``_mapped_states`` gathers the columns of a batch
-of any size under a scaled permutation map instead of one matrix-vector
-product per row; ``TestGather`` checks it against that product bit for bit.
+``TestCandidateRows`` checks which rows reach ``require``. ``_mapped_states`` gathers the columns of a
+certified batch of any size instead of one matrix-vector product per row;
+``TestGather`` checks it against that product bit for bit on the known maps.
 """
 
 import itertools
@@ -24,7 +24,6 @@ from ensemble_teleport.fidelity import SAMPLERS, average_fidelity
 from ensemble_teleport.protocol import automatic_preparation, receiver_states, resolve_preparation
 from conftest import exact_quantities
 from test_check_tables import DBL_MAX, SPECIAL, TABLES
-from test_frozen_constants import can_be_made_writable
 
 TINY = sys.float_info.min  # the smallest normal double
 
@@ -141,16 +140,6 @@ def grid_blocks():
     return map(grid_block, itertools.product(range(6), repeat=2))
 
 
-def matvec_path(monkeypatch):
-    """Send every map to the per-row matrix-vector product."""
-    monkeypatch.setattr(protocol, "_permutation_plan", lambda entries: None)
-
-
-def plan(t):
-    """The gather plan of the complex map ``t``, as ``_mapped_states`` looks it up."""
-    return protocol._permutation_plan(t.tobytes())
-
-
 def outcome(t, rows):
     """``receiver_states`` on the batch: its bytes, or the message of the ValueError it raises."""
     try:
@@ -159,82 +148,25 @@ def outcome(t, rows):
         return str(exc)
 
 
-def assert_same_bits(t, rows, whole_batch=True):
-    """``_mapped_states`` gives the per-row product's bits, and ``receiver_states`` its outcome.
-
-    The raw operators, states and overlaps agree byte for byte on every row
-    whose raw operator is finite. A product that overflows is inf on one
-    path and may be NaN on the other, so only that row's raw operator is
-    non-finite on both, which fails the first check alike. With
-    ``whole_batch``, every row must agree, so the outcomes agree as well.
-    """
-    with pytest.MonkeyPatch.context() as patch:
-        matvec_path(patch)
-        expected = protocol._mapped_states(t, rows)
-        expected_outcome = None if whole_batch else outcome(t, rows)
-    got = protocol._mapped_states(t, rows)
-    if whole_batch:
-        for g, e in zip(got, expected):
-            assert g.tobytes() == e.tobytes()
-        return
-    finite = np.isfinite(expected[0]).all(axis=(1, 2))
-    assert np.array_equal(np.isfinite(got[0]).all(axis=(1, 2)), finite)
-    for g, e in zip(got, expected):
-        assert g[finite].tobytes() == e[finite].tobytes()
-    assert outcome(t, rows) == expected_outcome
-
-
-def random_permutation_map(rng):
-    """A permutation with random signed scales over 2**+-30, -0.0 in some zero and imaginary parts."""
-    t = np.zeros((4, 4), dtype=complex)
-    rows, columns = np.arange(4), rng.permutation(4)
-    t.real[rows, columns] = rng.choice([-1.0, 1.0], 4) * rng.uniform(0.1, 10.0, 4) * 2.0 ** rng.integers(-30, 31, 4)
-    t.imag[rng.random((4, 4)) < 0.5] = -0.0
-    t.real[(t.real == 0.0) & (rng.random((4, 4)) < 0.5)] = -0.0
-    return t
+def assert_same_bits(t, rows):
+    """``_mapped_states`` gives the same raw operators, states and overlaps, byte for byte, gathered and multiplied."""
+    for gathered, multiplied in zip(protocol._mapped_states(t, rows, True), protocol._mapped_states(t, rows, False)):
+        assert gathered.tobytes() == multiplied.tobytes()
 
 
 class TestGather:
     @pytest.mark.parametrize("names", sorted(DISTINCT_MAPS))
     def test_known_maps_on_the_signed_zero_grid(self, names):
         t = DISTINCT_MAPS[names]
-        assert plan(t) is not None
         for rows in grid_blocks():
             assert_same_bits(t, rows)
-
-    @pytest.mark.parametrize("seed", range(8))
-    def test_random_permutation_maps(self, seed):
-        rng = np.random.default_rng(seed)
-        t = random_permutation_map(rng)
-        assert plan(t) is not None
-        assert_same_bits(t, grid_block(rng.integers(6, size=2)))
-        # random doubles, subnormal and huge parts, and the check tables' special parts
-        parts = np.concatenate([rng.standard_normal(4000), rng.choice(REALS[np.isfinite(REALS)], 4000)])
-        assert_same_bits(t, rng.permutation(parts).view(complex).reshape(-1, 4), whole_batch=False)
-
-    @pytest.mark.parametrize(
-        "t",
-        [
-            np.diag([0.5, 0.5, 0.5, 0.5 + 1e-300j]),  # a nonzero imaginary part
-            np.diag([0.5, 0.5, 0.5, math.nan]),  # a NaN scale
-            np.diag([0.5, 0.5, 0.5, math.inf]),
-            np.diag([0.5, 0.5, 0.5, 0.0]),  # an empty row
-            np.eye(4, dtype=complex)[[0, 0, 2, 3]],  # a column taken twice, so one never is
-            np.eye(4, dtype=complex) + np.eye(4, k=1),  # a second nonzero entry in a row
-        ],
-        ids=["imaginary", "nan", "inf", "empty row", "column twice", "dense row"],
-    )
-    def test_other_maps_keep_the_matvec(self, t):
-        assert plan(np.asarray(t, dtype=complex)) is None
 
     @pytest.mark.parametrize("n", [1, 1000])
     @pytest.mark.parametrize("names", sorted(DISTINCT_MAPS))
     def test_a_float_map_gives_the_bits_of_its_complex_copy(self, names, n):
         real = DISTINCT_MAPS[names].real.copy()
-        copy = real.astype(complex)
-        assert plan(copy) is not None
         rows = grid_block((2, 5))[:: len(_GRID_TAIL) // n][:n]
-        assert outcome(real, rows) == outcome(copy, rows)
+        assert outcome(real, rows) == outcome(real.astype(complex), rows)
 
     def test_any_layout_of_the_batch(self):
         rows = protocol.bloch_coefficient_rows(*SAMPLERS["pure_uniform"](np.random.default_rng(4), 400))
@@ -247,55 +179,17 @@ class TestGather:
     @pytest.mark.parametrize("name", sorted(KNOWN_MAPS))
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_rows_raise_the_same_message(self, name, bad):
+        # a known map on a caller's rows takes the product and its checks: the batch raises the broken row's message
         rng = np.random.default_rng(3)
         rows = protocol.bloch_coefficient_rows(*SAMPLERS["mixed_uniform"](rng, 200))
         for part in range(8):
             broken = rows.copy()
             broken.view(float)[17 + part, part] = bad
-            with pytest.raises(ValueError) as gathered:
+            with pytest.raises(ValueError, match="^matrix contains NaN or Inf entries$") as batch:
                 receiver_states(KNOWN_MAPS[name], broken)
-            with pytest.MonkeyPatch.context() as patch:
-                matvec_path(patch)
-                with pytest.raises(ValueError) as multiplied:
-                    receiver_states(KNOWN_MAPS[name], broken)
-            assert str(gathered.value) == str(multiplied.value)
-
-
-class TestPlanCache:
-    """``_permutation_plan`` hands out one cached plan per map bytes, which no caller can change."""
-
-    def test_equal_maps_built_apart_share_one_plan(self):
-        t = KNOWN_MAPS["bell3"]
-        rebuilt = np.asfortranarray(np.array(t.tolist()))
-        assert rebuilt is not t and rebuilt.tobytes() == t.tobytes()
-        assert plan(rebuilt) is plan(t)
-
-    @pytest.mark.parametrize("names", sorted(DISTINCT_MAPS))
-    def test_the_plan_cannot_be_written(self, names):
-        columns, scales = plan(DISTINCT_MAPS[names])
-        assert isinstance(columns, tuple)
-        assert not can_be_made_writable(scales)
-
-    def test_a_mutated_map_gets_its_new_plan(self):
-        t = KNOWN_MAPS["bell1"].copy()
-        rows = grid_block((2, 4))
-        (a, b, c, d), _ = plan(t)
-        t[[0, 3]] = t[[3, 0]]
-        assert plan(t)[0] == (d, b, c, a)
-        assert_same_bits(t, rows)
-        t[1, 2] = 0.25
-        assert plan(t) is None
-        assert_same_bits(t, rows)
-
-    def test_a_signed_zero_map_keeps_the_product_bits(self):
-        t = KNOWN_MAPS["automatic"].copy()
-        signed = t.copy()
-        signed.imag[0, 0] = -0.0
-        signed.real[0, 1] = -0.0
-        assert signed.tobytes() != t.tobytes() and np.array_equal(signed, t)
-        assert plan(signed) is not None
-        for rows in itertools.islice(grid_blocks(), 0, None, 7):
-            assert_same_bits(signed, rows)
+            with pytest.raises(ValueError) as alone:
+                receiver_states(KNOWN_MAPS[name], broken[17 + part][None])
+            assert str(batch.value) == str(alone.value)
 
 
 @pytest.fixture

@@ -1,14 +1,16 @@
 """Certified known sessions skip the three receiver tables, which they pass by construction.
 
 A session is certified when its tensor is (``PreparationTensor._certified``:
-weights byte-equal to a known preparation's, each session map a scaled
-Pauli conjugation) and its rows passed ``coefficient_table`` or
-``bloch_table`` with c21 == conj(c12) exactly. ``TestMargins`` runs the ten
-known session maps on the rows nearest each coefficient bound and measures
-every quantity of the skipped tables as ``require`` computes it, against
-the literal margins in ``MARGINS``; it pins each map's gather plan, and
-checks that the certified outcome is the checked one, byte for byte. A
-tolerance or a map that breaks the implication fails there.
+weights byte-equal to a known preparation's) and its rows passed
+``coefficient_table`` or ``bloch_table`` with c21 == conj(c12) exactly.
+``TestMargins`` proves what the certificate assumes: each of the ten known
+session maps has one real nonzero entry per row, the gather plan in
+``PLANS``, and that plan is a scaled Pauli conjugation. It runs the maps,
+gathered, on the rows nearest each coefficient bound and measures every
+quantity of the skipped tables as ``require`` computes it, against the
+literal margins in ``MARGINS``, and checks that the certified outcome is
+the checked one, byte for byte. A tolerance or a map that breaks the
+implication fails there.
 ``TestPathSelection`` counts the tables that run: none of the three on a
 certified call, all three on every other input.
 """
@@ -126,7 +128,7 @@ ROWS = {"edges": _edge_rows(), "shell": _shell_rows()}
 
 def _quantities(t, rows) -> np.ndarray:
     """The skipped tables' quantities on each row, as ``require`` computes them: an (entries, N) array."""
-    raw, states, overlap = protocol._mapped_states(t, rows)
+    raw, states, overlap = protocol._mapped_states(t, rows, certified=True)
     parts = zip(raw.reshape(-1, 4).tolist(), states.reshape(-1, 4).tolist(), overlap.tolist())
     return np.array([
         [q for table, p in zip(_TABLES, (r, s, (o,))) for q, _, _ in table(ON_NUMBERS, p)] for r, s, o in parts
@@ -148,8 +150,16 @@ class TestMargins:
     @pytest.mark.parametrize("name", sorted(SESSIONS))
     def test_each_known_map_is_its_certified_plan(self, name):
         prep, _ = SESSIONS[name]
-        columns, scales = protocol._permutation_plan(MAPS[name].tobytes())
-        assert (columns, tuple(scales.tolist())) == PLANS[name]
+        t = MAPS[name]
+        rows, columns = t.nonzero()  # what _mapped_states gathers: one real nonzero entry per row
+        assert rows.tolist() == [0, 1, 2, 3] and not t.imag.any()
+        plan = (tuple(columns.tolist()), tuple(t.real[rows, columns].tolist()))
+        assert plan == PLANS[name]
+        # s * U . U† for a Pauli word U: the diagonal goes to the diagonal with one scale s > 0, the
+        # coherences to the coherences with ±s, so a checked row maps to s times a statistical operator
+        (d1, o1, o2, d2), (s11, s12, s21, s22) = plan
+        assert {d1, d2} == {0, 3} and {o1, o2} == {1, 2}
+        assert s11 == s22 > 0.0 and s12 == s21 and abs(s12) == s11
         assert resolve_preparation(prep)._certified
 
     @pytest.mark.parametrize("rows", sorted(ROWS))

@@ -249,6 +249,10 @@ class TestMaximizeLazyFidelity:
             maximize_lazy_fidelity(resolution)
         assert str(info.value) == f"grid_resolution must be an integer, got {resolution!r}"
 
+    def test_golden_section_search_on_ends_that_do_not_sum_to_one(self):
+        # maximize_lazy_fidelity's searches close on c11 = 0.5, where a + b = 1 and 0.5 * (a + b) = 0.5 / (a + b)
+        assert abs(fidelity._golden_section_max(lambda x: -(x - 0.3) ** 2, 0.0, 0.9) - 0.3) <= 1e-9
+
     @pytest.mark.parametrize("resolution", [10, 11, 37, np.int64(37), 50, 100, 101, 200, 1001])
     def test_matches_the_scalar_scan_bit_for_bit(self, resolution):
         result = maximize_lazy_fidelity(resolution)

@@ -17,6 +17,14 @@ repository, so the checkout is never edited. A failing run kills the mutant;
 a passing one lets it survive. The script prints each mutant's site and
 verdict, then the score: the share of mutants killed. A survivor that
 changes behaviour is a missing test.
+
+``EQUIVALENT`` lists the reviewed mutants that change no verdict, bit or
+message, each with the reason in one line. An entry is keyed by the module,
+the stripped text of the site's source line and ``old -> new``, not by line
+number, so edits elsewhere in the module do not move it; it covers every
+site of that operator swap on that line. A sampled site that matches an
+entry is not run: it is printed as ``equivalent`` and counted apart from the
+score. An entry that matches no site of a chosen module is reported as stale.
 """
 
 from __future__ import annotations
@@ -63,6 +71,12 @@ TESTS = {
     ],
 }
 
+# (module, stripped source line, "old -> new") -> why the mutant changes no verdict, bit or message.
+EQUIVALENT = {
+    ("linalg", "nan_unless_finite=lambda a, b, c, d: ((a + b + c + d) * 0.0).real,", "+ -> -"):
+        "a signed sum of the four parts is non-finite when a part is or it overflows; require then decides the row",
+}
+
 COMPARE_SWAPS = {
     ast.Lt: ("<", ">"), ast.Gt: (">", "<"), ast.LtE: ("<=", ">="), ast.GtE: (">=", "<="),
     ast.Eq: ("==", "!="), ast.NotEq: ("!=", "=="),
@@ -99,9 +113,14 @@ def _operator_span(code: str, operator: str) -> tuple[int, int]:
 class Site:
     """One mutation: ``old`` becomes ``new`` in the byte span [start, stop) of a module's source."""
 
-    def __init__(self, module: str, line: int, kind: str, start: int, stop: int, old: str, new: str):
-        self.module, self.line, self.kind = module, line, kind
+    def __init__(self, module: str, line: int, text: str, kind: str, start: int, stop: int, old: str, new: str):
+        self.module, self.line, self.text, self.kind = module, line, text, kind
         self.start, self.stop, self.old, self.new = start, stop, old, new
+
+    @property
+    def key(self) -> tuple[str, str, str]:
+        """The site's key in ``EQUIVALENT``."""
+        return self.module, self.text, f"{self.old} -> {self.new}"
 
     def apply(self, source: bytes) -> bytes:
         code = source[self.start:self.stop].decode()
@@ -119,6 +138,7 @@ class Site:
 def sites(module: str, source: bytes) -> list[Site]:
     """Every site of the three operators in ``source``, in source order."""
     starts = _line_starts(source)
+    lines = source.decode().splitlines()
 
     def offset(line: int, col: int) -> int:  # ast columns count UTF-8 bytes
         return starts[line - 1] + col
@@ -126,22 +146,23 @@ def sites(module: str, source: bytes) -> list[Site]:
     def between(a: ast.AST, b: ast.AST) -> tuple[int, int]:
         return offset(a.end_lineno, a.end_col_offset), offset(b.lineno, b.col_offset)
 
+    def site(node: ast.AST, kind: str, span: tuple[int, int], old: str, new: str) -> Site:
+        return Site(module, node.lineno, lines[node.lineno - 1].strip(), kind, *span, old, new)
+
     found = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Compare):
             operands = [node.left, *node.comparators]
             for k, op in enumerate(node.ops):
-                old, new = COMPARE_SWAPS[type(op)]
-                found.append(Site(module, node.lineno, "compare", *between(operands[k], operands[k + 1]), old, new))
+                found.append(site(node, "compare", between(operands[k], operands[k + 1]), *COMPARE_SWAPS[type(op)]))
         elif isinstance(node, ast.BinOp) and type(node.op) in ARITH_SWAPS:
-            old, new = ARITH_SWAPS[type(node.op)]
-            found.append(Site(module, node.lineno, "arith", *between(node.left, node.right), old, new))
+            found.append(site(node, "arith", between(node.left, node.right), *ARITH_SWAPS[type(node.op)]))
         elif isinstance(node, ast.AugAssign) and type(node.op) in ARITH_SWAPS:
             old, new = (text + "=" for text in ARITH_SWAPS[type(node.op)])
-            found.append(Site(module, node.lineno, "arith", *between(node.target, node.value), old, new))
+            found.append(site(node, "arith", between(node.target, node.value), old, new))
         elif isinstance(node, ast.Constant) and type(node.value) is float and node.value != 0.0:
             span = offset(node.lineno, node.col_offset), offset(node.end_lineno, node.end_col_offset)
-            found.append(Site(module, node.lineno, "float", *span, repr(node.value), repr(node.value * 2)))
+            found.append(site(node, "float", span, repr(node.value), repr(node.value * 2)))
     return sorted(found, key=lambda site: (site.start, site.kind))
 
 
@@ -169,8 +190,12 @@ def main(argv=None) -> int:
     chosen = random.Random(args.seed).sample(every, min(args.count, len(every)))
     chosen.sort(key=lambda site: (site.module, site.start))
     print(f"{len(every)} sites in {', '.join(args.modules)}; {len(chosen)} sampled with seed {args.seed}", flush=True)
+    keys = {site.key for site in every}
+    for key in EQUIVALENT:
+        if key[0] in args.modules and key not in keys:
+            print(f"stale equivalent entry, no such site: {key}", file=sys.stderr)
 
-    verdicts = []
+    verdicts, equivalent = [], 0
     with tempfile.TemporaryDirectory(prefix="mutants-") as scratch:
         tree = Path(scratch)
         ignore = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
@@ -181,6 +206,10 @@ def main(argv=None) -> int:
             print("the unmutated tests fail; no score", file=sys.stderr)
             return 1
         for site in chosen:
+            if site.key in EQUIVALENT:
+                equivalent += 1
+                print(f"{site}: equivalent", flush=True)
+                continue
             target = tree / PACKAGE / f"{site.module}.py"
             target.write_bytes(site.apply(sources[site.module]))
             verdict = run_tests(tree, TESTS[site.module])
@@ -189,7 +218,8 @@ def main(argv=None) -> int:
             print(f"{site}: {verdict}", flush=True)
 
     killed = sum(verdict != "survived" for verdict in verdicts)
-    print(f"score: {killed}/{len(verdicts)} killed" + (f" ({killed / len(verdicts):.0%})" if verdicts else ""))
+    print(f"score: {killed}/{len(verdicts)} killed" + (f" ({killed / len(verdicts):.0%})" if verdicts else "")
+          + f"; {equivalent} equivalent, not scored")
     return 0
 
 
