@@ -9,7 +9,8 @@ on extreme parts; it pays only when valid batches pass on their bounds,
 which ``TestNoFallback`` checks on the package's own batches; and
 ``TestCandidateRows`` checks which rows reach ``require``. ``_mapped_states`` gathers the columns of a
 certified batch of any size instead of one matrix-vector product per row;
-``TestGather`` checks it against that product bit for bit on the known maps.
+``TestGather`` checks it against that product bit for bit on the known maps,
+on random signed scaled-permutation maps, and on maps of any layout.
 """
 
 import itertools
@@ -148,10 +149,32 @@ def outcome(t, rows):
         return str(exc)
 
 
-def assert_same_bits(t, rows):
-    """``_mapped_states`` gives the same raw operators, states and overlaps, byte for byte, gathered and multiplied."""
-    for gathered, multiplied in zip(protocol._mapped_states(t, rows, True), protocol._mapped_states(t, rows, False)):
-        assert gathered.tobytes() == multiplied.tobytes()
+def assert_same_bits(t, rows, whole_batch=True):
+    """``_mapped_states`` gives the same raw operators, states and overlaps, byte for byte, gathered and multiplied.
+
+    A product that overflows is inf on one path and may be NaN on the other,
+    so without ``whole_batch`` only the rows whose raw operator is finite
+    must agree byte for byte, and the same rows must be finite on both.
+    """
+    gathered, multiplied = protocol._mapped_states(t, rows, True), protocol._mapped_states(t, rows, False)
+    if whole_batch:
+        for g, m in zip(gathered, multiplied):
+            assert g.tobytes() == m.tobytes()
+        return
+    finite = np.isfinite(multiplied[0]).all(axis=(1, 2))
+    assert np.array_equal(np.isfinite(gathered[0]).all(axis=(1, 2)), finite)
+    for g, m in zip(gathered, multiplied):
+        assert g[finite].tobytes() == m[finite].tobytes()
+
+
+def random_permutation_map(rng):
+    """A permutation with random signed scales over 2**+-30, -0.0 in some zero and imaginary parts."""
+    t = np.zeros((4, 4), dtype=complex)
+    rows, columns = np.arange(4), rng.permutation(4)
+    t.real[rows, columns] = rng.choice([-1.0, 1.0], 4) * rng.uniform(0.1, 10.0, 4) * 2.0 ** rng.integers(-30, 31, 4)
+    t.imag[rng.random((4, 4)) < 0.5] = -0.0
+    t.real[(t.real == 0.0) & (rng.random((4, 4)) < 0.5)] = -0.0
+    return t
 
 
 class TestGather:
@@ -160,6 +183,48 @@ class TestGather:
         t = DISTINCT_MAPS[names]
         for rows in grid_blocks():
             assert_same_bits(t, rows)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_permutation_maps(self, seed):
+        # the gather's arithmetic on any signed scales, not only the known maps' +-0.5
+        rng = np.random.default_rng(seed)
+        t = random_permutation_map(rng)
+        assert_same_bits(t, grid_block(rng.integers(6, size=2)))
+        # random doubles, subnormal and huge parts, and the check tables' special parts
+        parts = np.concatenate([rng.standard_normal(4000), rng.choice(REALS[np.isfinite(REALS)], 4000)])
+        assert_same_bits(t, rng.permutation(parts).view(complex).reshape(-1, 4), whole_batch=False)
+
+    @pytest.mark.parametrize("names", sorted(DISTINCT_MAPS))
+    def test_any_layout_of_the_map(self, names):
+        # the plan is read in row order from the map as it is laid out, whatever its strides
+        t = DISTINCT_MAPS[names]
+        strided = np.zeros((4, 8), dtype=complex)[:, ::2]
+        strided[...] = t
+        rows = grid_block((3, 4))
+        expected = protocol._mapped_states(t, rows, False)
+        for layout in (np.asfortranarray(t), strided, t[::-1].copy()[::-1]):  # Fortran, strided, reversed rows
+            assert not layout.flags.c_contiguous
+            for gathered, multiplied in zip(protocol._mapped_states(layout, rows, True), expected):
+                assert gathered.tobytes() == multiplied.tobytes()
+
+    def test_a_map_changed_in_place_gathers_its_new_columns(self):
+        # no plan outlives the call: the gather reads the map's entries each time
+        t = KNOWN_MAPS["bell1"].copy()
+        rows = grid_block((2, 4))
+        t[[0, 3]] = t[[3, 0]]
+        assert t.nonzero()[1].tolist() == [3, 1, 2, 0]
+        assert_same_bits(t, rows)
+        t[1, 1] = -0.25
+        assert_same_bits(t, rows)
+
+    def test_a_signed_zero_map_keeps_the_product_bits(self):
+        t = KNOWN_MAPS["automatic"].copy()
+        signed = t.copy()
+        signed.imag[0, 0] = -0.0
+        signed.real[0, 1] = -0.0
+        assert signed.tobytes() != t.tobytes() and np.array_equal(signed, t)
+        for rows in itertools.islice(grid_blocks(), 0, None, 7):
+            assert_same_bits(signed, rows)
 
     @pytest.mark.parametrize("n", [1, 1000])
     @pytest.mark.parametrize("names", sorted(DISTINCT_MAPS))

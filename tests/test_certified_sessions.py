@@ -12,7 +12,8 @@ literal margins in ``MARGINS``, and checks that the certified outcome is
 the checked one, byte for byte. A tolerance or a map that breaks the
 implication fails there.
 ``TestPathSelection`` counts the tables that run: none of the three on a
-certified call, all three on every other input.
+certified call, all three on every other input, weights equal to a known
+preparation's in value but not in bytes among them.
 """
 
 import itertools
@@ -276,6 +277,20 @@ class TestPathSelection:
         assert str(info.value) == (
             "fidelity has non-negligible imaginary part 1.000e-12; the pipeline produced a non-Hermitian state"
         )
+
+    @pytest.mark.parametrize("name", sorted(SESSIONS))
+    def test_weights_equal_but_not_byte_equal_run_all_three(self, seen, name):
+        # the certificate is byte equality: -0.0 imaginary parts keep the values and the classification
+        prep, acts = SESSIONS[name]
+        known = resolve_preparation(prep)
+        u = known.u.copy()
+        u.imag = -0.0
+        signed = PreparationTensor(u=u, normalized=known.normalized)
+        assert np.array_equal(signed.u, known.u) and signed.u.tobytes() != known.u.tobytes()
+        assert (signed.bell_index, signed.automatic) == (known.bell_index, known.automatic)
+        assert signed._exact_ratio is None and not signed._certified
+        average_fidelity(signed, acts, n=100)
+        assert seen == OUTPUT_TABLES
 
     def test_near_weights_are_classified_but_not_certified(self):
         assert NEAR_BELL_2.bell_index == 2 and NEAR_BELL_2._exact_ratio is None and not NEAR_BELL_2._certified
