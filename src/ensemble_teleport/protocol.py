@@ -401,6 +401,17 @@ def renormalize(m) -> np.ndarray:
     return arr / t.real
 
 
+def _real_bilinear(x, y):
+    """``_bilinear``'s real part alone, to its bits: the overlap that a certified session returns unchecked.
+
+    The sum of x[k].real y[k].real - x[k].imag y[k].imag, added pairwise as
+    ((0 + 1) + (2 + 3)), on Python numbers or a batch's float64 columns.
+    """
+    (a0, a1, a2, a3), (b0, b1, b2, b3) = x, y
+    return (((a0.real * b0.real - a0.imag * b0.imag) + (a1.real * b1.real - a1.imag * b1.imag))
+            + ((a2.real * b2.real - a2.imag * b2.imag) + (a3.real * b3.real - a3.imag * b3.imag)))
+
+
 def _bilinear(x, y) -> tuple:
     """Sum of x[k] * y[k] over four complex entries, unconjugated, as its (real, imaginary) parts.
 
@@ -408,10 +419,11 @@ def _bilinear(x, y) -> tuple:
     pairwise as ((0 + 1) + (2 + 3)): each operation rounds once, with no BLAS
     call and no fused complex product. The entries may be Python numbers or a
     batch's float64 columns, which get the same bits row for row on every CPU.
+    The real part is ``_real_bilinear``; the imaginary part exists for
+    ``real_overlap_table``, so only a checked overlap computes it.
     """
     (a0, a1, a2, a3), (b0, b1, b2, b3) = x, y
-    return (((a0.real * b0.real - a0.imag * b0.imag) + (a1.real * b1.real - a1.imag * b1.imag))
-            + ((a2.real * b2.real - a2.imag * b2.imag) + (a3.real * b3.real - a3.imag * b3.imag)),
+    return (_real_bilinear(x, y),
             ((a0.real * b0.imag + a0.imag * b0.real) + (a1.real * b1.imag + a1.imag * b1.real))
             + ((a2.real * b2.imag + a2.imag * b2.real) + (a3.real * b3.imag + a3.imag * b3.real)))
 
@@ -476,22 +488,21 @@ def bob_correct(index: int, m) -> np.ndarray:
     return un @ arr @ un.conj().T
 
 
-@np.errstate(all="ignore")  # as a decorator, errstate costs about half what a with block does
-def _mapped_states(t: np.ndarray, c: np.ndarray, certified: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``_session_states``' arithmetic, unchecked: the raw operators, the states and the overlaps.
+def _mapped_states(t: np.ndarray, c: np.ndarray, certified: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """``_session_states``' arithmetic before the overlap, unchecked: the raw operators and the states.
 
     Half the mapped vector is alice_prepare's raw operator, so the trace
     checks see the same numbers as on the reference path. The stacked
-    matrix-vector products repeat one session's arithmetic per row, and the
-    overlaps are ``_bilinear`` on whole columns, so each row is bitwise what
-    a batch of one, and ``_session_row``, give. A row that fails one check
-    may give inf or nan in later ones, which is harmless: only its first
-    failing check is reported. ``t`` is a complex map. A ``certified`` one
-    (``PreparationTensor._certified``) has one real nonzero entry per row, so
-    its columns ``t.nonzero()`` are gathered and scaled instead, at every
-    batch size: each entry is one product, rounded once on both paths, and
-    ``+= 0.0`` turns a -0.0 into the +0.0 that the matrix-vector sums, which
-    start from +0, give.
+    matrix-vector products repeat one session's arithmetic per row, so each
+    row is bitwise what a batch of one, and ``_session_row``, give. A row
+    that fails one check may give inf or nan in later ones, which is
+    harmless: only its first failing check is reported. Callers run it under
+    ``np.errstate(all="ignore")``. ``t`` is a complex map. A ``certified``
+    one (``PreparationTensor._certified``) has one real nonzero entry per
+    row, so its columns ``t.nonzero()`` are gathered and scaled instead, at
+    every batch size: each entry is one product, rounded once on both paths,
+    and ``+= 0.0`` turns a -0.0 into the +0.0 that the matrix-vector sums,
+    which start from +0, give.
     """
     if certified:
         rows, columns = t.nonzero()
@@ -500,11 +511,9 @@ def _mapped_states(t: np.ndarray, c: np.ndarray, certified: bool = False) -> tup
     else:
         raw = (t @ c[:, :, None]).reshape(-1, 2, 2)
     raw *= _HALF
-    trace = raw[:, 0, 0] + raw[:, 1, 1]
-    states = raw / trace.real[:, None, None]
-    overlap = np.empty(len(c), dtype=complex)
-    overlap.real, overlap.imag = _bilinear(c.T, (states[:, 0, 0], states[:, 1, 0], states[:, 0, 1], states[:, 1, 1]))
-    return raw, states, overlap
+    # the real part of the complex trace, to its bits, without its imaginary sum
+    trace = raw[:, 0, 0].real + raw[:, 1, 1].real
+    return raw, raw / trace[:, None, None]
 
 
 def _row_state(t: np.ndarray, c: np.ndarray) -> tuple[list, np.ndarray]:
@@ -530,19 +539,20 @@ def _row_state(t: np.ndarray, c: np.ndarray) -> tuple[list, np.ndarray]:
 def _session_row(t: np.ndarray, c: np.ndarray, certified: bool = False) -> tuple[np.ndarray, float]:
     """``receiver_states`` on the one row of ``c``: the state, read-only over immutable bytes, and the fidelity.
 
-    ``_mapped_states``' arithmetic and checks on one row, to the same bits:
+    ``_session_states``' arithmetic and checks on one row, to the same bits:
     ``_row_state``, then the overlap's ``_bilinear`` on Python numbers, then
     the three tables in the batch's order. A ``certified`` session (a
     certified map on a checked row, ``run_session``) skips the tables, which
-    it passes by construction.
+    it passes by construction, and computes only the overlap's real part
+    (``_real_bilinear``).
     """
     raw, state = _row_state(t, c)
     s11, s12, s21, s22 = entries = state.ravel().tolist()
-    re, im = _bilinear(c[0].tolist(), (s11, s21, s12, s22))
-    if not certified:
-        require(
-            (renormalization_table, raw), (qubit_operator_table, entries), (real_overlap_table, (complex(re, im),))
-        )
+    x, y = c[0].tolist(), (s11, s21, s12, s22)
+    if certified:
+        return state, _real_bilinear(x, y)
+    re, im = _bilinear(x, y)
+    require((renormalization_table, raw), (qubit_operator_table, entries), (real_overlap_table, (complex(re, im),)))
     return state, re
 
 
@@ -585,22 +595,30 @@ def receiver_states(t, coeffs) -> tuple[np.ndarray, np.ndarray]:
     return _session_states(t, _coefficient_batch(coeffs))
 
 
+@np.errstate(all="ignore")  # as a decorator, errstate costs about half what a with block does
 def _session_states(t: np.ndarray, c: np.ndarray, certified: bool = False) -> tuple[np.ndarray, np.ndarray]:
-    """``receiver_states`` on a complex 4x4 map and complex ``(N, 4)`` rows: ``_mapped_states``, then its checks.
+    """``receiver_states`` on a complex 4x4 map and complex ``(N, 4)`` rows: ``_mapped_states``, the overlaps, the checks.
 
-    A ``certified`` batch gathers its map's columns (``_mapped_states``) and
-    skips the checks, which it passes by construction: the map is a
-    ``PreparationTensor._certified`` tensor's, and every row passed
-    ``coefficient_table`` or ``bloch_table`` with c21 == conj(c12) exactly,
-    as ``bloch_coefficient_rows`` and the sweep's rows are built.
+    The overlaps are ``_bilinear`` on whole columns, so each row is bitwise
+    what a batch of one, and ``_session_row``, give. A ``certified`` batch
+    gathers its map's columns (``_mapped_states``), skips the checks, which
+    it passes by construction, and computes only the overlaps' real part
+    (``_real_bilinear``): the map is a ``PreparationTensor._certified``
+    tensor's, and every row passed ``coefficient_table`` or ``bloch_table``
+    with c21 == conj(c12) exactly, as ``bloch_coefficient_rows`` and the
+    sweep's rows are built.
     """
-    raw, states, overlap = _mapped_states(t, c, certified)
-    if not certified:
-        require_columns(
-            (renormalization_table, raw.reshape(-1, 4).T),
-            (qubit_operator_table, states.reshape(-1, 4).T),
-            (real_overlap_table, (overlap,)),
-        )
+    raw, states = _mapped_states(t, c, certified)
+    columns = (states[:, 0, 0], states[:, 1, 0], states[:, 0, 1], states[:, 1, 1])
+    if certified:
+        return states, _real_bilinear(c.T, columns)
+    overlap = np.empty(len(c), dtype=complex)
+    overlap.real, overlap.imag = _bilinear(c.T, columns)
+    require_columns(
+        (renormalization_table, raw.reshape(-1, 4).T),
+        (qubit_operator_table, states.reshape(-1, 4).T),
+        (real_overlap_table, (overlap,)),
+    )
     return states, overlap.real
 
 

@@ -149,21 +149,33 @@ def outcome(t, rows):
         return str(exc)
 
 
-def assert_same_bits(t, rows, whole_batch=True):
-    """``_mapped_states`` gives the same raw operators, states and overlaps, byte for byte, gathered and multiplied.
+def product_fidelities(rows, states):
+    """The checked product path's fidelities of ``rows`` and their multiplied ``states``: ``_bilinear``'s real part."""
+    with np.errstate(all="ignore"):
+        return protocol._bilinear(rows.T, (states[:, 0, 0], states[:, 1, 0], states[:, 0, 1], states[:, 1, 1]))[0]
 
-    A product that overflows is inf on one path and may be NaN on the other,
+
+def assert_same_bits(t, rows, whole_batch=True):
+    """The gather gives the product's raw operators, states and fidelities, byte for byte.
+
+    ``_mapped_states`` gives the raw operators and states gathered and
+    multiplied, and the certified batch of ``_session_states``, which
+    computes only the real sum, the fidelities of ``product_fidelities``. A
+    product that overflows is inf on one path and may be NaN on the other,
     so without ``whole_batch`` only the rows whose raw operator is finite
     must agree byte for byte, and the same rows must be finite on both.
     """
-    gathered, multiplied = protocol._mapped_states(t, rows, True), protocol._mapped_states(t, rows, False)
+    with np.errstate(all="ignore"):
+        gathered, multiplied = protocol._mapped_states(t, rows, True), protocol._mapped_states(t, rows, False)
+    gathered += (protocol._session_states(t, rows, True)[1],)
+    multiplied += (product_fidelities(rows, multiplied[1]),)
     if whole_batch:
-        for g, m in zip(gathered, multiplied):
+        for g, m in zip(gathered, multiplied, strict=True):
             assert g.tobytes() == m.tobytes()
         return
     finite = np.isfinite(multiplied[0]).all(axis=(1, 2))
     assert np.array_equal(np.isfinite(gathered[0]).all(axis=(1, 2)), finite)
-    for g, m in zip(gathered, multiplied):
+    for g, m in zip(gathered, multiplied, strict=True):
         assert g[finite].tobytes() == m[finite].tobytes()
 
 
@@ -201,11 +213,16 @@ class TestGather:
         strided = np.zeros((4, 8), dtype=complex)[:, ::2]
         strided[...] = t
         rows = grid_block((3, 4))
-        expected = protocol._mapped_states(t, rows, False)
+        with np.errstate(all="ignore"):
+            raw, states = protocol._mapped_states(t, rows, False)
+        expected = raw, states, product_fidelities(rows, states)
         for layout in (np.asfortranarray(t), strided, t[::-1].copy()[::-1]):  # Fortran, strided, reversed rows
             assert not layout.flags.c_contiguous
-            for gathered, multiplied in zip(protocol._mapped_states(layout, rows, True), expected):
-                assert gathered.tobytes() == multiplied.tobytes()
+            with np.errstate(all="ignore"):
+                gathered = protocol._mapped_states(layout, rows, True)
+            gathered += (protocol._session_states(layout, rows, True)[1],)
+            for g, m in zip(gathered, expected, strict=True):
+                assert g.tobytes() == m.tobytes()
 
     def test_a_map_changed_in_place_gathers_its_new_columns(self):
         # no plan outlives the call: the gather reads the map's entries each time

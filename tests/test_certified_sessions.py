@@ -13,7 +13,9 @@ the checked one, byte for byte. A tolerance or a map that breaks the
 implication fails there.
 ``TestPathSelection`` counts the tables that run: none of the three on a
 certified call, all three on every other input, weights equal to a known
-preparation's in value but not in bytes among them.
+preparation's in value but not in bytes among them. It counts the calls of
+the complex overlap ``_bilinear`` alike: none on a certified call, whose
+fidelities are ``_real_bilinear``, one on every other input.
 """
 
 import itertools
@@ -128,9 +130,14 @@ ROWS = {"edges": _edge_rows(), "shell": _shell_rows()}
 
 
 def _quantities(t, rows) -> np.ndarray:
-    """The skipped tables' quantities on each row, as ``require`` computes them: an (entries, N) array."""
-    raw, states, overlap = protocol._mapped_states(t, rows, certified=True)
-    parts = zip(raw.reshape(-1, 4).tolist(), states.reshape(-1, 4).tolist(), overlap.tolist())
+    """The skipped tables' quantities on each row, as ``require`` computes them: an (entries, N) array.
+
+    The overlap is the complex ``_bilinear`` of the gathered states, whose
+    imaginary part a certified batch never computes: it is measured here.
+    """
+    raw, states = protocol._mapped_states(t, rows, certified=True)
+    re, im = protocol._bilinear(rows.T, (states[:, 0, 0], states[:, 1, 0], states[:, 0, 1], states[:, 1, 1]))
+    parts = zip(raw.reshape(-1, 4).tolist(), states.reshape(-1, 4).tolist(), map(complex, re.tolist(), im.tolist()))
     return np.array([
         [q for table, p in zip(_TABLES, (r, s, (o,))) for q, _, _ in table(ON_NUMBERS, p)] for r, s, o in parts
     ]).T
@@ -214,6 +221,20 @@ def seen(monkeypatch):
     return tables
 
 
+@pytest.fixture
+def bilinear(monkeypatch):
+    """One entry per call of ``protocol._bilinear``, the complex overlap that only a checked session computes."""
+    calls = []
+    complex_overlap = protocol._bilinear
+
+    def counting(x, y):
+        calls.append(None)
+        return complex_overlap(x, y)
+
+    monkeypatch.setattr(protocol, "_bilinear", counting)
+    return calls
+
+
 def _general_tensor():
     g = np.random.default_rng(0).normal(size=(4, 4, 2)).view(complex)[..., 0]
     psd = g @ g.conj().T + np.eye(4)  # positive definite: every session is valid
@@ -246,23 +267,23 @@ UNCERTIFIED = {
 
 class TestPathSelection:
     @pytest.mark.parametrize("name", sorted(SESSIONS))
-    def test_certified_calls_run_no_output_table(self, seen, name):
+    def test_certified_calls_run_no_output_table(self, seen, bilinear, name):
         prep, acts = SESSIONS[name]
         run_session(VECTOR, prep, _message(prep), acts)
         run_session(CoefficientVector.from_components(0.5, 0.5), prep, _message(prep), acts)
         for sampler in sorted(SAMPLERS):
             average_fidelity(prep, acts, sampler, n=100)
-        assert seen == []
+        assert seen == [] and bilinear == []
 
     @pytest.mark.parametrize("prep", cli._PREP_CHOICES)
-    def test_certified_sweep_runs_no_output_table(self, seen, prep):
+    def test_certified_sweep_runs_no_output_table(self, seen, bilinear, prep):
         _sweep(prep)
-        assert seen == []
+        assert seen == [] and bilinear == []
 
     @pytest.mark.parametrize("case", sorted(UNCERTIFIED))
-    def test_every_other_input_runs_all_three(self, seen, case):
+    def test_every_other_input_runs_all_three(self, seen, bilinear, case):
         UNCERTIFIED[case]()
-        assert seen == OUTPUT_TABLES
+        assert seen == OUTPUT_TABLES and bilinear == [None]
 
     def test_a_sweep_of_near_weights_runs_all_three(self, seen, monkeypatch):
         monkeypatch.setitem(cli._PREPS, "bell2", NEAR_BELL_2)

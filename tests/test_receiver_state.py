@@ -632,7 +632,10 @@ def assert_same_doubles(got, expected):
 
 
 class TestBilinear:
-    """``_bilinear`` rounds each operation once, in its one order, on Python numbers and float64 columns alike."""
+    """``_bilinear`` rounds each operation once, in its one order, on Python numbers and float64 columns alike.
+
+    ``_real_bilinear``, its real part alone, has the bytes of its real part.
+    """
 
     # 4097 rows of 4 entries of x then 4 of y, every part from SPECIAL_PARTS; a non-finite part is
     # rare (weight 1/50), so most rows stay finite and show how their products and sums round
@@ -653,11 +656,25 @@ class TestBilinear:
             re, im = protocol._bilinear(rows[:, :4].T, rows[:, 4:].T)
         assert_same_doubles(np.stack([re, im], axis=1), exact[:n])
 
+    def test_real_part_alone_on_python_numbers(self):
+        rows = self.ROWS.tolist()
+        real = np.array([protocol._real_bilinear(row[:4], row[4:]) for row in rows])
+        assert real.tobytes() == np.array([protocol._bilinear(row[:4], row[4:])[0] for row in rows]).tobytes()
+
+    @pytest.mark.parametrize("n", [1, 63, 64, 4097])
+    def test_real_part_alone_on_columns(self, n):
+        rows = self.ROWS[:n]
+        with np.errstate(all="ignore"):
+            real = protocol._real_bilinear(rows[:, :4].T, rows[:, 4:].T)
+            re, _ = protocol._bilinear(rows[:, :4].T, rows[:, 4:].T)
+        assert real.tobytes() == re.tobytes()
+
     @pytest.mark.parametrize("change", ["fused", "sequential"])
     def test_the_rows_tell_a_fused_product_or_another_order(self, exact, change):
         other = np.array([_exact_bilinear(row[:4], row[4:], **{change: True}) for row in self.ROWS.tolist()])
-        with pytest.raises(AssertionError):
-            assert_same_doubles(other, exact)
+        for part in (slice(None), 0):  # both parts, and the real part alone
+            with pytest.raises(AssertionError):
+                assert_same_doubles(other[:, part], exact[:, part])
 
 
 def _sweep_rows(resolution=30, phase_resolution=4) -> np.ndarray:
@@ -708,6 +725,14 @@ def assert_same_outcome(t, rows):
     assert got[1].tobytes() == np.concatenate([fidelities for _, fidelities in alone]).tobytes()
 
 
+def _unchecked_states(t, rows):
+    """``_session_states``' checked path without its checks: the states and the complex overlaps, one (re, im) row each."""
+    with np.errstate(all="ignore"):
+        _, states = protocol._mapped_states(t, rows)
+        overlaps = protocol._bilinear(rows.T, (states[:, 0, 0], states[:, 1, 0], states[:, 0, 1], states[:, 1, 1]))
+    return states, np.stack(overlaps, axis=1)
+
+
 class TestLargeBatches:
     """Batches of every size equal the per-row loop: known maps gather their columns, other maps take the product."""
 
@@ -727,10 +752,10 @@ class TestLargeBatches:
         rows = _batch(128)
         assert_same_outcome(t, rows)
         # every row whose state is finite gets its one-row bits, failing rows included
-        _, states, overlaps = protocol._mapped_states(t, rows)
+        states, overlaps = _unchecked_states(t, rows)
         for row, state, overlap in zip(rows, states, overlaps):
             if np.isfinite(state).all():
-                _, one_state, one_overlap = protocol._mapped_states(t, row[None])
+                one_state, one_overlap = _unchecked_states(t, row[None])
                 assert state.tobytes() == one_state[0].tobytes()
                 assert overlap.tobytes() == one_overlap.tobytes()
 

@@ -14,7 +14,10 @@ The sites of the chosen modules are listed in source order and ``--count`` of
 them sampled with ``random.Random(--seed)``. Each mutant runs the module's
 test files (``TESTS``) with ``pytest -x`` in a temporary copy of the
 repository, so the checkout is never edited. A failing run kills the mutant;
-a passing one lets it survive. The script prints each mutant's site and
+a passing one lets it survive. The unmutated tests run first, once; a
+mutant's run that takes more than ``TIMEOUT_FACTOR`` times their wall time
+(and at least ``TIMEOUT_FLOOR`` seconds) is stopped and kills the mutant,
+as a loop that never ends does. The script prints each mutant's site and
 verdict, then the score: the share of mutants killed. A survivor that
 changes behaviour is a missing test.
 
@@ -38,12 +41,15 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import time
 import tokenize
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = Path("src/ensemble_teleport")
-TIMEOUT = 600.0  # seconds per test run; a mutant that loops forever counts as killed
+# A mutant's test run may take TIMEOUT_FACTOR times the unmutated run's wall time, and at least
+# TIMEOUT_FLOOR seconds; a run past that (a mutant that loops forever) counts as killed.
+TIMEOUT_FACTOR, TIMEOUT_FLOOR = 5.0, 30.0
 
 # Module -> the test files that run against it.
 TESTS = {
@@ -166,12 +172,12 @@ def sites(module: str, source: bytes) -> list[Site]:
     return sorted(found, key=lambda site: (site.start, site.kind))
 
 
-def run_tests(tree: Path, tests: list[str]) -> str:
+def run_tests(tree: Path, tests: list[str], timeout: float | None = None) -> str:
     """``killed``, ``survived`` or ``killed (timeout)`` for the copy of the repository at ``tree``."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
     command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests]
     try:
-        result = subprocess.run(command, cwd=tree, env=env, capture_output=True, timeout=TIMEOUT)
+        result = subprocess.run(command, cwd=tree, env=env, capture_output=True, timeout=timeout)
     except subprocess.TimeoutExpired:
         return "killed (timeout)"
     return "survived" if result.returncode == 0 else "killed"
@@ -202,9 +208,13 @@ def main(argv=None) -> int:
         for part in ("src", "tests"):
             shutil.copytree(ROOT / part, tree / part, ignore=ignore)
         shutil.copy2(ROOT / "pyproject.toml", tree)
+        start = time.monotonic()
         if run_tests(tree, sorted({test for module in args.modules for test in TESTS[module]})) != "survived":
             print("the unmutated tests fail; no score", file=sys.stderr)
             return 1
+        elapsed = time.monotonic() - start
+        timeout = max(TIMEOUT_FLOOR, TIMEOUT_FACTOR * elapsed)
+        print(f"unmutated run {elapsed:.1f} s; each mutant's run times out after {timeout:.0f} s", flush=True)
         for site in chosen:
             if site.key in EQUIVALENT:
                 equivalent += 1
@@ -212,7 +222,7 @@ def main(argv=None) -> int:
                 continue
             target = tree / PACKAGE / f"{site.module}.py"
             target.write_bytes(site.apply(sources[site.module]))
-            verdict = run_tests(tree, TESTS[site.module])
+            verdict = run_tests(tree, TESTS[site.module], timeout)
             target.write_bytes(sources[site.module])
             verdicts.append(verdict)
             print(f"{site}: {verdict}", flush=True)
