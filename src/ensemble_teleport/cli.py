@@ -30,6 +30,7 @@ from .linalg import EQ_TOL, hermitian_spectrum
 from .protocol import (
     ClassicalMessage,
     CoefficientVector,
+    _certified_fidelities,
     _session_states,
     automatic_preparation,
     bloch_coefficient_rows,
@@ -261,10 +262,12 @@ def _cmd_sweep(args) -> tuple[tuple[str, ...], list, bool]:
         raise ValueError("magnitude and phase resolutions must be at least 1")
 
     c11, c12 = _sweep_grid(args, mag_resolution)
-    coeffs = coefficient_rows(c11, c12, c12.conj(), 1.0 - c11)
+    c22 = 1.0 - c11
+    coeffs = coefficient_rows(c11, c12, c12.conj(), c22)
     u = _PREPS[args.prep]
+    t = u.session_map(False)
     # checked rows with c21 = conj(c12) exactly: under a certified map they skip the receiver checks
-    _, trace = _session_states(u.session_map(False), coeffs, u._certified)
+    trace = _certified_fidelities(t, c11, c12, c22) if u._certified else _session_states(t, coeffs)[1]
     lazy = lazy_fidelities(coeffs)
     columns = ("c11", "c12_re", "c12_im", "lazy_fidelity", "trace_fidelity")
     return columns, [c11, c12.real, c12.imag, lazy, trace], True

@@ -18,6 +18,8 @@ from .linalg import AGREE_TOL, as_matrix, frozen, is_integer, positive_real_inva
 from .protocol import (
     CoefficientVector,
     _bilinear,
+    _bloch_coefficients,
+    _certified_fidelities,
     _session_states,
     bloch_coefficient_rows,
     fidelity_trace,
@@ -198,11 +200,14 @@ def average_fidelity(
     (at least 100) and ``seed`` (at least 0) are Python or numpy integers,
     not bools; any other value raises a ValueError that names it.
 
-    The overlaps are ``receiver_states``' on the sampled rows, to the bit.
-    Under weights byte-equal to a known preparation's
-    (``PreparationTensor._certified``) the receiver checks are skipped:
-    rows built from passing Bloch vectors pass them by construction (README,
-    "Certified known sessions"). Every other tensor keeps every check.
+    The overlaps are ``receiver_states``' on the sampled rows
+    (``bloch_coefficient_rows``), to the bit. Under weights byte-equal to a
+    known preparation's (``PreparationTensor._certified``) the receiver
+    checks are skipped, which rows built from passing Bloch vectors pass by
+    construction (README, "Certified known sessions"), and
+    ``_certified_fidelities`` computes the overlaps from the coefficient
+    columns alone, with no rows and no states. Every other tensor keeps
+    every check.
     """
     if not is_integer(n):
         raise ValueError(f"n must be an integer, got {n!r}")
@@ -217,7 +222,10 @@ def average_fidelity(
     session_map = u.session_map(bob_acts)
     x, y, z = SAMPLERS[sampler](np.random.default_rng(seed), n)
     # Bloch rows pass bloch_table with c21 = conj(c12) exactly: under a certified map they skip the checks
-    _, values = _session_states(session_map, bloch_coefficient_rows(x, y, z), u._certified)
+    if u._certified:
+        values = _certified_fidelities(session_map, *_bloch_coefficients(x, y, z))
+    else:
+        values = _session_states(session_map, bloch_coefficient_rows(x, y, z))[1]
     # values.mean() and values.std(ddof=1) without their Python wrappers: the same pairwise sums and divisions
     mean = np.add.reduce(values) / n
     d = values - mean

@@ -143,19 +143,26 @@ def coefficient_rows(c11, c12, c21, c22) -> np.ndarray:
     return rows
 
 
-def bloch_coefficient_rows(x, y, z) -> np.ndarray:
-    """``CoefficientVector.from_bloch`` on arrays: its length check and its one check, ``bloch_table``, then its rows.
+def _bloch_coefficients(x, y, z) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``CoefficientVector.from_bloch`` on arrays: its length check and its one check, ``bloch_table``, then c11, c12, c22.
 
-    fl(x^2 + y^2 + z^2) <= 1 + EQ_TOL implies every ``coefficient_table`` invariant, so that pass is not run:
-    finite parts, |c11 + c22 - 1| <= 2**-52, -c11 and -c22 <= 2.6e-13, c21 - conj(c12) = 0, positivity <= -7e-13.
+    fl(x^2 + y^2 + z^2) <= 1 + EQ_TOL implies every ``coefficient_table`` invariant of the rows
+    (c11, c12, conj(c12), c22), so that pass is not run: finite parts, |c11 + c22 - 1| <= 2**-52,
+    -c11 and -c22 <= 2.6e-13, c21 - conj(c12) = 0, positivity <= -7e-13.
     """
     _require_real(x=x, y=y, z=z)
     x, y, z = (np.asarray(v, dtype=float) for v in (x, y, z))
     _require_equal_1d("x, y, z", x, y, z)
     require_columns((bloch_table, (x, y, z)))
-    c11, c12 = (1.0 + z) / 2.0, (x - 1j * y) / 2.0
+    c11 = (1.0 + z) / 2.0
+    return c11, (x - 1j * y) / 2.0, 1.0 - c11
+
+
+def bloch_coefficient_rows(x, y, z) -> np.ndarray:
+    """``CoefficientVector.from_bloch`` on arrays: its checks (``_bloch_coefficients``), then its rows."""
+    c11, c12, c22 = _bloch_coefficients(x, y, z)
     rows = np.empty((len(c11), 4), dtype=complex)
-    rows[:, 0], rows[:, 1], rows[:, 2], rows[:, 3] = c11, c12, c12.conj(), 1.0 - c11
+    rows[:, 0], rows[:, 1], rows[:, 2], rows[:, 3] = c11, c12, c12.conj(), c22
     return rows
 
 
@@ -488,7 +495,7 @@ def bob_correct(index: int, m) -> np.ndarray:
     return un @ arr @ un.conj().T
 
 
-def _mapped_states(t: np.ndarray, c: np.ndarray, certified: bool = False) -> tuple[np.ndarray, np.ndarray]:
+def _mapped_states(t: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``_session_states``' arithmetic before the overlap, unchecked: the raw operators and the states.
 
     Half the mapped vector is alice_prepare's raw operator, so the trace
@@ -497,19 +504,10 @@ def _mapped_states(t: np.ndarray, c: np.ndarray, certified: bool = False) -> tup
     row is bitwise what a batch of one, and ``_session_row``, give. A row
     that fails one check may give inf or nan in later ones, which is
     harmless: only its first failing check is reported. Callers run it under
-    ``np.errstate(all="ignore")``. ``t`` is a complex map. A ``certified``
-    one (``PreparationTensor._certified``) has one real nonzero entry per
-    row, so its columns ``t.nonzero()`` are gathered and scaled instead, at
-    every batch size: each entry is one product, rounded once on both paths,
-    and ``+= 0.0`` turns a -0.0 into the +0.0 that the matrix-vector sums,
-    which start from +0, give.
+    ``np.errstate(all="ignore")``. ``t`` is a complex map; a certified batch
+    needs no states and takes ``_certified_fidelities`` instead.
     """
-    if certified:
-        rows, columns = t.nonzero()
-        raw = (c[:, columns] * t.real[rows, columns]).reshape(-1, 2, 2)  # 3-6 µs under c.take on 1000 rows
-        raw += 0.0
-    else:
-        raw = (t @ c[:, :, None]).reshape(-1, 2, 2)
+    raw = (t @ c[:, :, None]).reshape(-1, 2, 2)
     raw *= _HALF
     # the real part of the complex trace, to its bits, without its imaginary sum
     trace = raw[:, 0, 0].real + raw[:, 1, 1].real
@@ -585,9 +583,9 @@ def receiver_states(t, coeffs) -> tuple[np.ndarray, np.ndarray]:
     multiplies each row, a known map too. The overlap is one bilinear sum
     (``_bilinear``), on Python numbers for one row and on whole columns for
     a batch, with the same bits on every CPU. ``average_fidelity`` and
-    ``sweep`` gather the columns of rows they build under a certified map,
-    to the product's bits, and skip the checks (``_session_states``); this
-    function, on a caller's rows, does neither.
+    ``sweep``, on the rows they build under a certified map, compute only
+    the fidelities, to these bits, and skip the checks
+    (``_certified_fidelities``); this function, on a caller's rows, does neither.
     """
     t = np.asarray(t, dtype=complex)
     if t.shape != (4, 4):
@@ -596,22 +594,16 @@ def receiver_states(t, coeffs) -> tuple[np.ndarray, np.ndarray]:
 
 
 @np.errstate(all="ignore")  # as a decorator, errstate costs about half what a with block does
-def _session_states(t: np.ndarray, c: np.ndarray, certified: bool = False) -> tuple[np.ndarray, np.ndarray]:
+def _session_states(t: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``receiver_states`` on a complex 4x4 map and complex ``(N, 4)`` rows: ``_mapped_states``, the overlaps, the checks.
 
     The overlaps are ``_bilinear`` on whole columns, so each row is bitwise
-    what a batch of one, and ``_session_row``, give. A ``certified`` batch
-    gathers its map's columns (``_mapped_states``), skips the checks, which
-    it passes by construction, and computes only the overlaps' real part
-    (``_real_bilinear``): the map is a ``PreparationTensor._certified``
-    tensor's, and every row passed ``coefficient_table`` or ``bloch_table``
-    with c21 == conj(c12) exactly, as ``bloch_coefficient_rows`` and the
-    sweep's rows are built.
+    what a batch of one, and ``_session_row``, give. A certified batch,
+    which passes the checks by construction, takes ``_certified_fidelities``
+    instead, to the bits of these overlaps.
     """
-    raw, states = _mapped_states(t, c, certified)
+    raw, states = _mapped_states(t, c)
     columns = (states[:, 0, 0], states[:, 1, 0], states[:, 0, 1], states[:, 1, 1])
-    if certified:
-        return states, _real_bilinear(c.T, columns)
     overlap = np.empty(len(c), dtype=complex)
     overlap.real, overlap.imag = _bilinear(c.T, columns)
     require_columns(
@@ -620,6 +612,38 @@ def _session_states(t: np.ndarray, c: np.ndarray, certified: bool = False) -> tu
         (real_overlap_table, (overlap,)),
     )
     return states, overlap.real
+
+
+@np.errstate(all="ignore")
+def _certified_fidelities(t: np.ndarray, c11: np.ndarray, c12: np.ndarray, c22: np.ndarray) -> np.ndarray:
+    """``_session_states``' fidelities of the rows (c11, c12, conj(c12), c22) under a certified map, to their bits.
+
+    The map is a ``PreparationTensor._certified`` tensor's and every row
+    passed ``coefficient_table`` or ``bloch_table``, so the checks are
+    skipped and no state is built: float64 columns give the overlaps' real
+    sums alone. Such a map is s U . U† for a Pauli word U and s = 1/2 or 1
+    (tests/test_certified_sessions.py pins the ten plans): row r of the
+    mapped vector is s_r times coefficient ``t.nonzero()[1][r]``, the
+    diagonal and the coherences both kept or both swapped, s_11 = s_22 = s
+    and s_12 = s_21 = ±s. On such scales the halving folds into them:
+    c*(s/2) rounds once where (c*s)/2 rounds at most twice, to the same
+    bits, subnormal c included. numpy divides a complex part by the real
+    trace as a product with its reciprocal. The overlap's two coherence
+    terms are equal, so one is computed. The product path's zero terms
+    and zero imaginary parts set only signs of zero, which reach no
+    fidelity of such a map: tests/test_bounding_prepass.py compares the two
+    paths byte for byte on signed-zero and extreme rows, for every such plan.
+    """
+    rows, columns = t.nonzero()
+    (k11, k12, _, k22), (h11, h12, _, h22) = columns.tolist(), (0.5 * t.real[rows, columns]).tolist()  # halved scales
+    diagonal, sign = {0: c11, 3: c22}, {1: 1.0, 2: -1.0}  # column 2, conj(c12), negates the imaginary part
+    re, im = c12.real, c12.imag
+    m11, m22 = diagonal[k11] * h11, diagonal[k22] * h22  # the raw operator's diagonal
+    r = 1.0 / (m11 + m22)
+    # the overlap's term c21 b12, b12 = (re h12 r, ±im h12 r) the state's (0, 1) entry; its term c12 b21 has
+    # the same bits (b21 is conj(b12) part for part), so _real_bilinear's ((0 + 1) + (2 + 3)) takes it twice
+    coherence = re * ((re * h12) * r) + im * ((im * (sign[k12] * h12)) * r)
+    return (c11 * (m11 * r) + coherence) + (coherence + c22 * (m22 * r))
 
 
 _MESSAGE_BITS = {"two_bits": 2, "one_bit_ping": 1, "pre_agreed": 0}

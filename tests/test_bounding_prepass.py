@@ -7,10 +7,12 @@ failed an entry there. That is sound when each bounded quantity is at least
 ``require``'s (NaN counting as failing), which ``TestBoundsAreSound`` checks
 on extreme parts; it pays only when valid batches pass on their bounds,
 which ``TestNoFallback`` checks on the package's own batches; and
-``TestCandidateRows`` checks which rows reach ``require``. ``_mapped_states`` gathers the columns of a
-certified batch of any size instead of one matrix-vector product per row;
-``TestGather`` checks it against that product bit for bit on the known maps,
-on random signed scaled-permutation maps, and on maps of any layout.
+``TestCandidateRows`` checks which rows reach ``require``. A certified
+batch computes its fidelities from its coefficient columns alone
+(``_certified_fidelities``) instead of one matrix-vector product, one
+division and one overlap per row; ``TestCertifiedKernel`` checks them
+against that product path byte for byte on the known maps, on every
+scaled Pauli conjugation of their scales, and on maps of any layout.
 """
 
 import itertools
@@ -136,11 +138,6 @@ def grid_block(head):
     return GRID_PARTS[index].view(complex)
 
 
-def grid_blocks():
-    """The whole grid, 1 679 616 rows, one block at a time."""
-    return map(grid_block, itertools.product(range(6), repeat=2))
-
-
 def outcome(t, rows):
     """``receiver_states`` on the batch: its bytes, or the message of the ValueError it raises."""
     try:
@@ -149,62 +146,90 @@ def outcome(t, rows):
         return str(exc)
 
 
-def product_fidelities(rows, states):
-    """The checked product path's fidelities of ``rows`` and their multiplied ``states``: ``_bilinear``'s real part."""
+def hermitian_columns(parts):
+    """The columns (c11, c12, c22) of the rows (c11, c12, conj(c12), c22) whose parts (c11, Re c12, Im c12, c22) are ``parts``."""
+    c12 = np.empty(len(parts), dtype=complex)
+    c12.real, c12.imag = parts[:, 1], parts[:, 2]
+    return parts[:, 0].copy(), c12, parts[:, 3].copy()
+
+
+# Every such row with its four parts among signed zeros, ±1, subnormals, ±2**-1022, 1e+-300 and 1/3: 15**4 rows.
+KERNEL_PARTS = [0.0, -0.0, 1.0, -1.0, 0.5, -3.0, 5e-324, -5e-324, 1e-323, -1e-323, TINY, -TINY, 1e300, 1e-300, 1.0 / 3.0]
+KERNEL_GRID = hermitian_columns(np.array(list(itertools.product(KERNEL_PARTS, repeat=4))))
+
+
+def product_fidelities(t, c11, c12, c22):
+    """The checked path's fidelities of those rows under ``t``, unchecked: ``_bilinear``'s real part of the product's states."""
+    rows = np.empty((len(c11), 4), dtype=complex)
+    rows[:, 0], rows[:, 1], rows[:, 2], rows[:, 3] = c11, c12, c12.conj(), c22
     with np.errstate(all="ignore"):
+        _, states = protocol._mapped_states(t, rows)
         return protocol._bilinear(rows.T, (states[:, 0, 0], states[:, 1, 0], states[:, 0, 1], states[:, 1, 1]))[0]
 
 
-def assert_same_bits(t, rows, whole_batch=True):
-    """The gather gives the product's raw operators, states and fidelities, byte for byte.
+def assert_same_bits(t, columns):
+    """``_certified_fidelities`` gives the product path's fidelities, byte for byte: returns how many are finite.
 
-    ``_mapped_states`` gives the raw operators and states gathered and
-    multiplied, and the certified batch of ``_session_states``, which
-    computes only the real sum, the fidelities of ``product_fidelities``. A
-    product that overflows is inf on one path and may be NaN on the other,
-    so without ``whole_batch`` only the rows whose raw operator is finite
-    must agree byte for byte, and the same rows must be finite on both.
+    A part that overflows is inf on one path and may be NaN on the other,
+    so only the finite fidelities must agree byte for byte, and the same
+    rows must be finite on both.
     """
-    with np.errstate(all="ignore"):
-        gathered, multiplied = protocol._mapped_states(t, rows, True), protocol._mapped_states(t, rows, False)
-    gathered += (protocol._session_states(t, rows, True)[1],)
-    multiplied += (product_fidelities(rows, multiplied[1]),)
-    if whole_batch:
-        for g, m in zip(gathered, multiplied, strict=True):
-            assert g.tobytes() == m.tobytes()
-        return
-    finite = np.isfinite(multiplied[0]).all(axis=(1, 2))
-    assert np.array_equal(np.isfinite(gathered[0]).all(axis=(1, 2)), finite)
-    for g, m in zip(gathered, multiplied, strict=True):
-        assert g[finite].tobytes() == m[finite].tobytes()
+    kernel, product = protocol._certified_fidelities(t, *columns), product_fidelities(t, *columns)
+    finite = np.isfinite(product)
+    assert np.array_equal(np.isfinite(kernel), finite)
+    assert kernel[finite].tobytes() == product[finite].tobytes()
+    return np.count_nonzero(finite)
 
 
-def random_permutation_map(rng):
-    """A permutation with random signed scales over 2**+-30, -0.0 in some zero and imaginary parts."""
+# The eight plans (columns, scales) of a scaled Pauli conjugation s U . U† with s in {1/2, 1}: the diagonal and
+# the coherences both kept or both swapped, the coherences scaled by ±s. The known maps have five of them.
+CONJUGATION_PLANS = {
+    f"{'swapped' if swap else 'kept'}, s={s}, coherences {sign}s": (
+        (3, 2, 1, 0) if swap else (0, 1, 2, 3),
+        (s, s if sign == "+" else -s, s if sign == "+" else -s, s),
+    )
+    for swap in (False, True)
+    for s in (0.5, 1.0)
+    for sign in "+-"
+}
+
+
+def conjugation_map(plan, rng):
+    """The map of ``plan``, with -0.0 in some zero and imaginary parts."""
+    columns, scales = plan
     t = np.zeros((4, 4), dtype=complex)
-    rows, columns = np.arange(4), rng.permutation(4)
-    t.real[rows, columns] = rng.choice([-1.0, 1.0], 4) * rng.uniform(0.1, 10.0, 4) * 2.0 ** rng.integers(-30, 31, 4)
+    t.real[np.arange(4), columns] = scales
     t.imag[rng.random((4, 4)) < 0.5] = -0.0
     t.real[(t.real == 0.0) & (rng.random((4, 4)) < 0.5)] = -0.0
     return t
 
 
-class TestGather:
+class TestCertifiedKernel:
     @pytest.mark.parametrize("names", sorted(DISTINCT_MAPS))
     def test_known_maps_on_the_signed_zero_grid(self, names):
-        t = DISTINCT_MAPS[names]
-        for rows in grid_blocks():
-            assert_same_bits(t, rows)
+        assert assert_same_bits(DISTINCT_MAPS[names], KERNEL_GRID) > 30000
 
-    @pytest.mark.parametrize("seed", range(8))
-    def test_random_permutation_maps(self, seed):
-        # the gather's arithmetic on any signed scales, not only the known maps' +-0.5
-        rng = np.random.default_rng(seed)
-        t = random_permutation_map(rng)
-        assert_same_bits(t, grid_block(rng.integers(6, size=2)))
+    def test_the_halving_folds_into_the_known_scales(self):
+        # (c * s) * 0.5 == c * (0.5 * s) for |s| in {1/2, 1}: every subnormal c of up to 2**16 ulps, the
+        # normals next to them, and c near the overflow; a scale of 1/4 rounds twice, one of 2 overflows
+        ulps = np.arange(2**16) * 5e-324
+        c = np.concatenate([ulps, -ulps, ulps + TINY, DBL_MAX - np.arange(2**16) * 2.0**971])
+        with np.errstate(over="ignore"):
+            for s in (0.5, -0.5, 1.0, -1.0):
+                assert ((c * s) * 0.5).tobytes() == (c * (0.5 * s)).tobytes()
+            for s in (0.25, 2.0):
+                assert ((c * s) * 0.5).tobytes() != (c * (0.5 * s)).tobytes()
+
+    @pytest.mark.parametrize("name", sorted(CONJUGATION_PLANS))
+    def test_every_scaled_pauli_conjugation(self, name):
+        # the kernel's arithmetic on every plan of the certified shape, not only the known maps'
+        rng = np.random.default_rng(sorted(CONJUGATION_PLANS).index(name))
+        t = conjugation_map(CONJUGATION_PLANS[name], rng)
+        assert t.nonzero()[1].tolist() == list(CONJUGATION_PLANS[name][0])
+        assert assert_same_bits(t, KERNEL_GRID) > 30000
         # random doubles, subnormal and huge parts, and the check tables' special parts
         parts = np.concatenate([rng.standard_normal(4000), rng.choice(REALS[np.isfinite(REALS)], 4000)])
-        assert_same_bits(t, rng.permutation(parts).view(complex).reshape(-1, 4), whole_batch=False)
+        assert assert_same_bits(t, hermitian_columns(rng.permutation(parts).reshape(-1, 4))) > 1000
 
     @pytest.mark.parametrize("names", sorted(DISTINCT_MAPS))
     def test_any_layout_of_the_map(self, names):
@@ -212,27 +237,21 @@ class TestGather:
         t = DISTINCT_MAPS[names]
         strided = np.zeros((4, 8), dtype=complex)[:, ::2]
         strided[...] = t
-        rows = grid_block((3, 4))
-        with np.errstate(all="ignore"):
-            raw, states = protocol._mapped_states(t, rows, False)
-        expected = raw, states, product_fidelities(rows, states)
+        expected = protocol._certified_fidelities(t, *KERNEL_GRID)
         for layout in (np.asfortranarray(t), strided, t[::-1].copy()[::-1]):  # Fortran, strided, reversed rows
             assert not layout.flags.c_contiguous
-            with np.errstate(all="ignore"):
-                gathered = protocol._mapped_states(layout, rows, True)
-            gathered += (protocol._session_states(layout, rows, True)[1],)
-            for g, m in zip(gathered, expected, strict=True):
-                assert g.tobytes() == m.tobytes()
+            assert protocol._certified_fidelities(layout, *KERNEL_GRID).tobytes() == expected.tobytes()
+            assert_same_bits(layout, KERNEL_GRID)
 
-    def test_a_map_changed_in_place_gathers_its_new_columns(self):
-        # no plan outlives the call: the gather reads the map's entries each time
+    def test_a_map_changed_in_place_is_read_anew(self):
+        # no plan outlives the call: the kernel reads the map's entries each time
         t = KNOWN_MAPS["bell1"].copy()
-        rows = grid_block((2, 4))
-        t[[0, 3]] = t[[3, 0]]
-        assert t.nonzero()[1].tolist() == [3, 1, 2, 0]
-        assert_same_bits(t, rows)
-        t[1, 1] = -0.25
-        assert_same_bits(t, rows)
+        t[[0, 1, 2, 3]] = t[[3, 2, 1, 0]]
+        t[[1, 2]] *= -1.0
+        assert t.nonzero()[1].tolist() == [3, 2, 1, 0]
+        assert_same_bits(t, KERNEL_GRID)
+        t *= 2.0  # a plan of scale 1 that no known map has
+        assert_same_bits(t, KERNEL_GRID)
 
     def test_a_signed_zero_map_keeps_the_product_bits(self):
         t = KNOWN_MAPS["automatic"].copy()
@@ -240,8 +259,11 @@ class TestGather:
         signed.imag[0, 0] = -0.0
         signed.real[0, 1] = -0.0
         assert signed.tobytes() != t.tobytes() and np.array_equal(signed, t)
-        for rows in itertools.islice(grid_blocks(), 0, None, 7):
-            assert_same_bits(signed, rows)
+        assert assert_same_bits(signed, KERNEL_GRID) == assert_same_bits(t, KERNEL_GRID)
+
+
+class TestKnownMapsOnCallerRows:
+    """A known map given to ``receiver_states`` takes the product and every check, on any map type and batch layout."""
 
     @pytest.mark.parametrize("n", [1, 1000])
     @pytest.mark.parametrize("names", sorted(DISTINCT_MAPS))

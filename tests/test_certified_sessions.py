@@ -4,13 +4,15 @@ A session is certified when its tensor is (``PreparationTensor._certified``:
 weights byte-equal to a known preparation's) and its rows passed
 ``coefficient_table`` or ``bloch_table`` with c21 == conj(c12) exactly.
 ``TestMargins`` proves what the certificate assumes: each of the ten known
-session maps has one real nonzero entry per row, the gather plan in
-``PLANS``, and that plan is a scaled Pauli conjugation. It runs the maps,
-gathered, on the rows nearest each coefficient bound and measures every
-quantity of the skipped tables as ``require`` computes it, against the
-literal margins in ``MARGINS``, and checks that the certified outcome is
-the checked one, byte for byte. A tolerance or a map that breaks the
-implication fails there.
+session maps has one real nonzero entry per row, the plan in ``PLANS``
+that ``protocol._certified_fidelities`` reads, and that plan is a scaled
+Pauli conjugation with scales of modulus 1/2 or 1. It runs the maps on the
+rows nearest each coefficient bound and measures every quantity of the
+skipped tables as ``require`` computes it, against the literal margins in
+``MARGINS``, and checks that the certified fidelities are the checked
+ones, byte for byte. A tolerance or a map that breaks the implication
+fails there. ``TestCallers`` checks the same on the values that
+``average_fidelity`` and ``sweep`` compute.
 ``TestPathSelection`` counts the tables that run: none of the three on a
 certified call, all three on every other input, weights equal to a known
 preparation's in value but not in bytes among them. It counts the calls of
@@ -35,6 +37,7 @@ from ensemble_teleport import (
     bloch_coefficient_rows,
     cli,
     coefficient_rows,
+    fidelity,
     linalg,
     protocol,
     receiver_states,
@@ -54,7 +57,7 @@ SESSIONS = {f"Bell {k}, bob_acts={acts}": (k, acts) for k in BELL_INDICES for ac
 SESSIONS.update({f"automatic, bob_acts={acts}": (automatic_preparation(), acts) for acts in (True, False)})
 MAPS = {name: resolve_preparation(prep).session_map(acts) for name, (prep, acts) in SESSIONS.items()}
 
-# Each known session map's gather plan: row r of the mapped vector is scales[r] * c[columns[r]].
+# Each known session map's plan: row r of the mapped vector is scales[r] * c[columns[r]].
 _HALF_IDENTITY = ((0, 1, 2, 3), (0.5, 0.5, 0.5, 0.5))
 PLANS = {
     **{f"Bell {k}, bob_acts=True": _HALF_IDENTITY for k in BELL_INDICES},
@@ -132,10 +135,11 @@ ROWS = {"edges": _edge_rows(), "shell": _shell_rows()}
 def _quantities(t, rows) -> np.ndarray:
     """The skipped tables' quantities on each row, as ``require`` computes them: an (entries, N) array.
 
-    The overlap is the complex ``_bilinear`` of the gathered states, whose
-    imaginary part a certified batch never computes: it is measured here.
+    The raw operators and states are the checked path's matrix-vector products, and the overlap the complex
+    ``_bilinear`` of those states: a certified batch computes none of them, only the overlap's real sum.
     """
-    raw, states = protocol._mapped_states(t, rows, certified=True)
+    with np.errstate(all="ignore"):
+        raw, states = protocol._mapped_states(t, rows)
     re, im = protocol._bilinear(rows.T, (states[:, 0, 0], states[:, 1, 0], states[:, 0, 1], states[:, 1, 1]))
     parts = zip(raw.reshape(-1, 4).tolist(), states.reshape(-1, 4).tolist(), map(complex, re.tolist(), im.tolist()))
     return np.array([
@@ -159,7 +163,7 @@ class TestMargins:
     def test_each_known_map_is_its_certified_plan(self, name):
         prep, _ = SESSIONS[name]
         t = MAPS[name]
-        rows, columns = t.nonzero()  # what _mapped_states gathers: one real nonzero entry per row
+        rows, columns = t.nonzero()  # what _certified_fidelities reads: one real nonzero entry per row
         assert rows.tolist() == [0, 1, 2, 3] and not t.imag.any()
         plan = (tuple(columns.tolist()), tuple(t.real[rows, columns].tolist()))
         assert plan == PLANS[name]
@@ -168,6 +172,7 @@ class TestMargins:
         (d1, o1, o2, d2), (s11, s12, s21, s22) = plan
         assert {d1, d2} == {0, 3} and {o1, o2} == {1, 2}
         assert s11 == s22 > 0.0 and s12 == s21 and abs(s12) == s11
+        assert s11 in (0.5, 1.0)  # the scales on which the kernel's halving folds into them exactly
         assert resolve_preparation(prep)._certified
 
     @pytest.mark.parametrize("rows", sorted(ROWS))
@@ -188,9 +193,8 @@ class TestMargins:
         prep, acts = SESSIONS[name]
         t = MAPS[name]
         for rows in ROWS.values():
-            certified = protocol._session_states(t, rows, True)
-            checked = receiver_states(t, rows)
-            assert all(a.tobytes() == b.tobytes() for a, b in zip(certified, checked))
+            certified = protocol._certified_fidelities(t, rows[:, 0].real, rows[:, 1], rows[:, 3].real)
+            assert certified.tobytes() == receiver_states(t, rows)[1].tobytes()
         for row in ROWS["edges"]:
             c = CoefficientVector(row[0].real, row[1], row[2], row[3].real)
             record = run_session(c, prep, _message(prep), acts)
@@ -199,6 +203,44 @@ class TestMargins:
             assert np.float64(record.fidelity).tobytes() == np.float64(fidelity).tobytes()
             states, fidelities = receiver_states(t, c.row)
             assert states[0].tobytes() == state.tobytes() and fidelities.tobytes() == np.float64(fidelity).tobytes()
+
+
+@pytest.fixture
+def kernel_values(monkeypatch):
+    """The fidelities that each ``_certified_fidelities`` call of ``average_fidelity`` returns, in order."""
+    values = []
+    kernel = protocol._certified_fidelities
+
+    def recording(*args):
+        values.append(kernel(*args))
+        return values[-1]
+
+    monkeypatch.setattr(fidelity, "_certified_fidelities", recording)
+    return values
+
+
+class TestCallers:
+    """The fidelities of a certified ``average_fidelity`` or ``sweep`` are the checked ones, byte for byte."""
+
+    @pytest.mark.parametrize("sampler", sorted(SAMPLERS))
+    @pytest.mark.parametrize("name", sorted(SESSIONS))
+    def test_average_fidelity_averages_the_checked_values(self, kernel_values, name, sampler):
+        prep, acts = SESSIONS[name]
+        for seed in range(20):
+            average_fidelity(prep, acts, sampler, n=200, seed=seed)
+            rows = bloch_coefficient_rows(*SAMPLERS[sampler](np.random.default_rng(seed), 200))
+            checked = protocol._session_states(MAPS[name], rows)[1]
+            assert len(kernel_values) == seed + 1 and kernel_values[-1].tobytes() == checked.tobytes()
+
+    @pytest.mark.parametrize("grid", ["grid", "pure", "zero"])
+    @pytest.mark.parametrize("prep", cli._PREP_CHOICES)
+    def test_sweep_writes_the_checked_values(self, prep, grid):
+        argv = ["sweep", "--resolution", "30", "--phase-resolution", "4", "--slice", grid, "--prep", prep]
+        c11, c12_re, c12_im, _, trace = cli._cmd_sweep(cli.build_parser().parse_args(argv))[1]
+        c12 = np.empty(len(c11), dtype=complex)
+        c12.real, c12.imag = c12_re, c12_im
+        rows = coefficient_rows(c11, c12, c12.conj(), 1.0 - c11)
+        assert trace.tobytes() == protocol._session_states(cli._PREPS[prep].session_map(False), rows)[1].tobytes()
 
 
 OUTPUT_TABLES = list(_TABLES)

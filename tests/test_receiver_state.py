@@ -734,7 +734,7 @@ def _unchecked_states(t, rows):
 
 
 class TestLargeBatches:
-    """Batches of every size equal the per-row loop: known maps gather their columns, other maps take the product."""
+    """Batches of every size equal the per-row loop, under known maps and others alike: each takes the product."""
 
     @pytest.mark.parametrize("n", [1, 2, 63, 64, 1000, 3600])
     @pytest.mark.parametrize("bob_acts", [True, False])
